@@ -23,6 +23,7 @@ exact Jacobi matrix stays available.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable
 
@@ -35,6 +36,37 @@ __all__ = ["PlanarVelocity", "TransportedEvaluator", "RotatingPolarizationEvalua
 
 _NEWTON_TOL = 1e-13
 _NEWTON_ITERS = 60
+_MEMO_SIZE = 8  # holds one FD stencil's distinct foot integrations (7 for v2)
+
+
+class _Memo:
+    """The last ``size`` results of one evaluator method, keyed on its inputs.
+
+    A finite-difference stencil shifts one coordinate at a time; a shift of
+    a coordinate the integration ignores then reuses the centre's result.
+    The key is the step count plus each float array argument's shape and raw
+    bytes, so an argument mutated in place or a changed ``ode_steps`` misses.
+    Results are tuples of arrays, stored and returned read-only.
+    """
+
+    def __init__(self, size):
+        self.size = size
+        self._entries = OrderedDict()
+
+    def __call__(self, compute, steps, *arrays):
+        arrays = tuple(np.asarray(a, dtype=float) for a in arrays)
+        key = (steps,) + tuple((a.shape, a.tobytes()) for a in arrays)
+        out = self._entries.get(key)
+        if out is not None:
+            self._entries.move_to_end(key)
+            return out
+        out = compute(*arrays)
+        for a in out:
+            a.flags.writeable = False
+        self._entries[key] = out
+        if len(self._entries) > self.size:
+            self._entries.popitem(last=False)
+        return out
 
 
 @dataclass(frozen=True)
@@ -81,7 +113,15 @@ def _scalar_newton(g, dg, r0, tol=_NEWTON_TOL, iters=_NEWTON_ITERS):
 
 
 class TransportedEvaluator:
-    """Callable implementing FamilySpec.custom_eval for this family."""
+    """Callable implementing FamilySpec.custom_eval for this family.
+
+    Without a closed-form r3, ``solve_r3`` integrates the characteristics
+    with ``ode_steps`` RK4 steps (240 from the registry) and memoises the
+    last 8 results per instance, keyed on the bytes and shapes of (t, x3)
+    plus ``ode_steps``; the returned arrays are read-only.  Only shifts of
+    t or x3 integrate anew, so a central-difference stencil integrates 5
+    times, not 9.
+    """
 
     def __init__(self, fprof, planar: PlanarVelocity, a0, u30, kappa,
                  r3_closed=None, psi=None, ode_steps=240):
@@ -93,16 +133,18 @@ class TransportedEvaluator:
         self.r3_closed = r3_closed  # (t, x3) -> (G, dG/dt, dG/dx3), linear-f only
         self.psi = psi
         self.ode_steps = ode_steps
+        self._r3_memo = _Memo(_MEMO_SIZE)
 
     # -- pieces -------------------------------------------------------------
 
     def phase1(self, r1):
         return (1.0 + 1.0 / self.kappa) * self.f(r1) + self.a0 + self.u30
 
-    def solve_r1(self, t, x3):
+    def solve_r1(self, t, x3, r0=None):
         g = lambda r: r - self.phase1(r) * t + x3
         dg = lambda r: 1.0 - (1.0 + 1.0 / self.kappa) * self.f.d(r) * t
-        r0 = self.phase1(np.zeros_like(t)) * t - x3
+        if r0 is None:
+            r0 = self.phase1(np.zeros_like(t)) * t - x3
         return _scalar_newton(g, dg, r0)
 
     def u3_field(self, t, x3):
@@ -110,23 +152,31 @@ class TransportedEvaluator:
         return self.f(r1) + self.u30, r1, ok
 
     def r3_by_characteristics(self, t, x3):
-        """Backward foot X(0) of dx/ds = u3(s, x) from (t, x3), plus sensitivities."""
+        """Backward foot X(0) of dx/ds = u3(s, x) from (t, x3), plus sensitivities.
+
+        Each stage's r1 solve starts from the previous stage's r1; the first
+        stage sits at s = t, so its u3 is the field at (t, x3).
+        """
         steps = self.ode_steps
         x = np.array(x3, dtype=float)
         jall = np.ones_like(x)   # dX(0)/dx3 accumulated via variational equation
         tcur = np.array(t, dtype=float)
         hval = -tcur / steps     # per-point backward step
+        r1 = None
 
         def rhs(s, y):
-            u3, r1, _ = self.u3_field(s, y)
-            d1 = 1.0 - (1.0 + 1.0 / self.kappa) * self.f.d(r1) * s
-            du3dx = self.f.d(r1) * (-1.0 / d1)
-            return u3, du3dx
+            nonlocal r1
+            r1, _ = self.solve_r1(s, y, r1)
+            df = self.f.d(r1)
+            d1 = 1.0 - (1.0 + 1.0 / self.kappa) * df * s
+            return self.f(r1) + self.u30, df * (-1.0 / d1)
 
         for i in range(steps):
             s = tcur + i * hval
             h = hval
             k1, a1 = rhs(s, x)
+            if i == 0:
+                u3_here = k1
             k2, a2 = rhs(s + 0.5 * h, x + 0.5 * h * k1)
             k3, a3 = rhs(s + 0.5 * h, x + 0.5 * h * k2)
             k4, a4 = rhs(s + h, x + h * k3)
@@ -137,7 +187,6 @@ class TransportedEvaluator:
             j3 = a3 * (1 + 0.5 * h * j2)
             j4 = a4 * (1 + h * j3)
             jall = jall * (1 + (h / 6.0) * (j1 + 2 * j2 + 2 * j3 + j4))
-        u3_here, _, _ = self.u3_field(t, x3)
         return x, -u3_here * jall, jall
 
     def solve_r3(self, t, x3):
@@ -147,7 +196,7 @@ class TransportedEvaluator:
                 dpsi = self.psi.d(g)
                 return self.psi(g), dpsi * dgdt, dpsi * dgdx
             return g, dgdt, dgdx
-        return self.r3_by_characteristics(t, x3)
+        return self._r3_memo(self.r3_by_characteristics, self.ode_steps, t, x3)
 
     def solve_r2(self, t, x1, x2, r3):
         u1 = lambda r: self.planar.fields(r, r3)[0]
@@ -230,6 +279,14 @@ class RotatingPolarizationEvaluator:
     characteristics (initial data: the charted combination
     x1 sin F - x2 cos F at t = 0).  Backward RK4 carries the 2x2 variational
     matrix so the exact Jacobi matrix stays available.
+
+    Per instance, ``_foot`` memoises its last 8 integrations (``ode_steps``
+    RK4 steps, 100 from the registry), keyed on the bytes and shapes of
+    (t, x1, x2) plus ``ode_steps``, so a central-difference stencil
+    integrates 7 times, not 9 (x3 shifts reuse the centre); ``profile_chart``
+    memoises its last chart, keyed on the invariant triple plus
+    ``ode_steps``, so ``profile`` and ``profile_jac`` at one triple share it.
+    Memoised arrays are read-only.
     """
 
     def __init__(self, fprof, gprof, a0, kappa, ode_steps=100):
@@ -238,8 +295,10 @@ class RotatingPolarizationEvaluator:
         self.a0 = float(a0)
         self.kappa = float(kappa)
         self.ode_steps = ode_steps
+        self._foot_memo = _Memo(_MEMO_SIZE)
+        self._chart_memo = _Memo(1)
 
-    def solve_r1(self, t, x1, x2):
+    def solve_r1(self, t, x1, x2, r0=None):
         a_of = lambda r: self.F(r) / self.kappa + self.a0
 
         def trig(r):
@@ -255,13 +314,14 @@ class RotatingPolarizationEvaluator:
             df = self.F.d(r)
             return 1.0 - df / self.kappa * t - (x1 * s - x2 * c) * df
 
-        r0 = a_of(np.zeros_like(t)) * t - x1 * np.cos(self.F(np.zeros_like(t))) \
-            - x2 * np.sin(self.F(np.zeros_like(t)))
+        if r0 is None:
+            r0 = a_of(np.zeros_like(t)) * t - x1 * np.cos(self.F(np.zeros_like(t))) \
+                - x2 * np.sin(self.F(np.zeros_like(t)))
         return _scalar_newton(g, dg, r0)
 
-    def _field(self, t, x1, x2):
+    def _field(self, t, x1, x2, r0=None):
         """(velocity, velocity-gradient 2x2, r1, delta) at points of one time slice."""
-        r1, ok = self.solve_r1(t, x1, x2)
+        r1, ok = self.solve_r1(t, x1, x2, r0)
         fv, df = self.F(r1), self.F.d(r1)
         c, s = np.cos(fv), np.sin(fv)
         delta = 1.0 - df / self.kappa * t - (x1 * s - x2 * c) * df
@@ -276,28 +336,37 @@ class RotatingPolarizationEvaluator:
         return v, grad, r1, delta, ok
 
     def _foot(self, t, x1, x2):
-        """Backward planar characteristics: foot y(0) and M = dy/d(x1,x2)."""
+        """Backward planar characteristics: foot y(0), M = dy/d(x1,x2), and
+        the first stage's (r1, ok) at s = t (memoised, read-only)."""
+        return self._foot_memo(self._integrate_foot, self.ode_steps, t, x1, x2)
+
+    def _integrate_foot(self, t, x1, x2):
+        """RK4 behind ``_foot``; each stage's r1 solve starts from the last one."""
         steps = self.ode_steps
         y = np.stack([x1, x2], axis=-1).astype(float)
         m = np.broadcast_to(np.eye(2), y.shape[:-1] + (2, 2)).copy()
         tcur = np.asarray(t, dtype=float)
         h = -tcur / steps
+        r1 = None
 
         def stage(s, yv, mv):
-            v, a, _, _, _ = self._field(s, yv[..., 0], yv[..., 1])
-            return v, a @ mv
+            nonlocal r1
+            v, a, r1, _, ok = self._field(s, yv[..., 0], yv[..., 1], r1)
+            return v, a @ mv, ok
 
         for i in range(steps):
             s = tcur + i * h
             hv = h[..., None]
             hm = h[..., None, None]
-            v1, k1 = stage(s, y, m)
-            v2, k2 = stage(s + 0.5 * h, y + 0.5 * hv * v1, m + 0.5 * hm * k1)
-            v3, k3 = stage(s + 0.5 * h, y + 0.5 * hv * v2, m + 0.5 * hm * k2)
-            v4, k4 = stage(s + h, y + hv * v3, m + hm * k3)
+            v1, k1, ok = stage(s, y, m)
+            if i == 0:
+                r1_here, ok_here = r1, ok
+            v2, k2, _ = stage(s + 0.5 * h, y + 0.5 * hv * v1, m + 0.5 * hm * k1)
+            v3, k3, _ = stage(s + 0.5 * h, y + 0.5 * hv * v2, m + 0.5 * hm * k2)
+            v4, k4, _ = stage(s + h, y + hv * v3, m + hm * k3)
             y = y + (hv / 6.0) * (v1 + 2 * v2 + 2 * v3 + v4)
             m = m + (hm / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        return y, m
+        return y, m, r1_here, ok_here
 
     def _m0(self, y):
         """Initial convected chart m0 = y1 sin F0 - y2 cos F0 and its gradient."""
@@ -320,13 +389,12 @@ class RotatingPolarizationEvaluator:
         x1, x2 = x[:, 0], x[:, 1]
         n = len(t)
 
-        r1, ok = self.solve_r1(t, x1, x2)
+        y, mmat, r1, ok = self._foot(t, x1, x2)
         fv, df = self.F(r1), self.F.d(r1)
         c, s = np.cos(fv), np.sin(fv)
         a = fv / self.kappa + self.a0
         delta = 1.0 - df / self.kappa * t - (x1 * s - x2 * c) * df
 
-        y, mmat = self._foot(t, x1, x2)
         m, d1, d2 = self._m0(y)
         grad_m = np.empty((n, 2))
         grad_m[:, 0] = d1 * mmat[:, 0, 0] + d2 * mmat[:, 1, 0]
@@ -377,7 +445,11 @@ class RotatingPolarizationEvaluator:
         chart and both u and the coefficients of the exact gradient over the
         wave covectors, du = Phi lam, are functions of the invariant triple;
         Phi plays the profile-Jacobian role in the compatibility checks.
+        The last chart is memoised (read-only arrays).
         """
+        return self._chart_memo(self._chart, self.ode_steps, r)
+
+    def _chart(self, r):
         t, x1, x2 = self.invariants_to_point(r)
         x = np.column_stack([x1, x2, np.zeros_like(x1)])
         _, u, jac, _, _ = self(t, x)
