@@ -8,8 +8,9 @@ A family bundles
   * a default evaluation window and a default catastrophe-probe ray.
 
 Evaluation is batched: ``evaluate_batch(t, xs)`` returns invariants, states,
-exact Jacobi matrices, implicit-function determinants and per-point status
-codes; ``evaluate`` wraps a single point and raises on failure.
+exact Jacobi matrices (assembled only when the caller asks for them),
+implicit-function determinants and per-point status codes; ``evaluate`` wraps
+a single point and raises on failure.
 """
 
 from __future__ import annotations
@@ -134,13 +135,16 @@ def stack_waves(wave_list):
 
 @dataclass
 class EvalResult:
-    """Batched evaluation output; arrays share the leading point dimension."""
+    """Batched evaluation output; arrays share the leading point dimension.
+
+    ``jac`` is None when the evaluation ran with ``jacobian=False``.
+    """
 
     t: np.ndarray
     x: np.ndarray          # (N, 3)
     r: np.ndarray          # (N, n_waves)
     state: np.ndarray      # (N, 4)
-    jac: np.ndarray        # (N, 4, 4)
+    jac: np.ndarray | None  # (N, 4, 4), or None when not assembled
     cond_det: np.ndarray   # (N,)
     status: np.ndarray     # (N,) int8
 
@@ -192,7 +196,7 @@ class FamilySpec:
     # -- evaluation --------------------------------------------------------
 
     def evaluate_batch(self, t, x, branch=None, guess=None,
-                       ignore_validity=False) -> EvalResult:
+                       ignore_validity=False, jacobian=True) -> EvalResult:
         """Solve the family at points (t_i, x_i); never raises per-point.
 
         t: (N,), x: (N,3).  Points outside validity come back with status
@@ -201,6 +205,10 @@ class FamilySpec:
         is downgraded to "invalid".  ignore_validity skips the geometric
         pre-check (used by the catastrophe probe, which deliberately walks
         into the excluded band around a singular time).
+
+        jacobian=False skips the Jacobi-matrix assembly (``jacobi_batch``;
+        a custom evaluator's matrices are dropped) and returns ``jac=None``;
+        ``r``, ``state``, ``cond_det`` and ``status`` are the same either way.
         """
         t = np.atleast_1d(np.asarray(t, dtype=float))
         x = np.asarray(x, dtype=float).reshape(len(t), 3)
@@ -213,7 +221,7 @@ class FamilySpec:
             t=t, x=x,
             r=np.full((n, k), np.nan),
             state=np.full((n, 4), np.nan),
-            jac=np.full((n, 4, 4), np.nan),
+            jac=np.full((n, 4, 4), np.nan) if jacobian else None,
             cond_det=np.full(n, np.nan),
             status=np.full(n, STATUS_INVALID, dtype=np.int8),
         )
@@ -234,8 +242,9 @@ class FamilySpec:
                 r0 = initial_guess(self.profile, self.waves, X, k)
             r, u, status, cond = newton_batch(self.profile, self.profile_jac,
                                               self.waves, self.waves_jac, X, r0)
-            jac = jacobi_batch(self.profile, self.profile_jac, self.waves,
-                               self.waves_jac, X, r, self.extra_time_deriv)
+            if jacobian:
+                jac = jacobi_batch(self.profile, self.profile_jac, self.waves,
+                                   self.waves_jac, X, r, self.extra_time_deriv)
 
         solved = status == STATUS_OK
         bad_a = solved & ~(u[:, 0] > 0.0)
@@ -244,7 +253,8 @@ class FamilySpec:
 
         res.r[idx] = r
         res.state[idx] = u
-        res.jac[idx] = jac
+        if jacobian:
+            res.jac[idx] = jac
         res.cond_det[idx] = cond
         res.status[idx] = status
         return res

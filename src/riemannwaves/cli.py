@@ -175,7 +175,7 @@ def cmd_sample(args) -> int:
     spec = make_family(args.family, gather_params(args))
     grid = build_grid(args, spec, counts=(3, 5, 5, 5))
     tv, xv = grid.points()
-    res = spec.evaluate_batch(tv, xv, branch=args.branch)
+    res = spec.evaluate_batch(tv, xv, branch=args.branch, jacobian=False)
     k = spec.n_waves
 
     if args.format == "json":

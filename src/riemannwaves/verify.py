@@ -6,6 +6,10 @@ stencil-shifted points and differentiates the sampled fields, giving an
 implementation-independent cross-check.  A catastrophe probe locates the
 gradient blow-up empirically by bisecting on the implicit-function
 determinant along a ray and compares it with the family's closed-form time.
+
+Only the exact route and the probe's schedule read Jacobi matrices; the FD
+route's nine solves (centre and stencil) and the probe's bisection solves call
+``evaluate_batch(..., jacobian=False)`` and skip their assembly.
 """
 
 from __future__ import annotations
@@ -197,7 +201,7 @@ def _fd_states(spec, tv, xv, h, branch, guess):
             xx = xv.copy()
             if axis > 0:
                 xx[:, axis - 1] += sgn * h
-            r = spec.evaluate_batch(tt, xx, branch=branch, guess=guess)
+            r = spec.evaluate_batch(tt, xx, branch=branch, guess=guess, jacobian=False)
             shifted.append(r)
         ok = (shifted[0].status == STATUS_OK) & (shifted[1].status == STATUS_OK)
         out.append((shifted[0].state, shifted[1].state, ok))
@@ -209,6 +213,8 @@ def residual_fd(spec: FamilySpec, grid: GridSpec | None = None, h: float = DEFAU
     """Residuals via central differences of the re-solved fields.
 
     Grid spacing must stay >= 4h so neighboring stencils never overlap.
+    The centre and the eight shifted solves assemble no Jacobi matrices
+    (``jacobian=False``): the route differentiates the states alone.
     """
     t0 = time.perf_counter()
     if points is not None:
@@ -221,7 +227,7 @@ def residual_fd(spec: FamilySpec, grid: GridSpec | None = None, h: float = DEFAU
             raise ValueError(f"grid spacing {grid.min_spacing():.3g} below 4h = {4*h:.3g}")
         tv, xv = grid.points()
 
-    center = spec.evaluate_batch(tv, xv, branch=branch)
+    center = spec.evaluate_batch(tv, xv, branch=branch, jacobian=False)
     keep = _keep_mask(center.status, center.cond_det)
     guess = np.where(np.isfinite(center.r), center.r, 0.0)
     stencil = _fd_states(spec, tv, xv, h, branch, guess)
@@ -276,7 +282,9 @@ def catastrophe_probe(spec: FamilySpec, ray=None, schedule=None, branch=None,
     Bisects on the failure predicate of the family evaluation (near-singular
     implicit determinant, non-convergence, or determinant magnitude below
     the skip floor) to locate the empirical blow-up time, then reports the
-    relative gap against the closed-form value.
+    relative gap against the closed-form value.  The schedule's solves
+    assemble Jacobi matrices for ``jac_norms``; the bisection's solves read
+    only the determinant and skip the assembly (``jacobian=False``).
     """
     times = spec.singular_times()
     positive = sorted(t for t in times if t > 0)
@@ -304,7 +312,7 @@ def catastrophe_probe(spec: FamilySpec, ray=None, schedule=None, branch=None,
 
     def solve(tv, gv):
         res = spec.evaluate_batch(np.array([tv]), x, branch=branch, guess=gv,
-                                  ignore_validity=True)
+                                  ignore_validity=True, jacobian=False)
         code = int(res.status[0])
         solved = code in (STATUS_OK, STATUS_INVALID) and np.isfinite(res.cond_det[0])
         return solved, (float(res.cond_det[0]) if solved else np.nan), res.r

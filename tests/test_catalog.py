@@ -256,3 +256,23 @@ def test_warm_start_guess_aligns_with_validity_mask():
     assert list(res.status) == [0, 3, 0]
     ref = spec.evaluate_batch(t[[0, 2]], x[[0, 2]], branch="plus")
     assert np.allclose(res.r[[0, 2]], ref.r, atol=1e-12)
+
+
+@pytest.mark.parametrize("fid", REGISTRY_IDS)
+def test_evaluate_without_jacobian_keeps_every_other_field(fid):
+    # jacobian=False skips only the Jacobi assembly: the solved fields are
+    # bit-identical to the default call, and jac is absent rather than NaN
+    rng = np.random.default_rng(29)
+    spec = make_family(fid)
+    branch = "plus" if spec.branches else None
+    win = spec.default_grid_window()
+    t = rng.uniform(*win["t"], 24)
+    x = np.column_stack([rng.uniform(*win[f"x{i}"], 24) for i in (1, 2, 3)])
+    full = spec.evaluate_batch(t, x, branch=branch)
+    # a second instance, so a custom evaluator's memo cannot serve the call
+    bare = make_family(fid).evaluate_batch(t, x, branch=branch, jacobian=False)
+    assert (full.status == 0).any()
+    assert bare.jac is None
+    assert full.jac is not None and full.jac.shape == (24, 4, 4)
+    for name in ("r", "state", "cond_det", "status"):
+        assert np.array_equal(getattr(bare, name), getattr(full, name), equal_nan=True), name

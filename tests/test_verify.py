@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from riemannwaves.catalog import make_family
+from riemannwaves import cli
+from riemannwaves.catalog import base, make_family
 from riemannwaves.catalog.base import FamilySpec, PotentialWave, stack_waves
 from riemannwaves.fluid import GasParams
 from riemannwaves.verify import (
@@ -192,3 +193,62 @@ def test_grid_odometer_order():
     assert np.allclose(tv[:4], [0, 0, 0, 0])       # t slowest
     assert np.allclose(xv[:2, 2], [0, 1])          # x3 fastest
     assert np.allclose(xv[:4, 0], [0, 0, 1, 1])
+
+
+def test_jacobi_assembly_only_where_read(monkeypatch, tmp_path):
+    # the FD route, the probe's bisection and `sample` never read jac, so
+    # they must not assemble it; the exact route and the probe schedule do
+    calls = []
+    real = base.jacobi_batch
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[4]))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(base, "jacobi_batch", counted)
+    spec = make_family("R1_E")
+    grid = GridSpec.from_window(spec.default_grid_window(), counts=SMALL)
+
+    residual_fd(spec, grid=grid)
+    assert calls == []
+    residual_exact(spec, grid=grid)
+    assert len(calls) == 1
+    calls.clear()
+    rep = catastrophe_probe(spec)
+    assert rep.applicable and 0 < len(calls) <= len(rep.schedule)
+    calls.clear()
+    assert cli.main(["sample", "--family", "R1_E", "--out", str(tmp_path / "s.csv")]) == 0
+    assert calls == []
+
+
+def _with_forced_jacobian(spec):
+    """Make ``spec`` assemble Jacobi matrices whatever its callers ask for."""
+    evaluate = spec.evaluate_batch
+
+    def evaluate_batch(*args, jacobian=True, **kwargs):
+        return evaluate(*args, **kwargs)
+
+    spec.evaluate_batch = evaluate_batch
+    return spec
+
+
+@pytest.mark.parametrize("fid", ["R2_E1E2", "R2_S1S2S3", "R3_E1S2S3_v1"])
+def test_consumers_unchanged_by_skipping_jacobians(fid, monkeypatch, tmp_path):
+    def consumers(spec, out):
+        grid = GridSpec.from_window(spec.default_grid_window(), counts=SMALL)
+        fd = residual_fd(spec, grid=grid)
+        probe = catastrophe_probe(spec)
+        monkeypatch.setattr(cli, "make_family", lambda *_: spec)
+        assert cli.main(["sample", "--family", fid, "--out", str(out)]) == 0
+        return fd, probe, out.read_bytes()
+
+    fd, probe, csv = consumers(make_family(fid), tmp_path / "skip.csv")
+    fd_ref, probe_ref, csv_ref = consumers(_with_forced_jacobian(make_family(fid)),
+                                           tmp_path / "forced.csv")
+    for name in ("eq_max", "eq_mean", "scale", "n_points", "n_skipped", "skip_reasons"):
+        assert np.array_equal(getattr(fd, name), getattr(fd_ref, name)), name
+    assert probe.applicable == probe_ref.applicable
+    assert probe.empirical_time == probe_ref.empirical_time
+    assert probe.rel_gap == probe_ref.rel_gap
+    assert np.array_equal(probe.jac_norms, probe_ref.jac_norms)
+    assert csv == csv_ref
