@@ -1,7 +1,8 @@
 """FamilySpec: the runnable description of one closed-form solution family.
 
 A family bundles
-  * the wave covectors lam^A(u) with analytic derivatives,
+  * the wave covectors lam^A(u) with analytic derivatives, and the
+    contraction dr/du = (d lam^A_i/d u) x^i that the solver reads,
   * the profile f(r) with analytic Jacobian (optionally carrying an explicit
     time dependence, e.g. the time-only sound-speed law),
   * parameter values, structural constraints, singular-time formulas,
@@ -65,12 +66,32 @@ class ValidityError(ValueError):
     """Requested point lies outside the family's validity window."""
 
 
+class _TimeRowWave:
+    """Covector whose state dependence sits in its time component alone.
+
+    d lam_0/du = row (constant), d lam_j/du = 0 for j = 1..3, so the
+    contraction (dr/du)_alpha = (d lam_i/d u^alpha) x^i is t * row.
+    """
+
+    def jac(self, u):
+        out = np.zeros((u.shape[0], 4, 4))
+        out[:, 0] = self.row
+        return out
+
+    def dr_du(self, u, X):
+        return X[:, :1] * self.row
+
+
 @dataclass(frozen=True)
-class PotentialWave:
-    """Acoustic covector (eps*a + u.e, -e) for constant unit e."""
+class PotentialWave(_TimeRowWave):
+    """Acoustic covector (eps*a + u.e, -e) for constant unit e; row = (eps, e)."""
 
     e: np.ndarray
     epsilon: int = 1
+    row: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "row", np.concatenate(([float(self.epsilon)], self.e)))
 
     def lam(self, u):
         n = u.shape[0]
@@ -79,19 +100,16 @@ class PotentialWave:
         out[:, 1:] = -self.e
         return out
 
-    def jac(self, u):
-        n = u.shape[0]
-        out = np.zeros((n, 4, 4))
-        out[:, 0, 0] = self.epsilon
-        out[:, 0, 1:] = self.e
-        return out
-
 
 @dataclass(frozen=True)
-class RotationalWave:
-    """Vortex covector (-u.lsp, lsp) for a constant spatial part lsp."""
+class RotationalWave(_TimeRowWave):
+    """Vortex covector (-u.lsp, lsp) for a constant spatial part lsp; row = (0, -lsp)."""
 
     lsp: np.ndarray
+    row: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "row", np.concatenate(([0.0], -self.lsp)))
 
     def lam(self, u):
         n = u.shape[0]
@@ -100,16 +118,13 @@ class RotationalWave:
         out[:, 1:] = self.lsp
         return out
 
-    def jac(self, u):
-        n = u.shape[0]
-        out = np.zeros((n, 4, 4))
-        out[:, 0, 1:] = -self.lsp
-        return out
-
 
 @dataclass(frozen=True)
 class CustomWave:
-    """Covector with arbitrary state dependence (lam_fn: (N,4)->(N,4))."""
+    """Covector with arbitrary state dependence (lam_fn: (N,4)->(N,4)).
+
+    dr_du contracts the full derivative jac_fn(u) (N,4,4) with the points.
+    """
 
     lam_fn: Callable
     jac_fn: Callable
@@ -120,9 +135,20 @@ class CustomWave:
     def jac(self, u):
         return self.jac_fn(u)
 
+    def dr_du(self, u, X):
+        return np.einsum("nia,ni->na", self.jac_fn(u), X)
+
 
 def stack_waves(wave_list):
-    """Combine per-wave callables into batched (N,k,4) / (N,k,4,4) maps."""
+    """Combine per-wave callables into batched maps over states u (N,4).
+
+    Returns (waves, waves_jac, dr_du):
+      waves(u)        -> covectors (N,k,4);
+      waves_jac(u)    -> derivatives (N,k,4,4) indexed [A, i, alpha];
+      dr_du(u, X)     -> (N,k,4), (d lam^A_i/d u^alpha) x^i at points X (N,4),
+                         each wave contributing its own contraction, so the
+                         (N,k,4,4) stack is never built on the solver path.
+    """
 
     def waves(u):
         return np.stack([w.lam(u) for w in wave_list], axis=1)
@@ -130,7 +156,10 @@ def stack_waves(wave_list):
     def waves_jac(u):
         return np.stack([w.jac(u) for w in wave_list], axis=1)
 
-    return waves, waves_jac
+    def dr_du(u, X):
+        return np.stack([w.dr_du(u, X) for w in wave_list], axis=1)
+
+    return waves, waves_jac, dr_du
 
 
 @dataclass
@@ -151,7 +180,12 @@ class EvalResult:
 
 @dataclass
 class FamilySpec:
-    """A validated, runnable solution family."""
+    """A validated, runnable solution family.
+
+    ``waves``, ``waves_jac`` and ``dr_du`` are the three maps of
+    ``stack_waves``: Newton and the Jacobi assembly read ``dr_du`` only, the
+    trace conditions read the full ``waves_jac`` slices.
+    """
 
     id: str
     rank: int
@@ -162,7 +196,8 @@ class FamilySpec:
     profile: Callable            # (r (N,k), t (N,)) -> (N,4)
     profile_jac: Callable        # (r, t) -> (N,4,k)
     waves: Callable              # (N,4) -> (N,k,4)
-    waves_jac: Callable          # (N,4) -> (N,k,4,4)
+    waves_jac: Callable          # (N,4) -> (N,k,4,4), for the trace conditions
+    dr_du: Callable              # (u (N,4), X (N,4)) -> (N,k,4), for the solver
     singular_time_values: tuple = ()
     extra_time_deriv: Callable | None = None
     initial_a_rate: Callable | None = None   # da/dt on the t=0 section, fn of state
@@ -241,10 +276,10 @@ class FamilySpec:
             else:
                 r0 = initial_guess(self.profile, self.waves, X, k)
             r, u, status, cond = newton_batch(self.profile, self.profile_jac,
-                                              self.waves, self.waves_jac, X, r0)
+                                              self.waves, self.dr_du, X, r0)
             if jacobian:
                 jac = jacobi_batch(self.profile, self.profile_jac, self.waves,
-                                   self.waves_jac, X, r, self.extra_time_deriv)
+                                   self.dr_du, X, r, self.extra_time_deriv)
 
         solved = status == STATUS_OK
         bad_a = solved & ~(u[:, 0] > 0.0)

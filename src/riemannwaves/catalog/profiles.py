@@ -215,7 +215,8 @@ def kink2(d, w1=1.0, w2=0.5):
 
     def f(p, q):
         s = arg(p, q)
-        return d * s / np.sqrt(1.0 + s * s)
+        with np.errstate(invalid="ignore"):  # s = +-inf gives nan, as for nan input
+            return d * s / np.sqrt(1.0 + s * s)
 
     def slope(p, q):
         s = arg(p, q)

@@ -74,7 +74,7 @@ def _build_r1_e(p, gas):
     eps = int(p["epsilon"])
     prof = _acoustic_profile(p["profile"], p["A1"], p["B1"], "R1_E")
     wave = PotentialWave(e=e1, epsilon=eps)
-    waves, waves_jac = stack_waves([wave])
+    waves, waves_jac, dr_du = stack_waves([wave])
 
     def profile(r, t):
         amp = prof(r[:, 0])
@@ -99,6 +99,7 @@ def _build_r1_e(p, gas):
         description="rank-1 acoustic simple wave (linear or kink amplitude)",
         params=p, gas=gas,
         profile=profile, profile_jac=profile_jac, waves=waves, waves_jac=waves_jac,
+        dr_du=dr_du,
         singular_time_values=(tsing,) if tsing is not None else (),
         closed_form=closed_form if p["profile"] == "linear" else None,
         probe_x=-e1,
@@ -128,7 +129,7 @@ def _build_r1_s(p, gas):
     if not a0 > 0:
         raise ConstraintError("a0 must be positive")
     wave = RotationalWave(lsp=-exm)
-    waves, waves_jac = stack_waves([wave])
+    waves, waves_jac, dr_du = stack_waves([wave])
 
     def profile(r, t):
         s = r[:, 0]
@@ -150,6 +151,7 @@ def _build_r1_s(p, gas):
         description="rank-1 vortex wave with bounded sech profiles",
         params=p, gas=gas,
         profile=profile, profile_jac=profile_jac, waves=waves, waves_jac=waves_jac,
+        dr_du=dr_du,
         default_window={"t": (0.0, 3.0)},
     )
 
@@ -176,7 +178,7 @@ def _build_r2_e1e2(p, gas):
     _check_angle(e1, e2, kappa, ("e1", "e2"))
     prof1 = _acoustic_profile(p["profile"], p["A1"], p["B1"], "R2_E1E2")
     prof2 = _acoustic_profile(p["profile"], p["A2"], p["B2"], "R2_E1E2")
-    waves, waves_jac = stack_waves([PotentialWave(e=e1), PotentialWave(e=e2)])
+    waves, waves_jac, dr_du = stack_waves([PotentialWave(e=e1), PotentialWave(e=e2)])
 
     def profile(r, t):
         a1v, a2v = prof1(r[:, 0]), prof2(r[:, 1])
@@ -205,6 +207,7 @@ def _build_r2_e1e2(p, gas):
         description="two acoustic waves superposed linearly; angle-locked directions",
         params=p, gas=gas,
         profile=profile, profile_jac=profile_jac, waves=waves, waves_jac=waves_jac,
+        dr_du=dr_du,
         singular_time_values=tsing,
         closed_form=closed_form if p["profile"] == "linear" else None,
         probe_x=-(e1 + e2),
@@ -252,7 +255,7 @@ def _build_r2_e1s2(p, gas):
     else:
         raise ConstraintError(f"unknown profile preset {p['profile']!r} for R2_E1S2")
     offset = np.array([0.0, f2 * 1.0, 0.0])  # u2-line offset: (0, F2, 0)
-    waves, waves_jac = stack_waves([PotentialWave(e=e1), RotationalWave(lsp=s)])
+    waves, waves_jac, dr_du = stack_waves([PotentialWave(e=e1), RotationalWave(lsp=s)])
 
     def profile(r, t):
         av, qv = pa(r[:, 0]), q(r[:, 1])
@@ -288,6 +291,7 @@ def _build_r2_e1s2(p, gas):
         description="acoustic + vortex double wave (trigonometric or solitary)",
         params=p, gas=gas,
         profile=profile, profile_jac=profile_jac, waves=waves, waves_jac=waves_jac,
+        dr_du=dr_du,
         singular_time_values=tsing,
         closed_form=closed_form,
         probe_x=probe_x,
@@ -310,7 +314,7 @@ def _build_r2_s1s2_ma(p, gas):
     a0, d1 = p["a0"], p["D1"]
     if not a0 > 0:
         raise ConstraintError("a0 must be positive")
-    waves, waves_jac = stack_waves([RotationalWave(lsp=np.array([1.0, 0, 0])),
+    waves, waves_jac, dr_du = stack_waves([RotationalWave(lsp=np.array([1.0, 0, 0])),
                                     RotationalWave(lsp=np.array([0, 1.0, 0]))])
 
     def w_of(r):
@@ -369,6 +373,7 @@ def _build_r2_s1s2_ma(p, gas):
         description="two vortex waves from a degenerate stream function (power-law, two sheets)",
         params=p, gas=gas,
         profile=profile, profile_jac=profile_jac, waves=waves, waves_jac=waves_jac,
+        dr_du=dr_du,
         singular_time_values=(0.0,),
         guess_fn=guess_fn,
         closed_form=closed_form if n == 2 else None,
@@ -410,7 +415,7 @@ def _build_r2_s1s2_add(p, gas):
     q21 = pf.kink(p["A2"], p["B2"])
     q31 = pf.kink(p["A3"], p["B3"])
     q22 = pf.kink(p["A1"], p["B1"])
-    waves, waves_jac = stack_waves([RotationalWave(lsp=-l1), RotationalWave(lsp=-l2)])
+    waves, waves_jac, dr_du = stack_waves([RotationalWave(lsp=-l1), RotationalWave(lsp=-l2)])
 
     def parts(r):
         return q21(r[:, 0]), q31(r[:, 0]), q22(r[:, 1])
@@ -437,6 +442,7 @@ def _build_r2_s1s2_add(p, gas):
         description="two vortex waves, additive velocity split, kink profiles",
         params=p, gas=gas,
         profile=profile, profile_jac=profile_jac, waves=waves, waves_jac=waves_jac,
+        dr_du=dr_du,
         default_window={"t": (0.0, 3.0)},
     )
 
@@ -464,7 +470,7 @@ def _build_r2_e1e2s3(p, gas):
     u13 = pf.kink(p["D1"], 1.0)
     wdir = (e1 - e2)[:2]
     wdir = wdir / np.linalg.norm(wdir)
-    waves, waves_jac = stack_waves([
+    waves, waves_jac, dr_du = stack_waves([
         PotentialWave(e=e1), PotentialWave(e=e2),
         RotationalWave(lsp=np.array([0.0, 0.0, 1.0])),
     ])
@@ -503,6 +509,7 @@ def _build_r2_e1e2s3(p, gas):
         description="two angle-locked acoustic waves plus a transverse vortex mode",
         params=p, gas=gas,
         profile=profile, profile_jac=profile_jac, waves=waves, waves_jac=waves_jac,
+        dr_du=dr_du,
         singular_time_values=(tval,),
         closed_form=closed_form,
         probe_x=-(e1 + e2),
@@ -533,7 +540,7 @@ def _build_r2_e1s2s3(p, gas):
     cconst = p["C2"] / l2[0] + p["C3"] / l31
     cc = p["C"]
     e1 = np.array([1.0, 0.0, 0.0])
-    waves, waves_jac = stack_waves([
+    waves, waves_jac, dr_du = stack_waves([
         PotentialWave(e=e1), RotationalWave(lsp=-l2), RotationalWave(lsp=-l3),
     ])
 
@@ -574,6 +581,7 @@ def _build_r2_e1s2s3(p, gas):
         description="acoustic wave with two stationary planar shear modes",
         params=p, gas=gas,
         profile=profile, profile_jac=profile_jac, waves=waves, waves_jac=waves_jac,
+        dr_du=dr_du,
         singular_time_values=(tval,),
         closed_form=closed_form,
         validity_fn=validity_fn,
@@ -605,7 +613,7 @@ def _build_r2_s1s2s3(p, gas):
         raise ConstraintError(f"unknown profile preset {p['profile']!r} for R2_S1S2S3")
     bperp = pf.snwell(p["A1"], p["B1"], p["beta"], k)   # b(r2, r3) along r2 + n r3
     gdiag = pf.snkink(p["A2"], p["B2"], p["beta"], k)   # g(r2 - r3)
-    waves, waves_jac = stack_waves([RotationalWave(lsp=np.array([1.0, 0, 0])),
+    waves, waves_jac, dr_du = stack_waves([RotationalWave(lsp=np.array([1.0, 0, 0])),
                                     RotationalWave(lsp=np.array([0, 1.0, 0])),
                                     RotationalWave(lsp=np.array([0, 0, 1.0]))])
 
@@ -628,6 +636,7 @@ def _build_r2_s1s2s3(p, gas):
         description="three vortex directions, nilpotent coupling, snoidal profiles",
         params=p, gas=gas,
         profile=profile, profile_jac=profile_jac, waves=waves, waves_jac=waves_jac,
+        dr_du=dr_du,
         default_window={"t": (0.0, 3.0)},
     )
 
@@ -655,7 +664,7 @@ def _build_r3_e1e2e3(p, gas):
             _check_angle(evecs[i], evecs[j], kappa, (f"e{i+1}", f"e{j+1}"))
     profs = [_acoustic_profile(p["profile"], p[f"A{i}"], p[f"B{i}"], "R3_E1E2E3")
              for i in (1, 2, 3)]
-    waves, waves_jac = stack_waves([PotentialWave(e=e) for e in evecs])
+    waves, waves_jac, dr_du = stack_waves([PotentialWave(e=e) for e in evecs])
 
     def profile(r, t):
         amps = [prof(r[:, i]) for i, prof in enumerate(profs)]
@@ -688,6 +697,7 @@ def _build_r3_e1e2e3(p, gas):
         description="three acoustic waves, pairwise angle-locked (linear, kink or exp-kink)",
         params=p, gas=gas,
         profile=profile, profile_jac=profile_jac, waves=waves, waves_jac=waves_jac,
+        dr_du=dr_du,
         singular_time_values=tsing,
         closed_form=closed_form if p["profile"] == "linear" else None,
         probe_x=-esum / max(np.linalg.norm(esum), 1e-9),
@@ -728,9 +738,11 @@ def _build_r3_e1s2s3_v1(p, gas):
         def r3_closed(t, x3):
             e = 1.0 - beta * t
             core = x3 + drift * t - shift
-            g = e ** -nu * core
-            dgdx = e ** -nu
-            dgdt = nu * beta * e ** (-nu - 1.0) * core + e ** -nu * drift
+            # e <= 0 past the singular time: non-finite r3 marks those points
+            with np.errstate(divide="ignore", invalid="ignore"):
+                g = e ** -nu * core
+                dgdx = e ** -nu
+                dgdt = nu * beta * e ** (-nu - 1.0) * core + e ** -nu * drift
             return g, dgdt, dgdx
         psi = pf.Fn1("identity", lambda s: np.asarray(s, float),
                      lambda s: np.ones_like(np.asarray(s, float)))
@@ -770,7 +782,7 @@ def _build_r3_e1s2s3_v1(p, gas):
         out[:, 2, 2] = -1.0
         return out
 
-    waves, waves_jac = stack_waves([
+    waves, waves_jac, dr_du = stack_waves([
         PotentialWave(e=e1),
         CustomWave(lam_fn=lam2_fn, jac_fn=lam2_jac),
         RotationalWave(lsp=np.array([0.0, 0.0, 1.0])),
@@ -798,6 +810,7 @@ def _build_r3_e1s2s3_v1(p, gas):
         description="acoustic + two vortex waves with a transported third invariant",
         params=p, gas=gas,
         profile=profile, profile_jac=profile_jac, waves=waves, waves_jac=waves_jac,
+        dr_du=dr_du,
         singular_time_values=tsing,
         custom_eval=ev,
         probe_x=np.array([0.3, 0.3, -0.5]),
@@ -840,7 +853,7 @@ def _build_r3_e1s2s3_v2(p, gas):
         out[:, 2, 1] = -1.0
         return out
 
-    waves, waves_jac = stack_waves([
+    waves, waves_jac, dr_du = stack_waves([
         CustomWave(lam_fn=lam1_fn, jac_fn=lam1_jac),
         RotationalWave(lsp=np.array([0.0, -1.0, 0.0])),
         RotationalWave(lsp=np.array([1.0, 0.0, 0.0])),
@@ -859,6 +872,7 @@ def _build_r3_e1s2s3_v2(p, gas):
         description="acoustic + two vortex waves with rotating polarization",
         params=p, gas=gas,
         profile=profile, profile_jac=profile_jac, waves=waves, waves_jac=waves_jac,
+        dr_du=dr_du,
         custom_eval=ev,
         default_window={"t": (0.0, 0.6)},
         notes="u3 is convected by the planar flow (no algebraic vortex chart is "
@@ -920,7 +934,7 @@ def _build_rk_time_a(p, gas):
     def da_dt(t):
         return a1c * (-1.0 / kappa) * pol(t) ** (-1.0 / kappa - 1.0) * dpol(t)
 
-    waves, waves_jac = stack_waves([RotationalWave(lsp=np.array([1.0, 0, 0])),
+    waves, waves_jac, dr_du = stack_waves([RotationalWave(lsp=np.array([1.0, 0, 0])),
                                     RotationalWave(lsp=np.array([0, 1.0, 0]))])
 
     def profile(r, t):
@@ -955,6 +969,7 @@ def _build_rk_time_a(p, gas):
         description="free-streaming velocity with time-only sound speed (quadratic or nilpotent stream)",
         params=p, gas=gas,
         profile=profile, profile_jac=profile_jac, waves=waves, waves_jac=waves_jac,
+        dr_du=dr_du,
         singular_time_values=tsing,
         extra_time_deriv=extra_time_deriv,
         initial_a_rate=lambda u: -(trd / kappa) * u[..., 0],

@@ -233,8 +233,9 @@ class TransportedEvaluator:
         # invariant gradients over (t, x1, x2, x3)
         d1 = 1.0 - (1.0 + 1.0 / self.kappa) * df1 * t
         grad_r1 = np.zeros((n, 4))
-        grad_r1[:, 0] = self.phase1(r1) / d1
-        grad_r1[:, 3] = -1.0 / d1
+        with np.errstate(divide="ignore", invalid="ignore"):  # d1 = 0: cond = 0 records it
+            grad_r1[:, 0] = self.phase1(r1) / d1
+            grad_r1[:, 3] = -1.0 / d1
 
         grad_r3 = np.zeros((n, 4))
         grad_r3[:, 0] = dr3_dt

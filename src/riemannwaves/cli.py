@@ -246,7 +246,7 @@ def _pair_config(pair_text: str, gamma: float) -> AnsatzConfig:
         evecs.append(v / np.linalg.norm(v))
     gas = GasParams(gamma=gamma)
     kappa = gas.kappa
-    waves, waves_jac = stack_waves([PotentialWave(e=e) for e in evecs])
+    waves, waves_jac, _ = stack_waves([PotentialWave(e=e) for e in evecs])
     gammas = np.stack([np.concatenate([[1.0], kappa * e]) for e in evecs], axis=1)
     gammas /= np.linalg.norm(gammas, axis=0)
 

@@ -1,9 +1,9 @@
 """Evaluate implicitly defined rank-k solutions u = f(r), r^A = lam^A_i(u) x^i.
 
-A solution family supplies the profile f (with analytic Jacobian df/dr) and
-the wave covectors lam^A as functions of the state (with analytic
-derivatives).  At a spacetime point x the Riemann invariants solve the
-fixed-point system
+A solution family supplies the profile f (with analytic Jacobian df/dr), the
+wave covectors lam^A as functions of the state, and the contraction dr/du
+below as a callable dr_du(u, X) -> (N, k, 4).  At a spacetime point x the
+Riemann invariants solve the fixed-point system
 
     r^A = lam^A_i(f(r)) x^i,
 
@@ -17,8 +17,12 @@ gradient catastrophe.  The exact Jacobi matrix of the solved field is
 
     du = (I_4 - (df/dr)(dr/du))^(-1) (df/dr) lam.
 
-Internals are batched over points (shape (N, ...)) so grid sweeps stay
-cheap; the scalar API wraps N = 1.
+The batched kernels take dr/du from the family (``stack_waves``), where each
+wave kind supplies its own contraction: t * row for the acoustic and vortex
+waves, whose covectors depend on the state through lam_0 alone.  Internals
+are batched over points (shape (N, ...)) so grid sweeps stay cheap; the
+scalar API wraps N = 1 and builds dr/du by contracting the full derivative
+stack waves_jac (N, k, 4, 4) with x, the reference form.
 """
 
 from __future__ import annotations
@@ -104,9 +108,12 @@ class ImplicitPoint:
         return StateVec.from_array(self.state)
 
 
-def newton_batch(profile, profile_jac, waves, waves_jac, X, r0=None,
+def newton_batch(profile, profile_jac, waves, dr_du, X, r0=None,
                  tol=NEWTON_TOL, max_iter=NEWTON_MAX_ITER, det_floor=DET_FLOOR):
     """Damped Newton over a batch of points X (N, 4).
+
+    dr_du(u, X) -> (N, k, 4) gives (dr/du) at states u and points X; it is
+    called once per iteration on the active points and once at the end.
 
     Returns (r, u, status, cond_det).  status is STATUS_OK,
     STATUS_NO_CONVERGENCE or STATUS_NEAR_CATASTROPHE per point; failed
@@ -143,8 +150,7 @@ def newton_batch(profile, profile_jac, waves, waves_jac, X, r0=None,
             break
 
         idx = np.nonzero(active)[0]
-        ru = np.einsum("nkia,ni->nka", waves_jac(u[idx]), X[idx])
-        jmat = eye - ru @ profile_jac(r[idx], t[idx])
+        jmat = eye - dr_du(u[idx], X[idx]) @ profile_jac(r[idx], t[idx])
         with np.errstate(invalid="ignore"):
             det = np.linalg.det(jmat)
         cond[idx] = det
@@ -187,8 +193,7 @@ def newton_batch(profile, profile_jac, waves, waves_jac, X, r0=None,
     status[conv] = STATUS_OK
 
     # Refresh the condition determinant at the final iterate.
-    ru = np.einsum("nkia,ni->nka", waves_jac(u), X)
-    jmat = eye - ru @ profile_jac(r, t)
+    jmat = eye - dr_du(u, X) @ profile_jac(r, t)
     with np.errstate(invalid="ignore"):
         cond = np.linalg.det(jmat)
     near = (np.abs(cond) < det_floor) & (status == STATUS_OK)
@@ -205,20 +210,19 @@ def initial_guess(profile, waves, X, k):
     return np.einsum("nki,ni->nk", lam0, X)
 
 
-def jacobi_batch(profile, profile_jac, waves, waves_jac, X, r,
+def jacobi_batch(profile, profile_jac, waves, dr_du, X, r,
                  extra_time_deriv=None):
     """Exact Jacobi matrices du (N, 4, 4) at solved invariants r.
 
-    du = (I4 - fr ru)^(-1) fr lam, with an optional explicit d/dt column
-    added for profiles carrying direct time dependence.
+    du = (I4 - fr ru)^(-1) fr lam with ru = dr_du(u, X), plus an optional
+    explicit d/dt column for profiles carrying direct time dependence.
     """
     X = np.asarray(X, dtype=float)
     t = X[:, 0]
     u = profile(r, t)
     lam = waves(u)
     fr = profile_jac(r, t)
-    ru = np.einsum("nkia,ni->nka", waves_jac(u), X)
-    bracket = np.eye(4) - fr @ ru
+    bracket = np.eye(4) - fr @ dr_du(u, X)
     rhs = fr @ lam
     try:
         jac = np.linalg.solve(bracket, rhs)
@@ -235,10 +239,6 @@ def jacobi_batch(profile, profile_jac, waves, waves_jac, X, r,
     return jac
 
 
-def _funcs(problem: ImplicitProblem):
-    return problem.profile, problem.profile_jac, problem.waves, problem.waves_jac
-
-
 def solve_point(problem: ImplicitProblem, guess=None) -> ImplicitPoint:
     """Solve the implicit system at problem.x and assemble the exact Jacobi matrix.
 
@@ -250,14 +250,18 @@ def solve_point(problem: ImplicitProblem, guess=None) -> ImplicitPoint:
         r0 = initial_guess(problem.profile, problem.waves, X, problem.k)
     else:
         r0 = np.asarray(guess, dtype=float).reshape(1, problem.k)
+
+    def dr_du(u, pts):  # the reference form: contract the full derivative stack
+        return np.einsum("nkia,ni->nka", problem.waves_jac(u), pts)
+
     r, u, status, cond = newton_batch(problem.profile, problem.profile_jac,
-                                      problem.waves, problem.waves_jac, X, r0)
+                                      problem.waves, dr_du, X, r0)
     if status[0] == STATUS_NEAR_CATASTROPHE:
         raise CatastropheError(f"implicit-function determinant {cond[0]:.3e} below {DET_FLOOR}")
     if status[0] != STATUS_OK:
         raise ConvergenceError(f"Newton did not converge after {NEWTON_MAX_ITER} iterations")
     jac = jacobi_batch(problem.profile, problem.profile_jac, problem.waves,
-                       problem.waves_jac, X, r, problem.extra_time_deriv)
+                       dr_du, X, r, problem.extra_time_deriv)
     lam = problem.waves(u)
     resid = float(np.max(np.abs(r - np.einsum("nki,ni->nk", lam, X))))
     return ImplicitPoint(r=r[0], state=u[0], jac=jac[0], cond_det=float(cond[0]),

@@ -14,6 +14,7 @@ from riemannwaves.catalog import (
     registry_entries,
 )
 from riemannwaves.catalog import profiles as pf
+from riemannwaves.catalog.base import CustomWave, PotentialWave, RotationalWave, stack_waves
 
 KAPPA = 3.0
 
@@ -276,3 +277,39 @@ def test_evaluate_without_jacobian_keeps_every_other_field(fid):
     assert full.jac is not None and full.jac.shape == (24, 4, 4)
     for name in ("r", "state", "cond_det", "status"):
         assert np.array_equal(getattr(bare, name), getattr(full, name), equal_nan=True), name
+
+
+def _states_and_points(n, seed):
+    """Seeded states and points with negative coordinates; t = 0 on every third row."""
+    rng = np.random.default_rng(seed)
+    u = np.column_stack([rng.uniform(0.2, 2.0, n), rng.normal(0.0, 1.0, (n, 3))])
+    X = rng.uniform(-2.0, 2.0, (n, 4))
+    X[1::3, 0] = 0.0
+    return u, X
+
+
+def _custom_stack():
+    """A k = 3 stack whose custom wave has a dense, state-dependent derivative."""
+    m = np.random.default_rng(41).normal(size=(4, 4))
+    custom = CustomWave(lam_fn=lambda u: np.cos(u @ m.T),
+                        jac_fn=lambda u: -np.sin(u @ m.T)[:, :, None] * m[None])
+    return stack_waves([PotentialWave(e=np.array([0.6, -0.8, 0.0]), epsilon=-1), custom,
+                        RotationalWave(lsp=np.array([0.0, 0.3, -0.4]))])
+
+
+@pytest.mark.parametrize("fid", [*REGISTRY_IDS, "custom-stack"])
+@pytest.mark.parametrize("n", [1, 500])
+def test_dr_du_equals_contracted_derivative_stack(fid, n):
+    # each wave's closed-form dr/du is the full (N,k,4,4) derivative stack
+    # contracted with the points, bit for bit
+    if fid == "custom-stack":
+        _, waves_jac, dr_du = _custom_stack()
+    else:
+        spec = make_family(fid)
+        waves_jac, dr_du = spec.waves_jac, spec.dr_du
+    for seed in (3, 4):
+        u, X = _states_and_points(n, seed)
+        for pts in (X, np.column_stack([np.zeros(n), X[:, 1:]])):
+            got = dr_du(u, pts)
+            assert got.shape == (n, waves_jac(u).shape[1], 4)
+            assert np.array_equal(got, np.einsum("nkia,ni->nka", waves_jac(u), pts))

@@ -22,7 +22,7 @@ KAPPA = GAS.kappa
 def acoustic_pair_config(e1, e2, gas=GAS):
     """Raw acoustic pair with kernel-direction profile columns (no validation)."""
     e1, e2 = np.asarray(e1, float), np.asarray(e2, float)
-    waves, waves_jac = stack_waves([PotentialWave(e=e1), PotentialWave(e=e2)])
+    waves, waves_jac, _ = stack_waves([PotentialWave(e=e1), PotentialWave(e=e2)])
     cols = np.stack([np.concatenate([[1.0], gas.kappa * e]) for e in (e1, e2)], axis=1)
     cols /= np.linalg.norm(cols, axis=0)
 
@@ -265,7 +265,7 @@ def test_initial_condition_angle_sensitivity_readings():
     s1 = s2 = 0.25
 
     def cfg_with(profile_e2, wave_e2):
-        waves, waves_jac = stack_waves([PotentialWave(e=e1), PotentialWave(e=wave_e2)])
+        waves, waves_jac, _ = stack_waves([PotentialWave(e=e1), PotentialWave(e=wave_e2)])
 
         def profile_jac(r, t):
             out = np.empty((len(r), 4, 2))

@@ -20,7 +20,7 @@ KAPPA = 3.0
 def constant_profile_problem(x, u0=(1.0, 0.2, -0.1, 0.4)):
     """f == u0 with one rotational wave: r solves a linear system, du = 0."""
     u0 = np.asarray(u0, dtype=float)
-    waves, waves_jac = stack_waves([RotationalWave(lsp=np.array([1.0, 0.0, 0.0]))])
+    waves, waves_jac, _ = stack_waves([RotationalWave(lsp=np.array([1.0, 0.0, 0.0]))])
 
     def profile(r, t):
         return np.broadcast_to(u0, (len(r), 4)).copy()
@@ -37,7 +37,7 @@ def e1e2_problem(x, slopes=(-1.0, -1.0)):
     e1 = np.array([1.0, 0.0, 0.0])
     e2 = np.array([-1.0 / 3.0, np.sqrt(8.0) / 3.0, 0.0])
     s1, s2 = slopes
-    waves, waves_jac = stack_waves([PotentialWave(e=e1), PotentialWave(e=e2)])
+    waves, waves_jac, _ = stack_waves([PotentialWave(e=e1), PotentialWave(e=e2)])
 
     def profile(r, t):
         a1, a2 = s1 * r[:, 0], s2 * r[:, 1]
@@ -93,7 +93,7 @@ def test_constant_covectors_give_profile_times_lambda():
 
     wave = CustomWave(lam_fn=lambda u: np.broadcast_to(lam_const, (len(u), 4)).copy(),
                       jac_fn=lambda u: np.zeros((len(u), 4, 4)))
-    waves, waves_jac = stack_waves([wave])
+    waves, waves_jac, _ = stack_waves([wave])
 
     def profile(r, t):
         s = np.tanh(r[:, 0])

@@ -37,7 +37,7 @@ def corrupted_e1e2(delta=0.1):
     phi = np.arccos(-1.0 / kappa) + delta
     e2 = np.array([np.cos(phi), np.sin(phi), 0.0])
     s1 = s2 = 0.25
-    waves, waves_jac = stack_waves([PotentialWave(e=e1), PotentialWave(e=e2)])
+    waves, waves_jac, dr_du = stack_waves([PotentialWave(e=e1), PotentialWave(e=e2)])
 
     def profile(r, t):
         a1, a2 = s1 * r[:, 0], s2 * r[:, 1]
@@ -52,7 +52,7 @@ def corrupted_e1e2(delta=0.1):
 
     return FamilySpec(id="corrupted", rank=2, n_waves=2, description="angle broken",
                       params={}, gas=gas, profile=profile, profile_jac=profile_jac,
-                      waves=waves, waves_jac=waves_jac,
+                      waves=waves, waves_jac=waves_jac, dr_du=dr_du,
                       probe_x=-(e1 + e2), default_window={"t": (0.0, 0.45)})
 
 
@@ -232,23 +232,80 @@ def _with_forced_jacobian(spec):
     return spec
 
 
-@pytest.mark.parametrize("fid", ["R2_E1E2", "R2_S1S2S3", "R3_E1S2S3_v1"])
-def test_consumers_unchanged_by_skipping_jacobians(fid, monkeypatch, tmp_path):
-    def consumers(spec, out):
-        grid = GridSpec.from_window(spec.default_grid_window(), counts=SMALL)
-        fd = residual_fd(spec, grid=grid)
-        probe = catastrophe_probe(spec)
-        monkeypatch.setattr(cli, "make_family", lambda *_: spec)
-        assert cli.main(["sample", "--family", fid, "--out", str(out)]) == 0
-        return fd, probe, out.read_bytes()
+def _consumer_outputs(spec, fid, out, monkeypatch):
+    """Exact and FD reports, probe and `sample` CSV bytes of one spec."""
+    grid = GridSpec.from_window(spec.default_grid_window(), counts=SMALL)
+    exact = residual_exact(spec, grid=grid)
+    fd = residual_fd(spec, grid=grid)
+    probe = catastrophe_probe(spec)
+    monkeypatch.setattr(cli, "make_family", lambda *_: spec)
+    assert cli.main(["sample", "--family", fid, "--out", str(out)]) == 0
+    return exact, fd, probe, out.read_bytes()
 
-    fd, probe, csv = consumers(make_family(fid), tmp_path / "skip.csv")
-    fd_ref, probe_ref, csv_ref = consumers(_with_forced_jacobian(make_family(fid)),
-                                           tmp_path / "forced.csv")
-    for name in ("eq_max", "eq_mean", "scale", "n_points", "n_skipped", "skip_reasons"):
-        assert np.array_equal(getattr(fd, name), getattr(fd_ref, name)), name
+
+def _assert_same_outputs(got, ref):
+    (exact, fd, probe, csv), (exact_ref, fd_ref, probe_ref, csv_ref) = got, ref
+    for rep, rep_ref in ((exact, exact_ref), (fd, fd_ref)):
+        assert rep.n_points > 0
+        for name in ("eq_max", "eq_mean", "scale", "n_points", "n_skipped", "skip_reasons"):
+            assert np.array_equal(getattr(rep, name), getattr(rep_ref, name)), name
     assert probe.applicable == probe_ref.applicable
     assert probe.empirical_time == probe_ref.empirical_time
     assert probe.rel_gap == probe_ref.rel_gap
     assert np.array_equal(probe.jac_norms, probe_ref.jac_norms)
     assert csv == csv_ref
+
+
+@pytest.mark.parametrize("fid", ["R2_E1E2", "R2_S1S2S3", "R3_E1S2S3_v1"])
+def test_consumers_unchanged_by_skipping_jacobians(fid, monkeypatch, tmp_path):
+    _assert_same_outputs(
+        _consumer_outputs(make_family(fid), fid, tmp_path / "skip.csv", monkeypatch),
+        _consumer_outputs(_with_forced_jacobian(make_family(fid)), fid,
+                          tmp_path / "forced.csv", monkeypatch))
+
+
+@pytest.mark.parametrize("fid", ["R1_E", "R2_E1E2", "R3_E1E2E3"])
+def test_solver_path_never_builds_derivative_stacks(fid, monkeypatch, tmp_path):
+    # Newton and the Jacobi assembly read dr/du, never the (N,k,4,4) stack
+    spec = make_family(fid)
+    calls = []
+    waves_jac = spec.waves_jac
+
+    def counted(u):
+        calls.append(len(u))
+        return waves_jac(u)
+
+    spec.waves_jac = counted
+    grid = GridSpec.from_window(spec.default_grid_window(), counts=SMALL)
+    assert residual_fd(spec, grid=grid).n_points > 0
+    assert residual_exact(spec, grid=grid).n_points > 0
+    assert catastrophe_probe(spec).applicable
+    monkeypatch.setattr(cli, "make_family", lambda *_: spec)
+    assert cli.main(["sample", "--family", fid, "--out", str(tmp_path / "s.csv")]) == 0
+    assert calls == []
+
+
+def _with_einsum_dr_du(spec):
+    """Make ``spec`` contract its full derivative stack, the reference dr/du."""
+    spec.dr_du = lambda u, X: np.einsum("nkia,ni->nka", spec.waves_jac(u), X)
+    return spec
+
+
+@pytest.mark.parametrize("fid", ["R1_E", "R2_E1E2", "R2_S1S2S3", "R3_E1E2E3", "RK_TIME_A"])
+def test_consumers_unchanged_by_closed_form_dr_du(fid, monkeypatch, tmp_path):
+    _assert_same_outputs(
+        _consumer_outputs(make_family(fid), fid, tmp_path / "closed.csv", monkeypatch),
+        _consumer_outputs(_with_einsum_dr_du(make_family(fid)), fid,
+                          tmp_path / "einsum.csv", monkeypatch))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_v1_probe_and_fd_emit_no_runtime_warnings(tmp_path):
+    # walking to the singular time divides by zero in the closed-form r3 and
+    # the invariant gradients; the probe and status codes record those points
+    out = tmp_path / "cat.json"
+    assert cli.main(["catastrophe", "--family", "R3_E1S2S3_v1", "--out", str(out)]) == 0
+    assert '"applicable": true' in out.read_text()
+    spec = make_family("R3_E1S2S3_v1")
+    grid = GridSpec.from_window(spec.default_grid_window(), counts=SMALL)
+    assert np.isfinite(residual_fd(spec, grid=grid).max_normalized)
