@@ -203,7 +203,7 @@ class FamilySpec:
     initial_a_rate: Callable | None = None   # da/dt on the t=0 section, fn of state
     guess_fn: Callable | None = None          # (t, x, branch) -> r0
     closed_form: Callable | None = None       # (t, x, branch) -> (r, state)
-    custom_eval: Callable | None = None       # full replacement for the Newton path
+    custom_eval: Callable | None = None       # (t, x, branch, guess): replaces the Newton path
     validity_fn: Callable | None = None       # (t, x) -> bool mask (pre-solve)
     probe_x: np.ndarray | None = None
     default_window: dict = field(default_factory=dict)
@@ -241,6 +241,8 @@ class FamilySpec:
         pre-check (used by the catastrophe probe, which deliberately walks
         into the excluded band around a singular time).
 
+        ``guess`` (N, k) starts Newton, or goes to a custom evaluator.
+
         jacobian=False skips the Jacobi-matrix assembly (``jacobi_batch``;
         a custom evaluator's matrices are dropped) and returns ``jac=None``;
         ``r``, ``state``, ``cond_det`` and ``status`` are the same either way.
@@ -266,11 +268,13 @@ class FamilySpec:
         idx = np.nonzero(valid)[0]
         X = np.column_stack([t[idx], x[idx]])
 
+        if guess is not None:
+            guess = np.asarray(guess, dtype=float).reshape(n, k)[idx]
         if self.custom_eval is not None:
-            r, u, jac, cond, status = self.custom_eval(t[idx], x[idx], branch)
+            r, u, jac, cond, status = self.custom_eval(t[idx], x[idx], branch, guess)
         else:
             if guess is not None:
-                r0 = np.asarray(guess, dtype=float).reshape(n, k)[idx]
+                r0 = guess
             elif self.guess_fn is not None:
                 r0 = self.guess_fn(t[idx], x[idx], branch)
             else:

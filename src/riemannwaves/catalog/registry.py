@@ -721,10 +721,8 @@ def _build_r3_e1s2s3_v1(p, gas):
         raise ConstraintError("a0 must be positive")
 
     preset = p["profile"]
-    r3_closed = psi = None
+    r3_closed = None
     if preset == "linear":
-        fprof = pf.linear(p["A1"])
-
         def fshift(s):
             return p["A1"] * np.asarray(s, float) + p["B1"]
         fprof = pf.Fn1(f"affine(A={p['A1']:g},B={p['B1']:g})", fshift,
@@ -744,8 +742,6 @@ def _build_r3_e1s2s3_v1(p, gas):
                 dgdx = e ** -nu
                 dgdt = nu * beta * e ** (-nu - 1.0) * core + e ** -nu * drift
             return g, dgdt, dgdx
-        psi = pf.Fn1("identity", lambda s: np.asarray(s, float),
-                     lambda s: np.ones_like(np.asarray(s, float)))
         tsing = (((1.0 + 1.0 / kappa) * p["A1"]) ** -1.0,)
     elif preset == "concentric":
         fprof = pf.coshbump(p["A1"], p["B1"], p["C1"])
@@ -764,8 +760,7 @@ def _build_r3_e1s2s3_v1(p, gas):
     else:
         raise ConstraintError(f"unknown profile preset {preset!r} for R3_E1S2S3_v1")
 
-    ev = TransportedEvaluator(fprof, planar, a0, u30, kappa,
-                              r3_closed=r3_closed, psi=psi)
+    ev = TransportedEvaluator(fprof, planar, a0, u30, kappa, r3_closed=r3_closed)
 
     e1 = np.array([0.0, 0.0, 1.0])
 
@@ -815,7 +810,8 @@ def _build_r3_e1s2s3_v1(p, gas):
         custom_eval=ev,
         probe_x=np.array([0.3, 0.3, -0.5]),
         default_window=win,
-        notes="r3 transported along dx3/dt = u3; closed form used for the linear amplitude",
+        notes="r3 transported along dx3/dt = u3; closed form used for the linear amplitude, "
+              "the exact first integral t a(r1)^(kappa+1) = int_{-r3}^{r1} a^kappa otherwise",
     )
 
 

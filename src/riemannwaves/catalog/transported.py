@@ -4,8 +4,7 @@ Structure: one acoustic wave along x3 with amplitude f, two vortex modes in
 the (x1, x2) plane sharing a single phase function.  The invariants are
 
     r1 = ((1 + 1/kappa) f(r1) + a0 + u30) t - x3          (implicit, scalar),
-    r3: transported, dr3/dt + u3 dr3/dx3 = 0, r3(0, x) = x (or Psi of the
-        closed-form invariant when f is linear),
+    r3: transported, dr3/dt + u3 dr3/dx3 = 0, r3(0, x) = x3 (G below if f is linear),
     r2 = t - u1(r2, r3) x1 - u2(r2, r3) x2                (implicit, scalar),
 
 with fields a = f(r1)/kappa + a0, u3 = f(r1) + u30 and the planar velocity
@@ -14,17 +13,22 @@ with fields a = f(r1)/kappa + a0, u3 = f(r1) + u30 and the planar velocity
 For linear f the transported invariant has the closed form
 
     G = (1 - (1+1/kappa) A1 t)^(-kappa/(kappa+1))
-        * (x3 + (kappa a0 - u30) t - (B1 + kappa a0)/A1),
+        * (x3 + (kappa a0 - u30) t - (B1 + kappa a0)/A1).
 
-verified against backward characteristic integration; nonlinear f variants
-integrate the characteristics (RK4) together with the x3-sensitivity so the
-exact Jacobi matrix stays available.
+For any f, along dx3/ds = u3 the invariant rho = r1 obeys ds/drho =
+(1 - (1+1/kappa) f'(rho) s)/a(rho), linear in s with integrating factor
+a^(kappa+1).  So the foot X(0) = -rho0 solves the first integral
+
+    t a(r1)^(kappa+1) = int_{rho0}^{r1} a(sigma)^kappa dsigma,
+
+with dX(0)/dx3 = (a(r1)/a(rho0))^kappa and dX(0)/dt = -u3 dX(0)/dx3.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable
 
 import numpy as np
@@ -37,6 +41,7 @@ __all__ = ["PlanarVelocity", "TransportedEvaluator", "RotatingPolarizationEvalua
 _NEWTON_TOL = 1e-13
 _NEWTON_ITERS = 60
 _MEMO_SIZE = 8  # holds one FD stencil's distinct foot integrations (7 for v2)
+_GL_ORDER = 32  # Gauss-Legendre nodes of v1's first integral
 
 
 class _Memo:
@@ -44,16 +49,17 @@ class _Memo:
 
     A finite-difference stencil shifts one coordinate at a time; a shift of
     a coordinate the integration ignores then reuses the centre's result.
-    The key is the step count plus each float array argument's shape and raw
-    bytes, so an argument mutated in place or a changed ``ode_steps`` misses.
-    Results are tuples of arrays, stored and returned read-only.
+    The key is ``steps`` (a step count, or None) plus each float array
+    argument's shape and raw bytes, so an argument mutated in place or a
+    changed ``ode_steps`` misses.  Results are tuples of arrays, stored and
+    returned read-only.
     """
 
     def __init__(self, size):
         self.size = size
         self._entries = OrderedDict()
 
-    def __call__(self, compute, steps, *arrays):
+    def __call__(self, compute, *arrays, steps=None):
         arrays = tuple(np.asarray(a, dtype=float) for a in arrays)
         key = (steps,) + tuple((a.shape, a.tobytes()) for a in arrays)
         out = self._entries.get(key)
@@ -112,33 +118,50 @@ def _scalar_newton(g, dg, r0, tol=_NEWTON_TOL, iters=_NEWTON_ITERS):
     return r, np.abs(val) <= tol
 
 
+@cache
+def _gauss_legendre(n):
+    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1]: elementwise
+    Newton on the Legendre recurrence from cos(pi (i - 1/4) / (n + 1/2)), no LAPACK.
+    Built on first use, so an import pays nothing; the arrays are read-only."""
+    x = np.cos(np.pi * (np.arange(1, n + 1) - 0.25) / (n + 0.5))
+    for _ in range(10):  # quadratic convergence: 4-5 iterations reach rounding
+        p_prev, p = np.ones_like(x), x
+        for j in range(1, n):
+            p_prev, p = p, ((2 * j + 1) * x * p - j * p_prev) / (j + 1)
+        dp = n * (x * p - p_prev) / (x * x - 1.0)
+        x = x - p / dp
+    w = 2.0 / ((1.0 - x * x) * dp * dp)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 class TransportedEvaluator:
     """Callable implementing FamilySpec.custom_eval for this family.
 
-    Without a closed-form r3, ``solve_r3`` integrates the characteristics
-    with ``ode_steps`` RK4 steps (240 from the registry) and memoises the
-    last 8 results per instance, keyed on the bytes and shapes of (t, x3)
-    plus ``ode_steps``; the returned arrays are read-only.  Only shifts of
-    t or x3 integrate anew, so a central-difference stencil integrates 5
-    times, not 9.
+    Without a closed-form r3, ``solve_r3`` solves the first integral (module
+    docstring) for rho0 by damped Newton from r1 - t a(r1), with a 32-node
+    Gauss-Legendre rule on [rho0, r1].  The last 8 results per instance are
+    memoised on the bytes and shapes of (t, r1) and returned read-only, so
+    an FD stencil solves 5 times, not 9.  A failed rho0 solve or a sound
+    speed a <= 0 at either end of the characteristic makes a point not ok.
     """
 
-    def __init__(self, fprof, planar: PlanarVelocity, a0, u30, kappa,
-                 r3_closed=None, psi=None, ode_steps=240):
+    def __init__(self, fprof, planar: PlanarVelocity, a0, u30, kappa, r3_closed=None):
         self.f = fprof
         self.planar = planar
         self.a0 = float(a0)
         self.u30 = float(u30)
         self.kappa = float(kappa)
         self.r3_closed = r3_closed  # (t, x3) -> (G, dG/dt, dG/dx3), linear-f only
-        self.psi = psi
-        self.ode_steps = ode_steps
         self._r3_memo = _Memo(_MEMO_SIZE)
 
     # -- pieces -------------------------------------------------------------
 
     def phase1(self, r1):
         return (1.0 + 1.0 / self.kappa) * self.f(r1) + self.a0 + self.u30
+
+    def sound(self, r1):
+        return self.f(r1) / self.kappa + self.a0
 
     def solve_r1(self, t, x3, r0=None):
         g = lambda r: r - self.phase1(r) * t + x3
@@ -147,61 +170,40 @@ class TransportedEvaluator:
             r0 = self.phase1(np.zeros_like(t)) * t - x3
         return _scalar_newton(g, dg, r0)
 
-    def u3_field(self, t, x3):
-        r1, ok = self.solve_r1(t, x3)
-        return self.f(r1) + self.u30, r1, ok
+    def r3_first_integral(self, t, r1):
+        """Foot X(0) of dx/ds = u3 from (t, x3), dX(0)/dt, dX(0)/dx3 and an ok mask.
 
-    def r3_by_characteristics(self, t, x3):
-        """Backward foot X(0) of dx/ds = u3(s, x) from (t, x3), plus sensitivities.
+        ``r1`` is the acoustic invariant at (t, x3).  rho0 = -X(0) is the root
+        of int_{rho0}^{r1} (a/a(r1))^kappa - t a(r1), the first integral over
+        a(r1)^kappa (a length: it suits the absolute Newton tolerance), unique
+        where a > 0 since its derivative is -(a(rho0)/a(r1))^kappa."""
+        kappa = self.kappa
+        unit_nodes, weights = _gauss_legendre(_GL_ORDER)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # a <= 0: see ok
+            a1 = self.sound(r1)
+            span = t * a1
 
-        Each stage's r1 solve starts from the previous stage's r1; the first
-        stage sits at s = t, so its u3 is the field at (t, x3).
-        """
-        steps = self.ode_steps
-        x = np.array(x3, dtype=float)
-        jall = np.ones_like(x)   # dX(0)/dx3 accumulated via variational equation
-        tcur = np.array(t, dtype=float)
-        hval = -tcur / steps     # per-point backward step
-        r1 = None
+            def g(rho0):
+                half = 0.5 * (r1 - rho0)
+                nodes = (r1 - half)[..., None] + half[..., None] * unit_nodes
+                ratio = self.sound(nodes) / a1[..., None]
+                return half * (ratio ** kappa @ weights) - span
 
-        def rhs(s, y):
-            nonlocal r1
-            r1, _ = self.solve_r1(s, y, r1)
-            df = self.f.d(r1)
-            d1 = 1.0 - (1.0 + 1.0 / self.kappa) * df * s
-            return self.f(r1) + self.u30, df * (-1.0 / d1)
+            rho0, ok = _scalar_newton(g, lambda rho0: -(self.sound(rho0) / a1) ** kappa,
+                                      r1 - span)
+            a_foot = self.sound(rho0)
+            dx = (a1 / a_foot) ** kappa
+        ok &= (a1 > 0.0) & (a_foot > 0.0)
+        return -rho0, -(self.f(r1) + self.u30) * dx, dx, ok
 
-        for i in range(steps):
-            s = tcur + i * hval
-            h = hval
-            k1, a1 = rhs(s, x)
-            if i == 0:
-                u3_here = k1
-            k2, a2 = rhs(s + 0.5 * h, x + 0.5 * h * k1)
-            k3, a3 = rhs(s + 0.5 * h, x + 0.5 * h * k2)
-            k4, a4 = rhs(s + h, x + h * k3)
-            x = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            # variational RK4 with the same nodes (linear equation dJ/ds = a J)
-            j1 = a1
-            j2 = a2 * (1 + 0.5 * h * j1)
-            j3 = a3 * (1 + 0.5 * h * j2)
-            j4 = a4 * (1 + h * j3)
-            jall = jall * (1 + (h / 6.0) * (j1 + 2 * j2 + 2 * j3 + j4))
-        return x, -u3_here * jall, jall
-
-    def solve_r3(self, t, x3):
+    def solve_r3(self, t, x3, r1):
+        """(r3, dr3/dt, dr3/dx3, ok): the closed form when there is one, else
+        the memoised first integral at the acoustic invariant ``r1``."""
         if self.r3_closed is not None:
-            g, dgdt, dgdx = self.r3_closed(t, x3)
-            if self.psi is not None:
-                dpsi = self.psi.d(g)
-                return self.psi(g), dpsi * dgdt, dpsi * dgdx
-            return g, dgdt, dgdx
-        return self._r3_memo(self.r3_by_characteristics, self.ode_steps, t, x3)
+            return (*self.r3_closed(t, x3), True)
+        return self._r3_memo(self.r3_first_integral, t, r1)
 
-    def solve_r2(self, t, x1, x2, r3):
-        u1 = lambda r: self.planar.fields(r, r3)[0]
-        u2 = lambda r: self.planar.fields(r, r3)[1]
-
+    def solve_r2(self, t, x1, x2, r3, r0):
         def g(r):
             a, b = self.planar.fields(r, r3)
             return r - t + a * x1 + b * x2
@@ -210,20 +212,22 @@ class TransportedEvaluator:
             dp1, _, dp2, _ = self.planar.partials(r, r3)
             return 1.0 + dp1 * x1 + dp2 * x2
 
-        r0 = np.array(t, dtype=float)
         return _scalar_newton(g, dg, r0)
 
     # -- FamilySpec.custom_eval ---------------------------------------------
 
-    def __call__(self, t, x, branch=None):
+    def __call__(self, t, x, branch=None, guess=None):
+        """A finite ``guess`` (N, 3), such as an FD stencil's centre, starts
+        the r2 solve, so every shift tracks the centre's root; else r2 = t."""
         t = np.asarray(t, dtype=float)
         x = np.asarray(x, dtype=float)
         x1, x2, x3 = x[:, 0], x[:, 1], x[:, 2]
         n = len(t)
 
         r1, ok1 = self.solve_r1(t, x3)
-        r3, dr3_dt, dr3_dx3 = self.solve_r3(t, x3)
-        r2, ok2 = self.solve_r2(t, x1, x2, r3)
+        r3, dr3_dt, dr3_dx3, ok3 = self.solve_r3(t, x3, r1)
+        r2_start = t if guess is None else np.where(np.isfinite(guess[:, 1]), guess[:, 1], t)
+        r2, ok2 = self.solve_r2(t, x1, x2, r3, r2_start)
 
         f1 = self.f(r1)
         df1 = self.f.d(r1)
@@ -257,7 +261,7 @@ class TransportedEvaluator:
         jac[:, 3, :] = df1[:, None] * grad_r1
 
         cond = d1 * d2
-        status = np.where(ok1 & ok2, STATUS_OK, STATUS_NO_CONVERGENCE).astype(np.int8)
+        status = np.where(ok1 & ok2 & ok3, STATUS_OK, STATUS_NO_CONVERGENCE).astype(np.int8)
         if self.planar.post_valid is not None:
             good = self.planar.post_valid(r2, r3)
             status = np.where(good, status, STATUS_INVALID).astype(np.int8)
@@ -339,7 +343,7 @@ class RotatingPolarizationEvaluator:
     def _foot(self, t, x1, x2):
         """Backward planar characteristics: foot y(0), M = dy/d(x1,x2), and
         the first stage's (r1, ok) at s = t (memoised, read-only)."""
-        return self._foot_memo(self._integrate_foot, self.ode_steps, t, x1, x2)
+        return self._foot_memo(self._integrate_foot, t, x1, x2, steps=self.ode_steps)
 
     def _integrate_foot(self, t, x1, x2):
         """RK4 behind ``_foot``; each stage's r1 solve starts from the last one."""
@@ -384,7 +388,7 @@ class RotatingPolarizationEvaluator:
         d2 = -c + common * dr_dy2
         return val, d1, d2
 
-    def __call__(self, t, x, branch=None):
+    def __call__(self, t, x, branch=None, guess=None):
         t = np.asarray(t, dtype=float)
         x = np.asarray(x, dtype=float)
         x1, x2 = x[:, 0], x[:, 1]
@@ -448,7 +452,7 @@ class RotatingPolarizationEvaluator:
         Phi plays the profile-Jacobian role in the compatibility checks.
         The last chart is memoised (read-only arrays).
         """
-        return self._chart_memo(self._chart, self.ode_steps, r)
+        return self._chart_memo(self._chart, r, steps=self.ode_steps)
 
     def _chart(self, r):
         t, x1, x2 = self.invariants_to_point(r)

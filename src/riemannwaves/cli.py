@@ -17,7 +17,6 @@ from .catalog import (
     REGISTRY_IDS,
     STATUS_LABELS,
     ValidityError,
-    family_defaults,
     make_family,
     registry_entries,
 )

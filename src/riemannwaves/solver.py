@@ -27,12 +27,11 @@ stack waves_jac (N, k, 4, 4) with x, the reference form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
-from .fluid import StateVec
 
 __all__ = [
     "ImplicitProblem",
@@ -103,9 +102,6 @@ class ImplicitPoint:
     cond_det: float
     x: np.ndarray
     residual: float = 0.0
-
-    def state_vec(self) -> StateVec:
-        return StateVec.from_array(self.state)
 
 
 def newton_batch(profile, profile_jac, waves, dr_du, X, r0=None,

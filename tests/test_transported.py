@@ -1,17 +1,23 @@
-"""The two characteristic-integrating evaluators: accuracy and per-instance memo."""
+"""The two characteristic-based evaluators: accuracy, status and per-instance memo."""
+
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from riemannwaves import cli
-from riemannwaves.catalog import make_family
+from riemannwaves.catalog import make_family, transported
 from riemannwaves.catalog.transported import RotatingPolarizationEvaluator
 from riemannwaves.solver import STATUS_OK
-from riemannwaves.verify import residual_fd
+from riemannwaves.verify import GridSpec, residual_exact, residual_fd
 
 V1, V2 = "R3_E1S2S3_v1", "R3_E1S2S3_v2"
 ODE_FAMILIES = [(V2, {}), (V1, {"profile": "concentric"}), (V1, {"profile": "solitary"})]
 ODE_IDS = ["v2", "v1-concentric", "v1-solitary"]
+V1_PRESETS = ["concentric", "solitary"]
 
 
 def _points(spec, n, seed):
@@ -20,6 +26,17 @@ def _points(spec, n, seed):
     win = spec.default_grid_window()
     cols = [rng.uniform(*win[axis], n) for axis in ("t", "x1", "x2", "x3")]
     return cols[0], np.column_stack(cols[1:])
+
+
+def _stratified_points(rng, window, counts):
+    """One uniform point per cell of a (t, x1, x2, x3) lattice over the window."""
+    cells = np.meshgrid(*[np.arange(c) for c in counts], indexing="ij")
+    axes = []
+    for axis, (name, c) in enumerate(zip(("t", "x1", "x2", "x3"), counts)):
+        lo, hi = window[name]
+        cell = cells[axis].ravel()
+        axes.append(lo + (hi - lo) * (cell + rng.uniform(size=cell.size)) / c)
+    return axes[0], np.column_stack(axes[1:])
 
 
 def _count_calls(monkeypatch, owner, name):
@@ -35,23 +52,162 @@ def _count_calls(monkeypatch, owner, name):
 
 def _integration_name(ev):
     return "_integrate_foot" if isinstance(ev, RotatingPolarizationEvaluator) \
-        else "r3_by_characteristics"
+        else "r3_first_integral"
+
+
+def _dop853_foot(ev, t, x3):
+    """Foot X(0) and dX(0)/dx3 of dx/ds = u3(s, x), integrated backward from
+    s = t by scipy's DOP853 together with the variational equation."""
+    feet, sens = [], []
+    for ti, xi in zip(t, x3):
+        def rhs(s, y):
+            r1, _ = ev.solve_r1(np.array([s]), np.array([y[0]]))
+            df = ev.f.d(r1)[0]
+            d1 = 1.0 - (1.0 + 1.0 / ev.kappa) * df * s
+            return [ev.f(r1)[0] + ev.u30, -df / d1 * y[1]]
+        sol = solve_ivp(rhs, (ti, 0.0), [xi, 1.0], method="DOP853", rtol=1e-13, atol=1e-13)
+        assert sol.success
+        feet.append(sol.y[0, -1])
+        sens.append(sol.y[1, -1])
+    return np.array(feet), np.array(sens)
+
+
+def _v1_foot(spec, t, x3):
+    """(r1, r3, dr3/dt, dr3/dx3, ok) of a v1 evaluator at (t, x3)."""
+    ev = spec.custom_eval
+    r1, _ = ev.solve_r1(t, x3)
+    return (r1,) + tuple(ev.solve_r3(t, x3, r1))
 
 
 @pytest.mark.parametrize("fid,params", ODE_FAMILIES, ids=ODE_IDS)
 def test_default_steps_match_refined_reference(fid, params):
+    spec = make_family(fid, params)
+    t, x = _points(spec, 24, seed=5)
+    if fid == V1:
+        # the first integral against an independent adaptive integration
+        ev = spec.custom_eval
+        r1, r3, dr3_dt, dr3_dx3, ok = _v1_foot(spec, t, x[:, 2])
+        foot, sens = _dop853_foot(ev, t, x[:, 2])
+        u3 = ev.f(r1) + ev.u30
+        assert ok.all()
+        assert np.max(np.abs(r3 - foot)) <= 1e-10
+        assert np.max(np.abs(dr3_dx3 - sens)) <= 1e-10
+        assert np.max(np.abs(dr3_dt + u3 * sens)) <= 1e-10
+        return
     # the exact-route residual cannot see the integration error (v2's u3 row
     # holds by construction), so compare with a fresh evaluator at 8x the steps
-    spec = make_family(fid, params)
     ref = make_family(fid, params)
     ref.custom_eval.ode_steps = 8 * spec.custom_eval.ode_steps
-    t, x = _points(spec, 24, seed=5)
     got, want = spec.evaluate_batch(t, x), ref.evaluate_batch(t, x)
     ok = (got.status == STATUS_OK) & (want.status == STATUS_OK)
     assert ok.sum() >= 20
     assert np.array_equal(got.status, want.status)
     assert np.max(np.abs(got.state[ok] - want.state[ok])) <= 1e-10
     assert np.max(np.abs(got.jac[ok] - want.jac[ok])) <= 1e-10
+
+
+@pytest.mark.parametrize("a1", [0.25, -0.3, 0.6])
+@pytest.mark.parametrize("gamma", [1.4, 5.0 / 3.0, 2.5])
+def test_first_integral_matches_linear_closed_form(gamma, a1):
+    # for linear f the foot is G + (B1 + kappa a0)/A1 with G the closed form
+    spec = make_family(V1, {"A1": a1}, gamma=gamma)
+    p, kappa = spec.params, spec.gas.kappa
+    beta = (1.0 + 1.0 / kappa) * a1
+    t_max = 0.9 / beta if beta > 0 else 1.0      # 0.9 of the singular time
+    rng = np.random.default_rng(17)
+    t = rng.uniform(0.0, t_max, 200)
+    x3 = rng.uniform(-1.0, 1.0, 200)
+    ev = spec.custom_eval
+    r1, _ = ev.solve_r1(t, x3)
+    foot, dfoot_dt, dfoot_dx3, ok = ev.r3_first_integral(t, r1)
+    g, dgdt, dgdx = ev.r3_closed(t, x3)
+    assert ok.all()
+    assert np.max(np.abs(foot - (g + (p["B1"] + kappa * p["a0"]) / a1))) <= 1e-12
+    # the derivatives grow like (1 - t/t_sing)^-(kappa+2)/(kappa+1): relative
+    assert np.max(np.abs(dfoot_dx3 - dgdx) / (1.0 + np.abs(dgdx))) <= 1e-12
+    assert np.max(np.abs(dfoot_dt - dgdt) / (1.0 + np.abs(dgdt))) <= 1e-12
+
+
+def test_gauss_legendre_rule_matches_numpy():
+    nodes, weights = transported._gauss_legendre(32)
+    ref_nodes, ref_weights = np.polynomial.legendre.leggauss(32)
+    order = np.argsort(nodes)
+    assert np.max(np.abs(nodes[order] - ref_nodes)) <= 1e-15
+    assert np.max(np.abs(weights[order] - ref_weights)) <= 1e-15
+
+
+@pytest.mark.parametrize("c1", [1.0, 4.0, 8.0])
+def test_quadrature_error_against_64_nodes(monkeypatch, c1):
+    spec = make_family(V1, {"profile": "concentric", "C1": c1})
+    t, x = _points(spec, 200, seed=6)
+    got = _v1_foot(spec, t, x[:, 2])
+    monkeypatch.setattr(transported, "_GL_ORDER", 64)
+    want = _v1_foot(make_family(V1, {"profile": "concentric", "C1": c1}), t, x[:, 2])
+    assert got[4].all() and want[4].all()
+    for a, b in zip(got[1:4], want[1:4]):
+        assert np.max(np.abs(a - b)) <= 1e-12
+
+
+@pytest.mark.parametrize("preset", V1_PRESETS)
+def test_failed_foot_solve_leaves_no_ok_row(monkeypatch, preset):
+    spec = make_family(V1, {"profile": preset})
+    t, x = _points(spec, 50, seed=7)
+    original = transported._scalar_newton
+
+    def no_foot_iterations(g, dg, r0, **kw):
+        if "r3_first_integral" in g.__qualname__:
+            kw["iters"] = 0
+        return original(g, dg, r0, **kw)
+    monkeypatch.setattr(transported, "_scalar_newton", no_foot_iterations)
+    res = spec.evaluate_batch(t, x)
+    assert not (res.status == STATUS_OK).any()
+
+
+def test_nonpositive_sound_speed_leaves_no_ok_row():
+    # A1 = -8: a = f/kappa + a0 dips below zero for |r1| < 2.3
+    spec = make_family(V1, {"profile": "solitary", "A1": -8.0})
+    t, x = _points(spec, 400, seed=8)
+    res = spec.evaluate_batch(t, x)
+    r1, r3, _, _, ok = _v1_foot(spec, t, x[:, 2])
+    ev = spec.custom_eval
+    nonpositive = (ev.sound(r1) <= 0) | (ev.sound(-r3) <= 0)
+    assert 0 < nonpositive.sum() < len(t)
+    assert not (ok & nonpositive).any()
+    solved = res.status == STATUS_OK
+    assert not (solved & ~ok).any()
+    for name in ("r", "state", "jac", "cond_det"):
+        assert np.isfinite(getattr(res, name)[solved]).all(), name
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("preset", V1_PRESETS)
+def test_nonlinear_v1_presets_residuals_and_order(preset):
+    spec = make_family(V1, {"profile": preset})
+    grid = GridSpec.from_window(spec.default_grid_window(), counts=(3, 5, 5, 5))
+    assert residual_exact(spec, grid=grid).max_normalized <= 1e-8
+    coarse = residual_fd(spec, grid=grid, h=1e-4)
+    fine = residual_fd(spec, grid=grid, h=5e-5)
+    assert coarse.max_normalized <= 1e-5
+    assert 1.7 <= np.log2(coarse.max_residual / fine.max_residual) <= 2.3
+
+
+def test_fd_stencil_tracks_the_centre_r2_root():
+    # stencil shifts start r2 from the centre's invariants; starting at t
+    # instead, some re-solve to another root and the difference jumps to 1e3
+    spec = make_family(V1, {"profile": "concentric"})
+    points = _stratified_points(np.random.default_rng(0), spec.default_grid_window(),
+                                (5, 5, 5, 8))
+    assert residual_fd(spec, points=points, h=1e-4).max_normalized <= 1e-2
+
+
+def test_import_loads_no_numpy_polynomial():
+    code = ("import sys; from riemannwaves.catalog import make_family; "
+            "make_family('R3_E1S2S3_v1', {'profile': 'concentric'}); "
+            "print('numpy.polynomial' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
+    assert out.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize("fid,params,expected", [
@@ -90,7 +246,7 @@ def test_memo_hit_equals_fresh_evaluation_and_is_read_only(fid, params):
     if fid == V2:
         cached = ev._foot(t, x[:, 0], x[:, 1]) + ev.profile_chart(first.r[:2])
     else:
-        cached = ev.solve_r3(t, x[:, 2])
+        cached = _v1_foot(spec, t, x[:, 2])[1:]
     for arr in cached:
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
@@ -116,9 +272,18 @@ def test_memo_misses_on_mutated_input_and_on_changed_steps(monkeypatch, fid, par
     assert not np.array_equal(after[0], before[0])
     assert np.array_equal(after[1:], before[1:])
 
-    ev.ode_steps += 1
-    spec.evaluate_batch(t, x)
-    assert len(calls) == 3
+    if fid == V2:
+        ev.ode_steps += 1
+        spec.evaluate_batch(t, x)
+        assert len(calls) == 3
+    else:
+        # v1 has no step count: its key is (t, r1), so x1 and x2 shifts hit
+        x[:, :2] += 0.01
+        spec.evaluate_batch(t, x)
+        assert len(calls) == 2
+        x[:, 2] += 0.01
+        spec.evaluate_batch(t, x)
+        assert len(calls) == 3
 
 
 def test_chart_memo_misses_on_mutated_triple(monkeypatch):
