@@ -40,6 +40,7 @@ __all__ = ["PlanarVelocity", "TransportedEvaluator", "RotatingPolarizationEvalua
 
 _NEWTON_TOL = 1e-13
 _NEWTON_ITERS = 60
+_HALVINGS = 0.5 ** np.arange(1, 21)  # damped Newton's step fractions after a full step worsens
 _MEMO_SIZE = 8  # holds one FD stencil's distinct foot integrations (7 for v2)
 _GL_ORDER = 32  # Gauss-Legendre nodes of v1's first integral
 
@@ -95,27 +96,36 @@ class PlanarVelocity:
         return c * tp, c * tq, -self.cos_sign * s * tp, -self.cos_sign * s * tq
 
 
-def _scalar_newton(g, dg, r0, tol=_NEWTON_TOL, iters=_NEWTON_ITERS):
-    """Vectorized damped Newton for scalar equations g(r) = 0."""
+def _scalar_newton(g, dg, r0, *data, tol=_NEWTON_TOL, iters=_NEWTON_ITERS):
+    """Vectorized damped Newton for g(r, *data) = 0, ``data`` being per-point (N,) arrays.
+
+    Each iteration works on the unconverged points alone, so a point's result
+    does not depend on its batch and a point without a root costs only its own
+    iterations.  A full step that makes |g| grow is halved 1..20 times, all
+    tried in one call of ``g``; the first halving that does not grow wins, else
+    the last."""
     r = np.array(r0, dtype=float)
-    val = g(r)
+    val = g(r, *data)
+    ok = np.abs(val) <= tol
     for _ in range(iters):
-        if np.all(np.abs(val) <= tol):
+        if ok.all():
             break
-        d = dg(r)
-        d = np.where(np.abs(d) < 1e-14, np.sign(d) * 1e-14 + (d == 0) * 1e-14, d)
-        step = val / d
-        r_new = r - step
-        val_new = g(r_new)
-        for _ in range(20):
-            worse = np.abs(val_new) > np.abs(val)
-            if not worse.any():
-                break
-            step = np.where(worse, 0.5 * step, step)
-            r_new = r - step
-            val_new = g(r_new)
-        r, val = r_new, val_new
-    return r, np.abs(val) <= tol
+        i = np.flatnonzero(~ok)
+        ri, vi, di = r[i], val[i], [a[i] for a in data]
+        d = dg(ri, *di)
+        step = vi / np.where(np.abs(d) < 1e-14, np.sign(d) * 1e-14 + (d == 0) * 1e-14, d)
+        r_new = ri - step
+        val_new = g(r_new, *di)
+        w = np.flatnonzero(np.abs(val_new) > np.abs(vi))
+        if w.size:
+            ladder = ri[w, None] - step[w, None] * _HALVINGS
+            vals = g(ladder, *[a[w, None] for a in di])
+            better = ~(np.abs(vals) > np.abs(vi[w, None]))
+            k = np.where(better.any(axis=1), better.argmax(axis=1), len(_HALVINGS) - 1)
+            r_new[w], val_new[w] = ladder[np.arange(w.size), k], vals[np.arange(w.size), k]
+        r[i], val[i] = r_new, val_new
+        ok[i] = np.abs(val_new) <= tol
+    return r, ok
 
 
 @cache
@@ -164,11 +174,11 @@ class TransportedEvaluator:
         return self.f(r1) / self.kappa + self.a0
 
     def solve_r1(self, t, x3, r0=None):
-        g = lambda r: r - self.phase1(r) * t + x3
-        dg = lambda r: 1.0 - (1.0 + 1.0 / self.kappa) * self.f.d(r) * t
+        g = lambda r, t, x3: r - self.phase1(r) * t + x3
+        dg = lambda r, t, x3: 1.0 - (1.0 + 1.0 / self.kappa) * self.f.d(r) * t
         if r0 is None:
             r0 = self.phase1(np.zeros_like(t)) * t - x3
-        return _scalar_newton(g, dg, r0)
+        return _scalar_newton(g, dg, r0, t, x3)
 
     def r3_first_integral(self, t, r1):
         """Foot X(0) of dx/ds = u3 from (t, x3), dX(0)/dt, dX(0)/dx3 and an ok mask.
@@ -183,14 +193,15 @@ class TransportedEvaluator:
             a1 = self.sound(r1)
             span = t * a1
 
-            def g(rho0):
+            def g(rho0, r1, a1, span):
                 half = 0.5 * (r1 - rho0)
                 nodes = (r1 - half)[..., None] + half[..., None] * unit_nodes
                 ratio = self.sound(nodes) / a1[..., None]
-                return half * (ratio ** kappa @ weights) - span
+                # summed row by row, so a point's foot does not depend on its batch
+                return half * np.sum(ratio ** kappa * weights, axis=-1) - span
 
-            rho0, ok = _scalar_newton(g, lambda rho0: -(self.sound(rho0) / a1) ** kappa,
-                                      r1 - span)
+            dg = lambda rho0, r1, a1, span: -(self.sound(rho0) / a1) ** kappa
+            rho0, ok = _scalar_newton(g, dg, r1 - span, r1, a1, span)
             a_foot = self.sound(rho0)
             dx = (a1 / a_foot) ** kappa
         ok &= (a1 > 0.0) & (a_foot > 0.0)
@@ -204,15 +215,15 @@ class TransportedEvaluator:
         return self._r3_memo(self.r3_first_integral, t, r1)
 
     def solve_r2(self, t, x1, x2, r3, r0):
-        def g(r):
+        def g(r, t, x1, x2, r3):
             a, b = self.planar.fields(r, r3)
             return r - t + a * x1 + b * x2
 
-        def dg(r):
+        def dg(r, t, x1, x2, r3):
             dp1, _, dp2, _ = self.planar.partials(r, r3)
             return 1.0 + dp1 * x1 + dp2 * x2
 
-        return _scalar_newton(g, dg, r0)
+        return _scalar_newton(g, dg, r0, t, x1, x2, r3)
 
     # -- FamilySpec.custom_eval ---------------------------------------------
 
@@ -310,11 +321,11 @@ class RotatingPolarizationEvaluator:
             fv = self.F(r)
             return np.cos(fv), np.sin(fv)
 
-        def g(r):
+        def g(r, t, x1, x2):
             c, s = trig(r)
             return r - a_of(r) * t + x1 * c + x2 * s
 
-        def dg(r):
+        def dg(r, t, x1, x2):
             c, s = trig(r)
             df = self.F.d(r)
             return 1.0 - df / self.kappa * t - (x1 * s - x2 * c) * df
@@ -322,7 +333,7 @@ class RotatingPolarizationEvaluator:
         if r0 is None:
             r0 = a_of(np.zeros_like(t)) * t - x1 * np.cos(self.F(np.zeros_like(t))) \
                 - x2 * np.sin(self.F(np.zeros_like(t)))
-        return _scalar_newton(g, dg, r0)
+        return _scalar_newton(g, dg, r0, t, x1, x2)
 
     def _field(self, t, x1, x2, r0=None):
         """(velocity, velocity-gradient 2x2, r1, delta) at points of one time slice."""

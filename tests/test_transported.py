@@ -12,7 +12,7 @@ from riemannwaves import cli
 from riemannwaves.catalog import make_family, transported
 from riemannwaves.catalog.transported import RotatingPolarizationEvaluator
 from riemannwaves.solver import STATUS_OK
-from riemannwaves.verify import GridSpec, residual_exact, residual_fd
+from riemannwaves.verify import GridSpec, _keep_mask, residual_exact, residual_fd
 
 V1, V2 = "R3_E1S2S3_v1", "R3_E1S2S3_v2"
 ODE_FAMILIES = [(V2, {}), (V1, {"profile": "concentric"}), (V1, {"profile": "solitary"})]
@@ -154,10 +154,10 @@ def test_failed_foot_solve_leaves_no_ok_row(monkeypatch, preset):
     t, x = _points(spec, 50, seed=7)
     original = transported._scalar_newton
 
-    def no_foot_iterations(g, dg, r0, **kw):
+    def no_foot_iterations(g, dg, r0, *data, **kw):
         if "r3_first_integral" in g.__qualname__:
             kw["iters"] = 0
-        return original(g, dg, r0, **kw)
+        return original(g, dg, r0, *data, **kw)
     monkeypatch.setattr(transported, "_scalar_newton", no_foot_iterations)
     res = spec.evaluate_batch(t, x)
     assert not (res.status == STATUS_OK).any()
@@ -216,11 +216,16 @@ def test_import_loads_no_numpy_polynomial():
     (V1, {"profile": "solitary"}, 5),
 ], ids=ODE_IDS)
 def test_fd_stencil_integrates_once_per_distinct_argument(monkeypatch, fid, params, expected):
+    # the stencil solves only the points the centre keeps; when the centre
+    # skips one, its own arguments differ from the stencil's and add one call
     spec = make_family(fid, params)
+    points = _points(spec, 6, seed=1)
+    centre = make_family(fid, params).evaluate_batch(*points, jacobian=False)
+    skips = not _keep_mask(centre.status, centre.cond_det).all()
     ev = spec.custom_eval
     calls = _count_calls(monkeypatch, ev, _integration_name(ev))
-    residual_fd(spec, points=_points(spec, 6, seed=1))
-    assert len(calls) == expected
+    residual_fd(spec, points=points)
+    assert len(calls) == expected + skips
 
 
 def test_conditions_builds_one_chart_per_sample(monkeypatch, capsys):
@@ -309,3 +314,70 @@ def test_make_family_calls_never_share_a_memo(monkeypatch, fid, params):
     calls = _count_calls(monkeypatch, ev, _integration_name(ev))
     second.evaluate_batch(t, x)
     assert len(calls) == 1
+
+
+def _kink(r, level):
+    """r (1 + r^2)^(-1/2) - level: a root for |level| < 1, none for |level| >= 1;
+    from |r0| >~ 1 the full Newton step overshoots, so damping engages.  Only
+    correctly rounded arithmetic, so batch and scalar evaluations agree bitwise."""
+    return r / np.sqrt(1.0 + r * r) - level
+
+
+def _kink_slope(r, level):
+    q = 1.0 + r * r
+    return 1.0 / (q * np.sqrt(q))
+
+
+def _halving_newton(r, level, tol=1e-13, iters=60):
+    """Reference damped Newton for one point: a slope below 1e-14 counts as
+    1e-14 (with its sign); halve a step that makes |g| grow, up to 20 times,
+    and take the last halving if all do."""
+    val = _kink(r, level)
+    for _ in range(iters):
+        if abs(val) <= tol:
+            break
+        slope = _kink_slope(r, level)
+        step = val / (slope if abs(slope) >= 1e-14 else np.copysign(1e-14, slope))
+        r_new = r - step
+        val_new = _kink(r_new, level)
+        for _ in range(20):
+            if not abs(val_new) > abs(val):
+                break
+            step *= 0.5
+            r_new = r - step
+            val_new = _kink(r_new, level)
+        r, val = r_new, val_new
+    return r, abs(val) <= tol
+
+
+def test_scalar_newton_matches_point_by_point_halving():
+    # each point's root and flag are its own: the same as solved alone with
+    # sequential halvings, whatever else shares the batch
+    rng = np.random.default_rng(9)
+    r0 = rng.uniform(-6.0, 6.0, 300)
+    level = rng.uniform(-0.9, 0.9, 300)
+    level[::50] = 1.5                        # six points without a root
+    r, ok = transported._scalar_newton(_kink, _kink_slope, r0, level)
+    want = [_halving_newton(a, b) for a, b in zip(r0, level)]
+    assert np.array_equal(r, [w[0] for w in want])
+    assert np.array_equal(ok, [w[1] for w in want])
+    assert ok.sum() == 294
+
+
+def test_scalar_newton_cost_of_a_rootless_point_is_its_own():
+    evaluated = []
+
+    def g(r, level):
+        evaluated.append(np.size(r))
+        return _kink(r, level)
+
+    r0 = np.linspace(-3.0, 3.0, 1000)
+    level = np.linspace(-0.8, 0.8, 1000)
+    _, ok = transported._scalar_newton(g, _kink_slope, r0, level)
+    alone = sum(evaluated)
+    evaluated.clear()
+    r, ok_with = transported._scalar_newton(g, _kink_slope, np.append(r0, 2.0),
+                                            np.append(level, 1.5))
+    # the rootless point runs every iteration: one full step and 20 halvings each
+    assert ok.all() and not ok_with[-1]
+    assert sum(evaluated) - alone <= 1 + transported._NEWTON_ITERS * 21

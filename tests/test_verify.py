@@ -10,6 +10,7 @@ from riemannwaves.fluid import GasParams
 from riemannwaves.verify import (
     EmptyReportError,
     GridSpec,
+    _keep_mask,
     catastrophe_probe,
     fd_convergence_order,
     pde_residual,
@@ -309,3 +310,35 @@ def test_v1_probe_and_fd_emit_no_runtime_warnings(tmp_path):
     spec = make_family("R3_E1S2S3_v1")
     grid = GridSpec.from_window(spec.default_grid_window(), counts=SMALL)
     assert np.isfinite(residual_fd(spec, grid=grid).max_normalized)
+
+
+def test_fd_stencil_solves_only_the_points_the_centre_keeps(monkeypatch):
+    sizes = []
+    real = base.FamilySpec.evaluate_batch
+
+    def counted(self, t, x, **kwargs):
+        sizes.append(len(t))
+        return real(self, t, x, **kwargs)
+
+    monkeypatch.setattr(base.FamilySpec, "evaluate_batch", counted)
+    spec = make_family("R1_E")
+    grid = GridSpec.from_window(spec.default_grid_window(), counts=SMALL)
+    rep = residual_fd(spec, grid=grid)
+    assert rep.n_skipped > 0
+    assert sizes == [3 * 5 * 5 * 5] + [rep.n_points] * 8
+
+
+@pytest.mark.parametrize("fid,params", [("R1_E", {}), ("R3_E1S2S3_v1", {"profile": "concentric"})])
+def test_fd_report_same_with_and_without_the_skipped_points(fid, params):
+    # a point's stencil does not depend on the other points of the batch
+    spec = make_family(fid, params)
+    grid = GridSpec.from_window(spec.default_grid_window(), counts=SMALL)
+    t, x = grid.points()
+    full = residual_fd(spec, points=(t, x))
+    centre = spec.evaluate_batch(t, x, jacobian=False)
+    kept = _keep_mask(centre.status, centre.cond_det)
+    assert full.n_skipped > 0 and not kept.all()
+    sub = residual_fd(make_family(fid, params), points=(t[kept], x[kept]))
+    assert sub.n_points == full.n_points
+    assert np.array_equal(sub.eq_max, full.eq_max)
+    assert np.array_equal(sub.eq_mean, full.eq_mean)
