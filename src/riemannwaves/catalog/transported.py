@@ -197,8 +197,8 @@ class TransportedEvaluator:
                 half = 0.5 * (r1 - rho0)
                 nodes = (r1 - half)[..., None] + half[..., None] * unit_nodes
                 ratio = self.sound(nodes) / a1[..., None]
-                # summed row by row, so a point's foot does not depend on its batch
-                return half * np.sum(ratio ** kappa * weights, axis=-1) - span
+                # einsum sums each row alone (BLAS may not): a point's foot ignores its batch
+                return half * np.einsum("...k,k->...", ratio ** kappa, weights) - span
 
             dg = lambda rho0, r1, a1, span: -(self.sound(rho0) / a1) ** kappa
             rho0, ok = _scalar_newton(g, dg, r1 - span, r1, a1, span)

@@ -381,3 +381,16 @@ def test_scalar_newton_cost_of_a_rootless_point_is_its_own():
     # the rootless point runs every iteration: one full step and 20 halvings each
     assert ok.all() and not ok_with[-1]
     assert sum(evaluated) - alone <= 1 + transported._NEWTON_ITERS * 21
+
+
+@pytest.mark.parametrize("preset", V1_PRESETS)
+def test_foot_of_a_point_does_not_depend_on_its_batch(preset):
+    ev = make_family(V1, {"profile": preset}).custom_eval
+    rng = np.random.default_rng(10)
+    t, x3 = rng.uniform(0.0, 1.0, 1001), rng.uniform(1.0, 2.5, 1001)
+    r1, _ = ev.solve_r1(t, x3)
+    full = ev.r3_first_integral(t, r1)
+    for n in (1, 7, 33, 500):
+        idx = rng.choice(len(t), n, replace=False)
+        for a, b in zip(full, ev.r3_first_integral(t[idx], r1[idx])):
+            assert np.array_equal(a[idx], b)
