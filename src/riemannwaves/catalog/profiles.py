@@ -44,7 +44,8 @@ class Fn2:
 
     Stream-function presets also carry an analytic ``hessian(p, q)`` map
     returning (f_pp, f_qq, f_pq); the Monge-Ampere residual uses it when
-    present instead of finite differences.
+    present instead of finite differences.  A preset whose value and
+    partials share costly parts supplies ``jet(p, q) -> (f, dp, dq)``.
     """
 
     name: str
@@ -52,9 +53,13 @@ class Fn2:
     dp: Callable
     dq: Callable
     hessian: Callable | None = None
+    jet: Callable | None = None
 
     def __call__(self, p, q):
         return self.f(p, q)
+
+    def value_and_partials(self, p, q):
+        return self.jet(p, q) if self.jet else (self.f(p, q), self.dp(p, q), self.dq(p, q))
 
 
 def linear(a):
@@ -250,15 +255,13 @@ def theta_concentric(a2, b2, d1):
         r2, phi, _ = parts(p, q)
         return a2 * phi / np.sqrt(r2)
 
-    def dp(p, q):
+    def jet(p, q):
         r2, phi, dphi = parts(p, q)
-        return a2 * np.asarray(p, float) * r2 ** -1.5 * (dphi - phi)
+        return (a2 * phi / np.sqrt(r2), a2 * np.asarray(p, float) * r2 ** -1.5 * (dphi - phi),
+                a2 * np.asarray(q, float) * r2 ** -1.5 * (dphi - phi))
 
-    def dq(p, q):
-        r2, phi, dphi = parts(p, q)
-        return a2 * np.asarray(q, float) * r2 ** -1.5 * (dphi - phi)
-
-    return Fn2(f"concentric(A2={a2:g},B2={b2:g},D1={d1:g})", f, dp, dq)
+    return Fn2(f"concentric(A2={a2:g},B2={b2:g},D1={d1:g})", f,
+               lambda p, q: jet(p, q)[1], lambda p, q: jet(p, q)[2], jet=jet)
 
 
 def theta_solitary(d1, hw1=1.0, hw2=1.0):

@@ -872,7 +872,8 @@ def _build_r3_e1s2s3_v2(p, gas):
         custom_eval=ev,
         default_window={"t": (0.0, 0.6)},
         notes="u3 is convected by the planar flow (no algebraic vortex chart is "
-              "convected here); traced by backward characteristics",
+              "convected here); traced backward in 100 RK4 steps carrying r1 "
+              "(d_s r1 = a/delta and grad_x r1 . v = 0, so dr1/ds = a/delta)",
     )
 
 

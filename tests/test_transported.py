@@ -11,7 +11,7 @@ from scipy.integrate import solve_ivp
 from riemannwaves import cli
 from riemannwaves.catalog import make_family, transported
 from riemannwaves.catalog.transported import RotatingPolarizationEvaluator
-from riemannwaves.solver import STATUS_OK
+from riemannwaves.solver import STATUS_NEAR_CATASTROPHE, STATUS_OK
 from riemannwaves.verify import GridSpec, _keep_mask, residual_exact, residual_fd
 
 V1, V2 = "R3_E1S2S3_v1", "R3_E1S2S3_v2"
@@ -72,6 +72,28 @@ def _dop853_foot(ev, t, x3):
     return np.array(feet), np.array(sens)
 
 
+def _dop853_planar_foot(ev, t, x1, x2):
+    """v2's foot y(0) and M = dy(0)/d(x1, x2), integrated backward from s = t
+    by scipy's DOP853 with the variational equation; each right-hand side
+    solves r1 at (s, y) by Newton."""
+    feet, sens = [], []
+    for ti, a, b in zip(t, x1, x2):
+        def rhs(s, z):
+            r1, _ = ev.solve_r1(np.array([s]), z[:1], z[1:2])
+            fv, df = ev.F(r1)[0], ev.F.d(r1)[0]
+            c, sn = np.cos(fv), np.sin(fv)
+            delta = 1.0 - df / ev.kappa * s - (z[0] * sn - z[1] * c) * df
+            n = np.array([c, sn])
+            dm = -df / delta * np.outer(n, n) @ z[2:].reshape(2, 2)
+            return np.concatenate([[sn, -c], dm.ravel()])
+        sol = solve_ivp(rhs, (ti, 0.0), [a, b, 1.0, 0.0, 0.0, 1.0], method="DOP853",
+                        rtol=1e-13, atol=1e-13)
+        assert sol.success
+        feet.append(sol.y[:2, -1])
+        sens.append(sol.y[2:, -1].reshape(2, 2))
+    return np.array(feet), np.array(sens)
+
+
 def _v1_foot(spec, t, x3):
     """(r1, r3, dr3/dt, dr3/dx3, ok) of a v1 evaluator at (t, x3)."""
     ev = spec.custom_eval
@@ -104,6 +126,36 @@ def test_default_steps_match_refined_reference(fid, params):
     assert np.array_equal(got.status, want.status)
     assert np.max(np.abs(got.state[ok] - want.state[ok])) <= 1e-10
     assert np.max(np.abs(got.jac[ok] - want.jac[ok])) <= 1e-10
+
+
+def test_v2_foot_matches_dop853():
+    # measured: foot 2.6e-13, M 5.9e-13
+    ev = make_family(V2).custom_eval
+    t, x = _points(make_family(V2), 24, seed=5)
+    y, m, _, ok, _ = ev._foot(t, x[:, 0], x[:, 1])
+    want_y, want_m = _dop853_planar_foot(ev, t, x[:, 0], x[:, 1])
+    assert ok.all()
+    assert np.max(np.abs(y - want_y)) <= 1e-10
+    assert np.max(np.abs(m - want_m)) <= 1e-10
+
+
+def test_v2_richardson_error_estimate():
+    """RK4's error at 100 steps, estimated as |y(50) - y(100)| / 15 on 24
+    default points: 2.6e-13 on the foot and 5.7e-13 on M (the DOP853
+    comparison reads the same), with the observed order 4.0 from 25, 50 and
+    100 steps."""
+    spec = make_family(V2)
+    t, x = _points(spec, 24, seed=5)
+    feet = {}
+    for steps in (25, 50, 100):
+        ev = make_family(V2).custom_eval
+        ev.ode_steps = steps
+        feet[steps] = ev._foot(t, x[:, 0], x[:, 1])[:2]
+    for k, bound in ((0, 1e-12), (1, 2e-12)):     # foot, then M
+        coarse = np.max(np.abs(feet[25][k] - feet[50][k]))
+        fine = np.max(np.abs(feet[50][k] - feet[100][k]))
+        assert fine / 15.0 <= bound
+        assert 3.7 <= np.log2(coarse / fine) <= 4.3
 
 
 @pytest.mark.parametrize("a1", [0.25, -0.3, 0.6])
@@ -394,3 +446,44 @@ def test_foot_of_a_point_does_not_depend_on_its_batch(preset):
         idx = rng.choice(len(t), n, replace=False)
         for a, b in zip(full, ev.r3_first_integral(t[idx], r1[idx])):
             assert np.array_equal(a[idx], b)
+
+
+def test_v2_foot_solves_r1_once(monkeypatch):
+    # r1 rides the RK4 state (dr1/ds = a/delta); only the point itself is solved
+    ev = make_family(V2).custom_eval
+    t, x = _points(make_family(V2), 50, seed=11)
+    calls = _count_calls(monkeypatch, ev, "solve_r1")
+    ev._integrate_foot(t, x[:, 0], x[:, 1])
+    assert len(calls) == 1
+
+
+def test_v2_foot_of_a_point_does_not_depend_on_its_batch():
+    spec = make_family(V2)
+    ev = spec.custom_eval
+    t, x = _points(spec, 1001, seed=12)
+    full = ev._integrate_foot(t, x[:, 0], x[:, 1])
+    rng = np.random.default_rng(13)
+    for n in (1, 7, 33, 500):
+        idx = rng.choice(len(t), n, replace=False)
+        for a, b in zip(full, ev._integrate_foot(t[idx], x[idx, 0], x[idx, 1])):
+            assert np.array_equal(a[idx], b)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_v2_paths_through_delta_zero_leave_no_ok_row():
+    # at A1 = 4 some backward paths reach delta <= 0, where dr1/ds = a/delta
+    # blows up; their carried r1 then misses r1(0, y) = -y . n at the foot
+    spec = make_family(V2, {"A1": 4.0})
+    t, x = _points(spec, 600, seed=1)
+    res = spec.evaluate_batch(t, x)
+    solved = res.status == STATUS_OK
+    assert (res.status == STATUS_NEAR_CATASTROPHE).sum() >= 50
+    for name in ("r", "state", "jac", "cond_det"):
+        assert np.isfinite(getattr(res, name)[solved]).all(), name
+    assert residual_exact(spec, points=(t[solved], x[solved])).max_normalized <= 1e-8
+    # the kept feet hold against 16x the steps (measured 9.7e-9)
+    ref = make_family(V2, {"A1": 4.0}).custom_eval
+    ref.ode_steps = 16 * spec.custom_eval.ode_steps
+    got = spec.custom_eval._foot(t, x[:, 0], x[:, 1])
+    want = ref._foot(t, x[:, 0], x[:, 1])
+    assert np.max(np.abs(got[0][solved] - want[0][solved])) <= 1e-7
