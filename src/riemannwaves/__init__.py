@@ -11,7 +11,7 @@ gradient-catastrophe detection.
 from . import catalog, conditions, elliptic, fluid, linalg, solver, verify
 from .catalog import ConstraintError, FamilySpec, ValidityError, make_family
 from .fluid import GasParams, StateVec, WaveVector
-from .solver import CatastropheError, ConvergenceError, ImplicitPoint, ImplicitProblem
+from .solver import CatastropheError, ConvergenceError
 from .verify import GridSpec, ResidualReport
 
 __version__ = "0.1.0"
@@ -20,7 +20,7 @@ __all__ = [
     "catalog", "conditions", "elliptic", "fluid", "linalg", "solver", "verify",
     "ConstraintError", "FamilySpec", "ValidityError", "make_family",
     "GasParams", "StateVec", "WaveVector",
-    "CatastropheError", "ConvergenceError", "ImplicitPoint", "ImplicitProblem",
+    "CatastropheError", "ConvergenceError",
     "GridSpec", "ResidualReport",
     "__version__",
 ]

@@ -9,6 +9,8 @@ constraint.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from ..fluid import GasParams
@@ -61,49 +63,109 @@ def _acoustic_profile(preset, a, b, who):
 
 
 # ---------------------------------------------------------------------------
-# rank-1 acoustic simple wave
+# k = 1..3 acoustic simple waves, pairwise angle-locked
 # ---------------------------------------------------------------------------
 
 def _defaults_r1_e(gas):
     return {"A1": 0.25, "B1": 1.0, "e1": (1.0, 0.0, 0.0), "epsilon": 1, "profile": "linear"}
 
 
-def _build_r1_e(p, gas):
+def _angled_pair(kappa):
+    cosphi = -1.0 / kappa
+    sinphi = np.sqrt(1.0 - cosphi**2)
+    return (1.0, 0.0, 0.0), (cosphi, sinphi, 0.0)
+
+
+def _defaults_r2_e1e2(gas):
+    e1, e2 = _angled_pair(gas.kappa)
+    return {"A1": 0.25, "A2": 0.25, "B1": 1.0, "B2": 1.0,
+            "e1": e1, "e2": e2, "profile": "linear"}
+
+
+def _defaults_r3_e1e2e3(gas):
+    s2 = (2.0 / 3.0) * (1.0 + 1.0 / gas.kappa)
+    s, c = np.sqrt(s2), np.sqrt(1.0 - s2)
+    ang = 2.0 * np.pi / 3.0
+    return {"A1": 0.25, "A2": 0.25, "A3": 0.25, "B1": 1.0, "B2": 1.0, "B3": 1.0,
+            "e1": (s, 0.0, c),
+            "e2": (s * np.cos(ang), s * np.sin(ang), c),
+            "e3": (s * np.cos(2 * ang), s * np.sin(2 * ang), c),
+            "profile": "linear"}
+
+
+# per id: description, end of the default t-window, whether the probe ray
+# -(e1 + ... + ek) is normalised
+_ACOUSTIC = {
+    "R1_E": ("rank-1 acoustic simple wave (linear or kink amplitude)", 0.5, False),
+    "R2_E1E2": ("two acoustic waves superposed linearly; angle-locked directions", 0.45, False),
+    "R3_E1E2E3": ("three acoustic waves, pairwise angle-locked (linear, kink or exp-kink)",
+                  0.45, True),
+}
+
+
+def _build_acoustic(fid, p, gas):
+    """k acoustic waves, k = the number of e1..e3 given, with e_i.e_j = -1/kappa.
+
+    a = sum_i f_i(r_i) and u = eps kappa sum_i f_i(r_i) e_i.  A linear profile
+    has the closed form r_i = -(x.e_i) / (1 - eps (1 + kappa) A_i t).
+    """
+    description, t_end, unit_probe = _ACOUSTIC[fid]
     kappa = gas.kappa
-    e1 = _unit3(p["e1"], "e1")
-    eps = int(p["epsilon"])
-    prof = _acoustic_profile(p["profile"], p["A1"], p["B1"], "R1_E")
-    wave = PotentialWave(e=e1, epsilon=eps)
-    waves, waves_jac, dr_du = stack_waves([wave])
+    ids = [i for i in (1, 2, 3) if f"e{i}" in p]
+    k = len(ids)
+    evecs = [_unit3(p[f"e{i}"], f"e{i}") for i in ids]
+    for i in range(k):
+        for j in range(i + 1, k):
+            _check_angle(evecs[i], evecs[j], kappa, (f"e{i+1}", f"e{j+1}"))
+    eps = p.get("epsilon", 1)
+    if eps not in (1, -1):
+        raise ConstraintError(f"epsilon must be +1 or -1, got {eps!r}")
+    eps = int(eps)
+    eps_kappa, eps_1k = eps * kappa, eps * (1.0 + kappa)
+    A, B = [p[f"A{i}"] for i in ids], [p[f"B{i}"] for i in ids]
+    profs = [_acoustic_profile(p["profile"], a, b, fid) for a, b in zip(A, B)]
+    waves, waves_jac, dr_du = stack_waves([PotentialWave(e=e, epsilon=eps) for e in evecs])
 
     def profile(r, t):
-        amp = prof(r[:, 0])
-        return np.column_stack([amp, kappa * amp[:, None] * e1])
+        # the sums start from the first wave's term (a +0 start would turn -0 into +0)
+        a = profs[0](r[:, 0])
+        u = a[:, None] * evecs[0]
+        for i in range(1, k):
+            amp = profs[i](r[:, i])
+            a = a + amp
+            u = u + amp[:, None] * evecs[i]
+        return np.column_stack([a, eps_kappa * u])
 
     def profile_jac(r, t):
-        d = prof.d(r[:, 0])
-        out = np.empty((len(r), 4, 1))
-        out[:, 0, 0] = d
-        out[:, 1:, 0] = kappa * d[:, None] * e1
+        out = np.empty((len(r), 4, k))
+        for i in range(k):
+            d = profs[i].d(r[:, i])
+            out[:, 0, i] = d
+            out[:, 1:, i] = eps_kappa * d[:, None] * evecs[i]
         return out
 
-    tsing = ((1.0 + kappa) * p["A1"]) ** -1.0 if p["A1"] != 0 else None
+    # a wave with A_i = 0 (or B_i = 0 for expkink) never steepens
+    if p["profile"] == "expkink":  # f' < 0 everywhere: the r = 0 sheet steepens at t < 0
+        tsing = tuple(-2.0**2.5 / (eps_1k * a * b) for a, b in zip(A, B) if a * b != 0)
+    else:
+        tsing = tuple((eps_1k * a) ** -1.0 for a in A if a != 0)
 
     def closed_form(t, x, branch=None):
-        denom = (1.0 + kappa) * p["A1"] * t - 1.0
-        r = (x @ e1) / denom
-        return r[:, None], profile(r[:, None], t)
+        r = np.empty((len(t), k))
+        for i, e in enumerate(evecs):
+            r[:, i] = -(x @ e) / (1.0 - eps_1k * A[i] * t)
+        return r, profile(r, t)
 
+    esum = sum(evecs[1:], evecs[0])
     return FamilySpec(
-        id="R1_E", rank=1, n_waves=1,
-        description="rank-1 acoustic simple wave (linear or kink amplitude)",
+        id=fid, rank=k, n_waves=k, description=description,
         params=p, gas=gas,
         profile=profile, profile_jac=profile_jac, waves=waves, waves_jac=waves_jac,
         dr_du=dr_du,
-        singular_time_values=(tsing,) if tsing is not None else (),
+        singular_time_values=tsing,
         closed_form=closed_form if p["profile"] == "linear" else None,
-        probe_x=-e1,
-        default_window={"t": (0.0, 0.5)},
+        probe_x=-esum / max(np.linalg.norm(esum), 1e-9) if unit_probe else -esum,
+        default_window={"t": (0.0, t_end)},
     )
 
 
@@ -153,65 +215,6 @@ def _build_r1_s(p, gas):
         profile=profile, profile_jac=profile_jac, waves=waves, waves_jac=waves_jac,
         dr_du=dr_du,
         default_window={"t": (0.0, 3.0)},
-    )
-
-
-# ---------------------------------------------------------------------------
-# two acoustic waves, angle-locked (linear superposition)
-# ---------------------------------------------------------------------------
-
-def _angled_pair(kappa):
-    cosphi = -1.0 / kappa
-    sinphi = np.sqrt(1.0 - cosphi**2)
-    return (1.0, 0.0, 0.0), (cosphi, sinphi, 0.0)
-
-
-def _defaults_r2_e1e2(gas):
-    e1, e2 = _angled_pair(gas.kappa)
-    return {"A1": 0.25, "A2": 0.25, "B1": 1.0, "B2": 1.0,
-            "e1": e1, "e2": e2, "profile": "linear"}
-
-
-def _build_r2_e1e2(p, gas):
-    kappa = gas.kappa
-    e1, e2 = _unit3(p["e1"], "e1"), _unit3(p["e2"], "e2")
-    _check_angle(e1, e2, kappa, ("e1", "e2"))
-    prof1 = _acoustic_profile(p["profile"], p["A1"], p["B1"], "R2_E1E2")
-    prof2 = _acoustic_profile(p["profile"], p["A2"], p["B2"], "R2_E1E2")
-    waves, waves_jac, dr_du = stack_waves([PotentialWave(e=e1), PotentialWave(e=e2)])
-
-    def profile(r, t):
-        a1v, a2v = prof1(r[:, 0]), prof2(r[:, 1])
-        a = a1v + a2v
-        u = kappa * (a1v[:, None] * e1 + a2v[:, None] * e2)
-        return np.column_stack([a, u])
-
-    def profile_jac(r, t):
-        d1, d2 = prof1.d(r[:, 0]), prof2.d(r[:, 1])
-        out = np.empty((len(r), 4, 2))
-        out[:, 0, 0], out[:, 0, 1] = d1, d2
-        out[:, 1:, 0] = kappa * d1[:, None] * e1
-        out[:, 1:, 1] = kappa * d2[:, None] * e2
-        return out
-
-    tsing = tuple(((1.0 + kappa) * p[f"A{i}"]) ** -1.0 for i in (1, 2) if p[f"A{i}"] != 0)
-
-    def closed_form(t, x, branch=None):
-        r = np.empty((len(t), 2))
-        for i, (ai, ei) in enumerate(((p["A1"], e1), (p["A2"], e2))):
-            r[:, i] = -(x @ ei) / (1.0 - (1.0 + kappa) * ai * t)
-        return r, profile(r, t)
-
-    return FamilySpec(
-        id="R2_E1E2", rank=2, n_waves=2,
-        description="two acoustic waves superposed linearly; angle-locked directions",
-        params=p, gas=gas,
-        profile=profile, profile_jac=profile_jac, waves=waves, waves_jac=waves_jac,
-        dr_du=dr_du,
-        singular_time_values=tsing,
-        closed_form=closed_form if p["profile"] == "linear" else None,
-        probe_x=-(e1 + e2),
-        default_window={"t": (0.0, 0.45)},
     )
 
 
@@ -642,70 +645,6 @@ def _build_r2_s1s2s3(p, gas):
 
 
 # ---------------------------------------------------------------------------
-# three acoustic waves, pairwise angle-locked
-# ---------------------------------------------------------------------------
-
-def _defaults_r3_e1e2e3(gas):
-    s2 = (2.0 / 3.0) * (1.0 + 1.0 / gas.kappa)
-    s, c = np.sqrt(s2), np.sqrt(1.0 - s2)
-    ang = 2.0 * np.pi / 3.0
-    return {"A1": 0.25, "A2": 0.25, "A3": 0.25, "B1": 1.0, "B2": 1.0, "B3": 1.0,
-            "e1": (s, 0.0, c),
-            "e2": (s * np.cos(ang), s * np.sin(ang), c),
-            "e3": (s * np.cos(2 * ang), s * np.sin(2 * ang), c),
-            "profile": "linear"}
-
-
-def _build_r3_e1e2e3(p, gas):
-    kappa = gas.kappa
-    evecs = [_unit3(p[f"e{i}"], f"e{i}") for i in (1, 2, 3)]
-    for i in range(3):
-        for j in range(i + 1, 3):
-            _check_angle(evecs[i], evecs[j], kappa, (f"e{i+1}", f"e{j+1}"))
-    profs = [_acoustic_profile(p["profile"], p[f"A{i}"], p[f"B{i}"], "R3_E1E2E3")
-             for i in (1, 2, 3)]
-    waves, waves_jac, dr_du = stack_waves([PotentialWave(e=e) for e in evecs])
-
-    def profile(r, t):
-        amps = [prof(r[:, i]) for i, prof in enumerate(profs)]
-        a = amps[0] + amps[1] + amps[2]
-        u = kappa * sum(amp[:, None] * e for amp, e in zip(amps, evecs))
-        return np.column_stack([a, u])
-
-    def profile_jac(r, t):
-        out = np.empty((len(r), 4, 3))
-        for i, (prof, e) in enumerate(zip(profs, evecs)):
-            d = prof.d(r[:, i])
-            out[:, 0, i] = d
-            out[:, 1:, i] = kappa * d[:, None] * e
-        return out
-
-    if p["profile"] in ("linear", "kink"):
-        tsing = tuple(((1.0 + kappa) * p[f"A{i}"]) ** -1.0 for i in (1, 2, 3))
-    else:  # expkink: catastrophe on the r=0 sheet happens at negative time
-        tsing = tuple(-2.0**2.5 / ((1.0 + kappa) * p[f"A{i}"] * p[f"B{i}"]) for i in (1, 2, 3))
-
-    def closed_form(t, x, branch=None):
-        r = np.empty((len(t), 3))
-        for i, e in enumerate(evecs):
-            r[:, i] = -(x @ e) / (1.0 - (1.0 + kappa) * p[f"A{i+1}"] * t)
-        return r, profile(r, t)
-
-    esum = evecs[0] + evecs[1] + evecs[2]
-    return FamilySpec(
-        id="R3_E1E2E3", rank=3, n_waves=3,
-        description="three acoustic waves, pairwise angle-locked (linear, kink or exp-kink)",
-        params=p, gas=gas,
-        profile=profile, profile_jac=profile_jac, waves=waves, waves_jac=waves_jac,
-        dr_du=dr_du,
-        singular_time_values=tsing,
-        closed_form=closed_form if p["profile"] == "linear" else None,
-        probe_x=-esum / max(np.linalg.norm(esum), 1e-9),
-        default_window={"t": (0.0, 0.45)},
-    )
-
-
-# ---------------------------------------------------------------------------
 # acoustic + two vortex waves with a transported third invariant
 # ---------------------------------------------------------------------------
 
@@ -984,16 +923,16 @@ def _build_rk_time_a(p, gas):
 # ---------------------------------------------------------------------------
 
 _REGISTRY = {
-    "R1_E": (_build_r1_e, _defaults_r1_e),
+    "R1_E": (partial(_build_acoustic, "R1_E"), _defaults_r1_e),
     "R1_S": (_build_r1_s, _defaults_r1_s),
-    "R2_E1E2": (_build_r2_e1e2, _defaults_r2_e1e2),
+    "R2_E1E2": (partial(_build_acoustic, "R2_E1E2"), _defaults_r2_e1e2),
     "R2_E1S2": (_build_r2_e1s2, _defaults_r2_e1s2),
     "R2_S1S2_MA": (_build_r2_s1s2_ma, _defaults_r2_s1s2_ma),
     "R2_S1S2_ADD": (_build_r2_s1s2_add, _defaults_r2_s1s2_add),
     "R2_E1E2S3": (_build_r2_e1e2s3, _defaults_r2_e1e2s3),
     "R2_E1S2S3": (_build_r2_e1s2s3, _defaults_r2_e1s2s3),
     "R2_S1S2S3": (_build_r2_s1s2s3, _defaults_r2_s1s2s3),
-    "R3_E1E2E3": (_build_r3_e1e2e3, _defaults_r3_e1e2e3),
+    "R3_E1E2E3": (partial(_build_acoustic, "R3_E1E2E3"), _defaults_r3_e1e2e3),
     "R3_E1S2S3_v1": (_build_r3_e1s2s3_v1, _defaults_r3_e1s2s3_v1),
     "R3_E1S2S3_v2": (_build_r3_e1s2s3_v2, _defaults_r3_e1s2s3_v2),
     "RK_TIME_A": (_build_rk_time_a, _defaults_rk_time_a),

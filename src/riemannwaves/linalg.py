@@ -1,10 +1,10 @@
 """Small dense real matrix kernels (n <= 6).
 
-Everything the wave machinery needs from linear algebra lives here:
-determinant and inverse by partial-pivot elimination, the classical
-adjugate, singular values by one-sided Jacobi iteration, numerical rank,
-and the characteristic-polynomial coefficients p_1..p_n computed through
-the Faddeev recursion
+What the wave machinery needs from linear algebra: determinant and
+inverse by partial-pivot elimination (the per-point trace conditions),
+singular values by one-sided Jacobi iteration with numerical rank and null
+space (the rank checks), and the characteristic-polynomial coefficients
+p_1..p_n computed through the Faddeev recursion
 
     k p_k = s_k - p_1 s_{k-1} - ... - p_{k-1} s_1,   s_k = tr(m^k),
 
@@ -22,7 +22,6 @@ __all__ = [
     "as_square",
     "determinant",
     "inverse",
-    "adjugate",
     "faddeev_coeffs",
     "cayley_hamilton_residual",
     "singular_values",
@@ -82,38 +81,6 @@ def inverse(m) -> np.ndarray:
             if i != j:
                 aug[i] -= aug[i, j] * aug[j]
     return aug[:, n:].copy()
-
-
-def _adjugate_cofactors(a: np.ndarray) -> np.ndarray:
-    """Adjugate from first principles: adj(a)[j, i] = cofactor_ij."""
-    n = a.shape[0]
-    if n == 1:
-        return np.ones((1, 1))
-    adj = np.empty((n, n))
-    rows = np.arange(n)
-    for i in range(n):
-        for j in range(n):
-            minor = a[np.ix_(rows != i, rows != j)]
-            adj[j, i] = (-1.0) ** (i + j) * determinant(minor)
-    return adj
-
-
-def adjugate(m) -> np.ndarray:
-    """Classical adjoint: m @ adj(m) = det(m) * I, valid for singular m too.
-
-    Cofactor expansion is used for n <= 4 (exact-degree polynomials in the
-    entries, robust when m is singular); larger well-conditioned matrices go
-    through det * inverse with a cofactor fallback.
-    """
-    a = as_square(m)
-    n = a.shape[0]
-    if n <= 4:
-        return _adjugate_cofactors(a)
-    det = determinant(a)
-    scale = np.max(np.abs(a)) or 1.0
-    if abs(det) > 1e-12 * scale**n:
-        return det * inverse(a)
-    return _adjugate_cofactors(a)
 
 
 def faddeev_coeffs(m) -> np.ndarray:

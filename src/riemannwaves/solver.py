@@ -19,23 +19,17 @@ gradient catastrophe.  The exact Jacobi matrix of the solved field is
 
 The batched kernels take dr/du from the family (``stack_waves``), where each
 wave kind supplies its own contraction: t * row for the acoustic and vortex
-waves, whose covectors depend on the state through lam_0 alone.  Internals
-are batched over points (shape (N, ...)) so grid sweeps stay cheap; the
-scalar API wraps N = 1 and builds dr/du by contracting the full derivative
-stack waves_jac (N, k, 4, 4) with x, the reference form.
+waves, whose covectors depend on the state through lam_0 alone.  Both
+kernels are batched over points (shape (N, ...)); one point is N = 1.  The
+full derivative stack waves_jac (N, k, 4, 4) never enters them: the trace
+conditions read it, and the tests contract it with x as the reference dr/du.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from . import linalg
-
 __all__ = [
-    "ImplicitProblem",
-    "ImplicitPoint",
     "ConvergenceError",
     "CatastropheError",
     "STATUS_OK",
@@ -43,10 +37,6 @@ __all__ = [
     "STATUS_NEAR_CATASTROPHE",
     "newton_batch",
     "jacobi_batch",
-    "solve_point",
-    "jacobi_matrix",
-    "implicit_condition",
-    "solution_rank",
 ]
 
 NEWTON_TOL = 1e-12
@@ -65,43 +55,6 @@ class ConvergenceError(RuntimeError):
 
 class CatastropheError(RuntimeError):
     """Implicit-function determinant below the floor: too close to a gradient catastrophe."""
-
-
-@dataclass(frozen=True)
-class ImplicitProblem:
-    """Data for one rank-k implicit evaluation.
-
-    profile / profile_jac map invariants (N, k) [with the per-point time
-    (N,) as second argument, for families whose profile carries an explicit
-    time dependence] to states (N, 4) and profile Jacobians (N, 4, k).
-    waves / waves_jac map states (N, 4) to covector stacks (N, k, 4) and
-    derivative stacks (N, k, 4, 4) indexed [A, i, alpha].
-    """
-
-    k: int
-    profile: callable
-    profile_jac: callable
-    waves: callable
-    waves_jac: callable
-    x: np.ndarray
-    extra_time_deriv: callable | None = None
-
-    def __post_init__(self):
-        if self.k not in (1, 2, 3):
-            raise ValueError(f"wave count k must be 1, 2 or 3, got {self.k}")
-        object.__setattr__(self, "x", np.asarray(self.x, dtype=float).reshape(4))
-
-
-@dataclass(frozen=True)
-class ImplicitPoint:
-    """A solved evaluation: invariants, state, exact Jacobi matrix, condition det."""
-
-    r: np.ndarray
-    state: np.ndarray
-    jac: np.ndarray
-    cond_det: float
-    x: np.ndarray
-    residual: float = 0.0
 
 
 def newton_batch(profile, profile_jac, waves, dr_du, X, r0=None,
@@ -233,65 +186,3 @@ def jacobi_batch(profile, profile_jac, waves, dr_du, X, r,
     if extra_time_deriv is not None:
         jac[:, :, 0] += extra_time_deriv(t)
     return jac
-
-
-def solve_point(problem: ImplicitProblem, guess=None) -> ImplicitPoint:
-    """Solve the implicit system at problem.x and assemble the exact Jacobi matrix.
-
-    Raises ConvergenceError when Newton stalls and CatastropheError when the
-    implicit-function determinant falls below 1e-10 along the path.
-    """
-    X = problem.x[None, :]
-    if guess is None:
-        r0 = initial_guess(problem.profile, problem.waves, X, problem.k)
-    else:
-        r0 = np.asarray(guess, dtype=float).reshape(1, problem.k)
-
-    def dr_du(u, pts):  # the reference form: contract the full derivative stack
-        return np.einsum("nkia,ni->nka", problem.waves_jac(u), pts)
-
-    r, u, status, cond = newton_batch(problem.profile, problem.profile_jac,
-                                      problem.waves, dr_du, X, r0)
-    if status[0] == STATUS_NEAR_CATASTROPHE:
-        raise CatastropheError(f"implicit-function determinant {cond[0]:.3e} below {DET_FLOOR}")
-    if status[0] != STATUS_OK:
-        raise ConvergenceError(f"Newton did not converge after {NEWTON_MAX_ITER} iterations")
-    jac = jacobi_batch(problem.profile, problem.profile_jac, problem.waves,
-                       dr_du, X, r, problem.extra_time_deriv)
-    lam = problem.waves(u)
-    resid = float(np.max(np.abs(r - np.einsum("nki,ni->nk", lam, X))))
-    return ImplicitPoint(r=r[0], state=u[0], jac=jac[0], cond_det=float(cond[0]),
-                         x=problem.x.copy(), residual=resid)
-
-
-def jacobi_matrix(pt: ImplicitPoint, problem: ImplicitProblem) -> np.ndarray:
-    """Recompute du at a solved point; (Jacobi) form with singular-bracket guard."""
-    X = pt.x[None, :]
-    t = X[:, 0]
-    r = pt.r[None, :]
-    u = problem.profile(r, t)
-    fr = problem.profile_jac(r, t)
-    ru = np.einsum("nkia,ni->nka", problem.waves_jac(u), X)
-    bracket = np.eye(4) - (fr @ ru)[0]
-    if abs(linalg.determinant(bracket)) < DET_FLOOR:
-        raise CatastropheError("singular bracket I4 - (df/dr)(dr/du)")
-    jac = linalg.inverse(bracket) @ (fr @ problem.waves(u))[0]
-    if problem.extra_time_deriv is not None:
-        jac[:, 0] += problem.extra_time_deriv(t)[0]
-    return jac
-
-
-def implicit_condition(pt: ImplicitPoint, problem: ImplicitProblem) -> float:
-    """det(I_k - (dr/du)(df/dr)) at a solved point."""
-    X = pt.x[None, :]
-    t = X[:, 0]
-    r = pt.r[None, :]
-    u = problem.profile(r, t)
-    fr = problem.profile_jac(r, t)
-    ru = np.einsum("nkia,ni->nka", problem.waves_jac(u), X)
-    return float(np.linalg.det(np.eye(problem.k) - (ru @ fr)[0]))
-
-
-def solution_rank(pt: ImplicitPoint, rel_tol: float = 1e-8) -> int:
-    """Numerical rank of the solved Jacobi matrix."""
-    return linalg.numerical_rank(pt.jac, rel_tol=rel_tol)

@@ -124,6 +124,35 @@ def test_singular_time_formulas():
     kinkb = make_family("R3_E1E2E3", profile="expkink", A1=1.0, A2=1.0, A3=1.0)
     expected = -(2.0**2.5) / (4.0 * 1.0 * 1.0)
     assert np.allclose(kinkb.singular_times(), [expected] * 3)
+    # f' < 0 everywhere for the exp-kink at every rank, not just rank 3
+    assert np.allclose(make_family("R1_E", profile="expkink", A1=1.0).singular_times(),
+                       [expected])
+    assert np.allclose(make_family("R2_E1E2", profile="expkink", A1=1.0, A2=1.0)
+                       .singular_times(), [expected] * 2)
+    # a wave with zero amplitude never steepens and reports no time
+    assert make_family("R3_E1E2E3", A3=0.0).singular_times() == [1.0, 1.0]
+    # eps = -1 reverses the wave: (eps (1 + kappa) A)^-1
+    assert make_family("R1_E", epsilon=-1).singular_times() == [-1.0]
+
+
+def test_r1_e_negative_epsilon_is_a_solution():
+    # u = eps kappa a e: with eps = -1 the velocity points along -e
+    from riemannwaves.verify import GridSpec, residual_exact, residual_fd
+    spec = make_family("R1_E", epsilon=-1)
+    grid = GridSpec.from_window(spec.default_grid_window())
+    assert residual_exact(spec, grid=grid).max_normalized <= 1e-8
+    assert residual_fd(spec, grid=grid).passed(1e-5)
+    rng = np.random.default_rng(16)
+    t = rng.uniform(0.02, 0.5, 100)
+    x = rng.uniform(-1.0, 1.0, (100, 3))
+    res = spec.evaluate_batch(t, x)
+    ok = res.status == 0  # about half the points have a > 0
+    assert ok.sum() >= 30
+    _, uc = spec.closed_form(t[ok], x[ok])
+    assert np.max(np.abs(uc - res.state[ok])) <= 1e-10
+    for bad in (0, 2):  # only eps = +-1 gives an acoustic covector
+        with pytest.raises(ConstraintError):
+            make_family("R1_E", epsilon=bad)
 
 
 def test_closed_forms_agree_with_newton_path():

@@ -102,34 +102,6 @@ def test_cayley_hamilton_similarity_invariance():
         assert base <= bound and rotated <= bound
 
 
-def test_adjugate_identity_and_2x2():
-    assert np.allclose(linalg.adjugate(np.eye(4)), np.eye(4))
-    adj = linalg.adjugate([[1.0, 2.0], [3.0, 4.0]])
-    assert np.allclose(adj, [[4.0, -2.0], [-3.0, 1.0]])
-
-
-def test_adjugate_singular_rank1():
-    rng = np.random.default_rng(3)
-    m = np.outer(rng.normal(size=3), rng.normal(size=3))
-    prod = m @ linalg.adjugate(m)
-    assert np.max(np.abs(prod)) <= 1e-10 * (1.0 + np.max(np.abs(m))) ** 3
-
-
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
-def test_adjugate_contract_including_singular(n):
-    rng = np.random.default_rng(100 + n)
-    mats = [rng.normal(size=(n, n)) for _ in range(20)]
-    # append singular ones
-    for _ in range(5):
-        m = rng.normal(size=(n, n))
-        m[-1] = m[0]
-        mats.append(m)
-    for m in mats:
-        det = linalg.determinant(m)
-        lhs = linalg.adjugate(m) @ m
-        assert np.max(np.abs(lhs - det * np.eye(n))) <= 1e-9 * (1.0 + np.max(np.abs(m))) ** n
-
-
 def test_determinant_inverse_against_numpy():
     rng = np.random.default_rng(17)
     for n in range(1, 7):
@@ -188,15 +160,6 @@ def test_property_last_coefficient_signed_det(m):
     det = linalg.determinant(m)
     scale = 1.0 + np.max(np.abs(m)) ** n
     assert abs(p[-1] - (-1.0) ** (n + 1) * det) <= 1e-9 * scale
-
-
-@settings(max_examples=60, deadline=None)
-@given(square_matrices())
-def test_property_adjugate_contract(m):
-    n = m.shape[0]
-    det = linalg.determinant(m)
-    assert np.max(np.abs(linalg.adjugate(m) @ m - det * np.eye(n))) \
-        <= 1e-8 * (1.0 + np.max(np.abs(m))) ** n
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,23 +1,45 @@
 """Implicit-solution solver: Newton path, Jacobi matrices, condition determinant."""
 
-import numpy as np
-import pytest
+from types import SimpleNamespace
 
+import numpy as np
+
+from riemannwaves import linalg
 from riemannwaves.catalog import make_family
 from riemannwaves.catalog.base import PotentialWave, RotationalWave, stack_waves
 from riemannwaves.solver import (
-    CatastropheError,
-    ImplicitProblem,
-    implicit_condition,
-    jacobi_matrix,
-    solution_rank,
-    solve_point,
+    STATUS_NEAR_CATASTROPHE,
+    STATUS_OK,
+    initial_guess,
+    jacobi_batch,
+    newton_batch,
 )
 
 KAPPA = 3.0
 
 
-def constant_profile_problem(x, u0=(1.0, 0.2, -0.1, 0.4)):
+def problem(k, profile, profile_jac, waves, waves_jac):
+    return SimpleNamespace(k=k, profile=profile, profile_jac=profile_jac,
+                           waves=waves, waves_jac=waves_jac)
+
+
+def solve_one(prob, x, expect=STATUS_OK):
+    """Newton and the Jacobi assembly at N = 1, dr/du by the reference contraction of waves_jac."""
+    X = np.asarray(x, dtype=float).reshape(1, 4)
+
+    def dr_du(u, pts):
+        return np.einsum("nkia,ni->nka", prob.waves_jac(u), pts)
+
+    r0 = initial_guess(prob.profile, prob.waves, X, prob.k)
+    r, u, status, cond = newton_batch(prob.profile, prob.profile_jac, prob.waves, dr_du, X, r0)
+    assert status[0] == expect
+    jac = jacobi_batch(prob.profile, prob.profile_jac, prob.waves, dr_du, X, r)
+    resid = float(np.max(np.abs(r - np.einsum("nki,ni->nk", prob.waves(u), X))))
+    return SimpleNamespace(r=r[0], state=u[0], jac=jac[0], cond_det=float(cond[0]),
+                           x=X[0], residual=resid)
+
+
+def constant_profile_problem(u0=(1.0, 0.2, -0.1, 0.4)):
     """f == u0 with one rotational wave: r solves a linear system, du = 0."""
     u0 = np.asarray(u0, dtype=float)
     waves, waves_jac, _ = stack_waves([RotationalWave(lsp=np.array([1.0, 0.0, 0.0]))])
@@ -28,11 +50,10 @@ def constant_profile_problem(x, u0=(1.0, 0.2, -0.1, 0.4)):
     def profile_jac(r, t):
         return np.zeros((len(r), 4, 1))
 
-    return ImplicitProblem(k=1, profile=profile, profile_jac=profile_jac,
-                           waves=waves, waves_jac=waves_jac, x=np.asarray(x, float))
+    return problem(1, profile, profile_jac, waves, waves_jac)
 
 
-def e1e2_problem(x, slopes=(-1.0, -1.0)):
+def e1e2_problem(slopes=(-1.0, -1.0)):
     """Two angle-locked acoustic waves with linear amplitudes a_i = slope_i * r_i."""
     e1 = np.array([1.0, 0.0, 0.0])
     e2 = np.array([-1.0 / 3.0, np.sqrt(8.0) / 3.0, 0.0])
@@ -50,15 +71,14 @@ def e1e2_problem(x, slopes=(-1.0, -1.0)):
         out[:, 1:, 1] = KAPPA * s2 * e2
         return out
 
-    return ImplicitProblem(k=2, profile=profile, profile_jac=profile_jac,
-                           waves=waves, waves_jac=waves_jac, x=np.asarray(x, float)), (e1, e2)
+    return problem(2, profile, profile_jac, waves, waves_jac), (e1, e2)
 
 
 def test_time_zero_removes_state_dependence():
     # at t = 0 the invariants are -spatial_part . x exactly; one Newton step
-    prob, (e1, e2) = e1e2_problem([0.0, 0.7, -0.4, 0.2])
-    pt = solve_point(prob)
-    xs = prob.x[1:]
+    prob, (e1, e2) = e1e2_problem()
+    pt = solve_one(prob, [0.0, 0.7, -0.4, 0.2])
+    xs = pt.x[1:]
     assert np.allclose(pt.r, [-(xs @ e1), -(xs @ e2)], atol=1e-14)
     assert pt.residual <= 1e-12
 
@@ -66,8 +86,8 @@ def test_time_zero_removes_state_dependence():
 def test_linear_superposition_closed_form_oracle():
     # slopes -1, kappa = 3: a = (e1.x)/(1 + 4t) + (e2.x)/(1 + 4t) at t = 0.1
     t, xs = 0.1, np.array([1.0, 0.0, 0.0])
-    prob, (e1, e2) = e1e2_problem(np.concatenate([[t], xs]))
-    pt = solve_point(prob)
+    prob, (e1, e2) = e1e2_problem()
+    pt = solve_one(prob, np.concatenate([[t], xs]))
     expected_a = (xs @ e1) / 1.4 + (xs @ e2) / 1.4
     assert abs(pt.state[0] - expected_a) <= 1e-12
     expected_u = KAPPA * ((xs @ e1) / 1.4 * e1 + (xs @ e2) / 1.4 * e2)
@@ -76,14 +96,14 @@ def test_linear_superposition_closed_form_oracle():
 
 
 def test_constant_profile_linear_solve_and_zero_jacobian():
-    prob = constant_profile_problem([0.4, 0.3, -0.2, 0.9])
-    pt = solve_point(prob)
+    prob = constant_profile_problem()
+    pt = solve_one(prob, [0.4, 0.3, -0.2, 0.9])
     # r = lam(u0) . x directly
     lam = prob.waves(pt.state[None, :])[0, 0]
-    assert abs(pt.r[0] - lam @ prob.x) <= 1e-14
+    assert abs(pt.r[0] - lam @ pt.x) <= 1e-14
     assert np.max(np.abs(pt.jac)) <= 1e-14
-    assert solution_rank(pt) == 0
-    assert abs(implicit_condition(pt, prob) - 1.0) <= 1e-14
+    assert linalg.numerical_rank(pt.jac) == 0
+    assert abs(pt.cond_det - 1.0) <= 1e-14
 
 
 def test_constant_covectors_give_profile_times_lambda():
@@ -103,31 +123,25 @@ def test_constant_covectors_give_profile_times_lambda():
         d = 1.0 / np.cosh(r[:, 0]) ** 2
         return np.stack([0.2 * d, 0.5 * d, -0.3 * d, 0.1 * d], axis=1)[:, :, None]
 
-    prob = ImplicitProblem(k=1, profile=profile, profile_jac=profile_jac,
-                           waves=waves, waves_jac=waves_jac,
-                           x=np.array([0.7, 0.3, -0.5, 0.8]))
-    pt = solve_point(prob)
+    prob = problem(1, profile, profile_jac, waves, waves_jac)
+    pt = solve_one(prob, [0.7, 0.3, -0.5, 0.8])
     fr = profile_jac(pt.r[None, :], np.array([0.7]))[0]
     lam = waves(pt.state[None, :])[0]
     assert np.max(np.abs(pt.jac - fr @ lam)) <= 1e-13
     assert abs(pt.cond_det - 1.0) <= 1e-14
-    assert abs(implicit_condition(pt, prob) - 1.0) <= 1e-14
 
 
 def test_jacobi_matrix_against_finite_differences():
     t, xs = 0.12, np.array([0.8, -0.3, 0.1])
-    prob, _ = e1e2_problem(np.concatenate([[t], xs]))
-    pt = solve_point(prob)
+    prob, _ = e1e2_problem()
+    x = np.concatenate([[t], xs])
+    pt = solve_one(prob, x)
     h = 1e-6
     fd = np.empty((4, 4))
     for axis in range(4):
-        xp = prob.x.copy(); xm = prob.x.copy()
+        xp = x.copy(); xm = x.copy()
         xp[axis] += h; xm[axis] -= h
-        up = solve_point(ImplicitProblem(k=2, profile=prob.profile, profile_jac=prob.profile_jac,
-                                         waves=prob.waves, waves_jac=prob.waves_jac, x=xp)).state
-        um = solve_point(ImplicitProblem(k=2, profile=prob.profile, profile_jac=prob.profile_jac,
-                                         waves=prob.waves, waves_jac=prob.waves_jac, x=xm)).state
-        fd[:, axis] = (up - um) / (2 * h)
+        fd[:, axis] = (solve_one(prob, xp).state - solve_one(prob, xm).state) / (2 * h)
     scale = 1.0 + np.max(np.abs(fd))
     assert np.max(np.abs(pt.jac - fd)) <= 1e-5 * scale
 
@@ -135,44 +149,42 @@ def test_jacobi_matrix_against_finite_differences():
 def test_jacobi_forms_agree():
     # (I4 - fr ru)^(-1) fr lam  vs  fr (Ik - ru fr)^(-1) lam
     t, xs = 0.2, np.array([-0.4, 0.6, 0.3])
-    prob, _ = e1e2_problem(np.concatenate([[t], xs]))
-    pt = solve_point(prob)
-    jac_q = jacobi_matrix(pt, prob)  # q-form, with guard
+    prob, _ = e1e2_problem()
+    pt = solve_one(prob, np.concatenate([[t], xs]))
     r, tv = pt.r[None, :], np.array([t])
     u = prob.profile(r, tv)
     fr = prob.profile_jac(r, tv)[0]
-    ru = np.einsum("kia,i->ka", prob.waves_jac(u)[0], prob.x)
-    k_form = fr @ np.linalg.inv(np.eye(2) - ru @ fr) @ prob.waves(u)[0]
+    ru = np.einsum("kia,i->ka", prob.waves_jac(u)[0], pt.x)
+    lam = prob.waves(u)[0]
+    jac_q = linalg.inverse(np.eye(4) - fr @ ru) @ (fr @ lam)  # q-form
+    k_form = fr @ np.linalg.inv(np.eye(2) - ru @ fr) @ lam
     assert np.max(np.abs(jac_q - k_form)) <= 1e-10 * (1 + np.max(np.abs(jac_q)))
     assert np.max(np.abs(pt.jac - jac_q)) <= 1e-10 * (1 + np.max(np.abs(jac_q)))
 
 
 def test_implicit_condition_examples():
     # t = 0 gives exactly 1; the determinant shrinks approaching the blow-up time
-    prob0, _ = e1e2_problem([0.0, 0.5, 0.2, -0.1], slopes=(0.25, 0.25))
-    assert abs(implicit_condition(solve_point(prob0), prob0) - 1.0) <= 1e-14
+    prob, _ = e1e2_problem(slopes=(0.25, 0.25))
+    assert abs(solve_one(prob, [0.0, 0.5, 0.2, -0.1]).cond_det - 1.0) <= 1e-14
     # with positive slopes A = 0.25 the catastrophe sits at t = 1: near it the
     # determinant falls below 1e-3
-    probT, _ = e1e2_problem([0.9998, -0.5, -0.2, 0.0], slopes=(0.25, 0.25))
-    pt = solve_point(probT)
-    assert abs(implicit_condition(pt, probT)) < 1e-3
+    pt = solve_one(prob, [0.9998, -0.5, -0.2, 0.0])
+    assert abs(pt.cond_det) < 1e-3
 
 
 def test_near_catastrophe_error():
-    probT, _ = e1e2_problem([1.0 - 1e-12, -0.5, -0.2, 0.0], slopes=(0.25, 0.25))
-    with pytest.raises(CatastropheError):
-        solve_point(probT)
+    prob, _ = e1e2_problem(slopes=(0.25, 0.25))
+    solve_one(prob, [1.0 - 1e-12, -0.5, -0.2, 0.0], expect=STATUS_NEAR_CATASTROPHE)
 
 
 def test_solution_rank_examples():
     spec1 = make_family("R1_E")
     res = spec1.evaluate_batch(np.array([0.3]), np.array([[-0.7, 0.2, 0.1]]))
     assert res.status[0] == 0
-    from riemannwaves.linalg import numerical_rank
-    assert numerical_rank(res.jac[0]) == 1
+    assert linalg.numerical_rank(res.jac[0]) == 1
     spec2 = make_family("R2_S1S2_MA")
     res2 = spec2.evaluate_batch(np.array([1.0]), np.array([[1.0, 0.2, 0.0]]), branch="plus")
-    assert numerical_rank(res2.jac[0]) == 2
+    assert linalg.numerical_rank(res2.jac[0]) == 2
 
 
 def test_newton_residual_tolerance_everywhere():
