@@ -145,8 +145,8 @@ def _build_acoustic(fid, p, gas):
         return out
 
     # a wave with A_i = 0 (or B_i = 0 for expkink) never steepens
-    if p["profile"] == "expkink":  # f' < 0 everywhere: the r = 0 sheet steepens at t < 0
-        tsing = tuple(-2.0**2.5 / (eps_1k * a * b) for a, b in zip(A, B) if a * b != 0)
+    if p["profile"] == "expkink":  # |f'| = |AB| e (1 + e)^-1.5 / 2, e = exp(Br), peaks at e = 2
+        tsing = tuple(-3.0**1.5 / (eps_1k * a * b) for a, b in zip(A, B) if a * b != 0)
     else:
         tsing = tuple((eps_1k * a) ** -1.0 for a in A if a != 0)
 

@@ -22,6 +22,9 @@ a^(kappa+1).  So the foot X(0) = -rho0 solves the first integral
     t a(r1)^(kappa+1) = int_{rho0}^{r1} a(sigma)^kappa dsigma,
 
 with dX(0)/dx3 = (a(r1)/a(rho0))^kappa and dX(0)/dt = -u3 dX(0)/dx3.
+
+Both evaluators solve their scalar relations (r1, r2, rho0) with the
+solver's damped-Newton kernel, ``solver.damped_newton``, at k = 1.
 """
 
 from __future__ import annotations
@@ -33,14 +36,13 @@ from typing import Callable
 
 import numpy as np
 
-from ..solver import STATUS_NEAR_CATASTROPHE, STATUS_NO_CONVERGENCE, STATUS_OK
+from ..solver import STATUS_NEAR_CATASTROPHE, STATUS_NO_CONVERGENCE, STATUS_OK, damped_newton
 from .base import STATUS_INVALID
 
 __all__ = ["PlanarVelocity", "TransportedEvaluator", "RotatingPolarizationEvaluator"]
 
 _NEWTON_TOL = 1e-13
 _NEWTON_ITERS = 60
-_HALVINGS = 0.5 ** np.arange(1, 21)  # damped Newton's step fractions after a full step worsens
 _MEMO_SIZE = 8  # holds one FD stencil's distinct foot integrations (7 for v2)
 _GL_ORDER = 32  # Gauss-Legendre nodes of v1's first integral
 _DRIFT_TOL = 1e-8  # v2's foot: |r1 + y . n(r1)| at s = 0; <= 1e-11 at the registry defaults
@@ -96,36 +98,18 @@ class PlanarVelocity:
         return c * tp, c * tq, -self.cos_sign * s * tp, -self.cos_sign * s * tq
 
 
-def _scalar_newton(g, dg, r0, *data, tol=_NEWTON_TOL, iters=_NEWTON_ITERS):
-    """Vectorized damped Newton for g(r, *data) = 0, ``data`` being per-point (N,) arrays.
+def _scalar_newton(g, dg, r0, *data):
+    """damped_newton for g(r, *data) = 0 on per-point (N,) arrays: |g| <= 1e-13 within
+    60 iterations; a slope dg below 1e-14 in size counts as 1e-14 with its sign (+ at 0)."""
+    residual = lambda r, *d: (g(r, *d), None)
 
-    Each iteration works on the unconverged points alone, so a point's result
-    does not depend on its batch and a point without a root costs only its own
-    iterations.  A full step that makes |g| grow is halved 1..20 times, all
-    tried in one call of ``g``; the first halving that does not grow wins, else
-    the last."""
-    r = np.array(r0, dtype=float)
-    val = g(r, *data)
-    ok = np.abs(val) <= tol
-    for _ in range(iters):
-        if ok.all():
-            break
-        i = np.flatnonzero(~ok)
-        ri, vi, di = r[i], val[i], [a[i] for a in data]
-        d = dg(ri, *di)
-        step = vi / np.where(np.abs(d) < 1e-14, np.sign(d) * 1e-14 + (d == 0) * 1e-14, d)
-        r_new = ri - step
-        val_new = g(r_new, *di)
-        w = np.flatnonzero(np.abs(val_new) > np.abs(vi))
-        if w.size:
-            ladder = ri[w, None] - step[w, None] * _HALVINGS
-            vals = g(ladder, *[a[w, None] for a in di])
-            better = ~(np.abs(vals) > np.abs(vi[w, None]))
-            k = np.where(better.any(axis=1), better.argmax(axis=1), len(_HALVINGS) - 1)
-            r_new[w], val_new[w] = ladder[np.arange(w.size), k], vals[np.arange(w.size), k]
-        r[i], val[i] = r_new, val_new
-        ok[i] = np.abs(val_new) <= tol
-    return r, ok
+    def newton_step(r, val, _, *d):
+        s = dg(r, *d)
+        return val / np.where(np.abs(s) < 1e-14, np.sign(s) * 1e-14 + (s == 0) * 1e-14, s), None
+
+    r, _, status = damped_newton(residual, newton_step, r0, *data,
+                                 tol=_NEWTON_TOL, max_iter=_NEWTON_ITERS)
+    return r, status == STATUS_OK
 
 
 @cache

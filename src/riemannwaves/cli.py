@@ -335,7 +335,8 @@ def cmd_catastrophe(args) -> int:
             "norm": [None if not np.isfinite(v) else float(v) for v in report.jac_norms],
         }
     else:
-        doc["note"] = "no positive singular time; bounded family"
+        doc["note"] = "no positive singular time; " + (
+            "catastrophe at t <= 0" if times else "bounded family")
     _emit(json.dumps(doc, indent=2, default=float) + "\n", args.out)
     return EXIT_OK
 

@@ -118,54 +118,58 @@ def cayley_hamilton_residual(m) -> float:
 def singular_values(m, max_sweeps: int = 60, tol: float = 1e-14) -> np.ndarray:
     """Singular values by one-sided Jacobi iteration, descending order.
 
-    Accepts rectangular input; works on columns of the (tall) matrix and
+    Accepts a rectangular matrix, or a stack (N, m, n) of them with one row
+    of values per matrix; works on columns of the (tall) matrices and
     orthogonalizes column pairs until all off-diagonal Gram entries are
-    below tol relative to the column norms.
+    below tol relative to the column norms.  Each rotation acts on the
+    matrices of the stack that need it, so a matrix's values do not depend
+    on its stack.
     """
     a = np.asarray(m, dtype=float)
-    if a.ndim != 2:
-        raise DimensionError(f"expected a matrix, got shape {a.shape}")
+    if a.ndim not in (2, 3):
+        raise DimensionError(f"expected a matrix or a stack of them, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix entries must be finite")
-    if a.shape[0] < a.shape[1]:
-        a = a.T
-    a = a.copy()
-    n = a.shape[1]
+    single = a.ndim == 2
+    a = a[None] if single else a
+    a = (np.swapaxes(a, 1, 2) if a.shape[1] < a.shape[2] else a).copy()
+    n = a.shape[2]
     for _ in range(max_sweeps):
-        off = 0.0
+        moved = False
         for p in range(n - 1):
             for q in range(p + 1, n):
-                apq = float(a[:, p] @ a[:, q])
-                app = float(a[:, p] @ a[:, p])
-                aqq = float(a[:, q] @ a[:, q])
+                ap, aq = a[:, :, p], a[:, :, q]
+                apq = np.einsum("ni,ni->n", ap, aq)
+                app = np.einsum("ni,ni->n", ap, ap)
+                aqq = np.einsum("ni,ni->n", aq, aq)
                 denom = np.sqrt(app * aqq)
-                if denom == 0.0 or abs(apq) <= tol * denom:
+                rot = (denom != 0.0) & (np.abs(apq) > tol * denom)
+                if not rot.any():
                     continue
-                off = max(off, abs(apq) / denom)
-                tau = (aqq - app) / (2.0 * apq)
-                t = np.sign(tau) / (abs(tau) + np.sqrt(1.0 + tau * tau))
-                if tau == 0.0:
-                    t = 1.0
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = c * t
-                ap = a[:, p].copy()
-                a[:, p] = c * ap - s * a[:, q]
-                a[:, q] = s * ap + c * a[:, q]
-        if off <= tol:
+                moved = True
+                tau = (aqq[rot] - app[rot]) / (2.0 * apq[rot])
+                with np.errstate(over="ignore"):  # tau * tau = inf: t = 0, no rotation
+                    t = np.sign(tau) / (np.abs(tau) + np.sqrt(1.0 + tau * tau))
+                t[tau == 0.0] = 1.0
+                c = (1.0 / np.sqrt(1.0 + t * t))[:, None]
+                s = c * t[:, None]
+                ap, aq = ap[rot], aq[rot]
+                a[rot, :, p] = c * ap - s * aq
+                a[rot, :, q] = s * ap + c * aq
+        if not moved:
             break
-    sv = np.sqrt(np.sum(a * a, axis=0))
-    sv.sort()
-    return sv[::-1]
+    sv = np.sort(np.sqrt(np.sum(a * a, axis=1)), axis=1)[:, ::-1]
+    return sv[0] if single else sv
 
 
-def numerical_rank(m, rel_tol: float = 1e-8) -> int:
-    """Number of singular values above rel_tol * (largest singular value)."""
+def numerical_rank(m, rel_tol: float = 1e-8):
+    """Number of singular values above rel_tol * (largest singular value):
+    an int for a matrix, an (N,) array for a stack (N, m, n)."""
     if not 0.0 < rel_tol < 1.0:
         raise ValueError("rel_tol must lie in (0, 1)")
     sv = singular_values(m)
-    if sv.size == 0 or sv[0] == 0.0:
-        return 0
-    return int(np.sum(sv > rel_tol * sv[0]))
+    rank = np.sum(sv > rel_tol * sv[..., :1], axis=-1)
+    return int(rank) if sv.ndim == 1 else rank
 
 
 def null_space(m, rel_tol: float = 1e-8) -> np.ndarray:

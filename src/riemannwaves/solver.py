@@ -3,11 +3,7 @@
 A solution family supplies the profile f (with analytic Jacobian df/dr), the
 wave covectors lam^A as functions of the state, and the contraction dr/du
 below as a callable dr_du(u, X) -> (N, k, 4).  At a spacetime point x the
-Riemann invariants solve the fixed-point system
-
-    r^A = lam^A_i(f(r)) x^i,
-
-handled here by damped Newton iteration:
+Riemann invariants solve G(r) = 0,
 
     G(r) = r - lam(f(r)) . x,     dG/dr = I_k - (dr/du)(df/dr),
 
@@ -17,12 +13,14 @@ gradient catastrophe.  The exact Jacobi matrix of the solved field is
 
     du = (I_4 - (df/dr)(dr/du))^(-1) (df/dr) lam.
 
-The batched kernels take dr/du from the family (``stack_waves``), where each
-wave kind supplies its own contraction: t * row for the acoustic and vortex
-waves, whose covectors depend on the state through lam_0 alone.  Both
-kernels are batched over points (shape (N, ...)); one point is N = 1.  The
-full derivative stack waves_jac (N, k, 4, 4) never enters them: the trace
-conditions read it, and the tests contract it with x as the reference dr/du.
+``damped_newton`` is the one damped-Newton kernel: ``newton_batch`` runs it
+on G, the transported families' evaluators on their scalar relations.  The
+kernels take dr/du from the family (``stack_waves``), where each wave kind
+supplies its own contraction: t * row for the acoustic and vortex waves,
+whose covectors depend on the state through lam_0 alone.  All are batched
+over points (shape (N, ...)); one point is N = 1.  The full derivative stack
+waves_jac (N, k, 4, 4) never enters them: the trace conditions read it, and
+the tests contract it with x as the reference dr/du.
 """
 
 from __future__ import annotations
@@ -35,14 +33,15 @@ __all__ = [
     "STATUS_OK",
     "STATUS_NO_CONVERGENCE",
     "STATUS_NEAR_CATASTROPHE",
+    "damped_newton",
     "newton_batch",
     "jacobi_batch",
 ]
 
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 50
-NEWTON_MAX_HALVINGS = 20
 DET_FLOOR = 1e-10
+_HALVINGS = 0.5 ** np.arange(1, 21)  # a worsening step's fractions, tried in one call
 
 STATUS_OK = 0
 STATUS_NO_CONVERGENCE = 1
@@ -57,106 +56,114 @@ class CatastropheError(RuntimeError):
     """Implicit-function determinant below the floor: too close to a gradient catastrophe."""
 
 
-def newton_batch(profile, profile_jac, waves, dr_du, X, r0=None,
-                 tol=NEWTON_TOL, max_iter=NEWTON_MAX_ITER, det_floor=DET_FLOOR):
-    """Damped Newton over a batch of points X (N, 4).
+def damped_newton(residual, newton_step, r0, *data, tol, max_iter):
+    """Damped Newton for residual(r, *data) = 0 over points: r0 is (N,) or
+    (N, k), each data array holds per-point values along its first axis.
 
-    dr_du(u, X) -> (N, k, 4) gives (dr/du) at states u and points X; it is
-    called once per iteration on the active points and once at the end.
-
-    Returns (r, u, status, cond_det).  status is STATUS_OK,
-    STATUS_NO_CONVERGENCE or STATUS_NEAR_CATASTROPHE per point; failed
-    points keep their last iterate.
+    residual(r, *d) -> (g, aux): g shaped like r, aux per-point values kept
+    for the final iterates (the state, say) or None; newton_step(r, g, aux,
+    *d) -> (step, stop): the full step, and a mask of points to stop as
+    STATUS_NEAR_CATASTROPHE (their step rows are ignored) or None.  Both see
+    only the points still iterating, gathered anew when that set shrinks, so
+    a point's result does not depend on its batch.  A point whose max|g| is
+    not finite stops at once.  A step that makes max|g| grow is halved 1..20
+    times, all tried in one residual call; the first halving that does not
+    grow wins, else the last.  Returns (r, aux, status).
     """
-    X = np.asarray(X, dtype=float)
-    n = X.shape[0]
-    t = X[:, 0]
-
-    if r0 is None:
-        raise ValueError("newton_batch requires an explicit initial guess (use initial_guess)")
     r = np.array(r0, dtype=float)
-    k = r.shape[1]
-
-    u = profile(r, t)
-    lam = waves(u)
-    g = r - np.einsum("nki,ni->nk", lam, X)
-    gnorm = np.max(np.abs(g), axis=1)
-
-    active = np.ones(n, dtype=bool)
-    status = np.full(n, STATUS_NO_CONVERGENCE, dtype=np.int8)
-    cond = np.ones(n)
-    eye = np.eye(k)
+    g, aux = residual(r, *data)
+    status = np.full(len(r), STATUS_NO_CONVERGENCE, dtype=np.int8)
+    i, ri, gi, gni, auxi, di = np.arange(len(r)), r, g, _max_abs(g), aux, data
 
     for _ in range(max_iter):
-        broken = active & ~np.isfinite(gnorm)
-        if broken.any():
-            status[broken] = STATUS_NO_CONVERGENCE
-            active &= ~broken
-        conv = active & (gnorm <= tol)
-        status[conv] = STATUS_OK
-        active &= ~conv
-        if not active.any():
-            break
-
-        idx = np.nonzero(active)[0]
-        jmat = eye - dr_du(u[idx], X[idx]) @ profile_jac(r[idx], t[idx])
-        with np.errstate(invalid="ignore"):
-            det = np.linalg.det(jmat)
-        cond[idx] = det
-        bad = (np.abs(det) < det_floor) | ~np.isfinite(det)
-        if bad.any():
-            status[idx[bad]] = STATUS_NEAR_CATASTROPHE
-            active[idx[bad]] = False
-            idx = idx[~bad]
-            if idx.size == 0:
-                continue
-            jmat = jmat[~bad]
-
-        step = np.linalg.solve(jmat, g[idx][..., None])[..., 0]
-
-        # Step damping: halve while the residual grows (per point).
-        alpha = np.ones(len(idx))
-        r_trial = r[idx] - alpha[:, None] * step
-        u_trial = profile(r_trial, t[idx])
-        g_trial = r_trial - np.einsum("nki,ni->nk", waves(u_trial), X[idx])
-        gn_trial = np.max(np.abs(g_trial), axis=1)
-        for _ in range(NEWTON_MAX_HALVINGS):
-            worse = gn_trial > gnorm[idx]
-            if not worse.any():
+        going = (gni > tol) & np.isfinite(gni)
+        n_going = np.count_nonzero(going)
+        if n_going < len(i):
+            status[i[gni <= tol]] = STATUS_OK
+            if not n_going:
                 break
-            alpha[worse] *= 0.5
-            r_half = r[idx][worse] - alpha[worse][:, None] * step[worse]
-            u_half = profile(r_half, t[idx][worse])
-            g_half = r_half - np.einsum("nki,ni->nk", waves(u_half), X[idx][worse])
-            r_trial[worse] = r_half
-            u_trial[worse] = u_half
-            g_trial[worse] = g_half
-            gn_trial[worse] = np.max(np.abs(g_half), axis=1)
+            i, ri, gi, gni, auxi, *di = _rows(going, i, ri, gi, gni, auxi, *di)
+        step, stop = newton_step(ri, gi, auxi, *di)
+        if stop is not None and np.count_nonzero(stop):
+            status[i[stop]] = STATUS_NEAR_CATASTROPHE
+            if stop.all():
+                break
+            i, ri, gni, auxi, step, *di = _rows(~stop, i, ri, gni, auxi, step, *di)
 
-        r[idx] = r_trial
-        u[idx] = u_trial
-        g[idx] = g_trial
-        gnorm[idx] = gn_trial
+        r_old, gn_old = ri, gni
+        ri = r_old - step
+        gi, auxi = residual(ri, *di)
+        gni = _max_abs(gi)
+        worse = gni > gn_old
+        if np.count_nonzero(worse):
+            w = np.flatnonzero(worse)
+            halvings = _HALVINGS.reshape((-1,) + (1,) * (r.ndim - 1))
+            ladder = (r_old[w, None] - step[w, None] * halvings).reshape((-1,) + r.shape[1:])
+            g_lad, aux_lad = residual(ladder, *[np.repeat(a[w], len(_HALVINGS), axis=0)
+                                                for a in di])
+            gn_lad = _max_abs(g_lad).reshape(w.size, -1)
+            better = ~(gn_lad > gn_old[w, None])
+            pick = np.where(better.any(axis=1), better.argmax(axis=1), len(_HALVINGS) - 1)
+            pick += np.arange(w.size) * len(_HALVINGS)
+            ri[w], gi[w], gni[w] = ladder[pick], g_lad[pick], gn_lad.ravel()[pick]
+            if aux is not None:
+                auxi[w] = aux_lad[pick]
+        r[i] = ri
+        if aux is not None:
+            aux[i] = auxi
+    else:
+        status[i[gni <= tol]] = STATUS_OK
+    return r, aux, status
 
-    conv = active & (gnorm <= tol) & np.isfinite(gnorm)
-    status[conv] = STATUS_OK
 
-    # Refresh the condition determinant at the final iterate.
-    jmat = eye - dr_du(u, X) @ profile_jac(r, t)
-    with np.errstate(invalid="ignore"):
-        cond = np.linalg.det(jmat)
-    near = (np.abs(cond) < det_floor) & (status == STATUS_OK)
-    status[near] = STATUS_NEAR_CATASTROPHE
+def _max_abs(g):  # max|g| per point of an (N,) or (N, k) residual
+    return np.abs(g) if g.ndim == 1 else np.abs(g).max(axis=1)
+
+
+def _rows(keep, *arrays):
+    return [None if a is None else a[keep] for a in arrays]
+
+
+def newton_batch(profile, profile_jac, waves, dr_du, X, r0):
+    """Damped Newton (``damped_newton``) for G(r) = 0 at points X (N, 4) from
+    the initial guess r0 (N, k).
+
+    dr_du(u, X) -> (N, k, 4) is called once per iteration on the points still
+    iterating and once at the end.  A point with |det dG/dr| < 1e-10 stops as
+    STATUS_NEAR_CATASTROPHE.  Returns (r, u, status, cond_det), cond_det =
+    det(dG/dr) at the final iterates; failed points keep their last iterate.
+    """
+    X = np.asarray(X, dtype=float)
+    eye = np.eye(np.shape(r0)[1])
+
+    def residual(r, X):
+        u = profile(r, X[:, 0])
+        return r - np.einsum("nki,ni->nk", waves(u), X), u
+
+    def bracket(r, u, X):  # dG/dr and its determinant
+        jmat = eye - dr_du(u, X) @ profile_jac(r, X[:, 0])
+        with np.errstate(invalid="ignore"):
+            return jmat, np.linalg.det(jmat)
+
+    def newton_step(r, g, u, X):
+        jmat, det = bracket(r, u, X)
+        stop = (np.abs(det) < DET_FLOOR) | ~np.isfinite(det)
+        if stop.any():
+            jmat[stop] = eye  # a harmless solve on rows the kernel drops
+        return np.linalg.solve(jmat, g[..., None])[..., 0], stop
+
+    r, u, status = damped_newton(residual, newton_step, r0, X,
+                                 tol=NEWTON_TOL, max_iter=NEWTON_MAX_ITER)
+    cond = bracket(r, u, X)[1]  # refreshed at the final iterates
+    status[(np.abs(cond) < DET_FLOOR) & (status == STATUS_OK)] = STATUS_NEAR_CATASTROPHE
     return r, u, status, cond
 
 
 def initial_guess(profile, waves, X, k):
     """r0^A = lam^A(f(0)) . x: freeze the state at the profile origin."""
     X = np.asarray(X, dtype=float)
-    n = X.shape[0]
-    u0 = profile(np.zeros((n, k)), X[:, 0])
-    lam0 = waves(u0)
-    return np.einsum("nki,ni->nk", lam0, X)
+    u0 = profile(np.zeros((len(X), k)), X[:, 0])
+    return np.einsum("nki,ni->nk", waves(u0), X)
 
 
 def jacobi_batch(profile, profile_jac, waves, dr_du, X, r,

@@ -168,7 +168,7 @@ def test_criterion_06_rank_verification():
         good = res.status == 0
         idx = np.nonzero(good)[0][:1000]
         assert len(idx) >= 600, fid
-        ranks = np.array([linalg.numerical_rank(res.jac[i], rel_tol=1e-8) for i in idx])
+        ranks = linalg.numerical_rank(res.jac[idx], rel_tol=1e-8)
         frac = float(np.mean(ranks == spec.rank))
         fractions.append(f"{fid}:{frac:.3f}")
         ok &= frac >= 0.95

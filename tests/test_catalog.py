@@ -115,20 +115,40 @@ def test_branches_differ_and_auto_continuous():
         spec.evaluate_batch(t, x, branch="bogus")
 
 
+def _first_fold_time(spec, wave, r=np.linspace(-10.0, 10.0, 100001)):
+    """Oracle for an acoustic wave's singular time below 0: bisect t in [-10, 0]
+    on min_r (1 - eps (1 + kappa) f'(r) t), with f' read from ``profile_jac``
+    on a fine scan of r (the other invariants held at 0)."""
+    rr = np.zeros((len(r), spec.n_waves))
+    rr[:, wave] = r
+    df = spec.profile_jac(rr, np.zeros(len(r)))[:, 0, wave]
+    eps_1k = spec.params.get("epsilon", 1) * (1.0 + spec.gas.kappa)
+    lo, hi = -10.0, 0.0
+    assert np.min(1.0 - eps_1k * df * lo) < 0.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if np.min(1.0 - eps_1k * df * mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 def test_singular_time_formulas():
     assert make_family("R2_E1E2", A1=0.25, A2=0.25).singular_times() == [1.0, 1.0]
     spec = make_family("R2_E1S2", profile="soliton", A1=1.0, B1=1.0)
     assert abs(spec.singular_times()[0] - 2.0**1.5 / 4.0) <= 1e-14
     assert make_family("R1_S").singular_times() == []
-    # exp-kink catastrophes sit at negative times, reported with sign
-    kinkb = make_family("R3_E1E2E3", profile="expkink", A1=1.0, A2=1.0, A3=1.0)
-    expected = -(2.0**2.5) / (4.0 * 1.0 * 1.0)
-    assert np.allclose(kinkb.singular_times(), [expected] * 3)
-    # f' < 0 everywhere for the exp-kink at every rank, not just rank 3
-    assert np.allclose(make_family("R1_E", profile="expkink", A1=1.0).singular_times(),
-                       [expected])
-    assert np.allclose(make_family("R2_E1E2", profile="expkink", A1=1.0, A2=1.0)
-                       .singular_times(), [expected] * 2)
+    # exp-kink catastrophes sit at negative times, reported with sign, at every rank
+    for fid, k in (("R1_E", 1), ("R2_E1E2", 2), ("R3_E1E2E3", 3)):
+        for a, b in ((1.0, 1.0), (0.5, 3.0)):
+            amps = {f"{name}{i}": v for i in range(1, k + 1) for name, v in (("A", a), ("B", b))}
+            spec = make_family(fid, profile="expkink", **amps)
+            want = [_first_fold_time(spec, i) for i in range(k)]
+            assert np.allclose(spec.singular_times(), want, rtol=1e-6, atol=0.0), fid
+    # the r = 0 sheet folds later, at -2^2.5 / 4 = -1.414 for A = B = 1
+    assert abs(_first_fold_time(make_family("R1_E", profile="expkink", A1=1.0, B1=1.0), 0)
+               + 1.299) <= 1e-3
     # a wave with zero amplitude never steepens and reports no time
     assert make_family("R3_E1E2E3", A3=0.0).singular_times() == [1.0, 1.0]
     # eps = -1 reverses the wave: (eps (1 + kappa) A)^-1

@@ -120,6 +120,15 @@ def test_catastrophe_command(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["applicable"] is False and doc["times"] == []
+    assert doc["note"] == "no positive singular time; bounded family"
+    # catastrophes at t <= 0 only: not a bounded family
+    for fid, sets in (("R2_S1S2_MA", []), ("R1_E", ["--set", "epsilon=-1"]),
+                      ("R1_E", ["--set", "profile=expkink"])):
+        code, out, _ = run(["catastrophe", "--family", fid, *sets], capsys)
+        doc = json.loads(out)
+        assert code == 0 and doc["applicable"] is False and doc["times"], fid
+        assert all(e["formula"] <= 0 for e in doc["times"]), fid
+        assert doc["note"] == "no positive singular time; catastrophe at t <= 0", fid
     # negative times flagged as outside the default window
     code, out, _ = run(["catastrophe", "--family", "R3_E1E2E3",
                         "--set", "profile=expkink"], capsys)

@@ -110,6 +110,32 @@ def test_determinant_inverse_against_numpy():
         assert np.allclose(linalg.inverse(m), np.linalg.inv(m), atol=1e-10)
 
 
+def jacobi_singular_values_loop(m, max_sweeps=60, tol=1e-14):
+    """One-sided Jacobi on one matrix, a column pair at a time: the scalar loop
+    that ``linalg.singular_values`` runs on a whole stack at once."""
+    a = np.array(m, dtype=float)
+    a = a.T.copy() if a.shape[0] < a.shape[1] else a
+    n = a.shape[1]
+    for _ in range(max_sweeps):
+        moved = False
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq, app, aqq = a[:, p] @ a[:, q], a[:, p] @ a[:, p], a[:, q] @ a[:, q]
+                denom = np.sqrt(app * aqq)
+                if denom == 0.0 or abs(apq) <= tol * denom:
+                    continue
+                moved = True
+                tau = (aqq - app) / (2.0 * apq)
+                t = 1.0 if tau == 0.0 else np.sign(tau) / (abs(tau) + np.sqrt(1.0 + tau * tau))
+                c = 1.0 / np.sqrt(1.0 + t * t)
+                ap = a[:, p].copy()
+                a[:, p] = c * ap - c * t * a[:, q]
+                a[:, q] = c * t * ap + c * a[:, q]
+        if not moved:
+            break
+    return np.sort(np.sqrt(np.sum(a * a, axis=0)))[::-1]
+
+
 def test_singular_values_match_numpy():
     rng = np.random.default_rng(19)
     for shape in [(4, 4), (3, 4), (6, 2)]:
@@ -117,6 +143,27 @@ def test_singular_values_match_numpy():
         sv = linalg.singular_values(m)
         ref = np.linalg.svd(m, compute_uv=False)
         assert np.allclose(sv, ref, atol=1e-12)
+    # a stack: one row of values per matrix, equal to the matrix alone
+    for shape in [(40, 4, 4), (25, 3, 5)]:
+        stack = rng.normal(size=shape)
+        stack[::4] *= 0.0                     # converged at once, beside ones that sweep
+        sv = linalg.singular_values(stack)
+        assert sv.shape == (shape[0], min(shape[1:]))
+        assert np.allclose(sv, np.linalg.svd(stack, compute_uv=False), atol=1e-12)
+        for m, row in zip(stack, sv):
+            assert np.array_equal(linalg.singular_values(m), row)
+            # the loop sums its dot products in another order: rounding only
+            assert np.allclose(row, jacobi_singular_values_loop(m), rtol=0.0,
+                               atol=1e-13 * (1.0 + row[0]))
+
+
+def test_numerical_rank_of_a_stack_is_per_matrix():
+    rng = np.random.default_rng(23)
+    want = np.arange(60) % 5                  # ranks 0..4 of 4x4 products
+    stack = np.array([rng.normal(size=(4, r)) @ rng.normal(size=(r, 4)) for r in want])
+    ranks = linalg.numerical_rank(stack)
+    assert np.array_equal(ranks, want)
+    assert np.array_equal(ranks, [linalg.numerical_rank(m) for m in stack])
 
 
 def test_numerical_rank_examples():

@@ -3,19 +3,23 @@
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
 
 from riemannwaves import linalg
-from riemannwaves.catalog import make_family
+from riemannwaves.catalog import REGISTRY_IDS, make_family
 from riemannwaves.catalog.base import PotentialWave, RotationalWave, stack_waves
 from riemannwaves.solver import (
     STATUS_NEAR_CATASTROPHE,
     STATUS_OK,
+    damped_newton,
     initial_guess,
     jacobi_batch,
     newton_batch,
 )
+from riemannwaves.verify import GridSpec
 
 KAPPA = 3.0
+NEWTON_PATH_IDS = [fid for fid in REGISTRY_IDS if make_family(fid).custom_eval is None]
 
 
 def problem(k, profile, profile_jac, waves, waves_jac):
@@ -230,3 +234,130 @@ def test_jacobian_matches_fd_all_families():
         good = np.isfinite(fd).all(axis=(1, 2))
         scale = 1.0 + np.max(np.abs(fd[good]))
         assert np.max(np.abs(res.jac[keep][good] - fd[good])) <= 1e-5 * scale, fid
+
+
+def _kink(r, level):
+    """r (1 + r^2)^(-1/2) - level: a root for |level| < 1, none for |level| >= 1;
+    from |r0| >~ 1 the full Newton step overshoots, so damping engages.  Only
+    correctly rounded arithmetic, so batch and scalar evaluations agree bitwise."""
+    return r / np.sqrt(1.0 + r * r) - level
+
+
+def _kink_slope(r, level):
+    q = 1.0 + r * r
+    return 1.0 / (q * np.sqrt(q))
+
+
+def _halving_newton(r, level, tol=1e-13, iters=60):
+    """Reference damped Newton for one point: a slope below 1e-14 counts as
+    1e-14 (with its sign); halve a step that makes |g| grow, up to 20 times,
+    and take the last halving if all do."""
+    val = _kink(r, level)
+    for _ in range(iters):
+        if abs(val) <= tol:
+            break
+        slope = _kink_slope(r, level)
+        step = val / (slope if abs(slope) >= 1e-14 else np.copysign(1e-14, slope))
+        r_new = r - step
+        val_new = _kink(r_new, level)
+        for _ in range(20):
+            if not abs(val_new) > abs(val):
+                break
+            step *= 0.5
+            r_new = r - step
+            val_new = _kink(r_new, level)
+        r, val = r_new, val_new
+    return r, abs(val) <= tol
+
+
+def _kink_newton(g, r0, level):
+    """damped_newton on g(r, level) = 0 with the reference's tolerance, iteration
+    cap and slope floor; returns the roots and the ok flags."""
+
+    def residual(r, level):
+        return g(r, level), None
+
+    def newton_step(r, val, _, level):
+        slope = _kink_slope(r, level)
+        return val / np.where(np.abs(slope) < 1e-14, np.copysign(1e-14, slope), slope), None
+
+    r, aux, status = damped_newton(residual, newton_step, r0, level, tol=1e-13, max_iter=60)
+    assert aux is None
+    return r, status == STATUS_OK
+
+
+def test_damped_newton_matches_point_by_point_halving():
+    # each point's root and flag are its own: the same as solved alone with
+    # sequential halvings, whatever else shares the batch
+    rng = np.random.default_rng(9)
+    r0 = rng.uniform(-6.0, 6.0, 300)
+    level = rng.uniform(-0.9, 0.9, 300)
+    level[::50] = 1.5                        # six points without a root
+    r, ok = _kink_newton(_kink, r0, level)
+    want = [_halving_newton(a, b) for a, b in zip(r0, level)]
+    assert np.array_equal(r, [w[0] for w in want])
+    assert np.array_equal(ok, [w[1] for w in want])
+    assert ok.sum() == 294
+
+
+def _counted_kink(evaluated):
+    def g(r, level):
+        evaluated.append(np.size(r))
+        return _kink(r, level)
+    return g
+
+
+def test_damped_newton_cost_of_a_rootless_point_is_its_own():
+    evaluated = []
+    g = _counted_kink(evaluated)
+    r0 = np.linspace(-3.0, 3.0, 1000)
+    level = np.linspace(-0.8, 0.8, 1000)
+    _, ok = _kink_newton(g, r0, level)
+    alone = sum(evaluated)
+    evaluated.clear()
+    r, ok_with = _kink_newton(g, np.append(r0, 2.0), np.append(level, 1.5))
+    # the rootless point runs every iteration: one full step and 20 halvings each
+    assert ok.all() and not ok_with[-1]
+    assert sum(evaluated) - alone <= 1 + 60 * 21
+
+
+def test_damped_newton_stops_a_nan_row_after_one_residual_call():
+    evaluated = []
+    g = _counted_kink(evaluated)
+    r0 = np.linspace(-3.0, 3.0, 1000)
+    level = np.linspace(-0.8, 0.8, 1000)
+    r_alone, ok = _kink_newton(g, r0, level)
+    alone = sum(evaluated)
+    evaluated.clear()
+    r, ok_with = _kink_newton(g, np.append(r0, 2.0), np.append(level, np.nan))
+    assert ok.all() and not ok_with[-1]
+    assert sum(evaluated) - alone == 1       # its row of the first call only
+    assert r[-1] == 2.0 and np.array_equal(r[:-1], r_alone)
+
+
+@pytest.mark.parametrize("fid", NEWTON_PATH_IDS)
+def test_newton_batch_result_of_a_point_does_not_depend_on_its_batch(fid):
+    # a point of the sample grid solved alone gives the same bits as inside
+    # the grid.  The covectors are evaluated a row at a time: u[:, 1:] @ e in
+    # the wave kinds goes through BLAS, which may round a row differently
+    # with its position in the batch; this test is about the solver.
+    spec = make_family(fid)
+    grid = GridSpec.from_window(spec.default_grid_window(), counts=(3, 5, 5, 5))
+    t, x = grid.points()
+    valid = spec.validity_mask(t, x)
+    t, x = t[valid], x[valid]
+    X = np.column_stack([t, x])
+    if spec.guess_fn is not None:
+        r0 = spec.guess_fn(t, x, None)
+    else:
+        r0 = initial_guess(spec.profile, spec.waves, X, spec.n_waves)
+
+    def waves(u):
+        return np.concatenate([spec.waves(u[i:i + 1]) for i in range(len(u))])
+
+    r, _, status, _ = newton_batch(spec.profile, spec.profile_jac, waves, spec.dr_du, X, r0)
+    for i in np.random.default_rng(11).choice(len(t), 25, replace=False):
+        r_i, _, status_i, _ = newton_batch(spec.profile, spec.profile_jac, waves, spec.dr_du,
+                                           X[i:i + 1], r0[i:i + 1])
+        assert np.array_equal(r_i[0], r[i], equal_nan=True), i
+        assert status_i[0] == status[i], i

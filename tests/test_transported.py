@@ -204,13 +204,14 @@ def test_quadrature_error_against_64_nodes(monkeypatch, c1):
 def test_failed_foot_solve_leaves_no_ok_row(monkeypatch, preset):
     spec = make_family(V1, {"profile": preset})
     t, x = _points(spec, 50, seed=7)
-    original = transported._scalar_newton
+    original = transported.TransportedEvaluator.r3_first_integral
 
-    def no_foot_iterations(g, dg, r0, *data, **kw):
-        if "r3_first_integral" in g.__qualname__:
-            kw["iters"] = 0
-        return original(g, dg, r0, *data, **kw)
-    monkeypatch.setattr(transported, "_scalar_newton", no_foot_iterations)
+    def no_foot_iterations(self, t, r1):  # the foot's damped Newton takes no step
+        with monkeypatch.context() as m:
+            m.setattr(transported, "_NEWTON_ITERS", 0)
+            return original(self, t, r1)
+    monkeypatch.setattr(transported.TransportedEvaluator, "r3_first_integral",
+                        no_foot_iterations)
     res = spec.evaluate_batch(t, x)
     assert not (res.status == STATUS_OK).any()
 
@@ -366,73 +367,6 @@ def test_make_family_calls_never_share_a_memo(monkeypatch, fid, params):
     calls = _count_calls(monkeypatch, ev, _integration_name(ev))
     second.evaluate_batch(t, x)
     assert len(calls) == 1
-
-
-def _kink(r, level):
-    """r (1 + r^2)^(-1/2) - level: a root for |level| < 1, none for |level| >= 1;
-    from |r0| >~ 1 the full Newton step overshoots, so damping engages.  Only
-    correctly rounded arithmetic, so batch and scalar evaluations agree bitwise."""
-    return r / np.sqrt(1.0 + r * r) - level
-
-
-def _kink_slope(r, level):
-    q = 1.0 + r * r
-    return 1.0 / (q * np.sqrt(q))
-
-
-def _halving_newton(r, level, tol=1e-13, iters=60):
-    """Reference damped Newton for one point: a slope below 1e-14 counts as
-    1e-14 (with its sign); halve a step that makes |g| grow, up to 20 times,
-    and take the last halving if all do."""
-    val = _kink(r, level)
-    for _ in range(iters):
-        if abs(val) <= tol:
-            break
-        slope = _kink_slope(r, level)
-        step = val / (slope if abs(slope) >= 1e-14 else np.copysign(1e-14, slope))
-        r_new = r - step
-        val_new = _kink(r_new, level)
-        for _ in range(20):
-            if not abs(val_new) > abs(val):
-                break
-            step *= 0.5
-            r_new = r - step
-            val_new = _kink(r_new, level)
-        r, val = r_new, val_new
-    return r, abs(val) <= tol
-
-
-def test_scalar_newton_matches_point_by_point_halving():
-    # each point's root and flag are its own: the same as solved alone with
-    # sequential halvings, whatever else shares the batch
-    rng = np.random.default_rng(9)
-    r0 = rng.uniform(-6.0, 6.0, 300)
-    level = rng.uniform(-0.9, 0.9, 300)
-    level[::50] = 1.5                        # six points without a root
-    r, ok = transported._scalar_newton(_kink, _kink_slope, r0, level)
-    want = [_halving_newton(a, b) for a, b in zip(r0, level)]
-    assert np.array_equal(r, [w[0] for w in want])
-    assert np.array_equal(ok, [w[1] for w in want])
-    assert ok.sum() == 294
-
-
-def test_scalar_newton_cost_of_a_rootless_point_is_its_own():
-    evaluated = []
-
-    def g(r, level):
-        evaluated.append(np.size(r))
-        return _kink(r, level)
-
-    r0 = np.linspace(-3.0, 3.0, 1000)
-    level = np.linspace(-0.8, 0.8, 1000)
-    _, ok = transported._scalar_newton(g, _kink_slope, r0, level)
-    alone = sum(evaluated)
-    evaluated.clear()
-    r, ok_with = transported._scalar_newton(g, _kink_slope, np.append(r0, 2.0),
-                                            np.append(level, 1.5))
-    # the rootless point runs every iteration: one full step and 20 halvings each
-    assert ok.all() and not ok_with[-1]
-    assert sum(evaluated) - alone <= 1 + transported._NEWTON_ITERS * 21
 
 
 @pytest.mark.parametrize("preset", V1_PRESETS)
