@@ -4,8 +4,7 @@ The package constructs the closed-form solution families (simple acoustic
 and vortex waves and their admissible superpositions), evaluates them by
 solving the implicit Riemann-invariant equations, and verifies them
 numerically: residual substitution into the fluid system, compatibility
-trace conditions, involutivity of the wave geometry, and empirical
-gradient-catastrophe detection.
+trace conditions, and empirical gradient-catastrophe detection.
 """
 
 from . import catalog, conditions, elliptic, fluid, linalg, solver, verify

@@ -25,17 +25,25 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Fn1:
-    """Scalar profile s -> f(s) with derivative df."""
+    """Scalar profile s -> f(s) with derivative df.
+
+    A preset whose value and derivative share costly parts supplies
+    ``jet(s) -> (f, df)``, mirroring ``Fn2.jet``.
+    """
 
     name: str
     f: Callable
     df: Callable
+    jet: Callable | None = None
 
     def __call__(self, s):
         return self.f(s)
 
     def d(self, s):
         return self.df(s)
+
+    def value_and_d(self, s):
+        return self.jet(s) if self.jet else (self.f(s), self.df(s))
 
 
 @dataclass(frozen=True)
@@ -177,7 +185,12 @@ def periodic_well(a, b, c):
         s = np.asarray(s, float)
         return -0.5 * a * b * c * np.sin(c * s) * (1.0 - b * np.cos(c * s)) ** -1.5
 
-    return Fn1(f"periodic(A={a:g},B={b:g},C={c:g})", f, df)
+    def jet(s):
+        cs = c * np.asarray(s, float)  # f's and df's arithmetic, cos(C s) taken once
+        well = 1.0 - b * np.cos(cs)
+        return a / np.sqrt(well), -0.5 * a * b * c * np.sin(cs) * well ** -1.5
+
+    return Fn1(f"periodic(A={a:g},B={b:g},C={c:g})", f, df, jet=jet)
 
 
 def snwell(a, b, beta, k):

@@ -282,15 +282,19 @@ class RotatingPolarizationEvaluator:
     n = (cos F, sin F)), which keeps the exact Jacobi matrix.  Where the
     carried r1 misses r1 = -y . n at the foot by more than 1e-8, the path
     met delta = 0 and the point is near_catastrophe.  At the defaults the
-    foot is within 2.6e-13 and M within 5.9e-13 of DOP853.
+    foot is within 2.6e-13 and M within 5.9e-13 of DOP853.  F and F' come
+    from one profile jet (``Fn1.value_and_d``) wherever both are read at
+    the same r1; every RK4 operation is elementwise, so a foot is bitwise
+    the same in any batch.
 
     Per instance, ``_foot`` memoises its last 8 integrations (``ode_steps``
     RK4 steps, 100 from the registry), keyed on the bytes and shapes of
     (t, x1, x2) plus ``ode_steps``, so a central-difference stencil
     integrates 7 times, not 9 (x3 shifts reuse the centre); ``profile_chart``
-    memoises its last chart, keyed on the invariant triple plus
-    ``ode_steps``, so ``profile`` and ``profile_jac`` at one triple share it.
-    Memoised arrays are read-only.
+    memoises its last chart, keyed on the invariant triples plus
+    ``ode_steps``, so ``profile`` and ``profile_jac`` on one batch share it:
+    a ``conditions`` request, which evaluates both once on all its samples,
+    builds one chart.  Memoised arrays are read-only.
     """
 
     def __init__(self, fprof, gprof, a0, kappa, ode_steps=100):
@@ -308,7 +312,7 @@ class RotatingPolarizationEvaluator:
             return r - (fv / self.kappa + self.a0) * t + x1 * np.cos(fv) + x2 * np.sin(fv)
 
         def dg(r, t, x1, x2):
-            fv, df = self.F(r), self.F.d(r)
+            fv, df = self.F.value_and_d(r)
             return 1.0 - df / self.kappa * t - (x1 * np.sin(fv) - x2 * np.cos(fv)) * df
 
         zero = np.zeros_like(t)  # start at r = 0's right-hand side a(0) t - x . n(0)
@@ -326,29 +330,33 @@ class RotatingPolarizationEvaluator:
         r1, ok = self.solve_r1(t, x1, x2)
         one, zero = np.ones_like(t), np.zeros_like(t)
         state = np.stack([x1, x2, r1, one, zero, zero, one])
-        h = -t / self.ode_steps
+        jet, kappa, a0, steps = self.F.value_and_d, self.kappa, self.a0, self.ode_steps
+        h = -t / steps
+        half, sixth = 0.5 * h, h / 6.0
 
         def rhs(s, z):
-            y1, y2, r, m11, m12, m21, m22 = z
-            fv, df = self.F(r), self.F.d(r)
-            c, sn = np.cos(fv), np.sin(fv)
-            delta = 1.0 - df / self.kappa * s - (y1 * sn - y2 * c) * df
-            # dM/ds = coef n (n^T M), n = (c, sn): elementwise, no BLAS
-            coef = -df / delta
-            nm1, nm2 = coef * (c * m11 + sn * m21), coef * (c * m12 + sn * m22)
+            fv, df = jet(z[2])
             out = np.empty_like(z)
-            out[0], out[1], out[2] = sn, -c, (fv / self.kappa + self.a0) / delta
-            out[3], out[4], out[5], out[6] = c * nm1, c * nm2, sn * nm1, sn * nm2
+            c, sn = np.cos(fv), np.sin(fv, out=out[0])
+            np.negative(c, out=out[1])
+            delta = 1.0 - df / kappa * s - (z[0] * sn - z[1] * c) * df
+            np.divide(fv / kappa + a0, delta, out=out[2])
+            # dM/ds = (-F'/delta) n (n^T M), n = (c, sn), on the rows (M11, M12) and
+            # (M21, M22): elementwise, no BLAS
+            nm = (-df / delta) * (c * z[3:5] + sn * z[5:7])
+            np.multiply(c, nm, out=out[3:5])
+            np.multiply(sn, nm, out=out[5:7])
             return out
 
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # see status
-            for i in range(self.ode_steps):
+            for i in range(steps):
                 s = t + i * h
+                mid = s + half
                 k1 = rhs(s, state)
-                k2 = rhs(s + 0.5 * h, state + 0.5 * h * k1)
-                k3 = rhs(s + 0.5 * h, state + 0.5 * h * k2)
+                k2 = rhs(mid, state + half * k1)
+                k3 = rhs(mid, state + half * k2)
                 k4 = rhs(s + h, state + h * k3)
-                state = state + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+                state = state + sixth * (k1 + 2 * k2 + 2 * k3 + k4)
             y1, y2, r = state[:3]
             fv = self.F(r)
             drift = np.abs(r + y1 * np.cos(fv) + y2 * np.sin(fv))  # r1(0, y) = -y . n
@@ -359,7 +367,7 @@ class RotatingPolarizationEvaluator:
         """Initial convected chart m0 = y1 sin F0 - y2 cos F0 and its gradient."""
         zero = np.zeros(y.shape[0])
         r10, _ = self.solve_r1(zero, y[:, 0], y[:, 1])
-        fv, df = self.F(r10), self.F.d(r10)
+        fv, df = self.F.value_and_d(r10)
         c, s = np.cos(fv), np.sin(fv)
         delta0 = 1.0 - (y[:, 0] * s - y[:, 1] * c) * df
         val = y[:, 0] * s - y[:, 1] * c
@@ -377,7 +385,7 @@ class RotatingPolarizationEvaluator:
         n = len(t)
 
         y, mmat, r1, ok, drift = self._foot(t, x1, x2)
-        fv, df = self.F(r1), self.F.d(r1)
+        fv, df = self.F.value_and_d(r1)
         c, s = np.cos(fv), np.sin(fv)
         a = fv / self.kappa + self.a0
         delta = 1.0 - df / self.kappa * t - (x1 * s - x2 * c) * df

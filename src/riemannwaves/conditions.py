@@ -1,4 +1,4 @@
-"""Compatibility checkers: trace conditions and involutivity of the wave geometry.
+"""Compatibility checkers: the trace conditions of the implicit ansatz.
 
 Substituting the implicit ansatz into the fluid system and expanding around
 the chart origin yields algebraic conditions on the profile Jacobian df/dr
@@ -24,18 +24,13 @@ The rank-2 bilinear reduction eliminates the profile: with Gamma the
 wave-kernel frame and a single shared normalization coordinate, wave-pair
 admissibility reads tr(A^mu Gamma (eta_a Gamma - I2 tr(eta_a Gamma)) lam)
 over the remaining p-1 coordinate slices.
-
-The involutivity checker tests the classical closure conditions of the
-characteristics construction: commutators of the kernel fields staying in
-their own span, and directional derivatives of each covector staying in the
-span of the pair.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement, permutations
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -44,49 +39,38 @@ from .fluid import GasParams, StateVec, coefficient_matrices
 
 __all__ = [
     "AnsatzConfig",
-    "InvolutivityReport",
     "trace_condition_initial",
     "trace_condition_higher",
     "bilinear_rank2_condition",
-    "involutivity_check",
     "config_from_family",
 ]
-
-SPAN_RANK_TOL = 1e-7
 
 
 @dataclass(frozen=True)
 class AnsatzConfig:
-    """Wave covectors (with derivatives) and profile Jacobian for one ansatz.
+    """Wave covectors (with derivatives) for one ansatz.
 
-    waves / waves_jac / profile_jac follow the batched catalog conventions;
-    k is the wave count.
+    waves / waves_jac follow the batched catalog conventions; k is the wave
+    count.  The profile Jacobian df/dr goes to each trace condition as its
+    (4, k) argument ``fr``, so a caller evaluates the profile once per batch.
     """
 
     k: int
     waves: Callable
     waves_jac: Callable
-    profile_jac: Callable
     gas: GasParams = GasParams()
     explicit_a_rate: Callable | None = None  # da/dt on the initial section
 
 
 def config_from_family(spec) -> AnsatzConfig:
     return AnsatzConfig(k=spec.n_waves, waves=spec.waves, waves_jac=spec.waves_jac,
-                        profile_jac=spec.profile_jac, gas=spec.gas,
-                        explicit_a_rate=spec.initial_a_rate)
+                        gas=spec.gas, explicit_a_rate=spec.initial_a_rate)
 
 
-def _state_data(cfg: AnsatzConfig, state, r):
+def _state_data(cfg: AnsatzConfig, state):
     u = np.asarray(state.as_array if isinstance(state, StateVec) else state,
                    dtype=float).reshape(1, 4)
-    lam = cfg.waves(u)[0]
-    eta = cfg.waves_jac(u)[0]
-    fr = None
-    if r is not None:
-        fr = cfg.profile_jac(np.asarray(r, dtype=float).reshape(1, cfg.k),
-                             np.zeros(1))[0]
-    return u[0], lam, eta, fr
+    return u[0], cfg.waves(u)[0], cfg.waves_jac(u)[0]
 
 
 def _dispersion_stack(u, gas):
@@ -138,7 +122,7 @@ def _normalize(lam, eta, fr, k):
     block = lam[:, list(pivots)]
     inv = linalg.inverse(block) if k > 1 else np.array([[1.0 / block[0, 0]]])
     lam_t = inv @ lam
-    fr_t = None if fr is None else fr @ block
+    fr_t = fr @ block
     slices = []
     for a in others:
         s = np.empty((k, 4))
@@ -149,23 +133,25 @@ def _normalize(lam, eta, fr, k):
     return lam_t, slices, fr_t, others
 
 
-def trace_condition_initial(cfg: AnsatzConfig, state, r):
+def trace_condition_initial(cfg: AnsatzConfig, state, fr):
     """Residuals of tr(A^mu (df/dr) lam), one per fluid equation.
 
-    Profiles carrying an explicit time dependence of the sound speed
-    contribute their initial-section rate da/dt to the first equation.
+    ``fr`` is the (4, k) profile Jacobian df/dr at the sample.  Profiles
+    carrying an explicit time dependence of the sound speed contribute
+    their initial-section rate da/dt to the first equation.
     """
-    u, lam, _, fr = _state_data(cfg, state, r)
+    u, lam, _ = _state_data(cfg, state)
     lmats = _dispersion_stack(u, cfg.gas)(lam)
-    res = _equation_residual(lmats, fr)
+    res = _equation_residual(lmats, np.asarray(fr, dtype=float))
     if cfg.explicit_a_rate is not None:
         res = res.copy()
         res[0] += cfg.explicit_a_rate(u)
     return res
 
 
-def trace_condition_higher(cfg: AnsatzConfig, state, r, s: int):
-    """Symmetrized higher trace residuals at order s (1 <= s <= k-1).
+def trace_condition_higher(cfg: AnsatzConfig, state, fr, s: int):
+    """Symmetrized higher trace residuals at order s (1 <= s <= k-1), with
+    ``fr`` the (4, k) profile Jacobian at the sample.
 
     Returns (residuals, index_tuples): residuals has one 4-vector row per
     symmetrized multi-index of non-pivot coordinate slices.  Empty for
@@ -175,8 +161,8 @@ def trace_condition_higher(cfg: AnsatzConfig, state, r, s: int):
         return np.zeros((0, 4)), []
     if not 1 <= s <= cfg.k - 1:
         raise ValueError(f"order s must satisfy 1 <= s <= k-1 = {cfg.k - 1}, got {s}")
-    u, lam, eta, fr = _state_data(cfg, state, r)
-    lam_t, slices, fr_t, coords = _normalize(lam, eta, fr, cfg.k)
+    u, lam, eta = _state_data(cfg, state)
+    lam_t, slices, fr_t, coords = _normalize(lam, eta, np.asarray(fr, dtype=float), cfg.k)
     lmats = _dispersion_stack(u, cfg.gas)(lam_t)
 
     residuals, labels = [], []
@@ -209,7 +195,7 @@ def bilinear_rank2_condition(cfg: AnsatzConfig, state):
     """
     if cfg.k != 2:
         raise ValueError("bilinear reduction applies to wave pairs (k = 2)")
-    u, lam, eta, _ = _state_data(cfg, state, None)
+    u, lam, eta = _state_data(cfg, state)
     sv = StateVec.from_array(u)
     stack = _dispersion_stack(u, cfg.gas)
 
@@ -249,70 +235,3 @@ def bilinear_rank2_condition(cfg: AnsatzConfig, state):
         wa = gamma @ (ka - eye2 * np.trace(ka))
         out[:, col] = _equation_residual(lmats, wa)
     return out
-
-
-@dataclass
-class InvolutivityReport:
-    """Span-membership outcome for each unordered field pair."""
-
-    pairs: list
-    commutator_in_span: dict
-    lie_derivative_in_span: dict
-    details: dict = field(default_factory=dict)
-
-
-def _directional_fd(fn, u, direction, step):
-    """Richardson-stabilized central difference of fn along direction."""
-    def central(h):
-        return (np.asarray(fn(u + h * direction)) - np.asarray(fn(u - h * direction))) / (2 * h)
-    d1 = central(step)
-    d2 = central(0.5 * step)
-    scale = np.max(np.abs(d2)) + 1e-30
-    if np.max(np.abs(d1 - d2)) > 1e-5 * scale:
-        return (4.0 * d2 - d1) / 3.0
-    return d2
-
-
-def _jacobian_fd(fn, u, step):
-    cols = [_directional_fd(fn, u, e, step) for e in np.eye(4)]
-    return np.stack(cols, axis=1)
-
-
-def _in_span(vectors, candidate, rel_tol=SPAN_RANK_TOL):
-    base = np.vstack(vectors)
-    scale = np.max(np.abs(candidate)) + np.max(np.abs(base))
-    if np.max(np.abs(candidate)) <= 1e-12 * scale:
-        return True
-    aug = np.vstack([base, candidate])
-    return linalg.numerical_rank(aug, rel_tol) == linalg.numerical_rank(base, rel_tol)
-
-
-def involutivity_check(gammas: Sequence[Callable], lambdas: Sequence[Callable],
-                       state, fd_step: float = 1e-6) -> InvolutivityReport:
-    """Closure conditions of the wave geometry at one state.
-
-    (i) each commutator [gamma_A, gamma_B] must lie in span{gamma_A,
-    gamma_B}; (ii) each directional derivative of lam^A along gamma_B must
-    lie in span{lam^A, lam^B}.  Derivatives are central differences with
-    Richardson refinement on disagreement.
-    """
-    u = np.asarray(state.as_array if isinstance(state, StateVec) else state,
-                   dtype=float).reshape(4)
-    k = len(gammas)
-    pairs = [(a, b) for a in range(k) for b in range(k) if a != b]
-    comm_ok, lie_ok, details = {}, {}, {}
-    for a, b in pairs:
-        if a < b:
-            ja = _jacobian_fd(gammas[a], u, fd_step)
-            jb = _jacobian_fd(gammas[b], u, fd_step)
-            ga, gb = np.asarray(gammas[a](u)), np.asarray(gammas[b](u))
-            comm = jb @ ga - ja @ gb
-            ok = _in_span([ga, gb], comm)
-            comm_ok[(a, b)] = comm_ok[(b, a)] = ok
-            details[("commutator", a, b)] = comm
-        lie = _directional_fd(lambdas[a], u, np.asarray(gammas[b](u)), fd_step)
-        la, lb = np.asarray(lambdas[a](u)), np.asarray(lambdas[b](u))
-        lie_ok[(a, b)] = _in_span([la, lb], lie)
-        details[("lie", a, b)] = lie
-    return InvolutivityReport(pairs=pairs, commutator_in_span=comm_ok,
-                              lie_derivative_in_span=lie_ok, details=details)

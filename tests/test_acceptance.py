@@ -29,7 +29,7 @@ from riemannwaves.fluid import (
 )
 from riemannwaves.verify import GridSpec, catastrophe_probe, residual_exact, residual_fd
 
-from test_conditions import acoustic_pair_config, locked_pair, perturbed_pair
+from test_conditions import acoustic_pair_config, locked_pair, perturbed_pair, profile_jac_at
 from test_elliptic import ORACLE_CN_1_05, ORACLE_DN_1_05, ORACLE_SN_1_05
 from test_linalg import charpoly_cofactor
 
@@ -193,9 +193,10 @@ def test_criterion_07_trace_conditions():
                 continue
             tested += 1
             scale = 1.0 + float(np.max(np.abs(u)))
-            worst = float(np.max(np.abs(trace_condition_initial(cfg, u, r))))
+            fr = profile_jac_at(spec, r)
+            worst = float(np.max(np.abs(trace_condition_initial(cfg, u, fr))))
             for s in range(1, k):
-                res_h, _ = trace_condition_higher(cfg, u, r, s)
+                res_h, _ = trace_condition_higher(cfg, u, fr, s)
                 if res_h.size:
                     worst = max(worst, float(np.max(np.abs(res_h))))
             worst_all = max(worst_all, worst / scale)

@@ -364,3 +364,25 @@ def test_dr_du_equals_contracted_derivative_stack(fid, n):
             got = dr_du(u, pts)
             assert got.shape == (n, waves_jac(u).shape[1], 4)
             assert np.array_equal(got, np.einsum("nkia,ni->nka", waves_jac(u), pts))
+
+
+@pytest.mark.parametrize("abc", [None, (0.7, -0.9, 5.0)], ids=["registry", "off-default"])
+def test_periodic_well_jet_is_value_and_derivative_bit_for_bit(abc):
+    if abc is None:  # v2's amplitude at the registry values
+        fprof = make_family("R3_E1S2S3_v2").custom_eval.F
+    else:
+        fprof = pf.periodic_well(*abc)
+    s = np.linspace(-50.0, 50.0, 10001)
+    f, df = fprof.jet(s)
+    assert f.tobytes() == fprof(s).tobytes()
+    assert df.tobytes() == fprof.d(s).tobytes()
+    f, df = fprof.value_and_d(s)
+    assert f.tobytes() == fprof(s).tobytes() and df.tobytes() == fprof.d(s).tobytes()
+
+
+def test_fn1_without_jet_returns_value_and_derivative():
+    fprof = pf.kink(1.5, 2.0)
+    s = np.linspace(-3.0, 3.0, 101)
+    assert fprof.jet is None
+    f, df = fprof.value_and_d(s)
+    assert f.tobytes() == fprof(s).tobytes() and df.tobytes() == fprof.d(s).tobytes()

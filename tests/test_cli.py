@@ -3,10 +3,19 @@
 import json
 
 import numpy as np
+import pytest
 
 from riemannwaves.cli import main, parse_grid, parse_value
+from riemannwaves.conditions import (
+    bilinear_rank2_condition,
+    config_from_family,
+    trace_condition_higher,
+    trace_condition_initial,
+)
 from riemannwaves.verify import residual_fd
-from riemannwaves.catalog import make_family
+from riemannwaves.catalog import REGISTRY_IDS, make_family
+
+from test_conditions import acoustic_pair_config, kernel_columns
 
 
 def run(args, capsys):
@@ -105,6 +114,60 @@ def test_conditions_family_and_pair(capsys):
     doc = json.loads(out)
     assert code == 1 and doc["pass"] is False
     assert any(not row["pass"] for row in doc["rows"])
+
+
+def _max_abs(res):
+    return float(np.max(np.abs(res))) if res.size else 0.0
+
+
+def _family_rows_one_by_one(fid, samples, seed):
+    """`conditions` rows with each sample's profile and profile_jac evaluated
+    on its own r[None], in the per-sample draw order."""
+    spec = make_family(fid)
+    cfg = config_from_family(spec)
+    rng = np.random.default_rng(seed)
+    rows = []
+    for i in range(samples):
+        r = rng.uniform(-0.8, 0.8, spec.n_waves)[None, :]
+        u = spec.profile(r, np.zeros(1))[0]
+        if not u[0] > 0:
+            continue
+        fr = spec.profile_jac(r, np.zeros(1))[0]
+        initial = _max_abs(trace_condition_initial(cfg, u, fr))
+        higher = max([_max_abs(trace_condition_higher(cfg, u, fr, s)[0])
+                      for s in range(1, spec.n_waves)], default=0.0)
+        rows.append({"sample": i, "initial_max": initial, "higher_max": higher,
+                     "pass": max(initial, higher) <= 1e-10 * (1.0 + np.max(np.abs(u)))})
+    return rows
+
+
+@pytest.mark.parametrize("seed", [3, 289607014])
+@pytest.mark.parametrize("fid", REGISTRY_IDS)
+def test_conditions_batch_equals_samples_one_by_one(fid, seed, capsys):
+    # one profile evaluation per request gives every row bit for bit
+    code, out, _ = run(["conditions", "--family", fid, "--seed", str(seed)], capsys)
+    doc = json.loads(out)
+    expected = _family_rows_one_by_one(fid, 25, seed)
+    assert doc["rows"] == expected
+    assert code == (0 if expected and all(row["pass"] for row in expected) else 1)
+
+
+def test_conditions_pair_equals_samples_one_by_one(capsys):
+    e1, e2 = np.array([1.0, 0.0, 0.0]), np.array([-0.6, 0.8, 0.0])
+    cfg, fr = acoustic_pair_config(e1, e2), kernel_columns(e1, e2)
+    rng = np.random.default_rng(5)
+    expected = []
+    for i in range(25):
+        u = np.concatenate([[rng.uniform(0.5, 2.0)], rng.normal(0, 0.5, 3)])
+        rng.uniform(-0.8, 0.8, 2)
+        res = [trace_condition_initial(cfg, u, fr), trace_condition_higher(cfg, u, fr, 1)[0],
+               bilinear_rank2_condition(cfg, u)]
+        worst = [_max_abs(x) for x in res]
+        expected.append({"sample": i, "initial_max": worst[0], "higher_max": worst[1],
+                         "bilinear_max": worst[2],
+                         "pass": max(worst) <= 1e-10 * (1.0 + np.max(np.abs(u)))})
+    _, out, _ = run(["conditions", "--pair=1,0,0;-0.6,0.8,0", "--seed", "5"], capsys)
+    assert json.loads(out)["rows"] == expected
 
 
 def test_catastrophe_command(capsys):

@@ -1,0 +1,102 @@
+"""Golden sha256 digests of default CLI outputs, one per family and command.
+
+The digests pin the bytes of ``sample`` (CSV), ``conditions --samples 10
+--seed 3`` and ``catastrophe`` at each family's defaults, so a change that
+moves an output byte fails here and must say so.  A change that moves bytes
+on purpose updates the digests and records why.
+
+The last bits of numpy's transcendental functions depend on the numpy
+release and on the SIMD code it dispatches to, so the digests hold only on
+the platform they were taken on (below); elsewhere the test skips.
+"""
+
+import hashlib
+import platform
+
+import numpy as np
+import pytest
+
+from riemannwaves import cli
+from riemannwaves.catalog import REGISTRY_IDS
+
+# numpy release, machine, and whether numpy dispatches AVX512_SKX code
+DIGEST_PLATFORM = ("2.4.6", "x86_64", True)
+
+COMMANDS = {
+    "sample": [],
+    "conditions": ["--samples", "10", "--seed", "3"],
+    "catastrophe": [],
+}
+
+DIGESTS = {
+    "sample": {
+        "R1_E": "d96a0df57f2d0f424a03f8d929230216eed84b41334bfb9439cfc4cedc184a0e",
+        "R1_S": "4922e4740cd5f26f85639e465dfd724df378560477be5682413983fd1ef2063b",
+        "R2_E1E2": "ece119dc3e2e8eba189d7811d72aa53720c1247af690829085a6bf32d3188b38",
+        "R2_E1E2S3": "54c8afdb834cee321bb471d5f23370f99c67dca0a86a6046f19389059890c3a1",
+        "R2_E1S2": "a870a13c247245c54658f6542350d7924a0420e6394af70468ec7d9b1b84b909",
+        "R2_E1S2S3": "c42dfce56d524ef5f632638c845902423a20778108c410431a9a4720910845e9",
+        "R2_S1S2S3": "6cc325c3c330cbc4c61fa54aec8c3be19e9f1421ce86774757892f2f32b55c3c",
+        "R2_S1S2_ADD": "e699ce25ddc2508b1f5451e7854c1a8c2adcd875337c9e30b106ee61b753150c",
+        "R2_S1S2_MA": "371ee86bd7a916aca4c462e15bd0111b515432fa77fcf5657991aaa52f4ce42a",
+        "R3_E1E2E3": "c2240ba6a699c40df94c1cb0dda863986c6165fc38328929f6b3b91ca0c20f32",
+        "R3_E1S2S3_v1": "2cbed49cad2ec11333e27d19f6fd67702a0638ee91f563578fbded9658417e88",
+        "R3_E1S2S3_v2": "f667592dfe24380963f04162eea17d07c45ba511991d26d9c8f54a36b27e7c2d",
+        "RK_TIME_A": "cb1bdd3286199b176a2055a919936f737dd0091cd97f2430e087e6e7e16fb4ae",
+    },
+    "conditions": {
+        "R1_E": "43726b5d265c207000d678b0ec33dd32541f6b0a4ad9e3499e8994ccaa8af579",
+        "R1_S": "e65bd1cf9888138e54e70c9058150eb823b4f137ceaac372821f737ea5fa6290",
+        "R2_E1E2": "16aefdead06e72a5d6ef2322060c58e4fe0e412248e92b8729b93042a501534c",
+        "R2_E1E2S3": "f38cc49b015be0ccf663507aa15cb5fca50ea3f5d2616bae0419caf164ae5b5f",
+        "R2_E1S2": "08df760b943bad317a00cbd99eed2b07a7c43b3417c76537a01a8ea9085c89fd",
+        "R2_E1S2S3": "59b96279bbcc28bcba3ce21aeeabc58fb6be18a552a5b30558785ee8fe2003c8",
+        "R2_S1S2S3": "1de00f57f267f1d940472e141f7cab23f6404583168be0c1db4531f60e481120",
+        "R2_S1S2_ADD": "e3eae5f741406ac552594538558da0dc0364786f1e2392b412d8a755c85d86f7",
+        "R2_S1S2_MA": "0877885d3355c9fed3766b6aca7349aa57b1775d105f316c25e3283b17d858c2",
+        "R3_E1E2E3": "2b90152ef18ef6e01a3fa815390941c731d8efb7318a1e17646d8d1ca135eb32",
+        "R3_E1S2S3_v1": "d60bdc993c5dc6b5674d1df53fe209d29c3d650a9b9034f2f36cc738c2ee7641",
+        "R3_E1S2S3_v2": "aa1b51c66449245f0c956abef9cbb6624832701f9d985c96e3d1d8d2766cb155",
+        "RK_TIME_A": "cb76e1be8ba3a19f7d712a5da54bc41299af80d20abfd73d82198064588cd118",
+    },
+    "catastrophe": {
+        "R1_E": "cac38205905ea62365900277d39eb3704d33038215ff9998aa990203f1bd1daf",
+        "R1_S": "258553589f992369b2ab92be65f89c748da1779439c8622fe59f35bff364cc71",
+        "R2_E1E2": "e65c2467129cd988ed97cf1aeeda3faf79ca2fe649b8282a68ac713d8a21558e",
+        "R2_E1E2S3": "6c4ffac8c66ecbc5dcf7c07a6f896a34ee3b62902e6cf995d67ae5d14275a8e2",
+        "R2_E1S2": "6c3e61706f6969f4bf858b0692eae3d4fb6f4d2f6f2caee17702768115799e9c",
+        "R2_E1S2S3": "65e9e7de954d99b0b737bf02eefeb8d2b388efaadd3ae1fd3e28ad5d5a13b935",
+        "R2_S1S2S3": "aad6b7cb965b8e563feb858be8182bcb306c21a618ee29f37713668d9de56a71",
+        "R2_S1S2_ADD": "69f9b9520cefb8f8a8fe66bcd07ad0e6aebade69de0213b1fb9c39bec0c2ff67",
+        "R2_S1S2_MA": "18d349f9550b845f21f189aa5705629ddeb8dfb5ba643440dd2dc7bf759fbf23",
+        "R3_E1E2E3": "5601f913f8238a7755ab39288950903540e5e73d4affd98d7ec5a5249336acf9",
+        "R3_E1S2S3_v1": "acf2eed37afb2a81369e6b7b83a25a9c43544ed871518ed01d4560d0e9c1b332",
+        "R3_E1S2S3_v2": "8927960e4bc5f0f21ed2681e8f9dcd56d78af6bce15482a355b9dc5e1129ca4d",
+        "RK_TIME_A": "5bcbe72a07692b83c04bc164ca5b092d73386002116cbe062a39700852d43303",
+    },
+}
+
+
+def _platform():
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:
+        __cpu_features__ = {}
+    return np.__version__, platform.machine(), bool(__cpu_features__.get("AVX512_SKX"))
+
+
+def test_digests_cover_every_family_and_command():
+    assert set(DIGESTS) == set(COMMANDS)
+    for table in DIGESTS.values():
+        assert sorted(table) == sorted(REGISTRY_IDS)
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+@pytest.mark.parametrize("fid", REGISTRY_IDS)
+def test_default_output_digest(fid, command, tmp_path):
+    if _platform() != DIGEST_PLATFORM:
+        pytest.skip(f"digests taken on {DIGEST_PLATFORM} (numpy, machine, AVX512_SKX); "
+                    f"this platform is {_platform()}")
+    out = tmp_path / "out.txt"
+    assert cli.main([command, "--family", fid, *COMMANDS[command], "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == DIGESTS[command][fid]

@@ -281,12 +281,12 @@ def test_fd_stencil_integrates_once_per_distinct_argument(monkeypatch, fid, para
     assert len(calls) == expected + skips
 
 
-def test_conditions_builds_one_chart_per_sample(monkeypatch, capsys):
-    # profile, profile_jac and both trace orders of a sample share one chart
+def test_conditions_builds_one_chart_per_request(monkeypatch, capsys):
+    # profile and profile_jac of all samples share one chart
     calls = _count_calls(monkeypatch, RotatingPolarizationEvaluator, "_chart")
     assert cli.main(["conditions", "--family", V2, "--samples", "3"]) == 0
     capsys.readouterr()
-    assert len(calls) == 3
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("fid,params", ODE_FAMILIES, ids=ODE_IDS)
