@@ -142,7 +142,7 @@ def trace_condition_initial(cfg: AnsatzConfig, state, fr):
     """
     u, lam, _ = _state_data(cfg, state)
     lmats = _dispersion_stack(u, cfg.gas)(lam)
-    res = _equation_residual(lmats, np.asarray(fr, dtype=float))
+    res = _equation_residual(lmats, fr)
     if cfg.explicit_a_rate is not None:
         res = res.copy()
         res[0] += cfg.explicit_a_rate(u)
@@ -162,7 +162,7 @@ def trace_condition_higher(cfg: AnsatzConfig, state, fr, s: int):
     if not 1 <= s <= cfg.k - 1:
         raise ValueError(f"order s must satisfy 1 <= s <= k-1 = {cfg.k - 1}, got {s}")
     u, lam, eta = _state_data(cfg, state)
-    lam_t, slices, fr_t, coords = _normalize(lam, eta, np.asarray(fr, dtype=float), cfg.k)
+    lam_t, slices, fr_t, coords = _normalize(lam, eta, fr, cfg.k)
     lmats = _dispersion_stack(u, cfg.gas)(lam_t)
 
     residuals, labels = [], []
