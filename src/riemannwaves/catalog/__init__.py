@@ -3,8 +3,8 @@
 The registry holds one entry per family: wave composition, profile presets,
 parameter defaults and structural constraints, singular-time formulas, and
 validity windows.  ``make_family`` builds a validated FamilySpec,
-``FamilySpec.evaluate`` solves it at spacetime points, and the helper
-operations (time-only sound-speed law, Monge-Ampere residual) live alongside.
+``FamilySpec.evaluate`` solves it at spacetime points, and the Monge-Ampere
+residual of a stream-function preset lives alongside.
 """
 
 from .base import (
@@ -20,7 +20,7 @@ from .registry import (
     make_family,
     registry_entries,
 )
-from .ops import monge_ampere_residual, rankk_sound_speed
+from .ops import monge_ampere_residual
 
 __all__ = [
     "ConstraintError",
@@ -33,5 +33,4 @@ __all__ = [
     "make_family",
     "registry_entries",
     "monge_ampere_residual",
-    "rankk_sound_speed",
 ]

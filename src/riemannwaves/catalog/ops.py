@@ -1,56 +1,22 @@
-"""Catalog-level helper operations: time-only sound-speed law, Monge-Ampere residual."""
+"""Catalog-level helper operation: the Monge-Ampere residual of a stream function."""
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["rankk_sound_speed", "monge_ampere_residual"]
+__all__ = ["monge_ampere_residual"]
 
 
-def rankk_sound_speed(k: int, coeffs, a1: float, kappa: float, t):
-    """Sound speed A1 (1 + p_{k-1} t + ... + p0 t^k)^(-1/kappa).
-
-    coeffs holds (p0, ..., p_{k-1}): the constant characteristic-polynomial
-    coefficients of the velocity Jacobian, p0 multiplying t^k.  Raises when
-    the polynomial is nonpositive anywhere in t.
-    """
-    coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.shape != (k,):
-        raise ValueError(f"expected {k} coefficients p0..p{k-1}, got shape {coeffs.shape}")
-    if not a1 > 0:
-        raise ValueError("A1 must be positive")
-    t = np.asarray(t, dtype=float)
-    poly = np.ones_like(t)
-    for j, p in enumerate(coeffs):  # p_j multiplies t^(k-j)
-        poly = poly + p * t ** (k - j)
-    if np.any(poly <= 0.0):
-        raise ValueError("sound-speed polynomial nonpositive at requested time")
-    out = a1 * poly ** (-1.0 / kappa)
-    return float(out) if out.ndim == 0 else out
-
-
-def _second_derivatives(h, p, q, step):
-    """Central-difference Hessian entries of a scalar callable h(p, q)."""
-    s = step
-    hpp = (h(p + s, q) - 2.0 * h(p, q) + h(p - s, q)) / s**2
-    hqq = (h(p, q + s) - 2.0 * h(p, q) + h(p, q - s)) / s**2
-    hpq = (h(p + s, q + s) - h(p + s, q - s) - h(p - s, q + s) + h(p - s, q - s)) / (4.0 * s**2)
-    return hpp, hqq, hpq
-
-
-def monge_ampere_residual(h, b1: float, samples, step: float = 1e-5) -> float:
+def monge_ampere_residual(h, b1: float, samples) -> float:
     """max |h_pp h_qq - h_pq^2 - B1| over sample points (M, 2).
 
-    Uses analytic second derivatives when the function exposes
-    ``hessian(p, q) -> (hpp, hqq, hpq)``; otherwise central differences with
-    the given step (noise floor ~eps/step^2 applies to the FD route).
+    ``h`` must carry an analytic ``hessian(p, q) -> (hpp, hqq, hpq)``, as the
+    stream-function presets of ``profiles`` do; raises ValueError otherwise.
     """
+    hessian = getattr(h, "hessian", None)
+    if hessian is None:
+        raise ValueError(f"{getattr(h, 'name', h)!r} has no analytic hessian")
     samples = np.asarray(samples, dtype=float).reshape(-1, 2)
-    p, q = samples[:, 0], samples[:, 1]
-    if hasattr(h, "hessian"):
-        hpp, hqq, hpq = h.hessian(p, q)
-    else:
-        fn = h.f if hasattr(h, "f") else h
-        hpp, hqq, hpq = _second_derivatives(fn, p, q, step)
+    hpp, hqq, hpq = hessian(samples[:, 0], samples[:, 1])
     res = hpp * hqq - hpq**2 - b1
     return float(np.max(np.abs(res)))

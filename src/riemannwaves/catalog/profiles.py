@@ -16,7 +16,7 @@ import numpy as np
 from ..elliptic import jacobi_sn_cn_dn
 
 __all__ = [
-    "Fn1", "Fn2", "linear", "const", "kink", "expkink", "sech_bump", "bump",
+    "Fn1", "Fn2", "linear", "kink", "expkink", "sech_bump", "bump",
     "coshwell", "coshbump", "periodic_well", "snwell", "snkink", "kink2",
     "theta_concentric", "theta_solitary", "quadratic_stream", "npower_stream",
     "homogeneous_stream",
@@ -51,8 +51,7 @@ class Fn2:
     """Two-argument profile (p, q) -> f with partial derivatives (dp, dq).
 
     Stream-function presets also carry an analytic ``hessian(p, q)`` map
-    returning (f_pp, f_qq, f_pq); the Monge-Ampere residual uses it when
-    present instead of finite differences.  A preset whose value and
+    returning (f_pp, f_qq, f_pq), which the Monge-Ampere residual reads.  A preset whose value and
     partials share costly parts supplies ``jet(p, q) -> (f, dp, dq)``.
     """
 
@@ -73,11 +72,6 @@ class Fn2:
 def linear(a):
     return Fn1(f"linear(A={a:g})", lambda s: a * np.asarray(s, float),
                lambda s: np.full_like(np.asarray(s, float), a))
-
-
-def const(c):
-    return Fn1(f"const({c:g})", lambda s: np.full_like(np.asarray(s, float), c),
-               lambda s: np.zeros_like(np.asarray(s, float)))
 
 
 def kink(a, b):

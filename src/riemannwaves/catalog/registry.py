@@ -371,7 +371,7 @@ def _build_r2_s1s2_ma(p, gas):
         disc = x[:, 1] ** 2 + 4.0 * t * x[:, 0]
         return (t > 1e-6) & (disc > 1e-10)
 
-    spec = FamilySpec(
+    return FamilySpec(
         id="R2_S1S2_MA", rank=2, n_waves=2,
         description="two vortex waves from a degenerate stream function (power-law, two sheets)",
         params=p, gas=gas,
@@ -385,8 +385,6 @@ def _build_r2_s1s2_ma(p, gas):
         default_window={"t": (0.5, 1.5), "x1": (0.5, 1.5), "x2": (-0.5, 0.5), "x3": (-1.0, 1.0)},
         notes="branch 'plus': u2 = (x2 + sqrt((x2)^2 + 4 t x1))/t sheet; validity restricted to t > 0",
     )
-    spec.params["_stream"] = pf.npower_stream(n)
-    return spec
 
 
 # ---------------------------------------------------------------------------
@@ -836,21 +834,9 @@ def _build_rk_time_a(p, gas):
         ch = np.sqrt(b1)
         df_mat = np.array([[c1, ch], [-ch, c1]])
         rank = 3 if abs(c1) > 1e-12 or abs(b1) > 1e-12 else 2
-        stream = pf.quadratic_stream(ch)
     elif p["profile"] == "nilpotent":
-        b1, c1 = 0.0, 0.0
-        d1 = p["D1"]
-        df_mat = np.array([[0.0, d1], [0.0, 0.0]])
+        df_mat = np.array([[0.0, p["D1"]], [0.0, 0.0]])
         rank = 1
-
-        def _hess(pp, qq):
-            shape = np.broadcast(np.asarray(pp, float), np.asarray(qq, float)).shape
-            return np.zeros(shape), np.full(shape, d1), np.zeros(shape)
-        stream = pf.Fn2(f"shear(D1={d1:g})",
-                        lambda pp, qq: 0.5 * d1 * np.asarray(qq, float) ** 2,
-                        lambda pp, qq: np.zeros_like(np.asarray(pp, float)),
-                        lambda pp, qq: d1 * np.asarray(qq, float),
-                        hessian=_hess)
     else:
         raise ConstraintError(f"unknown profile preset {p['profile']!r} for RK_TIME_A")
 
@@ -900,7 +886,7 @@ def _build_rk_time_a(p, gas):
             r[i] = np.linalg.solve(np.eye(2) + t[i] * df_mat, x[i, :2])
         return r, profile(r, t)
 
-    spec = FamilySpec(
+    return FamilySpec(
         id="RK_TIME_A", rank=rank, n_waves=2,
         description="free-streaming velocity with time-only sound speed (quadratic or nilpotent stream)",
         params=p, gas=gas,
@@ -913,9 +899,6 @@ def _build_rk_time_a(p, gas):
         default_window={"t": (0.0, 2.0)},
         notes="velocity Jacobian has constant invariants; u3 = 0 and fields ignore x3",
     )
-    spec.params["_df_matrix"] = df_mat
-    spec.params["_stream"] = stream
-    return spec
 
 
 # ---------------------------------------------------------------------------

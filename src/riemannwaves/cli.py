@@ -142,8 +142,6 @@ def _emit(text: str, out_path):
 def _json_params(spec) -> dict:
     out = {}
     for key, val in spec.params.items():
-        if key.startswith("_"):
-            continue
         if isinstance(val, (tuple, list, np.ndarray)):
             out[key] = [float(v) for v in val]
         elif isinstance(val, (np.floating, np.integer)):

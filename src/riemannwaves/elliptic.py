@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["jacobi_sn_cn_dn", "complete_elliptic_k"]
+__all__ = ["jacobi_sn_cn_dn"]
 
 _AGM_TOL = 1e-15
 _K1_BAND = 1e-12  # switch to hyperbolic forms when 1 - k^2 < this
@@ -43,17 +43,6 @@ def _agm_ladder(kp: float):
         avals.append(an)
         cvals.append(cn)
     return avals, cvals
-
-
-def complete_elliptic_k(k: float) -> float:
-    """Complete elliptic integral K(k) = pi / (2 agm(1, sqrt(1-k^2)))."""
-    k = _validate_modulus(abs(k))
-    if 1.0 - k * k < _K1_BAND:
-        return float("inf")
-    a, b = 1.0, np.sqrt(1.0 - k * k)
-    while abs(a - b) > _AGM_TOL * a:
-        a, b = 0.5 * (a + b), np.sqrt(a * b)
-    return float(np.pi / (2.0 * a))
 
 
 def jacobi_sn_cn_dn(u, k: float):

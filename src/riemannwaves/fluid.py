@@ -10,14 +10,15 @@ the coefficient matrices A^i, the dispersion relation
 
     det(lam0*I4 + lam_i A^i) = (lam0 + u.lam)^2 [(lam0 + u.lam)^2 - a^2 lam^2],
 
-its two root families (potential / acoustic and rotational / vortex wave
-covectors), wave-relation kernels, and orthogonal frames for chosen wave
-sets.
+and its two root families (potential / acoustic and rotational / vortex wave
+covectors) with their wave-relation kernels.  ``potential_wave`` and
+``rotational_wave`` are the reference form of the covectors that the catalog
+families run (``catalog.base.PotentialWave`` / ``RotationalWave``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +28,6 @@ __all__ = [
     "GasParams",
     "StateVec",
     "WaveVector",
-    "OrthogonalFrame",
     "DegenerateWavesError",
     "NotACharacteristicError",
     "coefficient_matrices",
@@ -36,7 +36,6 @@ __all__ = [
     "potential_wave",
     "rotational_wave",
     "wave_kernel",
-    "orthogonal_frame",
 ]
 
 UNIT_TOL = 1e-12
@@ -117,13 +116,6 @@ class WaveVector:
         return np.concatenate([[self.lam0], self.lam])
 
 
-@dataclass(frozen=True)
-class OrthogonalFrame:
-    """p-k independent vectors xi_a with lam^A . xi_a = 0 for every wave."""
-
-    xi: np.ndarray = field(default_factory=lambda: np.empty((0, 4)))
-
-
 def _unit(e) -> np.ndarray:
     e = np.asarray(e, dtype=float).reshape(3)
     norm = float(np.linalg.norm(e))
@@ -198,7 +190,7 @@ def rotational_wave(state: StateVec, e, m, gas: GasParams = GasParams()) -> Wave
     return WaveVector(lam0=lam0, lam=-exm, kind="rotational", e=e, m=m)
 
 
-def wave_kernel(state: StateVec, wv, gas: GasParams = GasParams(), rel_tol: float = 1e-8) -> np.ndarray:
+def wave_kernel(state: StateVec, wv, gas: GasParams = GasParams()) -> np.ndarray:
     """Orthonormal basis (columns) of ker(lam0*I4 + lam_i A^i) at a dispersion root.
 
     Potential roots carry one-dimensional kernels, rotational roots
@@ -210,23 +202,8 @@ def wave_kernel(state: StateVec, wv, gas: GasParams = GasParams(), rel_tol: floa
     scale = 1.0 + max(abs(lam0), float(np.max(np.abs(lam)))) * (1.0 + state.a + float(np.max(np.abs(state.u))))
     if abs(dispersion_det(state, wv, gas)) > 1e-8 * scale**4:
         raise NotACharacteristicError("covector is not a root of the dispersion relation")
-    basis = linalg.null_space(mat, rel_tol=rel_tol)
+    basis = linalg.null_space(mat)
     if basis.shape[1] == 0:
         raise NotACharacteristicError("dispersion matrix has no numeric kernel at this state")
     return basis
 
-
-def orthogonal_frame(waves) -> OrthogonalFrame:
-    """4-k independent vectors xi with lam^A . xi = 0 for all supplied waves."""
-    rows = []
-    for wv in waves:
-        lam0, lam = _split_wv(wv)
-        rows.append(np.concatenate([[lam0], lam]))
-    lam_mat = np.asarray(rows, dtype=float)
-    k = lam_mat.shape[0]
-    if k > 3:
-        raise DegenerateWavesError("at most 3 wave covectors supported")
-    if linalg.numerical_rank(lam_mat, rel_tol=1e-10) < k:
-        raise DegenerateWavesError("wave covectors are not linearly independent")
-    basis = linalg.null_space(lam_mat)
-    return OrthogonalFrame(xi=basis.T.copy())

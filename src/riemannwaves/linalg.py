@@ -30,19 +30,22 @@ __all__ = [
 ]
 
 MAX_DIM = 6
+JACOBI_MAX_SWEEPS = 60
+JACOBI_TOL = 1e-14    # off-diagonal Gram entry relative to the column norms
+NULL_REL_TOL = 1e-8   # kernel cutoff relative to the largest singular value
 
 
 class DimensionError(ValueError):
     """Input matrix has an unsupported shape."""
 
 
-def as_square(m, max_dim: int = MAX_DIM) -> np.ndarray:
-    """Validate and return ``m`` as a float square matrix of size <= max_dim."""
+def as_square(m) -> np.ndarray:
+    """Validate and return ``m`` as a float square matrix of size <= MAX_DIM."""
     a = np.asarray(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {a.shape}")
-    if a.shape[0] < 1 or a.shape[0] > max_dim:
-        raise DimensionError(f"matrix dimension {a.shape[0]} outside 1..{max_dim}")
+    if a.shape[0] < 1 or a.shape[0] > MAX_DIM:
+        raise DimensionError(f"matrix dimension {a.shape[0]} outside 1..{MAX_DIM}")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix entries must be finite")
     return a
@@ -115,13 +118,13 @@ def cayley_hamilton_residual(m) -> float:
     return float(np.max(np.abs(res)))
 
 
-def singular_values(m, max_sweeps: int = 60, tol: float = 1e-14) -> np.ndarray:
+def singular_values(m) -> np.ndarray:
     """Singular values by one-sided Jacobi iteration, descending order.
 
     Accepts a rectangular matrix, or a stack (N, m, n) of them with one row
     of values per matrix; works on columns of the (tall) matrices and
     orthogonalizes column pairs until all off-diagonal Gram entries are
-    below tol relative to the column norms.  Each rotation acts on the
+    below JACOBI_TOL relative to the column norms.  Each rotation acts on the
     matrices of the stack that need it, so a matrix's values do not depend
     on its stack.
     """
@@ -134,7 +137,7 @@ def singular_values(m, max_sweeps: int = 60, tol: float = 1e-14) -> np.ndarray:
     a = a[None] if single else a
     a = (np.swapaxes(a, 1, 2) if a.shape[1] < a.shape[2] else a).copy()
     n = a.shape[2]
-    for _ in range(max_sweeps):
+    for _ in range(JACOBI_MAX_SWEEPS):
         moved = False
         for p in range(n - 1):
             for q in range(p + 1, n):
@@ -143,7 +146,7 @@ def singular_values(m, max_sweeps: int = 60, tol: float = 1e-14) -> np.ndarray:
                 app = np.einsum("ni,ni->n", ap, ap)
                 aqq = np.einsum("ni,ni->n", aq, aq)
                 denom = np.sqrt(app * aqq)
-                rot = (denom != 0.0) & (np.abs(apq) > tol * denom)
+                rot = (denom != 0.0) & (np.abs(apq) > JACOBI_TOL * denom)
                 if not rot.any():
                     continue
                 moved = True
@@ -172,12 +175,12 @@ def numerical_rank(m, rel_tol: float = 1e-8):
     return int(rank) if sv.ndim == 1 else rank
 
 
-def null_space(m, rel_tol: float = 1e-8) -> np.ndarray:
-    """Orthonormal basis (columns) of the kernel of m, via SVD."""
+def null_space(m) -> np.ndarray:
+    """Orthonormal basis (columns) of the kernel of m, via SVD (cutoff NULL_REL_TOL)."""
     a = np.asarray(m, dtype=float)
     if a.ndim != 2:
         raise DimensionError(f"expected a matrix, got shape {a.shape}")
     u, sv, vt = np.linalg.svd(a)
-    cutoff = rel_tol * (sv[0] if sv.size and sv[0] > 0 else 1.0)
+    cutoff = NULL_REL_TOL * (sv[0] if sv.size and sv[0] > 0 else 1.0)
     mask = np.concatenate([sv <= cutoff, np.ones(a.shape[1] - sv.size, dtype=bool)])
     return vt[mask].T.copy()

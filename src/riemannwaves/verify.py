@@ -30,12 +30,13 @@ __all__ = [
     "pde_residual",
     "residual_exact",
     "residual_fd",
-    "fd_convergence_order",
     "catastrophe_probe",
 ]
 
 COND_SKIP = 1e-6       # near-singular skip rule on the implicit determinant
 DEFAULT_H = 1e-4
+PROBE_SCHEDULE_STEPS = 22  # schedule t* (1 - 2^-j), j = 1..22
+PROBE_BISECT_ITERS = 60
 
 
 class EmptyReportError(RuntimeError):
@@ -164,31 +165,41 @@ def _keep_mask(status, cond):
     return (status == STATUS_OK) & (np.abs(cond) >= COND_SKIP)
 
 
+def _sites(spec, points, grid):
+    """(t, x, grid): the explicit points, else the grid (default: the family's window)."""
+    if points is not None:
+        tv, xv = points
+        return np.asarray(tv, dtype=float), np.asarray(xv, dtype=float), grid
+    grid = grid or GridSpec.from_window(spec.default_grid_window())
+    return *grid.points(), grid
+
+
+def _report(spec, method, res, keep, jac, grid, t0, h=None) -> ResidualReport:
+    """Residual statistics over the points ``keep`` of the evaluation ``res``,
+    given the field gradients ``jac`` at those points."""
+    if not keep.any():
+        raise EmptyReportError(f"{spec.id}: all {len(keep)} points skipped")
+    state = res.state[keep]
+    r = pde_residual(state, jac, spec.gas.kappa)
+    return ResidualReport(
+        family=spec.id, method=method,
+        eq_max=np.max(np.abs(r), axis=0), eq_mean=np.mean(np.abs(r), axis=0),
+        scale=1.0 + float(np.max(np.abs(state))),
+        n_points=int(keep.sum()), n_skipped=int((~keep).sum()),
+        h=h, grid=grid.as_dict() if grid is not None else None,
+        runtime_ms=1e3 * (time.perf_counter() - t0),
+        skip_reasons=_skip_counts(res.status, res.cond_det),
+    )
+
+
 def residual_exact(spec: FamilySpec, points=None, grid: GridSpec | None = None,
                    branch=None) -> ResidualReport:
     """Residuals via the family's exact Jacobi matrices."""
     t0 = time.perf_counter()
-    if points is not None:
-        tv, xv = points
-        tv = np.asarray(tv, dtype=float)
-        xv = np.asarray(xv, dtype=float)
-    else:
-        grid = grid or GridSpec.from_window(spec.default_grid_window())
-        tv, xv = grid.points()
+    tv, xv, grid = _sites(spec, points, grid)
     res = spec.evaluate_batch(tv, xv, branch=branch)
     keep = _keep_mask(res.status, res.cond_det)
-    if not keep.any():
-        raise EmptyReportError(f"{spec.id}: all {len(tv)} points skipped")
-    r = pde_residual(res.state[keep], res.jac[keep], spec.gas.kappa)
-    scale = 1.0 + float(np.max(np.abs(res.state[keep])))
-    return ResidualReport(
-        family=spec.id, method="exact",
-        eq_max=np.max(np.abs(r), axis=0), eq_mean=np.mean(np.abs(r), axis=0),
-        scale=scale, n_points=int(keep.sum()), n_skipped=int((~keep).sum()),
-        grid=grid.as_dict() if grid is not None else None,
-        runtime_ms=1e3 * (time.perf_counter() - t0),
-        skip_reasons=_skip_counts(res.status, res.cond_det),
-    )
+    return _report(spec, "exact", res, keep, res.jac[keep], grid, t0)
 
 
 def _fd_states(spec, tv, xv, h, branch, guess):
@@ -219,15 +230,9 @@ def residual_fd(spec: FamilySpec, grid: GridSpec | None = None, h: float = DEFAU
     the centre's invariants; a point the centre skips costs no stencil.
     """
     t0 = time.perf_counter()
-    if points is not None:
-        tv, xv = points
-        tv = np.asarray(tv, dtype=float)
-        xv = np.asarray(xv, dtype=float)
-    else:
-        grid = grid or GridSpec.from_window(spec.default_grid_window())
-        if grid.min_spacing() < 4 * h:
-            raise ValueError(f"grid spacing {grid.min_spacing():.3g} below 4h = {4*h:.3g}")
-        tv, xv = grid.points()
+    tv, xv, grid = _sites(spec, points, grid)
+    if points is None and grid.min_spacing() < 4 * h:
+        raise ValueError(f"grid spacing {grid.min_spacing():.3g} below 4h = {4*h:.3g}")
 
     center = spec.evaluate_batch(tv, xv, branch=branch, jacobian=False)
     keep = _keep_mask(center.status, center.cond_det)
@@ -235,31 +240,12 @@ def residual_fd(spec: FamilySpec, grid: GridSpec | None = None, h: float = DEFAU
     stencil = _fd_states(spec, tv[idx], xv[idx], h, branch, center.r[idx])
     for _, _, ok in stencil:
         keep[idx[~ok]] = False
-    if not keep.any():
-        raise EmptyReportError(f"{spec.id}: all {len(tv)} points skipped")
 
     sel = keep[idx]
     jac = np.empty((int(keep.sum()), 4, 4))
     for axis, (plus, minus, _) in enumerate(stencil):
         jac[:, :, axis] = (plus[sel] - minus[sel]) / (2.0 * h)
-    r = pde_residual(center.state[keep], jac, spec.gas.kappa)
-    scale = 1.0 + float(np.max(np.abs(center.state[keep])))
-    return ResidualReport(
-        family=spec.id, method="fd",
-        eq_max=np.max(np.abs(r), axis=0), eq_mean=np.mean(np.abs(r), axis=0),
-        scale=scale, n_points=int(keep.sum()), n_skipped=int((~keep).sum()),
-        h=h, grid=grid.as_dict() if grid is not None else None,
-        runtime_ms=1e3 * (time.perf_counter() - t0),
-        skip_reasons=_skip_counts(center.status, center.cond_det),
-    )
-
-
-def fd_convergence_order(spec: FamilySpec, grid: GridSpec | None = None,
-                         h: float = DEFAULT_H, branch=None) -> float:
-    """Measured order from residuals at h and h/2 (2 for a central stencil)."""
-    r1 = residual_fd(spec, grid=grid, h=h, branch=branch)
-    r2 = residual_fd(spec, grid=grid, h=0.5 * h, branch=branch)
-    return float(np.log2(r1.max_residual / r2.max_residual))
+    return _report(spec, "fd", center, keep, jac, grid, t0, h=h)
 
 
 @dataclass
@@ -275,14 +261,13 @@ class CatastropheReport:
     ray: np.ndarray | None = None
     schedule: np.ndarray | None = None
     jac_norms: np.ndarray | None = None
-    cond_dets: np.ndarray | None = None
 
 
-def catastrophe_probe(spec: FamilySpec, ray=None, schedule=None, branch=None,
-                      bisect_iters: int = 60) -> CatastropheReport:
+def catastrophe_probe(spec: FamilySpec, branch=None) -> CatastropheReport:
     """Track the Jacobi norm toward the first positive singular time.
 
-    Bisects on the failure predicate of the family evaluation (near-singular
+    Walks the family's probe ray over the schedule t* (1 - 2^-j), then
+    bisects on the failure predicate of the family evaluation (near-singular
     implicit determinant, non-convergence, or determinant magnitude below
     the skip floor) to locate the empirical blow-up time, then reports the
     relative gap against the closed-form value.  The schedule's solves
@@ -294,24 +279,20 @@ def catastrophe_probe(spec: FamilySpec, ray=None, schedule=None, branch=None,
     if not positive:
         return CatastropheReport(family=spec.id, applicable=False, formula_times=times)
     tstar = positive[0]
-    ray = spec.probe_ray() if ray is None else np.asarray(ray, dtype=float)
-
-    if schedule is None:
-        schedule = tstar * (1.0 - 2.0 ** -np.arange(1, 23))
+    ray = spec.probe_ray()
+    schedule = tstar * (1.0 - 2.0 ** -np.arange(1, PROBE_SCHEDULE_STEPS + 1))
 
     x = ray[None, :]
-    norms, conds = [], []
+    norms = []
     guess = None
     for tv in schedule:
         res = spec.evaluate_batch(np.array([tv]), x, branch=branch, guess=guess,
                                   ignore_validity=True)
         if res.status[0] in (STATUS_OK, STATUS_INVALID) and np.isfinite(res.cond_det[0]):
             norms.append(float(np.max(np.abs(res.jac[0]))))
-            conds.append(float(res.cond_det[0]))
             guess = res.r
         else:
             norms.append(np.inf)
-            conds.append(0.0)
 
     def solve(tv, gv):
         res = spec.evaluate_batch(np.array([tv]), x, branch=branch, guess=gv,
@@ -334,7 +315,7 @@ def catastrophe_probe(spec: FamilySpec, ray=None, schedule=None, branch=None,
         return False, rr
 
     hi = 1.5 * tstar
-    for _ in range(bisect_iters):
+    for _ in range(PROBE_BISECT_ITERS):
         mid = 0.5 * (lo + hi)
         is_bad, gtrial = bad(mid, glo)
         if is_bad:
@@ -348,6 +329,5 @@ def catastrophe_probe(spec: FamilySpec, ray=None, schedule=None, branch=None,
         family=spec.id, applicable=True, formula_times=times,
         probe_time=tstar, empirical_time=t_emp,
         rel_gap=abs(t_emp - tstar) / abs(tstar),
-        ray=ray, schedule=np.asarray(schedule), jac_norms=np.asarray(norms),
-        cond_dets=np.asarray(conds),
+        ray=ray, schedule=schedule, jac_norms=np.asarray(norms),
     )

@@ -10,6 +10,7 @@ import pytest
 from riemannwaves import linalg
 from riemannwaves.catalog import REGISTRY_IDS, ConstraintError, make_family, monge_ampere_residual
 from riemannwaves.catalog import profiles as pf
+from riemannwaves.catalog.base import PotentialWave, RotationalWave
 from riemannwaves.cli import main as cli_main
 from riemannwaves.conditions import (
     bilinear_rank2_condition,
@@ -29,6 +30,7 @@ from riemannwaves.fluid import (
 )
 from riemannwaves.verify import GridSpec, catastrophe_probe, residual_exact, residual_fd
 
+from test_catalog import family_stream, stream_profile_gap
 from test_conditions import acoustic_pair_config, locked_pair, perturbed_pair, profile_jac_at
 from test_elliptic import ORACLE_CN_1_05, ORACLE_DN_1_05, ORACLE_SN_1_05
 from test_linalg import charpoly_cofactor
@@ -45,15 +47,33 @@ def random_state(rng):
     return StateVec(a=float(rng.uniform(0.3, 2.5)), u=rng.normal(0.0, 1.0, 3))
 
 
+def catalog_covectors(st, e, epsilon, m):
+    """The covectors the families run (catalog.base) for the waves of
+    fluid.potential_wave(st, e, epsilon) and fluid.rotational_wave(st, e, m)."""
+    u = st.as_array[None]
+    return (PotentialWave(e=e, epsilon=epsilon).lam(u)[0],
+            RotationalWave(lsp=-np.cross(e, m)).lam(u)[0])
+
+
+def covector_gap(refs, lives):
+    """max |live - reference| relative to 1 + max |reference| over covector pairs."""
+    return max(float(np.max(np.abs(live - ref.as_array))) / (1.0 + float(np.max(np.abs(ref.as_array))))
+               for ref, live in zip(refs, lives))
+
+
 def test_criterion_01_dispersion_consistency():
     rng = np.random.default_rng(101)
-    worst_root, worst_rel = 0.0, 0.0
+    worst_root, worst_rel, worst_live = 0.0, 0.0, 0.0
     for _ in range(500):
         st = random_state(rng)
         e = rng.normal(size=3)
         e /= np.linalg.norm(e)
-        for wv in (potential_wave(st, e, 1 if rng.uniform() < 0.5 else -1),
-                   rotational_wave(st, e, rng.normal(size=3))):
+        eps = 1 if rng.uniform() < 0.5 else -1
+        m = rng.normal(size=3)
+        refs = (potential_wave(st, e, eps), rotational_wave(st, e, m))
+        lives = catalog_covectors(st, e, eps, m)
+        worst_live = max(worst_live, covector_gap(refs, lives))
+        for wv in refs + lives:
             mat = dispersion_matrix(st, wv, GAS)
             scale = (1.0 + float(np.max(np.abs(mat)))) ** 4
             det = linalg.determinant(mat)
@@ -65,27 +85,30 @@ def test_criterion_01_dispersion_consistency():
         fact = dispersion_det(st, wv, GAS)
         det = linalg.determinant(dispersion_matrix(st, wv, GAS))
         worst_rel = max(worst_rel, abs(fact - det) / (1.0 + abs(fact) + abs(det)))
-    report(1, worst_root <= 1e-12 and worst_rel <= 1e-10,
-           f"dispersion roots vanish ({worst_root:.2e}) and factorized = det ({worst_rel:.2e})")
+    report(1, worst_root <= 1e-12 and worst_rel <= 1e-10 and worst_live <= 1e-15,
+           f"dispersion roots vanish ({worst_root:.2e}), factorized = det ({worst_rel:.2e}), "
+           f"catalog covectors = fluid reference ({worst_live:.1e})")
 
 
 def test_criterion_02_kernel_multiplicities():
     rng = np.random.default_rng(102)
     ok = True
-    worst = 0.0
+    worst, worst_live = 0.0, 0.0
     for _ in range(200):
         st = random_state(rng)
         e = rng.normal(size=3)
         e /= np.linalg.norm(e)
-        wp = potential_wave(st, e, 1)
-        wr = rotational_wave(st, e, rng.normal(size=3))
-        kp = wave_kernel(st, wp, GAS)
-        kr = wave_kernel(st, wr, GAS)
-        ok &= kp.shape[1] == 1 and kr.shape[1] == 2
-        worst = max(worst, float(np.max(np.abs(dispersion_matrix(st, wp, GAS) @ kp))))
-        worst = max(worst, float(np.max(np.abs(dispersion_matrix(st, wr, GAS) @ kr))))
-    report(2, ok and worst <= 1e-10,
-           f"potential kernels 1-dim, rotational 2-dim, residual {worst:.2e}")
+        m = rng.normal(size=3)
+        refs = (potential_wave(st, e, 1), rotational_wave(st, e, m))
+        lives = catalog_covectors(st, e, 1, m)
+        worst_live = max(worst_live, covector_gap(refs, lives))
+        for wv, dim in zip(refs + lives, (1, 2, 1, 2)):
+            kern = wave_kernel(st, wv, GAS)
+            ok &= kern.shape[1] == dim
+            worst = max(worst, float(np.max(np.abs(dispersion_matrix(st, wv, GAS) @ kern))))
+    report(2, ok and worst <= 1e-10 and worst_live <= 1e-15,
+           f"potential kernels 1-dim, rotational 2-dim, residual {worst:.2e}; "
+           f"catalog covectors = fluid reference ({worst_live:.1e})")
 
 
 def test_criterion_03_faddeev_oracle():
@@ -320,15 +343,17 @@ def test_criterion_11_monge_ampere():
     rng = np.random.default_rng(111)
     ma = make_family("R2_S1S2_MA")
     pts_pos = np.column_stack([rng.uniform(0.5, 2.5, 300), rng.uniform(0.5, 2.5, 300)])
-    res_stream = monge_ampere_residual(ma.params["_stream"], 0.0, pts_pos)
+    res_stream = monge_ampere_residual(*family_stream(ma), pts_pos)
     psi = pf.homogeneous_stream(np.cos, lambda w: -np.sin(w), lambda w: -np.cos(w))
     res_homog = monge_ampere_residual(psi, 0.0, pts_pos)
     rk = make_family("RK_TIME_A")
     pts = rng.uniform(-2, 2, (300, 2))
-    res_rk = monge_ampere_residual(rk.params["_stream"], rk.params["B1"], pts)
-    ok = res_stream <= 1e-8 and res_homog <= 1e-8 and res_rk <= 1e-8
+    res_rk = monge_ampere_residual(*family_stream(rk), pts)
+    # the streams are the families' own: their gradients give the velocity profiles
+    gap = max(stream_profile_gap(ma, pts_pos), stream_profile_gap(rk, pts))
+    ok = res_stream <= 1e-8 and res_homog <= 1e-8 and res_rk <= 1e-8 and gap <= 1e-13
     report(11, ok, f"stream functions: power-law {res_stream:.1e}, homogeneous {res_homog:.1e}, "
-           f"time-only profile {res_rk:.1e}")
+           f"time-only profile {res_rk:.1e}; stream = profile to {gap:.1e}")
 
 
 def test_criterion_12_cli_determinism_and_exit_codes(tmp_path, capsys):

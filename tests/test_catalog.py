@@ -10,13 +10,48 @@ from riemannwaves.catalog import (
     family_defaults,
     make_family,
     monge_ampere_residual,
-    rankk_sound_speed,
     registry_entries,
 )
 from riemannwaves.catalog import profiles as pf
 from riemannwaves.catalog.base import CustomWave, PotentialWave, RotationalWave, stack_waves
 
-KAPPA = 3.0
+
+def shear_stream(d1):
+    """psi = (D1/2) q^2, the stream of RK_TIME_A's nilpotent preset: h_pp h_qq - h_pq^2 = 0."""
+
+    def hess(p, q):
+        shape = np.broadcast(np.asarray(p, float), np.asarray(q, float)).shape
+        return np.zeros(shape), np.full(shape, d1), np.zeros(shape)
+
+    return pf.Fn2(f"shear(D1={d1:g})", lambda p, q: 0.5 * d1 * np.asarray(q, float) ** 2,
+                  lambda p, q: np.zeros_like(np.asarray(p, float)),
+                  lambda p, q: d1 * np.asarray(q, float), hessian=hess)
+
+
+def family_stream(spec):
+    """(psi, B1): a stream family's stream function, built from the profiles
+    presets with the family's own parameters, and its Monge-Ampere value."""
+    p = spec.params
+    if spec.id == "R2_S1S2_MA":
+        return pf.npower_stream(p["n"]), 0.0
+    if p["profile"] == "nilpotent":
+        return shear_stream(p["D1"]), 0.0
+    return pf.quadratic_stream(np.sqrt(p["B1"])), p["B1"]
+
+
+def stream_profile_gap(spec, r):
+    """Relative gap between the family's velocity profile (u1, u2) at invariants
+    r (N, 2) and its stream function: (-psi_q, psi_p) for R2_S1S2_MA, and
+    C1 r + (psi_q, -psi_p) for RK_TIME_A (C1 = 0 in the nilpotent preset)."""
+    psi, _ = family_stream(spec)
+    psi_p, psi_q = psi.dp(r[:, 0], r[:, 1]), psi.dq(r[:, 0], r[:, 1])
+    if spec.id == "R2_S1S2_MA":
+        want = np.column_stack([-psi_q, psi_p])
+    else:
+        c1 = spec.params["C1"] if spec.params["profile"] == "quadratic" else 0.0
+        want = c1 * r + np.column_stack([psi_q, -psi_p])
+    got = spec.profile(r, np.ones(len(r)))[:, 1:3]
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
 
 
 def test_registry_size_and_ids():
@@ -206,7 +241,7 @@ def test_snoidal_structure():
 
 def test_time_only_family_jacobian_invariants():
     spec = make_family("RK_TIME_A")
-    df = spec.params["_df_matrix"]
+    df = spec.profile_jac(np.zeros((1, 2)), np.zeros(1))[0, 1:3, :]  # constant Df
     b1, c1 = spec.params["B1"], spec.params["C1"]
     assert abs(np.trace(df) - 2 * c1) <= 1e-12
     assert abs(np.linalg.det(df) - (b1 + c1**2)) <= 1e-12
@@ -222,22 +257,6 @@ def test_time_only_family_jacobian_invariants():
     assert np.max(np.abs(resn.state[:, 0] - nil.params["A1"])) <= 1e-14
 
 
-def test_rankk_sound_speed():
-    t = np.linspace(0.0, 2.0, 9)
-    # nilpotent coefficients: constant speed
-    assert np.allclose(rankk_sound_speed(2, [0.0, 0.0], 1.3, KAPPA, t), 1.3)
-    # k = 2 with p0 = B1 + C1^2, p1 = 2 C1 reproduces ((1+C1 t)^2 + B1 t^2)^(-1/kappa)
-    b1, c1 = 0.7, 0.4
-    got = rankk_sound_speed(2, [b1 + c1**2, 2 * c1], 2.0, KAPPA, t)
-    want = 2.0 * ((1 + c1 * t) ** 2 + b1 * t**2) ** (-1.0 / KAPPA)
-    assert np.max(np.abs(got - want)) <= 1e-14
-    assert rankk_sound_speed(3, [0.1, 0.2, 0.3], 1.0, KAPPA, 0.0) == 1.0
-    with pytest.raises(ValueError):
-        rankk_sound_speed(2, [0.0, -4.0], 1.0, KAPPA, 1.0)  # polynomial <= 0
-    with pytest.raises(ValueError):
-        rankk_sound_speed(2, [0.0], 1.0, KAPPA, 0.5)  # wrong coefficient count
-
-
 def test_monge_ampere_homogeneous_stream():
     psi = pf.homogeneous_stream(np.cos, lambda w: -np.sin(w), lambda w: -np.cos(w))
     rng = np.random.default_rng(29)
@@ -250,22 +269,31 @@ def test_monge_ampere_quadratic_and_registered_streams():
     h = pf.quadratic_stream(c)
     samples = np.random.default_rng(31).uniform(-2, 2, (100, 2))
     assert monge_ampere_residual(h, c * c, samples) <= 1e-12
-    # registered stream functions of the catalog families
+    # the stream functions of the catalog families
     ma = make_family("R2_S1S2_MA")
     pts = np.column_stack([np.random.default_rng(1).uniform(0.5, 2, 100),
                            np.random.default_rng(2).uniform(0.5, 2, 100)])
-    assert monge_ampere_residual(ma.params["_stream"], 0.0, pts) <= 1e-8
+    assert monge_ampere_residual(*family_stream(ma), pts) <= 1e-8
     rk = make_family("RK_TIME_A")
-    assert monge_ampere_residual(rk.params["_stream"], rk.params["B1"], samples) <= 1e-8
+    assert monge_ampere_residual(*family_stream(rk), samples) <= 1e-8
     nil = make_family("RK_TIME_A", profile="nilpotent")
-    assert monge_ampere_residual(nil.params["_stream"], 0.0, samples) <= 1e-8
+    assert monge_ampere_residual(*family_stream(nil), samples) <= 1e-8
 
 
-def test_monge_ampere_fd_path():
-    # plain callable without analytic hessian goes through central differences
-    h = lambda p, q: 0.5 * (p * p + q * q)
+def test_stream_families_profile_is_the_stream_gradient():
+    r = np.random.default_rng(37).uniform(0.5, 2.0, (200, 2))
+    specs = [make_family("R2_S1S2_MA", n=n) for n in (2, 3, -1)]
+    specs += [make_family("RK_TIME_A", profile=preset) for preset in ("quadratic", "nilpotent")]
+    for spec in specs:
+        assert stream_profile_gap(spec, r) <= 1e-13, (spec.id, spec.params)
+
+
+def test_monge_ampere_requires_analytic_hessian():
     samples = np.random.default_rng(37).uniform(-1, 1, (50, 2))
-    assert monge_ampere_residual(h, 1.0, samples, step=1e-5) <= 1e-5
+    with pytest.raises(ValueError, match="no analytic hessian"):
+        monge_ampere_residual(pf.kink2(1.0), 1.0, samples)
+    with pytest.raises(ValueError, match="no analytic hessian"):
+        monge_ampere_residual(lambda p, q: 0.5 * (p * p + q * q), 1.0, samples)
 
 
 def test_transported_invariant_closed_form_vs_characteristics():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from riemannwaves.elliptic import complete_elliptic_k, jacobi_sn_cn_dn
+from riemannwaves.elliptic import jacobi_sn_cn_dn
 
 # Frozen values from the independent quadrature oracle: invert the incomplete
 # integral F(phi, k) = int_0^phi dtheta / sqrt(1 - k^2 sin^2 theta) = u by
@@ -20,6 +20,14 @@ def _incomplete_f(phi, k, n=240):
     nodes, weights = np.polynomial.legendre.leggauss(n)
     theta = 0.5 * phi * (nodes + 1.0)
     return 0.5 * phi * np.sum(weights / np.sqrt(1.0 - (k * np.sin(theta)) ** 2))
+
+
+def complete_elliptic_k(k):
+    """Periodicity oracle: K(k) = pi / (2 agm(1, sqrt(1 - k^2))) for k^2 < 1."""
+    a, b = 1.0, np.sqrt(1.0 - k * k)
+    while abs(a - b) > 1e-15 * a:
+        a, b = 0.5 * (a + b), np.sqrt(a * b)
+    return float(np.pi / (2.0 * a))
 
 
 def quadrature_oracle(u, k):

@@ -1,4 +1,4 @@
-"""Fluid model: coefficient matrices, dispersion roots, kernels, frames."""
+"""Fluid model: coefficient matrices, dispersion roots, kernels."""
 
 import numpy as np
 import pytest
@@ -12,7 +12,6 @@ from riemannwaves.fluid import (
     coefficient_matrices,
     dispersion_det,
     dispersion_matrix,
-    orthogonal_frame,
     potential_wave,
     rotational_wave,
     wave_kernel,
@@ -148,42 +147,6 @@ def test_wave_kernel_rejects_non_root():
     st = StateVec(a=1.0, u=np.zeros(3))
     with pytest.raises(NotACharacteristicError):
         wave_kernel(st, (2.0, np.array([-1.0, 0.0, 0.0])), GAS)
-
-
-def test_orthogonal_frame_single_wave():
-    frame = orthogonal_frame([(1.0, np.array([-1.0, 0.0, 0.0]))])
-    assert frame.xi.shape == (3, 4)
-    lam = np.array([1.0, -1.0, 0.0, 0.0])
-    assert np.max(np.abs(frame.xi @ lam)) <= 1e-12
-    # spans {(1,1,0,0),(0,0,1,0),(0,0,0,1)}
-    target = np.array([[1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
-    aug = np.vstack([frame.xi, target])
-    assert linalg.numerical_rank(aug) == 3
-
-
-def test_orthogonal_frame_three_waves_closed_form():
-    # rows of [I3 | c]: the frame must be the single vector (-c, 1) up to scale
-    c = np.array([0.3, -0.8, 1.1])
-    rows = [np.concatenate([np.eye(3)[i], [c[i]]]) for i in range(3)]
-    frame = orthogonal_frame([(row[0], row[1:]) for row in rows])
-    assert frame.xi.shape == (1, 4)
-    xi = frame.xi[0] / frame.xi[0, 3]
-    assert np.allclose(xi, np.concatenate([-c, [1.0]]), atol=1e-12)
-
-
-def test_orthogonal_frame_seeded_orthogonality():
-    rng = np.random.default_rng(41)
-    for k in (1, 2, 3):
-        rows = rng.normal(size=(k, 4))
-        frame = orthogonal_frame([(r[0], r[1:]) for r in rows])
-        assert frame.xi.shape == (4 - k, 4)
-        assert np.max(np.abs(frame.xi @ rows.T)) <= 1e-12
-
-
-def test_orthogonal_frame_rejects_dependent_waves():
-    row = np.array([1.0, -0.5, 0.2, 0.0])
-    with pytest.raises(DegenerateWavesError):
-        orthogonal_frame([(row[0], row[1:]), (2 * row[0], 2 * row[1:])])
 
 
 def test_gas_params():

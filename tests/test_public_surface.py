@@ -1,0 +1,73 @@
+"""Public-surface audit: every name a module exports is used by the package.
+
+A name in a module's ``__all__`` that the module defines, but that no code
+under ``src/riemannwaves`` loads (as a name or an attribute, matched by
+name), is surface that only tests use.  The KEEP names are exempt: they are
+reference implementations and audit kernels that an acceptance criterion
+checks, plus the package version.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "riemannwaves"
+
+KEEP = {
+    "__version__": "package metadata",
+    "potential_wave": "criteria 01 and 02: reference form of catalog.base.PotentialWave",
+    "rotational_wave": "criteria 01 and 02: reference form of catalog.base.RotationalWave",
+    "cayley_hamilton_residual": "criterion 03",
+    "numerical_rank": "criterion 06",
+    "monge_ampere_residual": "criterion 11",
+    "homogeneous_stream": "criterion 11",
+    "quadratic_stream": "criterion 11",
+    "npower_stream": "criterion 11",
+}
+
+
+def _trees():
+    return {path.relative_to(SRC).as_posix(): ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(SRC.rglob("*.py"))}
+
+
+def _exports(tree):
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def _defined(tree):
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {t.id for t in targets if isinstance(t, ast.Name)}
+    return names
+
+
+def _loaded(tree):
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+    return names
+
+
+def test_every_export_is_loaded_in_the_package():
+    trees = _trees()
+    loaded = set().union(*(_loaded(tree) for tree in trees.values()))
+    unused = [f"{module}: {name}" for module, tree in trees.items()
+              for name in sorted(_exports(tree) & _defined(tree))
+              if name not in loaded and name not in KEEP]
+    assert unused == [], "exported but used by no package code (only tests?): " + ", ".join(unused)
+
+
+def test_keep_names_are_exported():
+    exported = set().union(*(_exports(tree) for tree in _trees().values()))
+    assert set(KEEP) <= exported, sorted(set(KEEP) - exported)
