@@ -182,9 +182,10 @@ class EvalResult:
 class FamilySpec:
     """A validated, runnable solution family.
 
-    ``waves``, ``waves_jac`` and ``dr_du`` are the three maps of
-    ``stack_waves``: Newton and the Jacobi assembly read ``dr_du`` only, the
-    trace conditions read the full ``waves_jac`` slices.
+    The spec builds ``waves``, ``waves_jac`` and ``dr_du`` from its
+    ``wave_list`` once, with ``stack_waves``: Newton and the Jacobi assembly
+    read ``dr_du`` only, the trace conditions read the full ``waves_jac``
+    slices.
     """
 
     id: str
@@ -195,20 +196,22 @@ class FamilySpec:
     gas: GasParams
     profile: Callable            # (r (N,k), t (N,)) -> (N,4)
     profile_jac: Callable        # (r, t) -> (N,4,k)
-    waves: Callable              # (N,4) -> (N,k,4)
-    waves_jac: Callable          # (N,4) -> (N,k,4,4), for the trace conditions
-    dr_du: Callable              # (u (N,4), X (N,4)) -> (N,k,4), for the solver
+    wave_list: list              # one covector per wave (PotentialWave, ...)
     singular_time_values: tuple = ()
     extra_time_deriv: Callable | None = None
     initial_a_rate: Callable | None = None   # da/dt on the t=0 section, fn of state
-    guess_fn: Callable | None = None          # (t, x, branch) -> r0
-    closed_form: Callable | None = None       # (t, x, branch) -> (r, state)
-    custom_eval: Callable | None = None       # (t, x, branch, guess): replaces the Newton path
+    guess_fn: Callable | None = None          # (t, x) -> r0
+    closed_form: Callable | None = None       # (t, x) -> (r, state)
+    custom_eval: Callable | None = None       # (t, x, guess): replaces the Newton path
     validity_fn: Callable | None = None       # (t, x) -> bool mask (pre-solve)
     probe_x: np.ndarray | None = None
     default_window: dict = field(default_factory=dict)
-    branches: tuple = ()
-    notes: str = ""
+    waves: Callable = field(init=False)       # (N,4) -> (N,k,4)
+    waves_jac: Callable = field(init=False)   # (N,4) -> (N,k,4,4), for the trace conditions
+    dr_du: Callable = field(init=False)       # (u (N,4), X (N,4)) -> (N,k,4), for the solver
+
+    def __post_init__(self):
+        self.waves, self.waves_jac, self.dr_du = stack_waves(self.wave_list)
 
     # -- informational -----------------------------------------------------
 
@@ -230,7 +233,7 @@ class FamilySpec:
 
     # -- evaluation --------------------------------------------------------
 
-    def evaluate_batch(self, t, x, branch=None, guess=None,
+    def evaluate_batch(self, t, x, guess=None,
                        ignore_validity=False, jacobian=True) -> EvalResult:
         """Solve the family at points (t_i, x_i); never raises per-point.
 
@@ -249,8 +252,6 @@ class FamilySpec:
         """
         t = np.atleast_1d(np.asarray(t, dtype=float))
         x = np.asarray(x, dtype=float).reshape(len(t), 3)
-        if branch is not None and self.branches and branch not in self.branches:
-            raise ValidityError(f"unknown branch {branch!r}; options: {self.branches}")
 
         n = len(t)
         k = self.n_waves
@@ -271,12 +272,12 @@ class FamilySpec:
         if guess is not None:
             guess = np.asarray(guess, dtype=float).reshape(n, k)[idx]
         if self.custom_eval is not None:
-            r, u, jac, cond, status = self.custom_eval(t[idx], x[idx], branch, guess)
+            r, u, jac, cond, status = self.custom_eval(t[idx], x[idx], guess)
         else:
             if guess is not None:
                 r0 = guess
             elif self.guess_fn is not None:
-                r0 = self.guess_fn(t[idx], x[idx], branch)
+                r0 = self.guess_fn(t[idx], x[idx])
             else:
                 r0 = initial_guess(self.profile, self.waves, X, k)
             r, u, status, cond = newton_batch(self.profile, self.profile_jac,
@@ -298,10 +299,9 @@ class FamilySpec:
         res.status[idx] = status
         return res
 
-    def evaluate(self, t, x, branch=None, guess=None):
+    def evaluate(self, t, x, guess=None):
         """Single-point evaluation; raises on invalid/unconverged points."""
         res = self.evaluate_batch(np.array([t]), np.array(x, dtype=float).reshape(1, 3),
-                                  branch=branch,
                                   guess=None if guess is None else np.asarray(guess)[None, :])
         code = int(res.status[0])
         if code == STATUS_INVALID:

@@ -21,7 +21,6 @@ from .base import (
     FamilySpec,
     PotentialWave,
     RotationalWave,
-    stack_waves,
 )
 from .transported import PlanarVelocity, RotatingPolarizationEvaluator, TransportedEvaluator
 
@@ -124,7 +123,6 @@ def _build_acoustic(fid, p, gas):
     eps_kappa, eps_1k = eps * kappa, eps * (1.0 + kappa)
     A, B = [p[f"A{i}"] for i in ids], [p[f"B{i}"] for i in ids]
     profs = [_acoustic_profile(p["profile"], a, b, fid) for a, b in zip(A, B)]
-    waves, waves_jac, dr_du = stack_waves([PotentialWave(e=e, epsilon=eps) for e in evecs])
 
     def profile(r, t):
         # the sums start from the first wave's term (a +0 start would turn -0 into +0)
@@ -150,7 +148,7 @@ def _build_acoustic(fid, p, gas):
     else:
         tsing = tuple((eps_1k * a) ** -1.0 for a in A if a != 0)
 
-    def closed_form(t, x, branch=None):
+    def closed_form(t, x):
         r = np.empty((len(t), k))
         for i, e in enumerate(evecs):
             r[:, i] = -(x @ e) / (1.0 - eps_1k * A[i] * t)
@@ -160,8 +158,8 @@ def _build_acoustic(fid, p, gas):
     return FamilySpec(
         id=fid, rank=k, n_waves=k, description=description,
         params=p, gas=gas,
-        profile=profile, profile_jac=profile_jac, waves=waves, waves_jac=waves_jac,
-        dr_du=dr_du,
+        profile=profile, profile_jac=profile_jac,
+        wave_list=[PotentialWave(e=e, epsilon=eps) for e in evecs],
         singular_time_values=tsing,
         closed_form=closed_form if p["profile"] == "linear" else None,
         probe_x=-esum / max(np.linalg.norm(esum), 1e-9) if unit_probe else -esum,
@@ -190,8 +188,6 @@ def _build_r1_s(p, gas):
     c, a0 = p["C"], p["a0"]
     if not a0 > 0:
         raise ConstraintError("a0 must be positive")
-    wave = RotationalWave(lsp=-exm)
-    waves, waves_jac, dr_du = stack_waves([wave])
 
     def profile(r, t):
         s = r[:, 0]
@@ -212,8 +208,7 @@ def _build_r1_s(p, gas):
         id="R1_S", rank=1, n_waves=1,
         description="rank-1 vortex wave with bounded sech profiles",
         params=p, gas=gas,
-        profile=profile, profile_jac=profile_jac, waves=waves, waves_jac=waves_jac,
-        dr_du=dr_du,
+        profile=profile, profile_jac=profile_jac, wave_list=[RotationalWave(lsp=-exm)],
         default_window={"t": (0.0, 3.0)},
     )
 
@@ -258,7 +253,6 @@ def _build_r2_e1s2(p, gas):
     else:
         raise ConstraintError(f"unknown profile preset {p['profile']!r} for R2_E1S2")
     offset = np.array([0.0, f2 * 1.0, 0.0])  # u2-line offset: (0, F2, 0)
-    waves, waves_jac, dr_du = stack_waves([PotentialWave(e=e1), RotationalWave(lsp=s)])
 
     def profile(r, t):
         av, qv = pa(r[:, 0]), q(r[:, 1])
@@ -278,14 +272,14 @@ def _build_r2_e1s2(p, gas):
         tsing = (((1.0 + kappa) * p["A1"]) ** -1.0,)
         probe_x = -0.5 * e1
 
-        def closed_form(t, x, branch=None):
+        def closed_form(t, x):
             r1 = (c0 * t - x @ e1) / (1.0 - (1.0 + kappa) * p["A1"] * t)
             r2 = p["C2"] * t + x @ s
             r = np.column_stack([r1, r2])
             return r, profile(r, t)
     else:
         tsing = ((1.0 + p["B1"]) ** 1.5 / ((1.0 + kappa) * p["A1"] * p["B1"]),)
-        # ray whose branch folds at r1 = 0 exactly at the closed-form time
+        # ray that folds at r1 = 0 exactly at the closed-form time
         probe_x = float(((1.0 + kappa) * pa(np.zeros(1))[0] + c0) * tsing[0]) * e1
         closed_form = None
 
@@ -293,8 +287,8 @@ def _build_r2_e1s2(p, gas):
         id="R2_E1S2", rank=2, n_waves=2,
         description="acoustic + vortex double wave (trigonometric or solitary)",
         params=p, gas=gas,
-        profile=profile, profile_jac=profile_jac, waves=waves, waves_jac=waves_jac,
-        dr_du=dr_du,
+        profile=profile, profile_jac=profile_jac,
+        wave_list=[PotentialWave(e=e1), RotationalWave(lsp=s)],
         singular_time_values=tsing,
         closed_form=closed_form,
         probe_x=probe_x,
@@ -317,33 +311,33 @@ def _build_r2_s1s2_ma(p, gas):
     a0, d1 = p["a0"], p["D1"]
     if not a0 > 0:
         raise ConstraintError("a0 must be positive")
-    waves, waves_jac, dr_du = stack_waves([RotationalWave(lsp=np.array([1.0, 0, 0])),
-                                    RotationalWave(lsp=np.array([0, 1.0, 0]))])
+    branch = p["branch"]
+    if branch not in ("plus", "minus", "auto"):
+        raise ConstraintError(f"unknown branch {branch!r}; options: plus, minus, auto")
 
-    def w_of(r):
-        return r[:, 0] / r[:, 1]
-
+    # r2 = 0 (and w = 0 for n < 2) gives non-finite fields; the point statuses record them
     def profile(r, t):
-        w = w_of(r)
-        u1 = (1.0 - n) * w**n
-        u2 = -n * w ** (n - 1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            w = r[:, 0] / r[:, 1]
+            u1 = (1.0 - n) * w**n
+            u2 = -n * w ** (n - 1)
         u3 = d1 * r[:, 0]
         return np.column_stack([np.full(len(r), a0), u1, u2, u3])
 
     def profile_jac(r, t):
-        w = w_of(r)
-        dw1 = 1.0 / r[:, 1]
-        dw2 = -w / r[:, 1]
-        du1 = (1.0 - n) * n * w ** (n - 1)
-        du2 = -n * (n - 1) * w ** (n - 2)
         out = np.zeros((len(r), 4, 2))
-        out[:, 1, 0], out[:, 1, 1] = du1 * dw1, du1 * dw2
-        out[:, 2, 0], out[:, 2, 1] = du2 * dw1, du2 * dw2
+        with np.errstate(divide="ignore", invalid="ignore"):
+            w = r[:, 0] / r[:, 1]
+            dw1 = 1.0 / r[:, 1]
+            dw2 = -w / r[:, 1]
+            du1 = (1.0 - n) * n * w ** (n - 1)
+            du2 = -n * (n - 1) * w ** (n - 2)
+            out[:, 1, 0], out[:, 1, 1] = du1 * dw1, du1 * dw2
+            out[:, 2, 0], out[:, 2, 1] = du2 * dw1, du2 * dw2
         out[:, 3, 0] = d1
         return out
 
-    def sheet_w(t, x, branch):
-        branch = branch or p.get("branch", "plus")
+    def guess_fn(t, x):
         x1, x2 = x[:, 0], x[:, 1]
         disc = x2 * x2 + 4.0 * t * x1
         root = np.sqrt(np.maximum(disc, 0.0))
@@ -351,20 +345,15 @@ def _build_r2_s1s2_ma(p, gas):
             sigma = -1.0
         elif branch == "minus":     # u2 = (x2 - root)/t
             sigma = 1.0
-        elif branch == "auto":      # sheet continuous as t -> 0+
+        else:                       # auto: sheet continuous as t -> 0+
             sigma = np.where(x2 >= 0, 1.0, -1.0)
-        else:
-            raise ConstraintError(f"unknown branch {branch!r}")
-        return (-x2 + sigma * root) / (2.0 * t)
-
-    def guess_fn(t, x, branch):
-        w = sheet_w(t, x, branch)
-        r1 = x[:, 0] + w * w * t
-        r2 = x[:, 1] + 2.0 * w * t
+        w = (-x2 + sigma * root) / (2.0 * t)
+        r1 = x1 + w * w * t
+        r2 = x2 + 2.0 * w * t
         return np.column_stack([r1, r2])
 
-    def closed_form(t, x, branch=None):
-        r = guess_fn(t, x, branch)
+    def closed_form(t, x):
+        r = guess_fn(t, x)
         return r, profile(r, t)
 
     def validity_fn(t, x):
@@ -375,15 +364,14 @@ def _build_r2_s1s2_ma(p, gas):
         id="R2_S1S2_MA", rank=2, n_waves=2,
         description="two vortex waves from a degenerate stream function (power-law, two sheets)",
         params=p, gas=gas,
-        profile=profile, profile_jac=profile_jac, waves=waves, waves_jac=waves_jac,
-        dr_du=dr_du,
+        profile=profile, profile_jac=profile_jac,
+        wave_list=[RotationalWave(lsp=np.array([1.0, 0, 0])),
+                   RotationalWave(lsp=np.array([0, 1.0, 0]))],
         singular_time_values=(0.0,),
         guess_fn=guess_fn,
         closed_form=closed_form if n == 2 else None,
         validity_fn=validity_fn,
-        branches=("plus", "minus", "auto"),
         default_window={"t": (0.5, 1.5), "x1": (0.5, 1.5), "x2": (-0.5, 0.5), "x3": (-1.0, 1.0)},
-        notes="branch 'plus': u2 = (x2 + sqrt((x2)^2 + 4 t x1))/t sheet; validity restricted to t > 0",
     )
 
 
@@ -416,7 +404,6 @@ def _build_r2_s1s2_add(p, gas):
     q21 = pf.kink(p["A2"], p["B2"])
     q31 = pf.kink(p["A3"], p["B3"])
     q22 = pf.kink(p["A1"], p["B1"])
-    waves, waves_jac, dr_du = stack_waves([RotationalWave(lsp=-l1), RotationalWave(lsp=-l2)])
 
     def parts(r):
         return q21(r[:, 0]), q31(r[:, 0]), q22(r[:, 1])
@@ -442,8 +429,8 @@ def _build_r2_s1s2_add(p, gas):
         id="R2_S1S2_ADD", rank=2, n_waves=2,
         description="two vortex waves, additive velocity split, kink profiles",
         params=p, gas=gas,
-        profile=profile, profile_jac=profile_jac, waves=waves, waves_jac=waves_jac,
-        dr_du=dr_du,
+        profile=profile, profile_jac=profile_jac,
+        wave_list=[RotationalWave(lsp=-l1), RotationalWave(lsp=-l2)],
         default_window={"t": (0.0, 3.0)},
     )
 
@@ -471,10 +458,6 @@ def _build_r2_e1e2s3(p, gas):
     u13 = pf.kink(p["D1"], 1.0)
     wdir = (e1 - e2)[:2]
     wdir = wdir / np.linalg.norm(wdir)
-    waves, waves_jac, dr_du = stack_waves([
-        PotentialWave(e=e1), PotentialWave(e=e2),
-        RotationalWave(lsp=np.array([0.0, 0.0, 1.0])),
-    ])
 
     def profile(r, t):
         base = kappa * a1c * (r[:, :1] * e1 + r[:, 1:2] * e2)
@@ -496,7 +479,7 @@ def _build_r2_e1e2s3(p, gas):
 
     tval = ((1.0 + kappa) * a1c) ** -1.0
 
-    def closed_form(t, x, branch=None):
+    def closed_form(t, x):
         r3 = x[:, 2] - u30 * t
         w = u13(r3)
         denom = 1.0 - (1.0 + kappa) * a1c * t
@@ -509,8 +492,9 @@ def _build_r2_e1e2s3(p, gas):
         id="R2_E1E2S3", rank=2, n_waves=3,
         description="two angle-locked acoustic waves plus a transverse vortex mode",
         params=p, gas=gas,
-        profile=profile, profile_jac=profile_jac, waves=waves, waves_jac=waves_jac,
-        dr_du=dr_du,
+        profile=profile, profile_jac=profile_jac,
+        wave_list=[PotentialWave(e=e1), PotentialWave(e=e2),
+                   RotationalWave(lsp=np.array([0.0, 0.0, 1.0]))],
         singular_time_values=(tval,),
         closed_form=closed_form,
         probe_x=-(e1 + e2),
@@ -541,9 +525,6 @@ def _build_r2_e1s2s3(p, gas):
     cconst = p["C2"] / l2[0] + p["C3"] / l31
     cc = p["C"]
     e1 = np.array([1.0, 0.0, 0.0])
-    waves, waves_jac, dr_du = stack_waves([
-        PotentialWave(e=e1), RotationalWave(lsp=-l2), RotationalWave(lsp=-l3),
-    ])
 
     def profile(r, t):
         shear = cc * (l31 * r[:, 1] - l2[0] * r[:, 2])
@@ -564,7 +545,7 @@ def _build_r2_e1s2s3(p, gas):
 
     tval = ((1.0 + kappa) * a1c) ** -1.0
 
-    def closed_form(t, x, branch=None):
+    def closed_form(t, x):
         denom = 1.0 - (1.0 + kappa) * a1c * t
         r1 = (cconst * t - x[:, 0]) / denom
         u1 = kappa * a1c * r1 + cconst
@@ -581,8 +562,8 @@ def _build_r2_e1s2s3(p, gas):
         id="R2_E1S2S3", rank=2, n_waves=3,
         description="acoustic wave with two stationary planar shear modes",
         params=p, gas=gas,
-        profile=profile, profile_jac=profile_jac, waves=waves, waves_jac=waves_jac,
-        dr_du=dr_du,
+        profile=profile, profile_jac=profile_jac,
+        wave_list=[PotentialWave(e=e1), RotationalWave(lsp=-l2), RotationalWave(lsp=-l3)],
         singular_time_values=(tval,),
         closed_form=closed_form,
         validity_fn=validity_fn,
@@ -614,9 +595,6 @@ def _build_r2_s1s2s3(p, gas):
         raise ConstraintError(f"unknown profile preset {p['profile']!r} for R2_S1S2S3")
     bperp = pf.snwell(p["A1"], p["B1"], p["beta"], k)   # b(r2, r3) along r2 + n r3
     gdiag = pf.snkink(p["A2"], p["B2"], p["beta"], k)   # g(r2 - r3)
-    waves, waves_jac, dr_du = stack_waves([RotationalWave(lsp=np.array([1.0, 0, 0])),
-                                    RotationalWave(lsp=np.array([0, 1.0, 0])),
-                                    RotationalWave(lsp=np.array([0, 0, 1.0]))])
 
     def profile(r, t):
         u1 = bperp(r[:, 1] + n * r[:, 2])
@@ -636,8 +614,8 @@ def _build_r2_s1s2s3(p, gas):
         id="R2_S1S2S3", rank=2, n_waves=3,
         description="three vortex directions, nilpotent coupling, snoidal profiles",
         params=p, gas=gas,
-        profile=profile, profile_jac=profile_jac, waves=waves, waves_jac=waves_jac,
-        dr_du=dr_du,
+        profile=profile, profile_jac=profile_jac,
+        wave_list=[RotationalWave(lsp=lsp) for lsp in np.eye(3)],
         default_window={"t": (0.0, 3.0)},
     )
 
@@ -714,12 +692,6 @@ def _build_r3_e1s2s3_v1(p, gas):
         out[:, 2, 2] = -1.0
         return out
 
-    waves, waves_jac, dr_du = stack_waves([
-        PotentialWave(e=e1),
-        CustomWave(lam_fn=lam2_fn, jac_fn=lam2_jac),
-        RotationalWave(lsp=np.array([0.0, 0.0, 1.0])),
-    ])
-
     def profile(r, t):
         f1 = fprof(r[:, 0])
         u1, u2 = planar.fields(r[:, 1], r[:, 2])
@@ -741,14 +713,13 @@ def _build_r3_e1s2s3_v1(p, gas):
         id="R3_E1S2S3_v1", rank=2, n_waves=3,
         description="acoustic + two vortex waves with a transported third invariant",
         params=p, gas=gas,
-        profile=profile, profile_jac=profile_jac, waves=waves, waves_jac=waves_jac,
-        dr_du=dr_du,
+        profile=profile, profile_jac=profile_jac,
+        wave_list=[PotentialWave(e=e1), CustomWave(lam_fn=lam2_fn, jac_fn=lam2_jac),
+                   RotationalWave(lsp=np.array([0.0, 0.0, 1.0]))],
         singular_time_values=tsing,
         custom_eval=ev,
         probe_x=np.array([0.3, 0.3, -0.5]),
         default_window=win,
-        notes="r3 transported along dx3/dt = u3; closed form used for the linear amplitude, "
-              "the exact first integral t a(r1)^(kappa+1) = int_{-r3}^{r1} a^kappa otherwise",
     )
 
 
@@ -786,12 +757,6 @@ def _build_r3_e1s2s3_v2(p, gas):
         out[:, 2, 1] = -1.0
         return out
 
-    waves, waves_jac, dr_du = stack_waves([
-        CustomWave(lam_fn=lam1_fn, jac_fn=lam1_jac),
-        RotationalWave(lsp=np.array([0.0, -1.0, 0.0])),
-        RotationalWave(lsp=np.array([1.0, 0.0, 0.0])),
-    ])
-
     ev = RotatingPolarizationEvaluator(fprof, gprof, a0, kappa)
 
     def profile(r, t):
@@ -804,13 +769,12 @@ def _build_r3_e1s2s3_v2(p, gas):
         id="R3_E1S2S3_v2", rank=2, n_waves=3,
         description="acoustic + two vortex waves with rotating polarization",
         params=p, gas=gas,
-        profile=profile, profile_jac=profile_jac, waves=waves, waves_jac=waves_jac,
-        dr_du=dr_du,
+        profile=profile, profile_jac=profile_jac,
+        wave_list=[CustomWave(lam_fn=lam1_fn, jac_fn=lam1_jac),
+                   RotationalWave(lsp=np.array([0.0, -1.0, 0.0])),
+                   RotationalWave(lsp=np.array([1.0, 0.0, 0.0]))],
         custom_eval=ev,
         default_window={"t": (0.0, 0.6)},
-        notes="u3 is convected by the planar flow (no algebraic vortex chart is "
-              "convected here); traced backward in 100 RK4 steps carrying r1 "
-              "(d_s r1 = a/delta and grad_x r1 . v = 0, so dr1/ds = a/delta)",
     )
 
 
@@ -856,9 +820,6 @@ def _build_rk_time_a(p, gas):
     def da_dt(t):
         return a1c * (-1.0 / kappa) * pol(t) ** (-1.0 / kappa - 1.0) * dpol(t)
 
-    waves, waves_jac, dr_du = stack_waves([RotationalWave(lsp=np.array([1.0, 0, 0])),
-                                    RotationalWave(lsp=np.array([0, 1.0, 0]))])
-
     def profile(r, t):
         vel = r @ df_mat.T
         return np.column_stack([a_of_t(t), vel[:, 0], vel[:, 1], np.zeros(len(r))])
@@ -878,7 +839,7 @@ def _build_rk_time_a(p, gas):
     tsing = tuple(float(r.real) for r in np.atleast_1d(roots)
                   if abs(np.imag(r)) < 1e-12)
 
-    def closed_form(t, x, branch=None):
+    def closed_form(t, x):
         # linear profile: solve (I + t Df) r = x_12 directly
         n = len(t)
         r = np.empty((n, 2))
@@ -890,14 +851,14 @@ def _build_rk_time_a(p, gas):
         id="RK_TIME_A", rank=rank, n_waves=2,
         description="free-streaming velocity with time-only sound speed (quadratic or nilpotent stream)",
         params=p, gas=gas,
-        profile=profile, profile_jac=profile_jac, waves=waves, waves_jac=waves_jac,
-        dr_du=dr_du,
+        profile=profile, profile_jac=profile_jac,
+        wave_list=[RotationalWave(lsp=np.array([1.0, 0, 0])),
+                   RotationalWave(lsp=np.array([0, 1.0, 0]))],
         singular_time_values=tsing,
         extra_time_deriv=extra_time_deriv,
         initial_a_rate=lambda u: -(trd / kappa) * u[..., 0],
         closed_form=closed_form,
         default_window={"t": (0.0, 2.0)},
-        notes="velocity Jacobian has constant invariants; u3 = 0 and fields ignore x3",
     )
 
 

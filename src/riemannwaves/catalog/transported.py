@@ -209,7 +209,7 @@ class TransportedEvaluator:
 
     # -- FamilySpec.custom_eval ---------------------------------------------
 
-    def __call__(self, t, x, branch=None, guess=None):
+    def __call__(self, t, x, guess=None):
         """A finite ``guess`` (N, 3), such as an FD stencil's centre, starts
         the r2 solve, so every shift tracks the centre's root; else r2 = t."""
         t = np.asarray(t, dtype=float)
@@ -378,7 +378,7 @@ class RotatingPolarizationEvaluator:
         d2 = -c + common * dr_dy2
         return val, d1, d2
 
-    def __call__(self, t, x, branch=None, guess=None):
+    def __call__(self, t, x, guess=None):
         t = np.asarray(t, dtype=float)
         x = np.asarray(x, dtype=float)
         x1, x2 = x[:, 0], x[:, 1]

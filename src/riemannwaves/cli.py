@@ -7,6 +7,7 @@ constraint violation, 4 empty report (every point skipped).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -124,11 +125,10 @@ def gather_params(args) -> dict:
 
 
 def build_grid(args, spec, counts=(5, 11, 11, 11)) -> GridSpec:
-    window = spec.default_grid_window()
-    axes = {name: (*window[name], counts[i]) for i, name in enumerate(_GRID_AXES)}
+    grid = GridSpec.from_window(spec.default_grid_window(), counts)
     if getattr(args, "grid", None):
-        axes.update(parse_grid(args.grid))
-    return GridSpec(**axes)
+        grid = dataclasses.replace(grid, **parse_grid(args.grid))
+    return grid
 
 
 def _emit(text: str, out_path):
@@ -173,7 +173,7 @@ def cmd_sample(args) -> int:
     spec = make_family(args.family, gather_params(args))
     grid = build_grid(args, spec, counts=(3, 5, 5, 5))
     tv, xv = grid.points()
-    res = spec.evaluate_batch(tv, xv, branch=args.branch, jacobian=False)
+    res = spec.evaluate_batch(tv, xv, jacobian=False)
     k = spec.n_waves
 
     if args.format == "json":
@@ -208,10 +208,10 @@ def cmd_verify(args) -> int:
     spec = make_family(args.family, gather_params(args))
     grid = build_grid(args, spec)
     if args.method == "exact":
-        report = residual_exact(spec, grid=grid, branch=args.branch)
+        report = residual_exact(spec, grid=grid)
         threshold = args.threshold if args.threshold is not None else 1e-8
     else:
-        report = residual_fd(spec, grid=grid, h=args.h, branch=args.branch)
+        report = residual_fd(spec, grid=grid, h=args.h)
         threshold = args.threshold if args.threshold is not None else 1e-5
     doc = report.as_dict()
     doc["family"] = spec.id
@@ -315,7 +315,7 @@ def cmd_conditions(args) -> int:
 
 def cmd_catastrophe(args) -> int:
     spec = make_family(args.family, gather_params(args))
-    report = catastrophe_probe(spec, branch=args.branch)
+    report = catastrophe_probe(spec)
     times = []
     for tv in report.formula_times:
         entry = {"formula": tv}
@@ -355,7 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="parameter override (repeatable)")
         p.add_argument("--config", help="flat key=value or JSON parameter file")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--branch", choices=("plus", "minus", "auto"), default=None)
         p.add_argument("--out", help="output path (default stdout)")
 
     p = sub.add_parser("list", help="list registry families")

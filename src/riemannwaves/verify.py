@@ -192,17 +192,16 @@ def _report(spec, method, res, keep, jac, grid, t0, h=None) -> ResidualReport:
     )
 
 
-def residual_exact(spec: FamilySpec, points=None, grid: GridSpec | None = None,
-                   branch=None) -> ResidualReport:
+def residual_exact(spec: FamilySpec, points=None, grid: GridSpec | None = None) -> ResidualReport:
     """Residuals via the family's exact Jacobi matrices."""
     t0 = time.perf_counter()
     tv, xv, grid = _sites(spec, points, grid)
-    res = spec.evaluate_batch(tv, xv, branch=branch)
+    res = spec.evaluate_batch(tv, xv)
     keep = _keep_mask(res.status, res.cond_det)
     return _report(spec, "exact", res, keep, res.jac[keep], grid, t0)
 
 
-def _fd_states(spec, tv, xv, h, branch, guess):
+def _fd_states(spec, tv, xv, h, guess):
     """Fields at +-h along each spacetime axis; returns list of (plus, minus, ok)."""
     out = []
     for axis in range(4):
@@ -212,7 +211,7 @@ def _fd_states(spec, tv, xv, h, branch, guess):
             xx = xv.copy()
             if axis > 0:
                 xx[:, axis - 1] += sgn * h
-            r = spec.evaluate_batch(tt, xx, branch=branch, guess=guess, jacobian=False)
+            r = spec.evaluate_batch(tt, xx, guess=guess, jacobian=False)
             shifted.append(r)
         ok = (shifted[0].status == STATUS_OK) & (shifted[1].status == STATUS_OK)
         out.append((shifted[0].state, shifted[1].state, ok))
@@ -220,7 +219,7 @@ def _fd_states(spec, tv, xv, h, branch, guess):
 
 
 def residual_fd(spec: FamilySpec, grid: GridSpec | None = None, h: float = DEFAULT_H,
-                branch=None, points=None) -> ResidualReport:
+                points=None) -> ResidualReport:
     """Residuals via central differences of the re-solved fields.
 
     Grid spacing must stay >= 4h so neighboring stencils never overlap.
@@ -234,10 +233,10 @@ def residual_fd(spec: FamilySpec, grid: GridSpec | None = None, h: float = DEFAU
     if points is None and grid.min_spacing() < 4 * h:
         raise ValueError(f"grid spacing {grid.min_spacing():.3g} below 4h = {4*h:.3g}")
 
-    center = spec.evaluate_batch(tv, xv, branch=branch, jacobian=False)
+    center = spec.evaluate_batch(tv, xv, jacobian=False)
     keep = _keep_mask(center.status, center.cond_det)
     idx = np.flatnonzero(keep)
-    stencil = _fd_states(spec, tv[idx], xv[idx], h, branch, center.r[idx])
+    stencil = _fd_states(spec, tv[idx], xv[idx], h, center.r[idx])
     for _, _, ok in stencil:
         keep[idx[~ok]] = False
 
@@ -263,7 +262,7 @@ class CatastropheReport:
     jac_norms: np.ndarray | None = None
 
 
-def catastrophe_probe(spec: FamilySpec, branch=None) -> CatastropheReport:
+def catastrophe_probe(spec: FamilySpec) -> CatastropheReport:
     """Track the Jacobi norm toward the first positive singular time.
 
     Walks the family's probe ray over the schedule t* (1 - 2^-j), then
@@ -286,8 +285,7 @@ def catastrophe_probe(spec: FamilySpec, branch=None) -> CatastropheReport:
     norms = []
     guess = None
     for tv in schedule:
-        res = spec.evaluate_batch(np.array([tv]), x, branch=branch, guess=guess,
-                                  ignore_validity=True)
+        res = spec.evaluate_batch(np.array([tv]), x, guess=guess, ignore_validity=True)
         if res.status[0] in (STATUS_OK, STATUS_INVALID) and np.isfinite(res.cond_det[0]):
             norms.append(float(np.max(np.abs(res.jac[0]))))
             guess = res.r
@@ -295,7 +293,7 @@ def catastrophe_probe(spec: FamilySpec, branch=None) -> CatastropheReport:
             norms.append(np.inf)
 
     def solve(tv, gv):
-        res = spec.evaluate_batch(np.array([tv]), x, branch=branch, guess=gv,
+        res = spec.evaluate_batch(np.array([tv]), x, guess=gv,
                                   ignore_validity=True, jacobian=False)
         code = int(res.status[0])
         solved = code in (STATUS_OK, STATUS_INVALID) and np.isfinite(res.cond_det[0])

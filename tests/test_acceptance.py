@@ -157,16 +157,15 @@ def test_criterion_05_pde_residuals_all_families():
     ok = True
     for fid in REGISTRY_IDS:
         spec = make_family(fid)
-        branch = "plus" if spec.branches else None
         grid = GridSpec.from_window(spec.default_grid_window(), counts=(5, 11, 11, 11))
-        rex = residual_exact(spec, grid=grid, branch=branch)
-        rfd = residual_fd(spec, grid=grid, h=1e-4, branch=branch)
+        rex = residual_exact(spec, grid=grid)
+        rfd = residual_fd(spec, grid=grid, h=1e-4)
         entry_ok = rex.max_normalized <= 1e-8 and rfd.max_normalized <= 1e-5
         order = None
         if rfd.max_residual > 1e-9:  # above the rounding floor: order measurable
             small = GridSpec.from_window(spec.default_grid_window(), counts=(3, 5, 5, 5))
-            r1 = residual_fd(spec, grid=small, h=1e-4, branch=branch)
-            r2 = residual_fd(spec, grid=small, h=5e-5, branch=branch)
+            r1 = residual_fd(spec, grid=small, h=1e-4)
+            r2 = residual_fd(spec, grid=small, h=5e-5)
             order = float(np.log2(r1.max_residual / r2.max_residual))
             entry_ok &= 1.7 <= order <= 2.3
         ok &= entry_ok
@@ -182,12 +181,11 @@ def test_criterion_06_rank_verification():
     fractions = []
     for fid in REGISTRY_IDS:
         spec = make_family(fid)
-        branch = "plus" if spec.branches else None
         win = spec.default_grid_window()
         lo, hi = win["t"]
         t = rng.uniform(lo + 0.02 * (hi - lo), hi, 1400)
         x = np.column_stack([rng.uniform(*win[f"x{i}"], 1400) for i in (1, 2, 3)])
-        res = spec.evaluate_batch(t, x, branch=branch)
+        res = spec.evaluate_batch(t, x)
         good = res.status == 0
         idx = np.nonzero(good)[0][:1000]
         assert len(idx) >= 600, fid
@@ -371,7 +369,7 @@ def test_criterion_12_cli_determinism_and_exit_codes(tmp_path, capsys):
         (["verify", "--family", "R2_E1E2", "--set", "e2=1,0,0"], 3),
         (["sample", "--family", "R2_S1S2S3", "--set", "modulus_k=1.4"], 3),
         (["sample", "--family", "R1_E", "--set", "bogus_key=1"], 3),
-        (["verify", "--family", "R2_S1S2_MA", "--branch", "plus", "--grid", "t=-1:-0.5:3"], 4),
+        (["verify", "--family", "R2_S1S2_MA", "--set", "branch=plus", "--grid", "t=-1:-0.5:3"], 4),
     ]
     codes_ok = True
     for args_i, expected in cases:

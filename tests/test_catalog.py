@@ -117,13 +117,13 @@ def test_time_zero_returns_pure_profile():
 
 
 def test_two_sheet_closed_form_oracle():
-    spec = make_family("R2_S1S2_MA")
+    spec = make_family("R2_S1S2_MA", branch="plus")
     rng = np.random.default_rng(9)
     t = rng.uniform(0.5, 1.5, 30)
     x = np.column_stack([rng.uniform(0.5, 1.5, 30), rng.uniform(-0.5, 0.5, 30),
                          rng.uniform(-1, 1, 30)])
-    res = spec.evaluate_batch(t, x, branch="plus")
-    rc, uc = spec.closed_form(t, x, "plus")
+    res = spec.evaluate_batch(t, x)
+    rc, uc = spec.closed_form(t, x)
     ok = res.status == 0
     assert ok.sum() >= 25
     assert np.max(np.abs(res.state[ok] - uc[ok])) <= 1e-12
@@ -134,20 +134,19 @@ def test_two_sheet_closed_form_oracle():
 
 
 def test_branches_differ_and_auto_continuous():
-    spec = make_family("R2_S1S2_MA")
     t = np.array([1.0])
     x = np.array([[1.0, 0.3, 0.0]])
-    up = spec.evaluate_batch(t, x, branch="plus").state[0]
-    um = spec.evaluate_batch(t, x, branch="minus").state[0]
+    up = make_family("R2_S1S2_MA", branch="plus").evaluate_batch(t, x).state[0]
+    um = make_family("R2_S1S2_MA", branch="minus").evaluate_batch(t, x).state[0]
     assert abs(up[2] - um[2]) > 0.1
     # the auto sheet converges to the finite t -> 0+ limit w = x1/x2
     tsmall = np.array([2e-5])
-    ua = spec.evaluate_batch(tsmall, x, branch="auto").state[0]
+    ua = make_family("R2_S1S2_MA", branch="auto").evaluate_batch(tsmall, x).state[0]
     w_inf = x[0, 0] / x[0, 1]
     assert abs(ua[1] - (-(w_inf**2))) <= 1e-2
     assert abs(ua[2] - (-2 * w_inf)) <= 1e-2
-    with pytest.raises(ValidityError):
-        spec.evaluate_batch(t, x, branch="bogus")
+    with pytest.raises(ConstraintError, match="branch"):
+        make_family("R2_S1S2_MA", branch="bogus")
 
 
 def _first_fold_time(spec, wave, r=np.linspace(-10.0, 10.0, 100001)):
@@ -216,15 +215,14 @@ def test_closed_forms_agree_with_newton_path():
         spec = make_family(fid)
         if spec.closed_form is None:
             continue
-        branch = "plus" if spec.branches else None
         win = spec.default_grid_window()
         t = rng.uniform(win["t"][0] + 0.02, win["t"][1], 20)
         x = np.column_stack([rng.uniform(*win[f"x{i}"], 20) for i in (1, 2, 3)])
-        res = spec.evaluate_batch(t, x, branch=branch)
+        res = spec.evaluate_batch(t, x)
         ok = res.status == 0
         if not ok.any():
             continue
-        _, uc = spec.closed_form(t[ok], x[ok], branch)
+        _, uc = spec.closed_form(t[ok], x[ok])
         assert np.max(np.abs(uc - res.state[ok])) <= 1e-10, fid
 
 
@@ -328,13 +326,13 @@ def test_family_defaults_follow_gamma():
 def test_warm_start_guess_aligns_with_validity_mask():
     # a provided warm-start guess covers all N points; points dropped by the
     # validity mask must not shift the alignment of the remaining guesses
-    spec = make_family("R2_S1S2_MA")
+    spec = make_family("R2_S1S2_MA", branch="plus")
     t = np.array([1.0, -0.5, 1.2])  # middle point invalid (t < 0)
     x = np.array([[1.0, 0.2, 0.0], [1.0, 0.2, 0.0], [1.2, -0.1, 0.0]])
     guess = np.array([[0.9, -0.3], [0.0, 0.0], [1.1, -0.2]])
-    res = spec.evaluate_batch(t, x, branch="plus", guess=guess)
+    res = spec.evaluate_batch(t, x, guess=guess)
     assert list(res.status) == [0, 3, 0]
-    ref = spec.evaluate_batch(t[[0, 2]], x[[0, 2]], branch="plus")
+    ref = spec.evaluate_batch(t[[0, 2]], x[[0, 2]])
     assert np.allclose(res.r[[0, 2]], ref.r, atol=1e-12)
 
 
@@ -344,13 +342,12 @@ def test_evaluate_without_jacobian_keeps_every_other_field(fid):
     # bit-identical to the default call, and jac is absent rather than NaN
     rng = np.random.default_rng(29)
     spec = make_family(fid)
-    branch = "plus" if spec.branches else None
     win = spec.default_grid_window()
     t = rng.uniform(*win["t"], 24)
     x = np.column_stack([rng.uniform(*win[f"x{i}"], 24) for i in (1, 2, 3)])
-    full = spec.evaluate_batch(t, x, branch=branch)
+    full = spec.evaluate_batch(t, x)
     # a second instance, so a custom evaluator's memo cannot serve the call
-    bare = make_family(fid).evaluate_batch(t, x, branch=branch, jacobian=False)
+    bare = make_family(fid).evaluate_batch(t, x, jacobian=False)
     assert (full.status == 0).any()
     assert bare.jac is None
     assert full.jac is not None and full.jac.shape == (24, 4, 4)

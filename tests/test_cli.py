@@ -1,6 +1,9 @@
 """CLI: determinism, exit statuses, round-trips."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -70,9 +73,12 @@ def test_exit_statuses_malformed_matrix(capsys, tmp_path):
         (["sample", "--family", "R1_E", "--set", "oops"], 2),               # malformed --set
         (["verify", "--family", "R2_E1E2", "--set", "e2=1,0,0"], 3),        # angle violated
         (["sample", "--family", "R2_S1S2S3", "--set", "modulus_k=1.3"], 3), # modulus
-        (["verify", "--family", "R2_S1S2_MA", "--branch", "plus",
+        (["verify", "--family", "R2_S1S2_MA", "--set", "branch=plus",
           "--grid", "t=-0.5:-0.1:3"], 4),                                   # empty report
         (["sample", "--family", "R1_E", "--set", "nope=3"], 3),             # unknown key
+        (["sample", "--family", "R2_S1S2_MA", "--branch", "plus"], 2),      # no --branch flag
+        (["sample", "--family", "R2_S1S2_MA", "--set", "branch=bogus"], 3), # unknown sheet
+        (["verify", "--family", "R2_S1S2_MA", "--set", "branch=bogus"], 3), # unknown sheet
     ]
     for args, expected in cases:
         code = main(args)
@@ -92,6 +98,24 @@ def test_verify_pass_and_fail(tmp_path, capsys):
                         "--grid", "t=0:0.4:3,x1=-1:1:5,x2=-1:1:5,x3=-1:1:5",
                         "--threshold", "1e-16"], capsys)
     assert code == 1
+
+
+def test_sheet_is_the_reported_parameter(capsys):
+    code, out, _ = run(["verify", "--family", "R2_S1S2_MA", "--set", "branch=minus",
+                        "--grid", "t=0.5:1.5:3,x1=0.5:1.5:3,x2=-0.5:0.5:3,x3=0:0:1"], capsys)
+    assert code == 0
+    assert json.loads(out)["params"]["branch"] == "minus"
+
+
+def test_non_finite_profile_points_write_nothing_to_stderr():
+    # n = -1 makes w = r1/r2 blow up at r2 = 0; the point statuses record those
+    # points, so numpy must not warn.  The FD gate miss (exit 1) is a known defect.
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-m", "riemannwaves.cli", "verify",
+                          "--family", "R2_S1S2_MA", "--set", "n=-1", "--method", "fd"],
+                         capture_output=True, text=True, env=env)
+    assert out.returncode == 1
+    assert out.stderr == ""
 
 
 def test_conditions_family_and_pair(capsys):

@@ -1,8 +1,9 @@
 """Golden sha256 digests of default CLI outputs, one per family and command.
 
 The digests pin the bytes of ``sample`` (CSV), ``conditions --samples 10
---seed 3`` and ``catastrophe`` at each family's defaults, so a change that
-moves an output byte fails here and must say so.  A change that moves bytes
+--seed 3`` and ``catastrophe`` at each family's defaults, and the ``sample``
+bytes of ``R2_S1S2_MA``'s two other sheets, so a change that moves an output
+byte fails here and must say so.  A change that moves bytes
 on purpose updates the digests and records why.
 
 The last bits of numpy's transcendental functions depend on the numpy
@@ -77,6 +78,13 @@ DIGESTS = {
 }
 
 
+# sample bytes of the non-default sheets of R2_S1S2_MA (--set branch=...)
+SHEET_DIGESTS = {
+    "minus": "dc3c599510a6faa8ea71f882c2329ff8456d36e4a08ee1adbe4f855f2493bfab",
+    "auto": "2cf4a790a5376876f82dc795eff512167db9d291f636ff85939dec431062403f",
+}
+
+
 def _platform():
     try:
         from numpy._core._multiarray_umath import __cpu_features__
@@ -91,12 +99,24 @@ def test_digests_cover_every_family_and_command():
         assert sorted(table) == sorted(REGISTRY_IDS)
 
 
-@pytest.mark.parametrize("command", sorted(COMMANDS))
-@pytest.mark.parametrize("fid", REGISTRY_IDS)
-def test_default_output_digest(fid, command, tmp_path):
+def _output_digest(argv, tmp_path):
     if _platform() != DIGEST_PLATFORM:
         pytest.skip(f"digests taken on {DIGEST_PLATFORM} (numpy, machine, AVX512_SKX); "
                     f"this platform is {_platform()}")
     out = tmp_path / "out.txt"
-    assert cli.main([command, "--family", fid, *COMMANDS[command], "--out", str(out)]) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == DIGESTS[command][fid]
+    assert cli.main([*argv, "--out", str(out)]) == 0
+    return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+@pytest.mark.parametrize("fid", REGISTRY_IDS)
+def test_default_output_digest(fid, command, tmp_path):
+    digest = _output_digest([command, "--family", fid, *COMMANDS[command]], tmp_path)
+    assert digest == DIGESTS[command][fid]
+
+
+@pytest.mark.parametrize("sheet", sorted(SHEET_DIGESTS))
+def test_sheet_sample_digest(sheet, tmp_path):
+    digest = _output_digest(["sample", "--family", "R2_S1S2_MA", "--set", f"branch={sheet}"],
+                            tmp_path)
+    assert digest == SHEET_DIGESTS[sheet]

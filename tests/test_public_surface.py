@@ -5,6 +5,10 @@ under ``src/riemannwaves`` loads (as a name or an attribute, matched by
 name), is surface that only tests use.  The KEEP names are exempt: they are
 reference implementations and audit kernels that an acceptance criterion
 checks, plus the package version.
+
+The same holds for the fields of ``FamilySpec``: a field that no package
+code loads as an attribute is a setting nothing reads, apart from the
+KEEP_FIELDS.
 """
 
 import ast
@@ -22,6 +26,10 @@ KEEP = {
     "homogeneous_stream": "criterion 11",
     "quadratic_stream": "criterion 11",
     "npower_stream": "criterion 11",
+}
+
+KEEP_FIELDS = {
+    "closed_form": "reference oracle of the closed-form agreement tests",
 }
 
 
@@ -71,3 +79,20 @@ def test_every_export_is_loaded_in_the_package():
 def test_keep_names_are_exported():
     exported = set().union(*(_exports(tree) for tree in _trees().values()))
     assert set(KEEP) <= exported, sorted(set(KEEP) - exported)
+
+
+def _family_spec_fields(trees):
+    cls = next(node for node in trees["catalog/base.py"].body
+               if isinstance(node, ast.ClassDef) and node.name == "FamilySpec")
+    return [node.target.id for node in cls.body
+            if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)]
+
+
+def test_every_family_spec_field_is_read_in_the_package():
+    trees = _trees()
+    read = {node.attr for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    fields = _family_spec_fields(trees)
+    assert set(KEEP_FIELDS) <= set(fields), sorted(set(KEEP_FIELDS) - set(fields))
+    unread = [name for name in fields if name not in read and name not in KEEP_FIELDS]
+    assert unread == [], "FamilySpec fields no package code reads: " + ", ".join(unread)

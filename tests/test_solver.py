@@ -186,8 +186,8 @@ def test_solution_rank_examples():
     res = spec1.evaluate_batch(np.array([0.3]), np.array([[-0.7, 0.2, 0.1]]))
     assert res.status[0] == 0
     assert linalg.numerical_rank(res.jac[0]) == 1
-    spec2 = make_family("R2_S1S2_MA")
-    res2 = spec2.evaluate_batch(np.array([1.0]), np.array([[1.0, 0.2, 0.0]]), branch="plus")
+    spec2 = make_family("R2_S1S2_MA", branch="plus")
+    res2 = spec2.evaluate_batch(np.array([1.0]), np.array([[1.0, 0.2, 0.0]]))
     assert linalg.numerical_rank(res2.jac[0]) == 2
 
 
@@ -212,12 +212,11 @@ def test_jacobian_matches_fd_all_families():
     h = 1e-6
     for fid in REGISTRY_IDS:
         spec = make_family(fid)
-        branch = "plus" if spec.branches else None
         win = spec.default_grid_window()
         lo, hi = win["t"]
         t = rng.uniform(lo + 0.05 * (hi - lo), lo + 0.9 * (hi - lo), 100)
         x = np.column_stack([rng.uniform(*win[f"x{i}"], 100) for i in (1, 2, 3)])
-        res = spec.evaluate_batch(t, x, branch=branch)
+        res = spec.evaluate_batch(t, x)
         keep = res.status == 0
         assert keep.sum() >= 40, fid
         fd = np.empty((int(keep.sum()), 4, 4))
@@ -228,8 +227,8 @@ def test_jacobian_matches_fd_all_families():
             if axis > 0:
                 xp[:, axis - 1] += h
                 xm[:, axis - 1] -= h
-            rp = spec.evaluate_batch(tp, xp, branch=branch, guess=res.r[keep])
-            rm = spec.evaluate_batch(tm, xm, branch=branch, guess=res.r[keep])
+            rp = spec.evaluate_batch(tp, xp, guess=res.r[keep])
+            rm = spec.evaluate_batch(tm, xm, guess=res.r[keep])
             fd[:, :, axis] = (rp.state - rm.state) / (2 * h)
         good = np.isfinite(fd).all(axis=(1, 2))
         scale = 1.0 + np.max(np.abs(fd[good]))
@@ -348,7 +347,7 @@ def test_newton_batch_result_of_a_point_does_not_depend_on_its_batch(fid):
     t, x = t[valid], x[valid]
     X = np.column_stack([t, x])
     if spec.guess_fn is not None:
-        r0 = spec.guess_fn(t, x, None)
+        r0 = spec.guess_fn(t, x)
     else:
         r0 = initial_guess(spec.profile, spec.waves, X, spec.n_waves)
 

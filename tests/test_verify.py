@@ -5,7 +5,7 @@ import pytest
 
 from riemannwaves import cli
 from riemannwaves.catalog import base, make_family
-from riemannwaves.catalog.base import FamilySpec, PotentialWave, stack_waves
+from riemannwaves.catalog.base import FamilySpec, PotentialWave
 from riemannwaves.fluid import GasParams
 from riemannwaves.verify import (
     EmptyReportError,
@@ -37,7 +37,6 @@ def corrupted_e1e2(delta=0.1):
     phi = np.arccos(-1.0 / kappa) + delta
     e2 = np.array([np.cos(phi), np.sin(phi), 0.0])
     s1 = s2 = 0.25
-    waves, waves_jac, dr_du = stack_waves([PotentialWave(e=e1), PotentialWave(e=e2)])
 
     def profile(r, t):
         a1, a2 = s1 * r[:, 0], s2 * r[:, 1]
@@ -52,7 +51,7 @@ def corrupted_e1e2(delta=0.1):
 
     return FamilySpec(id="corrupted", rank=2, n_waves=2, description="angle broken",
                       params={}, gas=gas, profile=profile, profile_jac=profile_jac,
-                      waves=waves, waves_jac=waves_jac, dr_du=dr_du,
+                      wave_list=[PotentialWave(e=e1), PotentialWave(e=e2)],
                       probe_x=-(e1 + e2), default_window={"t": (0.0, 0.45)})
 
 
@@ -88,20 +87,20 @@ def test_fd_grid_spacing_guard():
 
 
 def test_fd_convergence_order_second_order():
-    spec = make_family("R2_S1S2_MA")
+    spec = make_family("R2_S1S2_MA", branch="plus")
     grid = GridSpec.from_window(spec.default_grid_window(), counts=SMALL)
     # measured order from the residuals at h and h/2 (2 for a central stencil)
-    r1 = residual_fd(spec, grid=grid, h=1e-4, branch="plus")
-    r2 = residual_fd(spec, grid=grid, h=0.5e-4, branch="plus")
+    r1 = residual_fd(spec, grid=grid, h=1e-4)
+    r2 = residual_fd(spec, grid=grid, h=0.5e-4)
     order = np.log2(r1.max_residual / r2.max_residual)
     assert 1.7 <= order <= 2.3
 
 
 def test_empty_report_error():
-    spec = make_family("R2_S1S2_MA")  # invalid for t <= 0
+    spec = make_family("R2_S1S2_MA", branch="plus")  # invalid for t <= 0
     grid = GridSpec(t=(-0.5, -0.1, 3), x1=(0.5, 1.5, 3), x2=(-0.5, 0.5, 3), x3=(0, 0, 1))
     with pytest.raises(EmptyReportError):
-        residual_exact(spec, grid=grid, branch="plus")
+        residual_exact(spec, grid=grid)
 
 
 def test_skipped_points_are_counted():
