@@ -1,9 +1,11 @@
 """Golden sha256 digests of default CLI outputs, one per family and command.
 
 The digests pin the bytes of ``sample`` (CSV), ``conditions --samples 10
---seed 3`` and ``catastrophe`` at each family's defaults, and the ``sample``
-bytes of ``R2_S1S2_MA``'s two other sheets, so a change that moves an output
-byte fails here and must say so.  A change that moves bytes
+--seed 3`` and ``catastrophe`` at each family's defaults, the JSON of
+``verify --method exact`` and ``--method fd`` on the default grid (less its
+``"runtime_ms"`` line, a timing), and the ``sample`` bytes of
+``R2_S1S2_MA``'s two other sheets, so a change that moves an output byte
+fails here and must say so.  A change that moves bytes
 on purpose updates the digests and records why.
 
 The last bits of numpy's transcendental functions depend on the numpy
@@ -84,6 +86,40 @@ SHEET_DIGESTS = {
     "auto": "2cf4a790a5376876f82dc795eff512167db9d291f636ff85939dec431062403f",
 }
 
+# verify JSON on the default grid, the "runtime_ms" line removed
+VERIFY_DIGESTS = {
+    "exact": {
+        "R1_E": "b1de6d5c01903de721733b3ee291c526d29b681c0980543bbeb9a252eefc0807",
+        "R1_S": "fd1bdef17d8b111f8735c5a4fd5cdc6a2275197ef749d075f94025d75e88305f",
+        "R2_E1E2": "1cf6cf589c30f53ccc7967660b550918eaea854d7d8af426d6f84aefc22285f7",
+        "R2_E1E2S3": "d42c9835ada5f09275e7804904237ff9404c049416e85550f161c766f2c9573a",
+        "R2_E1S2": "b9f6bd1eafb1f035bb5b04093db8d8bbfc3b40b3b1d37d04d08cec3faca054c4",
+        "R2_E1S2S3": "90fd3481cab36939c3c8c4084c65a3a42870f53dd25e990edaacbe601312acb7",
+        "R2_S1S2S3": "cbf43e752639521866ea625edf529022f8530a0c02e18103669224bfa581817a",
+        "R2_S1S2_ADD": "e8e10bfe05ecec6d155cc38372c7d4bd7110ac5f7cd77e6c532ed3a833e431fa",
+        "R2_S1S2_MA": "4b81dff27097d378080336fd10479699d99a2ae7ec852386b2bab21f0e7165c9",
+        "R3_E1E2E3": "9d4d0e102ddd8d4d56ae0fc8eaea650c76b5d58180706a099dde90aa53dcbe74",
+        "R3_E1S2S3_v1": "62e9ec15e72bdaf35611b68f5236fe98be5d60572def8214b5caa640fd696483",
+        "R3_E1S2S3_v2": "5bedc589881be31df09b376497204ce8c55a07145df3a0fa2963c29da5fe08b8",
+        "RK_TIME_A": "060713af009275d9214db2431a7f97590b8fc45c8d5a3255b3232880370139ac",
+    },
+    "fd": {
+        "R1_E": "c982404a3fc9938b130d358400dec7d8e154cb4d7a7cf2ff3006bf01d3f0bd8d",
+        "R1_S": "8d4e3b2d39d21d86a23a5a8f7b732cec5c8ef31057a47834502f8c3d6acdad46",
+        "R2_E1E2": "b6cc487e3acd6954b3fc2eac6774f82bf3f24ef6f071d5a5d6ece75592357229",
+        "R2_E1E2S3": "f29c99bcc03b2cbb8dbf53df5b46d0e2ec1f8cb3b5a0bae8fbc95e827a906a1a",
+        "R2_E1S2": "e8cbce0fde45849dfbb65d5863fefbf34baebe7b0bfa7c49f2f269925a6eb3f0",
+        "R2_E1S2S3": "2cd7eef6de5b7792f9257defd0525e6396fb90e7c19f41835c4c66b478b5fa7e",
+        "R2_S1S2S3": "2a19c244c17abfb65d064e7d8a836a2ffc07bfd964aaf7b51928392ce8cf2c0f",
+        "R2_S1S2_ADD": "45648967c1aad9a5d52109f236fdb7b769a153ea87f5a694e96581a79f778d3a",
+        "R2_S1S2_MA": "049ed35f2d56e025de5f458d45ca83b53dbfdaa7fd4dffac09a0bd1723e01728",
+        "R3_E1E2E3": "42c050b0c271738d05fb9cd36941b3b68f81b0a5e289ced4942252bee4596bf2",
+        "R3_E1S2S3_v1": "627a35d645eacf62e9ed4b9a2612cbc3c4d15d6a32a3b682d94a44f0886657bf",
+        "R3_E1S2S3_v2": "21c7abe6c66521410cce1e96bfeb4fe4983c9af405810d3320452cbbcf058d2b",
+        "RK_TIME_A": "a0b5a479af70884c5e3c19f86b827109c3ec21414ce8e32616b3fbc1afce4845",
+    },
+}
+
 
 def _platform():
     try:
@@ -95,17 +131,21 @@ def _platform():
 
 def test_digests_cover_every_family_and_command():
     assert set(DIGESTS) == set(COMMANDS)
-    for table in DIGESTS.values():
+    assert set(VERIFY_DIGESTS) == {"exact", "fd"}
+    for table in (*DIGESTS.values(), *VERIFY_DIGESTS.values()):
         assert sorted(table) == sorted(REGISTRY_IDS)
 
 
-def _output_digest(argv, tmp_path):
+def _output_digest(argv, tmp_path, drop=None):
     if _platform() != DIGEST_PLATFORM:
         pytest.skip(f"digests taken on {DIGEST_PLATFORM} (numpy, machine, AVX512_SKX); "
                     f"this platform is {_platform()}")
     out = tmp_path / "out.txt"
     assert cli.main([*argv, "--out", str(out)]) == 0
-    return hashlib.sha256(out.read_bytes()).hexdigest()
+    data = out.read_bytes()
+    if drop is not None:
+        data = b"".join(line for line in data.splitlines(keepends=True) if drop not in line)
+    return hashlib.sha256(data).hexdigest()
 
 
 @pytest.mark.parametrize("command", sorted(COMMANDS))
@@ -120,3 +160,11 @@ def test_sheet_sample_digest(sheet, tmp_path):
     digest = _output_digest(["sample", "--family", "R2_S1S2_MA", "--set", f"branch={sheet}"],
                             tmp_path)
     assert digest == SHEET_DIGESTS[sheet]
+
+
+@pytest.mark.parametrize("method", sorted(VERIFY_DIGESTS))
+@pytest.mark.parametrize("fid", REGISTRY_IDS)
+def test_verify_output_digest(fid, method, tmp_path):
+    digest = _output_digest(["verify", "--family", fid, "--method", method], tmp_path,
+                            drop=b'"runtime_ms"')
+    assert digest == VERIFY_DIGESTS[method][fid]
