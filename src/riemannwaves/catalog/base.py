@@ -147,7 +147,9 @@ def stack_waves(wave_list):
       waves_jac(u)    -> derivatives (N,k,4,4) indexed [A, i, alpha];
       dr_du(u, X)     -> (N,k,4), (d lam^A_i/d u^alpha) x^i at points X (N,4),
                          each wave contributing its own contraction, so the
-                         (N,k,4,4) stack is never built on the solver path.
+                         (N,k,4,4) stack is never built on the solver path;
+                         when every wave is a time-row wave, one broadcast
+                         product t * rows gives the same bits.
     """
 
     def waves(u):
@@ -156,8 +158,14 @@ def stack_waves(wave_list):
     def waves_jac(u):
         return np.stack([w.jac(u) for w in wave_list], axis=1)
 
-    def dr_du(u, X):
-        return np.stack([w.dr_du(u, X) for w in wave_list], axis=1)
+    if all(isinstance(w, _TimeRowWave) for w in wave_list):
+        rows = np.stack([w.row for w in wave_list])
+
+        def dr_du(u, X):  # every wave's t * row, in one broadcast product
+            return X[:, :1, None] * rows
+    else:
+        def dr_du(u, X):
+            return np.stack([w.dr_du(u, X) for w in wave_list], axis=1)
 
     return waves, waves_jac, dr_du
 
@@ -280,11 +288,10 @@ class FamilySpec:
                 r0 = self.guess_fn(t[idx], x[idx])
             else:
                 r0 = initial_guess(self.profile, self.waves, X, k)
-            r, u, status, cond = newton_batch(self.profile, self.profile_jac,
-                                              self.waves, self.dr_du, X, r0)
+            r, u, status, cond, fr, ru = newton_batch(self.profile, self.profile_jac,
+                                                      self.waves, self.dr_du, X, r0)
             if jacobian:
-                jac = jacobi_batch(self.profile, self.profile_jac, self.waves,
-                                   self.dr_du, X, r, self.extra_time_deriv)
+                jac = jacobi_batch(self.waves, u, fr, ru, X, self.extra_time_deriv)
 
         solved = status == STATUS_OK
         bad_a = solved & ~(u[:, 0] > 0.0)

@@ -21,6 +21,13 @@ whose covectors depend on the state through lam_0 alone.  All are batched
 over points (shape (N, ...)); one point is N = 1.  The full derivative stack
 waves_jac (N, k, 4, 4) never enters them: the trace conditions read it, and
 the tests contract it with x as the reference dr/du.
+
+Each bracket quantity is built once.  Newton's stop test reads the
+determinant in closed form (``bracket_det``, k <= 3), and a k = 1 step is
+g / dG/dr, bitwise LAPACK's 1x1 solve.  The final refresh at the converged
+iterates takes cond_det with LAPACK (``sample`` prints it) and hands its
+df/dr and dr/du to ``jacobi_batch``, which assembles du from them without
+evaluating the profile again.
 """
 
 from __future__ import annotations
@@ -130,33 +137,61 @@ def newton_batch(profile, profile_jac, waves, dr_du, X, r0):
 
     dr_du(u, X) -> (N, k, 4) is called once per iteration on the points still
     iterating and once at the end.  A point with |det dG/dr| < 1e-10 stops as
-    STATUS_NEAR_CATASTROPHE.  Returns (r, u, status, cond_det), cond_det =
-    det(dG/dr) at the final iterates; failed points keep their last iterate.
+    STATUS_NEAR_CATASTROPHE; inside the loop that test reads the closed-form
+    determinant (``bracket_det``).  Returns (r, u, status, cond_det, fr, ru):
+    at the final iterates, cond_det = det(dG/dr) by LAPACK, fr = df/dr
+    (N, 4, k) and ru = dr/du (N, k, 4), the pieces ``jacobi_batch`` reads.
+    Failed points keep their last iterate.
     """
     X = np.asarray(X, dtype=float)
-    eye = np.eye(np.shape(r0)[1])
+    k = np.shape(r0)[1]
+    eye = np.eye(k)
 
     def residual(r, X):
         u = profile(r, X[:, 0])
         return r - np.einsum("nki,ni->nk", waves(u), X), u
 
-    def bracket(r, u, X):  # dG/dr and its determinant
-        jmat = eye - dr_du(u, X) @ profile_jac(r, X[:, 0])
-        with np.errstate(invalid="ignore"):
-            return jmat, np.linalg.det(jmat)
+    def bracket(r, u, X):  # dr/du, df/dr and dG/dr
+        ru = dr_du(u, X)
+        fr = profile_jac(r, X[:, 0])
+        return ru, fr, eye - ru @ fr
 
     def newton_step(r, g, u, X):
-        jmat, det = bracket(r, u, X)
+        jmat = bracket(r, u, X)[2]
+        with np.errstate(invalid="ignore", over="ignore"):
+            det = bracket_det(jmat)
         stop = (np.abs(det) < DET_FLOOR) | ~np.isfinite(det)
         if stop.any():
-            jmat[stop] = eye  # a harmless solve on rows the kernel drops
+            jmat[stop] = eye  # a harmless step on rows the kernel drops
+        if k == 1:  # bitwise LAPACK's 1x1 solve
+            return g / jmat[:, 0], stop
         return np.linalg.solve(jmat, g[..., None])[..., 0], stop
 
     r, u, status = damped_newton(residual, newton_step, r0, X,
                                  tol=NEWTON_TOL, max_iter=NEWTON_MAX_ITER)
-    cond = bracket(r, u, X)[1]  # refreshed at the final iterates
+    ru, fr, jmat = bracket(r, u, X)  # refreshed at the final iterates
+    with np.errstate(invalid="ignore"):
+        cond = np.linalg.det(jmat)
     status[(np.abs(cond) < DET_FLOOR) & (status == STATUS_OK)] = STATUS_NEAR_CATASTROPHE
-    return r, u, status, cond
+    return r, u, status, cond, fr, ru
+
+
+def bracket_det(m):
+    """Determinants of an (N, k, k) stack: closed form for k <= 3, LAPACK above.
+
+    The closed form agrees with np.linalg.det to rounding and is non-finite on
+    any row that holds a NaN or an infinity.
+    """
+    k = m.shape[-1]
+    if k == 1:
+        return m[:, 0, 0].copy()
+    if k == 2:
+        return m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0]
+    if k == 3:
+        return (m[:, 0, 0] * (m[:, 1, 1] * m[:, 2, 2] - m[:, 1, 2] * m[:, 2, 1])
+                - m[:, 0, 1] * (m[:, 1, 0] * m[:, 2, 2] - m[:, 1, 2] * m[:, 2, 0])
+                + m[:, 0, 2] * (m[:, 1, 0] * m[:, 2, 1] - m[:, 1, 1] * m[:, 2, 0]))
+    return np.linalg.det(m)
 
 
 def initial_guess(profile, waves, X, k):
@@ -166,20 +201,16 @@ def initial_guess(profile, waves, X, k):
     return np.einsum("nki,ni->nk", waves(u0), X)
 
 
-def jacobi_batch(profile, profile_jac, waves, dr_du, X, r,
-                 extra_time_deriv=None):
-    """Exact Jacobi matrices du (N, 4, 4) at solved invariants r.
+def jacobi_batch(waves, u, fr, ru, X, extra_time_deriv=None):
+    """Exact Jacobi matrices du (N, 4, 4) at solved states u (N, 4).
 
-    du = (I4 - fr ru)^(-1) fr lam with ru = dr_du(u, X), plus an optional
+    du = (I4 - fr ru)^(-1) fr lam(u), from the df/dr ``fr`` and dr/du ``ru``
+    that ``newton_batch`` returns for these points X (N, 4), plus an optional
     explicit d/dt column for profiles carrying direct time dependence.
     """
     X = np.asarray(X, dtype=float)
-    t = X[:, 0]
-    u = profile(r, t)
-    lam = waves(u)
-    fr = profile_jac(r, t)
-    bracket = np.eye(4) - fr @ dr_du(u, X)
-    rhs = fr @ lam
+    bracket = np.eye(4) - fr @ ru
+    rhs = fr @ waves(u)
     try:
         jac = np.linalg.solve(bracket, rhs)
     except np.linalg.LinAlgError:
@@ -191,5 +222,5 @@ def jacobi_batch(profile, profile_jac, waves, dr_du, X, r,
             except np.linalg.LinAlgError:
                 jac[i] = np.nan
     if extra_time_deriv is not None:
-        jac[:, :, 0] += extra_time_deriv(t)
+        jac[:, :, 0] += extra_time_deriv(X[:, 0])
     return jac

@@ -11,6 +11,7 @@ from riemannwaves.catalog.base import PotentialWave, RotationalWave, stack_waves
 from riemannwaves.solver import (
     STATUS_NEAR_CATASTROPHE,
     STATUS_OK,
+    bracket_det,
     damped_newton,
     initial_guess,
     jacobi_batch,
@@ -35,9 +36,10 @@ def solve_one(prob, x, expect=STATUS_OK):
         return np.einsum("nkia,ni->nka", prob.waves_jac(u), pts)
 
     r0 = initial_guess(prob.profile, prob.waves, X, prob.k)
-    r, u, status, cond = newton_batch(prob.profile, prob.profile_jac, prob.waves, dr_du, X, r0)
+    r, u, status, cond, fr, ru = newton_batch(prob.profile, prob.profile_jac, prob.waves,
+                                              dr_du, X, r0)
     assert status[0] == expect
-    jac = jacobi_batch(prob.profile, prob.profile_jac, prob.waves, dr_du, X, r)
+    jac = jacobi_batch(prob.waves, u, fr, ru, X)
     resid = float(np.max(np.abs(r - np.einsum("nki,ni->nk", prob.waves(u), X))))
     return SimpleNamespace(r=r[0], state=u[0], jac=jac[0], cond_det=float(cond[0]),
                            x=X[0], residual=resid)
@@ -354,9 +356,85 @@ def test_newton_batch_result_of_a_point_does_not_depend_on_its_batch(fid):
     def waves(u):
         return np.concatenate([spec.waves(u[i:i + 1]) for i in range(len(u))])
 
-    r, _, status, _ = newton_batch(spec.profile, spec.profile_jac, waves, spec.dr_du, X, r0)
+    r, _, status, *_ = newton_batch(spec.profile, spec.profile_jac, waves, spec.dr_du, X, r0)
     for i in np.random.default_rng(11).choice(len(t), 25, replace=False):
-        r_i, _, status_i, _ = newton_batch(spec.profile, spec.profile_jac, waves, spec.dr_du,
-                                           X[i:i + 1], r0[i:i + 1])
+        r_i, _, status_i, *_ = newton_batch(spec.profile, spec.profile_jac, waves, spec.dr_du,
+                                            X[i:i + 1], r0[i:i + 1])
         assert np.array_equal(r_i[0], r[i], equal_nan=True), i
         assert status_i[0] == status[i], i
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_bracket_det_closed_form_matches_lapack(k):
+    # well-conditioned stacks: identity plus a perturbation of norm below 1
+    rng = np.random.default_rng(40 + k)
+    m = np.eye(k) + rng.uniform(-0.3, 0.3, (5000, k, k)) / k
+    want = np.linalg.det(m)
+    assert np.max(np.abs(bracket_det(m) - want) / np.abs(want)) <= 1e-12
+    # a NaN or an infinity anywhere in a row makes its determinant non-finite
+    bad = m[:3 * k * k].copy()
+    for n, (value, pos) in enumerate((v, p) for v in (np.nan, np.inf, -np.inf)
+                                     for p in np.ndindex(k, k)):
+        bad[n][pos] = value
+    with np.errstate(invalid="ignore", over="ignore"):
+        assert not np.isfinite(bracket_det(bad)).any()
+
+
+def test_one_by_one_division_is_lapack_solve_bitwise():
+    # the k = 1 Newton step divides; LAPACK's 1x1 solve gives the same bits
+    rng = np.random.default_rng(5)
+    n = 200000
+    jmat = rng.uniform(-2.0, 2.0, (n, 1, 1)) * 10.0 ** rng.uniform(-9, 3, (n, 1, 1))
+    g = rng.normal(size=(n, 1)) * 10.0 ** rng.uniform(-13, 2, (n, 1))
+    assert np.array_equal(g / jmat[:, 0], np.linalg.solve(jmat, g[..., None])[..., 0])
+
+
+def test_time_row_dr_du_is_the_per_wave_stack_bitwise():
+    rng = np.random.default_rng(8)
+    e = rng.normal(size=(3, 3))
+    e /= np.linalg.norm(e, axis=1, keepdims=True)
+    wave_list = [PotentialWave(e=e[0]), RotationalWave(lsp=e[1]),
+                 PotentialWave(e=e[2], epsilon=-1)]
+    u = rng.normal(size=(500, 4))
+    X = rng.normal(size=(500, 4)) * 10.0 ** rng.uniform(-3, 3, (500, 1))
+    for k in (1, 2, 3):
+        got = stack_waves(wave_list[:k])[2](u, X)
+        want = np.stack([w.dr_du(u, X) for w in wave_list[:k]], axis=1)
+        assert got.shape == (500, k, 4) and np.array_equal(got, want)
+
+
+def _reference_jacobi(spec, X, r):
+    """The Jacobi assembly re-evaluated at the solved r: profile, df/dr and
+    dr/du anew, one LAPACK solve, plus the explicit time column."""
+    t = X[:, 0]
+    u = spec.profile(r, t)
+    fr = spec.profile_jac(r, t)
+    bracket = np.eye(4) - fr @ spec.dr_du(u, X)
+    rhs = fr @ spec.waves(u)
+    try:
+        jac = np.linalg.solve(bracket, rhs)
+    except np.linalg.LinAlgError:
+        jac = np.empty_like(rhs)
+        for i in range(len(rhs)):
+            try:
+                jac[i] = np.linalg.solve(bracket[i], rhs[i])
+            except np.linalg.LinAlgError:
+                jac[i] = np.nan
+    if spec.extra_time_deriv is not None:
+        jac[:, :, 0] += spec.extra_time_deriv(t)
+    return jac
+
+
+@pytest.mark.parametrize("fid", NEWTON_PATH_IDS)
+def test_jacobi_from_the_final_refresh_is_the_re_evaluated_assembly_bitwise(fid):
+    # the exact route assembles du from Newton's final df/dr and dr/du; a
+    # fresh evaluation at the solved r gives the same bits on every row
+    spec = make_family(fid)
+    grid = GridSpec.from_window(spec.default_grid_window(), counts=(5, 7, 7, 7))
+    t, x = grid.points()
+    res = spec.evaluate_batch(t, x)
+    valid = spec.validity_mask(t, x)
+    X = np.column_stack([t[valid], x[valid]])
+    want = _reference_jacobi(spec, X, res.r[valid])
+    assert np.count_nonzero(res.status == STATUS_OK) >= 100
+    assert np.array_equal(res.jac[valid], want, equal_nan=True)
