@@ -4,8 +4,10 @@ The digests pin the bytes of ``sample`` (CSV), ``conditions --samples 10
 --seed 3`` and ``catastrophe`` at each family's defaults, the JSON of
 ``verify --method exact`` and ``--method fd`` on the default grid (less its
 ``"runtime_ms"`` line, a timing), and the ``sample`` bytes of
-``R2_S1S2_MA``'s two other sheets, so a change that moves an output byte
-fails here and must say so.  A change that moves bytes
+``R2_S1S2_MA``'s two other sheets, ``conditions --samples 25 --seed
+289607014`` (where ``R2_S1S2_MA`` misses and exits 1), and ``conditions
+--pair`` for the README pair and a failing pair off the locked angle, so a
+change that moves an output byte or an exit code fails here and must say so.  A change that moves bytes
 on purpose updates the digests and records why.
 
 The last bits of numpy's transcendental functions depend on the numpy
@@ -86,6 +88,35 @@ SHEET_DIGESTS = {
     "auto": "2cf4a790a5376876f82dc795eff512167db9d291f636ff85939dec431062403f",
 }
 
+# conditions --samples 25 --seed 289607014; R2_S1S2_MA fails some rows there
+CONDITIONS_SEED = ["--samples", "25", "--seed", "289607014"]
+CONDITIONS_MISSES = {"R2_S1S2_MA"}
+CONDITIONS_DIGESTS = {
+    "R1_E": "541779e463b85b955691fc658ba7bff78caf8aaf05fdad3abad715d788486793",
+    "R1_S": "3dc58cfbec53218d4ae6fc8673091cde0e02daa2f753bc0eade5eda0dde58b87",
+    "R2_E1E2": "3f7a4fe8d16b27b758d51a423419d26f6f990dc39e4920d249f06de1917784b3",
+    "R2_E1E2S3": "4d2fcfc376859aaee247e286380446f16e62b60b738cc72c1e2e3d701b6f443a",
+    "R2_E1S2": "cf54097ae0e40e2b9faa55d6c9fe3a982022322ef3dd262375551bbf997c3f33",
+    "R2_E1S2S3": "6c41e17212cf3dfbeea58801737272ea8eb16b7b04bd0cf3c76c89d32be06da6",
+    "R2_S1S2S3": "2ab319b9b1511c7c290b32763ad3eb876fbcf5d2a16f7b7d094e6b03d015589b",
+    "R2_S1S2_ADD": "0c86c4f9a5b41d1c2065ce50a2653c2d2aa3f6e83949eda0128560917cedd8fe",
+    "R2_S1S2_MA": "324de2be5a22436a2da28aa6908fcc5be946686279206428a6c053cf1361eb58",
+    "R3_E1E2E3": "2ac870e6ceb8154397844a4dc51c7594fe8719397cf6bf12cb079c94263bdd71",
+    "R3_E1S2S3_v1": "649277d78de3798c6ee35fe74774487605bcc15feb2b0db0f539dcdd8f543926",
+    "R3_E1S2S3_v2": "8a1f1e080c429d2d6a9f3c5e2fcb5d209f4c9b1b32576453fe5ecf2c6d035585",
+    "RK_TIME_A": "82459773566faac94828766c87638a59ad1a389396071d5cf96729ff046890eb",
+}
+
+# conditions --pair (25 samples): (pair, seed) -> (exit code, digest); the
+# README pair sits at the locked angle cos = -1/kappa, the last pair does not
+README_PAIR = "1,0,0;-0.333333333333333,0.942809041582063,0"
+PAIR_DIGESTS = {
+    (README_PAIR, "0"): (0, "5c78fd3b0a1ca59d8d9aca6419f776cca3c98338430fd104fe3162c534bea98d"),
+    (README_PAIR, "5"): (0, "3e0ed783faf95edc287aa7afb97386d6ecae463a7e2d5380b6f9e85da98b9f29"),
+    ("1,0,0;-0.3,0.95,0", "0"):
+        (1, "f7f480b7d1a06169298cadc08f38a71c8ad01222a77c1d8eaf47a7dcd10899a6"),
+}
+
 # verify JSON on the default grid, the "runtime_ms" line removed
 VERIFY_DIGESTS = {
     "exact": {
@@ -132,16 +163,16 @@ def _platform():
 def test_digests_cover_every_family_and_command():
     assert set(DIGESTS) == set(COMMANDS)
     assert set(VERIFY_DIGESTS) == {"exact", "fd"}
-    for table in (*DIGESTS.values(), *VERIFY_DIGESTS.values()):
+    for table in (*DIGESTS.values(), *VERIFY_DIGESTS.values(), CONDITIONS_DIGESTS):
         assert sorted(table) == sorted(REGISTRY_IDS)
 
 
-def _output_digest(argv, tmp_path, drop=None):
+def _output_digest(argv, tmp_path, drop=None, code=0):
     if _platform() != DIGEST_PLATFORM:
         pytest.skip(f"digests taken on {DIGEST_PLATFORM} (numpy, machine, AVX512_SKX); "
                     f"this platform is {_platform()}")
     out = tmp_path / "out.txt"
-    assert cli.main([*argv, "--out", str(out)]) == 0
+    assert cli.main([*argv, "--out", str(out)]) == code
     data = out.read_bytes()
     if drop is not None:
         data = b"".join(line for line in data.splitlines(keepends=True) if drop not in line)
@@ -168,3 +199,19 @@ def test_verify_output_digest(fid, method, tmp_path):
     digest = _output_digest(["verify", "--family", fid, "--method", method], tmp_path,
                             drop=b'"runtime_ms"')
     assert digest == VERIFY_DIGESTS[method][fid]
+
+
+@pytest.mark.parametrize("fid", REGISTRY_IDS)
+def test_conditions_seed_digest(fid, tmp_path):
+    code = 1 if fid in CONDITIONS_MISSES else 0
+    digest = _output_digest(["conditions", "--family", fid, *CONDITIONS_SEED], tmp_path,
+                            code=code)
+    assert digest == CONDITIONS_DIGESTS[fid]
+
+
+@pytest.mark.parametrize("pair, seed", sorted(PAIR_DIGESTS))
+def test_conditions_pair_digest(pair, seed, tmp_path):
+    code, expected = PAIR_DIGESTS[pair, seed]
+    digest = _output_digest(["conditions", f"--pair={pair}", "--seed", seed], tmp_path,
+                            code=code)
+    assert digest == expected
