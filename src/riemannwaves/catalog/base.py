@@ -78,9 +78,6 @@ class _TimeRowWave:
         out[:, 0] = self.row
         return out
 
-    def dr_du(self, u, X):
-        return X[:, :1] * self.row
-
 
 @dataclass(frozen=True)
 class PotentialWave(_TimeRowWave):
@@ -123,7 +120,8 @@ class RotationalWave(_TimeRowWave):
 class CustomWave:
     """Covector with arbitrary state dependence (lam_fn: (N,4)->(N,4)).
 
-    dr_du contracts the full derivative jac_fn(u) (N,4,4) with the points.
+    It has no closed-form dr/du: a family holding one solves through its
+    own ``custom_eval``.
     """
 
     lam_fn: Callable
@@ -135,9 +133,6 @@ class CustomWave:
     def jac(self, u):
         return self.jac_fn(u)
 
-    def dr_du(self, u, X):
-        return np.einsum("nia,ni->na", self.jac_fn(u), X)
-
 
 def stack_waves(wave_list):
     """Combine per-wave callables into batched maps over states u (N,4).
@@ -146,10 +141,9 @@ def stack_waves(wave_list):
       waves(u)        -> covectors (N,k,4);
       waves_jac(u)    -> derivatives (N,k,4,4) indexed [A, i, alpha];
       dr_du(u, X)     -> (N,k,4), (d lam^A_i/d u^alpha) x^i at points X (N,4),
-                         each wave contributing its own contraction, so the
-                         (N,k,4,4) stack is never built on the solver path;
-                         when every wave is a time-row wave, one broadcast
-                         product t * rows gives the same bits.
+                         one broadcast product t * rows, so the (N,k,4,4)
+                         stack is never built on the solver path; None when
+                         a wave is a CustomWave.
     """
 
     def waves(u):
@@ -158,14 +152,12 @@ def stack_waves(wave_list):
     def waves_jac(u):
         return np.stack([w.jac(u) for w in wave_list], axis=1)
 
-    if all(isinstance(w, _TimeRowWave) for w in wave_list):
-        rows = np.stack([w.row for w in wave_list])
+    if not all(isinstance(w, _TimeRowWave) for w in wave_list):
+        return waves, waves_jac, None
+    rows = np.stack([w.row for w in wave_list])
 
-        def dr_du(u, X):  # every wave's t * row, in one broadcast product
-            return X[:, :1, None] * rows
-    else:
-        def dr_du(u, X):
-            return np.stack([w.dr_du(u, X) for w in wave_list], axis=1)
+    def dr_du(u, X):
+        return X[:, :1, None] * rows
 
     return waves, waves_jac, dr_du
 
@@ -193,7 +185,8 @@ class FamilySpec:
     The spec builds ``waves``, ``waves_jac`` and ``dr_du`` from its
     ``wave_list`` once, with ``stack_waves``: Newton and the Jacobi assembly
     read ``dr_du`` only, the trace conditions read the full ``waves_jac``
-    slices.
+    slices.  A family with a CustomWave has no ``dr_du`` and must bring a
+    ``custom_eval``.
     """
 
     id: str
@@ -216,10 +209,12 @@ class FamilySpec:
     default_window: dict = field(default_factory=dict)
     waves: Callable = field(init=False)       # (N,4) -> (N,k,4)
     waves_jac: Callable = field(init=False)   # (N,4) -> (N,k,4,4), for the trace conditions
-    dr_du: Callable = field(init=False)       # (u (N,4), X (N,4)) -> (N,k,4), for the solver
+    dr_du: Callable | None = field(init=False)  # (u (N,4), X (N,4)) -> (N,k,4), for the solver
 
     def __post_init__(self):
         self.waves, self.waves_jac, self.dr_du = stack_waves(self.wave_list)
+        if self.dr_du is None and self.custom_eval is None:
+            raise ConstraintError(f"{self.id}: a custom covector needs a custom_eval")
 
     # -- informational -----------------------------------------------------
 

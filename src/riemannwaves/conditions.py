@@ -11,8 +11,11 @@ with eta_a the state-derivative slice of the covector component along the
 a-th non-pivot coordinate, symmetrized over the a-indices, s = 1..k-1.  The
 higher conditions are stated in the basis where the k x k pivot block of
 lam is the identity; the checker normalizes the supplied data to that basis
-at each evaluation state (exact product-rule transport of the derivative
-slices), which reduces to the raw formula when the pivot block is constant.
+once per evaluation state (exact product-rule transport of the derivative
+slices), which reduces to the raw formula when the pivot block is constant,
+and returns the residuals of every order s from that one normalization.
+The pivot block is the candidate with the largest |det|, all candidates'
+determinants taken in one stacked closed-form call.
 
 All traces contract against the four fluid equations.  Writing
 L_A = lam^A_0 I4 + lam^A_j A^j, a chain matrix M (4 x k) contributes the
@@ -35,7 +38,8 @@ from typing import Callable
 import numpy as np
 
 from . import linalg
-from .fluid import GasParams, StateVec, coefficient_matrices
+from .fluid import GasParams, StateVec, coefficient_matrices, wave_kernel
+from .solver import bracket_det
 
 __all__ = [
     "AnsatzConfig",
@@ -67,21 +71,17 @@ def config_from_family(spec) -> AnsatzConfig:
                         gas=spec.gas, explicit_a_rate=spec.initial_a_rate)
 
 
-def _state_data(cfg: AnsatzConfig, state):
-    u = np.asarray(state.as_array if isinstance(state, StateVec) else state,
-                   dtype=float).reshape(1, 4)
+def _state_data(cfg: AnsatzConfig, u):
+    u = np.asarray(u, dtype=float).reshape(1, 4)
     return u[0], cfg.waves(u)[0], cfg.waves_jac(u)[0]
 
 
-def _dispersion_stack(u, gas):
-    """L_A factory: lam (k,4) -> stack of lam0 I4 + lam_j A^j."""
+def _dispersion_stack(u, lam, gas):
+    """Stack of L_A = lam0 I4 + lam_j A^j, one per covector row of lam (k, 4)."""
     a1, a2, a3 = coefficient_matrices(StateVec.from_array(u), gas)
     eye = np.eye(4)
-
-    def stack(lam):
-        return np.stack([lam[A, 0] * eye + lam[A, 1] * a1 + lam[A, 2] * a2 + lam[A, 3] * a3
-                         for A in range(lam.shape[0])])
-    return stack
+    return np.stack([lam[A, 0] * eye + lam[A, 1] * a1 + lam[A, 2] * a2 + lam[A, 3] * a3
+                     for A in range(lam.shape[0])])
 
 
 def _equation_residual(lmats, m):
@@ -91,13 +91,12 @@ def _equation_residual(lmats, m):
 
 def _pivot_columns(lam, k):
     """Deterministic pivot choice: best |det| block, spatial columns preferred."""
-    spatial = [c for c in combinations(range(1, 4), k)]
+    spatial = list(combinations(range(1, 4), k))
     with_time = [c for c in combinations(range(4), k) if 0 in c]
-    for group in (spatial, with_time):
+    dets = np.abs(bracket_det(np.stack([lam[:, c] for c in spatial + with_time])))
+    for group, group_dets in ((spatial, dets[:len(spatial)]), (with_time, dets[len(spatial):])):
         best, best_det = None, -1.0
-        for cols in group:
-            block = lam[:, cols]
-            d = abs(linalg.determinant(block)) if k > 1 else abs(block[0, 0])
+        for cols, d in zip(group, group_dets):
             if d > best_det * (1.0 + 1e-12):
                 best, best_det = cols, d
         if best_det > 1e-10 * (1.0 + np.max(np.abs(lam))) ** k:
@@ -120,7 +119,7 @@ def _normalize(lam, eta, fr, k):
     pivots = _pivot_columns(lam, k)
     others = [i for i in range(4) if i not in pivots]
     block = lam[:, list(pivots)]
-    inv = linalg.inverse(block) if k > 1 else np.array([[1.0 / block[0, 0]]])
+    inv = linalg.inverse(block)
     lam_t = inv @ lam
     fr_t = fr @ block
     slices = []
@@ -141,42 +140,42 @@ def trace_condition_initial(cfg: AnsatzConfig, state, fr):
     their initial-section rate da/dt to the first equation.
     """
     u, lam, _ = _state_data(cfg, state)
-    lmats = _dispersion_stack(u, cfg.gas)(lam)
-    res = _equation_residual(lmats, fr)
+    res = _equation_residual(_dispersion_stack(u, lam, cfg.gas), fr)
     if cfg.explicit_a_rate is not None:
         res = res.copy()
         res[0] += cfg.explicit_a_rate(u)
     return res
 
 
-def trace_condition_higher(cfg: AnsatzConfig, state, fr, s: int):
-    """Symmetrized higher trace residuals at order s (1 <= s <= k-1), with
+def trace_condition_higher(cfg: AnsatzConfig, state, fr):
+    """Symmetrized higher trace residuals of every order s = 1..k-1, with
     ``fr`` the (4, k) profile Jacobian at the sample.
 
     Returns (residuals, index_tuples): residuals has one 4-vector row per
-    symmetrized multi-index of non-pivot coordinate slices.  Empty for
-    k = 1, where the conditions hold identically.
+    symmetrized multi-index of non-pivot coordinate slices, order by order,
+    and each index tuple's length is its order s.  All orders share one
+    normalization at the state.  Empty for k = 1, where the conditions hold
+    identically.
     """
     if cfg.k == 1:
         return np.zeros((0, 4)), []
-    if not 1 <= s <= cfg.k - 1:
-        raise ValueError(f"order s must satisfy 1 <= s <= k-1 = {cfg.k - 1}, got {s}")
     u, lam, eta = _state_data(cfg, state)
     lam_t, slices, fr_t, coords = _normalize(lam, eta, fr, cfg.k)
-    lmats = _dispersion_stack(u, cfg.gas)(lam_t)
+    lmats = _dispersion_stack(u, lam_t, cfg.gas)
 
     residuals, labels = [], []
-    for combo in combinations_with_replacement(range(len(slices)), s):
-        acc = np.zeros((4, cfg.k))
-        perms = set(permutations(combo))
-        for perm in perms:
-            m = fr_t
-            for a in perm:
-                m = m @ slices[a] @ fr_t
-            acc += m
-        acc /= len(perms)
-        residuals.append(_equation_residual(lmats, acc))
-        labels.append(tuple(coords[a] for a in combo))
+    for s in range(1, cfg.k):
+        for combo in combinations_with_replacement(range(len(slices)), s):
+            acc = np.zeros((4, cfg.k))
+            perms = set(permutations(combo))
+            for perm in perms:
+                m = fr_t
+                for a in perm:
+                    m = m @ slices[a] @ fr_t
+                acc += m
+            acc /= len(perms)
+            residuals.append(_equation_residual(lmats, acc))
+            labels.append(tuple(coords[a] for a in combo))
     return np.asarray(residuals), labels
 
 
@@ -197,11 +196,9 @@ def bilinear_rank2_condition(cfg: AnsatzConfig, state):
         raise ValueError("bilinear reduction applies to wave pairs (k = 2)")
     u, lam, eta = _state_data(cfg, state)
     sv = StateVec.from_array(u)
-    stack = _dispersion_stack(u, cfg.gas)
 
     # kernel frame: one representative kernel vector per wave (for the
     # two-dimensional vortex kernels, project a fixed reference direction)
-    from .fluid import wave_kernel
     gamma = np.empty((4, 2))
     refs = (np.ones(4), np.array([1.0, -2.0, 3.0, -4.0]))
     for A in range(2):
@@ -226,7 +223,7 @@ def bilinear_rank2_condition(cfg: AnsatzConfig, state):
     for A in range(2):
         c = lam[A, i0]
         eta_h[A] = (eta[A] * c - np.outer(lam[A], eta[A, i0])) / c**2
-    lmats = stack(lam_h)
+    lmats = _dispersion_stack(u, lam_h, cfg.gas)
 
     out = np.empty((4, 3))
     eye2 = np.eye(2)

@@ -1,7 +1,8 @@
 """Small dense real matrix kernels (n <= 6).
 
-What the wave machinery needs from linear algebra: determinant and
-inverse by partial-pivot elimination (the per-point trace conditions),
+What the wave machinery needs from linear algebra: the inverse by
+partial-pivot elimination (the per-point trace conditions), the
+determinant by the same elimination (the dispersion-relation audit),
 singular values by one-sided Jacobi iteration with numerical rank and null
 space (the rank checks), and the characteristic-polynomial coefficients
 p_1..p_n computed through the Faddeev recursion

@@ -15,12 +15,13 @@ gradient catastrophe.  The exact Jacobi matrix of the solved field is
 
 ``damped_newton`` is the one damped-Newton kernel: ``newton_batch`` runs it
 on G, the transported families' evaluators on their scalar relations.  The
-kernels take dr/du from the family (``stack_waves``), where each wave kind
-supplies its own contraction: t * row for the acoustic and vortex waves,
-whose covectors depend on the state through lam_0 alone.  All are batched
-over points (shape (N, ...)); one point is N = 1.  The full derivative stack
-waves_jac (N, k, 4, 4) never enters them: the trace conditions read it, and
-the tests contract it with x as the reference dr/du.
+kernels take dr/du from the family (``stack_waves``): t * rows for the
+acoustic and vortex waves, whose covectors depend on the state through
+lam_0 alone (a family with a custom covector solves through its own
+evaluator).  All are batched over points (shape (N, ...)); one point is
+N = 1.  The full derivative stack waves_jac (N, k, 4, 4) never enters them:
+the trace conditions read it, and the tests contract it with x as the
+reference dr/du.
 
 Each bracket quantity is built once.  Newton's stop test reads the
 determinant in closed form (``bracket_det``, k <= 3), and a k = 1 step is

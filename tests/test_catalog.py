@@ -1,5 +1,7 @@
 """Family registry: constraints, closed forms, singular times, helper operations."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -376,19 +378,29 @@ def _custom_stack():
 @pytest.mark.parametrize("fid", [*REGISTRY_IDS, "custom-stack"])
 @pytest.mark.parametrize("n", [1, 500])
 def test_dr_du_equals_contracted_derivative_stack(fid, n):
-    # each wave's closed-form dr/du is the full (N,k,4,4) derivative stack
-    # contracted with the points, bit for bit
+    # the closed-form dr/du is the full (N,k,4,4) derivative stack contracted
+    # with the points, bit for bit; a custom covector has none, and its
+    # family solves through custom_eval
     if fid == "custom-stack":
-        _, waves_jac, dr_du = _custom_stack()
+        (_, waves_jac, dr_du), custom = _custom_stack(), True
     else:
         spec = make_family(fid)
-        waves_jac, dr_du = spec.waves_jac, spec.dr_du
+        waves_jac, dr_du, custom = spec.waves_jac, spec.dr_du, spec.custom_eval is not None
+    if custom:
+        assert dr_du is None
+        return
     for seed in (3, 4):
         u, X = _states_and_points(n, seed)
         for pts in (X, np.column_stack([np.zeros(n), X[:, 1:]])):
             got = dr_du(u, pts)
             assert got.shape == (n, waves_jac(u).shape[1], 4)
             assert np.array_equal(got, np.einsum("nkia,ni->nka", waves_jac(u), pts))
+
+
+def test_custom_covector_without_custom_eval_is_a_constraint_error():
+    spec = make_family("R3_E1S2S3_v2")
+    with pytest.raises(ConstraintError, match="custom_eval"):
+        dataclasses.replace(spec, custom_eval=None)
 
 
 @pytest.mark.parametrize("abc", [None, (0.7, -0.9, 5.0)], ids=["registry", "off-default"])

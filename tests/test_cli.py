@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from riemannwaves import cli, conditions, linalg
 from riemannwaves.cli import main, parse_grid, parse_value
 from riemannwaves.conditions import (
     bilinear_rank2_condition,
@@ -79,6 +80,7 @@ def test_exit_statuses_malformed_matrix(capsys, tmp_path):
         (["sample", "--family", "R2_S1S2_MA", "--branch", "plus"], 2),      # no --branch flag
         (["sample", "--family", "R2_S1S2_MA", "--set", "branch=bogus"], 3), # unknown sheet
         (["verify", "--family", "R2_S1S2_MA", "--set", "branch=bogus"], 3), # unknown sheet
+        (["sample", "--family", "R1_E", "--seed", "1"], 2),                 # --seed: conditions only
     ]
     for args, expected in cases:
         code = main(args)
@@ -158,10 +160,10 @@ def _family_rows_one_by_one(fid, samples, seed):
             continue
         fr = spec.profile_jac(r, np.zeros(1))[0]
         initial = _max_abs(trace_condition_initial(cfg, u, fr))
-        higher = max([_max_abs(trace_condition_higher(cfg, u, fr, s)[0])
-                      for s in range(1, spec.n_waves)], default=0.0)
+        higher = _max_abs(trace_condition_higher(cfg, u, fr)[0])
+        tol = 1e-10 * (1.0 + np.max(np.abs(u)))
         rows.append({"sample": i, "initial_max": initial, "higher_max": higher,
-                     "pass": max(initial, higher) <= 1e-10 * (1.0 + np.max(np.abs(u)))})
+                     "pass": initial <= tol and higher <= tol})
     return rows
 
 
@@ -184,14 +186,60 @@ def test_conditions_pair_equals_samples_one_by_one(capsys):
     for i in range(25):
         u = np.concatenate([[rng.uniform(0.5, 2.0)], rng.normal(0, 0.5, 3)])
         rng.uniform(-0.8, 0.8, 2)
-        res = [trace_condition_initial(cfg, u, fr), trace_condition_higher(cfg, u, fr, 1)[0],
+        res = [trace_condition_initial(cfg, u, fr), trace_condition_higher(cfg, u, fr)[0],
                bilinear_rank2_condition(cfg, u)]
         worst = [_max_abs(x) for x in res]
+        tol = 1e-10 * (1.0 + np.max(np.abs(u)))
         expected.append({"sample": i, "initial_max": worst[0], "higher_max": worst[1],
-                         "bilinear_max": worst[2],
-                         "pass": max(worst) <= 1e-10 * (1.0 + np.max(np.abs(u)))})
+                         "bilinear_max": worst[2], "pass": all(w <= tol for w in worst)})
     _, out, _ = run(["conditions", "--pair=1,0,0;-0.6,0.8,0", "--seed", "5"], capsys)
     assert json.loads(out)["rows"] == expected
+
+
+def test_conditions_nan_higher_residual_fails_its_row(monkeypatch, capsys):
+    # a NaN covector derivative makes every higher residual NaN: no row may pass
+    def nan_jac_family(fid, params):
+        spec = make_family(fid, params)
+        spec.waves_jac = lambda u: np.full((len(u), spec.n_waves, 4, 4), np.nan)
+        return spec
+
+    monkeypatch.setattr(cli, "make_family", nan_jac_family)
+    code, out, _ = run(["conditions", "--family", "R2_S1S2S3", "--samples", "5"], capsys)
+    doc = json.loads(out)
+    assert code == 1 and doc["rows"]
+    assert not any(row["pass"] for row in doc["rows"])
+    assert all(np.isnan(row["higher_max"]) for row in doc["rows"])
+
+
+def test_conditions_nan_bilinear_residual_fails_its_row(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "bilinear_rank2_condition", lambda cfg, u: np.full((4, 3), np.nan))
+    code, out, _ = run(["conditions", "--pair=1,0,0;-0.333333333333333,0.942809041582063,0",
+                        "--samples", "5"], capsys)
+    doc = json.loads(out)
+    assert code == 1 and doc["rows"]
+    assert not any(row["pass"] for row in doc["rows"])
+
+
+@pytest.mark.parametrize("argv", [["--family", "R3_E1E2E3"], ["--pair=1,0,0;-0.6,0.8,0"]])
+def test_conditions_normalizes_once_per_sample(argv, monkeypatch, capsys):
+    # every higher order comes from one normalization at the sample's state,
+    # and the pivot choice takes no per-block determinant
+    calls = {"_normalize": 0, "determinant": 0}
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(conditions, "_normalize")
+    counted(linalg, "determinant")
+    _, out, _ = run(["conditions", *argv, "--samples", "12"], capsys)
+    doc = json.loads(out)
+    assert doc["samples"] > 0
+    assert calls == {"_normalize": doc["samples"], "determinant": 0}
 
 
 def test_catastrophe_command(capsys):

@@ -1,7 +1,6 @@
 """Trace compatibility conditions and the rank-2 bilinear reduction."""
 
 import numpy as np
-import pytest
 
 from riemannwaves.catalog import REGISTRY_IDS, make_family
 from riemannwaves.catalog.base import PotentialWave, stack_waves
@@ -74,7 +73,7 @@ def test_rank1_family_initial_small_and_higher_empty():
         scale = 1.0 + np.max(np.abs(u))
         fr = profile_jac_at(spec, r)
         assert np.max(np.abs(trace_condition_initial(cfg, u, fr))) <= 1e-10 * scale
-        res, labels = trace_condition_higher(cfg, u, fr, 1)
+        res, labels = trace_condition_higher(cfg, u, fr)
         assert res.size == 0 and labels == []
 
 
@@ -87,7 +86,7 @@ def test_constant_covectors_higher_identically_zero():
     rng = np.random.default_rng(3)
     r = rng.uniform(-0.5, 0.5, 2)
     u = spec.profile(r[None, :], np.zeros(1))[0]
-    res, _ = trace_condition_higher(zero_eta_cfg, u, profile_jac_at(spec, r), 1)
+    res, _ = trace_condition_higher(zero_eta_cfg, u, profile_jac_at(spec, r))
     assert np.max(np.abs(res)) == 0.0
 
 
@@ -101,12 +100,12 @@ def test_angle_lock_detected_by_higher_condition():
         if not u[0] > 0:
             continue
         scale = 1.0 + np.max(np.abs(u))
-        res, _ = trace_condition_higher(cfg, u, profile_jac_at(spec, r), 1)
+        res, _ = trace_condition_higher(cfg, u, profile_jac_at(spec, r))
         assert np.max(np.abs(res)) <= 1e-10 * scale
     # perturbing the angle by 0.1 breaks the higher condition
     bad = acoustic_pair_config(*perturbed_pair())
     u = np.array([1.1, 0.2, -0.3, 0.4])
-    res, _ = trace_condition_higher(bad, u, kernel_columns(*perturbed_pair()), 1)
+    res, _ = trace_condition_higher(bad, u, kernel_columns(*perturbed_pair()))
     assert np.max(np.abs(res)) > 1e-3
 
 
@@ -118,15 +117,8 @@ def test_mixed_pair_higher_condition():
         r = rng.uniform(-0.8, 0.8, 2)
         u = spec.profile(r[None, :], np.zeros(1))[0]
         scale = 1.0 + np.max(np.abs(u))
-        res, _ = trace_condition_higher(cfg, u, profile_jac_at(spec, r), 1)
+        res, _ = trace_condition_higher(cfg, u, profile_jac_at(spec, r))
         assert np.max(np.abs(res)) <= 1e-10 * scale
-
-
-def test_higher_order_bounds():
-    spec = make_family("R3_E1E2E3")
-    cfg = config_from_family(spec)
-    with pytest.raises(ValueError):
-        trace_condition_higher(cfg, np.array([1.0, 0, 0, 0]), np.zeros((4, 3)), 3)
 
 
 def test_bilinear_examples():
@@ -194,10 +186,10 @@ def test_all_registry_families_pass_trace_conditions():
             fr = profile_jac_at(spec, r)
             res_i = trace_condition_initial(cfg, u, fr)
             assert np.max(np.abs(res_i)) <= 1e-10 * scale, fid
-            for s in range(1, k):
-                res_h, _ = trace_condition_higher(cfg, u, fr, s)
-                if res_h.size:
-                    assert np.max(np.abs(res_h)) <= 1e-10 * scale, fid
+            res_h, labels = trace_condition_higher(cfg, u, fr)
+            assert np.all(np.abs(res_h) <= 1e-10 * scale), fid
+            # every order s = 1..k-1 in one call, a label's length being its order
+            assert sorted({len(label) for label in labels}) == list(range(1, k)), fid
         assert count >= 10, fid
 
 

@@ -20,6 +20,7 @@ KEEP = {
     "__version__": "package metadata",
     "potential_wave": "criteria 01 and 02: reference form of catalog.base.PotentialWave",
     "rotational_wave": "criteria 01 and 02: reference form of catalog.base.RotationalWave",
+    "determinant": "criterion 01: audit kernel of the dispersion determinant",
     "cayley_hamilton_residual": "criterion 03",
     "numerical_rank": "criterion 06",
     "monge_ampere_residual": "criterion 11",

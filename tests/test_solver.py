@@ -399,7 +399,7 @@ def test_time_row_dr_du_is_the_per_wave_stack_bitwise():
     X = rng.normal(size=(500, 4)) * 10.0 ** rng.uniform(-3, 3, (500, 1))
     for k in (1, 2, 3):
         got = stack_waves(wave_list[:k])[2](u, X)
-        want = np.stack([w.dr_du(u, X) for w in wave_list[:k]], axis=1)
+        want = np.stack([X[:, :1] * w.row for w in wave_list[:k]], axis=1)
         assert got.shape == (500, k, 4) and np.array_equal(got, want)
 
 
