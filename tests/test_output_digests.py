@@ -6,7 +6,9 @@ The digests pin the bytes of ``sample`` (CSV), ``conditions --samples 10
 ``"runtime_ms"`` line, a timing), and the ``sample`` bytes of
 ``R2_S1S2_MA``'s two other sheets, ``conditions --samples 25 --seed
 289607014`` (where ``R2_S1S2_MA`` misses and exits 1), and ``conditions
---pair`` for the README pair and a failing pair off the locked angle, so a
+--pair`` for the README pair and a failing pair off the locked angle, and
+``sample --grid`` just before the gradient catastrophe of three families
+(where many points end as ``no_convergence``), so a
 change that moves an output byte or an exit code fails here and must say so.  A change that moves bytes
 on purpose updates the digests and records why.
 
@@ -117,6 +119,17 @@ PAIR_DIGESTS = {
         (1, "f7f480b7d1a06169298cadc08f38a71c8ad01222a77c1d8eaf47a7dcd10899a6"),
 }
 
+# sample --grid just before t* = 1, where |r| reaches 1e5-1e6 and one ulp of r
+# exceeds Newton's tolerance: R1_E has 13 no_convergence rows, R2_E1S2S3 93
+# and R2_E1S2 107, each of them Newton's last iterate and its state
+NEAR_T1 = "t=0.9999980:0.9999999:20,x1=-1.2:-0.8:5,x2=0:0:1,x3=0:0:1"
+NEAR_T2 = "t=0.999990:0.9999999:30,x1=-0.6:-0.4:5,x2=-0.1:0.1:3,x3=0:0:1"
+NEAR_CATASTROPHE_DIGESTS = {
+    ("R1_E", NEAR_T1): "9a5dbedff68f93567692d210c7abdb53433f2b772ad093fab0ddb2a84ac6e130",
+    ("R2_E1S2S3", NEAR_T2): "34e24985adecd068d9b45ebfd150387d1864eb6f373de3e2cdcd25ddd133a09d",
+    ("R2_E1S2", NEAR_T2): "88d4507c098295cfffa4683de0e50100caa9f5d8c5b62b501bdecd44568d3391",
+}
+
 # verify JSON on the default grid, the "runtime_ms" line removed
 VERIFY_DIGESTS = {
     "exact": {
@@ -215,3 +228,9 @@ def test_conditions_pair_digest(pair, seed, tmp_path):
     digest = _output_digest(["conditions", f"--pair={pair}", "--seed", seed], tmp_path,
                             code=code)
     assert digest == expected
+
+
+@pytest.mark.parametrize("fid, grid", sorted(NEAR_CATASTROPHE_DIGESTS))
+def test_near_catastrophe_sample_digest(fid, grid, tmp_path):
+    digest = _output_digest(["sample", "--family", fid, "--grid", grid], tmp_path)
+    assert digest == NEAR_CATASTROPHE_DIGESTS[fid, grid]
