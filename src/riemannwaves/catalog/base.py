@@ -178,6 +178,10 @@ class EvalResult:
     status: np.ndarray     # (N,) int8
 
 
+def _finite_points(t, x):  # (N,) mask: t and every x coordinate finite
+    return np.isfinite(t) & np.isfinite(x).all(axis=-1)
+
+
 @dataclass
 class FamilySpec:
     """A validated, runnable solution family.
@@ -225,13 +229,16 @@ class FamilySpec:
     # -- validity ----------------------------------------------------------
 
     def validity_mask(self, t, x):
-        """Geometric validity of points before solving (singular-time pad, extras)."""
+        """Validity of points before solving: finite coordinates, then the
+        geometric checks (singular-time pad, extras).  A point with a
+        non-finite t or x is invalid, and ``validity_fn`` never sees it."""
         t = np.asarray(t, dtype=float)
-        ok = np.ones(t.shape, dtype=bool)
+        x = np.asarray(x, dtype=float)
+        ok = _finite_points(t, x)
         for ts in self.singular_time_values:
             ok &= np.abs(t - ts) >= SINGULAR_TIME_PAD * max(1.0, abs(ts))
         if self.validity_fn is not None:
-            ok &= self.validity_fn(t, np.asarray(x, dtype=float))
+            ok[ok] = self.validity_fn(t[ok], x[ok])
         return ok
 
     # -- evaluation --------------------------------------------------------
@@ -241,11 +248,13 @@ class FamilySpec:
         """Solve the family at points (t_i, x_i); never raises per-point.
 
         t: (N,), x: (N,3).  Points outside validity come back with status
-        "invalid"; Newton failures and near-catastrophe points keep their
-        diagnostic status.  A solved point whose sound speed is nonpositive
-        is downgraded to "invalid".  ignore_validity skips the geometric
-        pre-check (used by the catastrophe probe, which deliberately walks
-        into the excluded band around a singular time).
+        "invalid", among them every point with a non-finite t or x, which
+        no family callable sees; Newton failures and near-catastrophe points
+        keep their diagnostic status.  A solved point whose sound speed is
+        nonpositive is downgraded to "invalid".  ignore_validity skips the
+        geometric pre-check but not the finiteness one (used by the
+        catastrophe probe, which deliberately walks into the excluded band
+        around a singular time).
 
         ``guess`` (N, k) starts Newton, or goes to a custom evaluator.
 
@@ -266,7 +275,7 @@ class FamilySpec:
             cond_det=np.full(n, np.nan),
             status=np.full(n, STATUS_INVALID, dtype=np.int8),
         )
-        valid = np.ones(n, dtype=bool) if ignore_validity else self.validity_mask(t, x)
+        valid = _finite_points(t, x) if ignore_validity else self.validity_mask(t, x)
         if not valid.any():
             return res
         idx = np.nonzero(valid)[0]

@@ -24,6 +24,7 @@ from .catalog import (
 )
 from .conditions import (
     AnsatzConfig,
+    DegenerateSampleError,
     bilinear_rank2_condition,
     config_from_family,
     trace_condition_higher,
@@ -284,10 +285,14 @@ def cmd_conditions(args) -> int:
         if not u[0] > 0:
             continue
         tol = 1e-10 * (1.0 + float(np.max(np.abs(u))))
-        worst = [_max_abs(trace_condition_initial(cfg, u, fr)),
-                 _max_abs(trace_condition_higher(cfg, u, fr)[0])]
-        if args.pair:
-            worst.append(_max_abs(bilinear_rank2_condition(cfg, u)))
+        try:
+            worst = [_max_abs(trace_condition_initial(cfg, u, fr)),
+                     _max_abs(trace_condition_higher(cfg, u, fr)[0])]
+            if args.pair:
+                worst.append(_max_abs(bilinear_rank2_condition(cfg, u)))
+        except DegenerateSampleError as exc:
+            rows.append({"sample": i, "reason": str(exc), "pass": False})
+            continue
         # NaN compares false, so a non-finite residual fails its row
         rows.append({"sample": i, **dict(zip(_ROW_MAXIMA, worst)),
                      "pass": all(w <= tol for w in worst)})

@@ -27,6 +27,11 @@ The rank-2 bilinear reduction eliminates the profile: with Gamma the
 wave-kernel frame and a single shared normalization coordinate, wave-pair
 admissibility reads tr(A^mu Gamma (eta_a Gamma - I2 tr(eta_a Gamma)) lam)
 over the remaining p-1 coordinate slices.
+
+A sample whose covectors are non-finite, or leave no invertible pivot block
+(or, for a pair, no shared normalization coordinate), raises
+``DegenerateSampleError``; the ``conditions`` command turns it into a
+failing row with its reason.
 """
 
 from __future__ import annotations
@@ -43,11 +48,16 @@ from .solver import bracket_det
 
 __all__ = [
     "AnsatzConfig",
+    "DegenerateSampleError",
     "trace_condition_initial",
     "trace_condition_higher",
     "bilinear_rank2_condition",
     "config_from_family",
 ]
+
+
+class DegenerateSampleError(ValueError):
+    """A sample's wave covectors are non-finite or admit no normalization."""
 
 
 @dataclass(frozen=True)
@@ -73,7 +83,10 @@ def config_from_family(spec) -> AnsatzConfig:
 
 def _state_data(cfg: AnsatzConfig, u):
     u = np.asarray(u, dtype=float).reshape(1, 4)
-    return u[0], cfg.waves(u)[0], cfg.waves_jac(u)[0]
+    lam = cfg.waves(u)[0]
+    if not np.isfinite(lam).all():
+        raise DegenerateSampleError("wave covectors are not finite")
+    return u[0], lam, cfg.waves_jac(u)[0]
 
 
 def _dispersion_stack(u, lam, gas):
@@ -101,7 +114,7 @@ def _pivot_columns(lam, k):
                 best, best_det = cols, d
         if best_det > 1e-10 * (1.0 + np.max(np.abs(lam))) ** k:
             return best
-    raise ValueError("wave covectors have no invertible pivot block")
+    raise DegenerateSampleError("wave covectors have no invertible pivot block")
 
 
 def _normalize(lam, eta, fr, k):
@@ -216,7 +229,7 @@ def bilinear_rank2_condition(cfg: AnsatzConfig, state):
     scores = [min(abs(lam[0, i]), abs(lam[1, i])) for i in range(4)]
     i0 = int(np.argmax(scores))
     if scores[i0] < 1e-12:
-        raise ValueError("wave pair admits no shared normalization coordinate")
+        raise DegenerateSampleError("wave pair admits no shared normalization coordinate")
 
     lam_h = lam / lam[:, i0][:, None]
     eta_h = np.empty_like(eta)
