@@ -15,7 +15,14 @@ from riemannwaves.catalog import (
     registry_entries,
 )
 from riemannwaves.catalog import profiles as pf
-from riemannwaves.catalog.base import CustomWave, PotentialWave, RotationalWave, stack_waves
+from riemannwaves.catalog.base import (
+    STATUS_INVALID,
+    CustomWave,
+    PotentialWave,
+    RotationalWave,
+    stack_waves,
+)
+from riemannwaves.solver import STATUS_OK
 
 
 def shear_stream(d1):
@@ -336,6 +343,33 @@ def test_warm_start_guess_aligns_with_validity_mask():
     assert list(res.status) == [0, 3, 0]
     ref = spec.evaluate_batch(t[[0, 2]], x[[0, 2]])
     assert np.allclose(res.r[[0, 2]], ref.r, atol=1e-12)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", ["nan_t", "inf_x", "minus_inf_x"])
+@pytest.mark.parametrize("fid", REGISTRY_IDS)
+def test_non_finite_points_are_invalid_before_any_family_callable(fid, bad):
+    # a non-finite t or x gives its row "invalid" and leaves the other rows
+    # as they are; nothing raises or warns, with or without the validity check
+    rng = np.random.default_rng(41)
+    spec = make_family(fid)
+    win = spec.default_grid_window()
+    t = rng.uniform(*win["t"], 8)
+    x = np.column_stack([rng.uniform(*win[f"x{i}"], 8) for i in (1, 2, 3)])
+    rows = [1, 4, 6]
+    if bad == "nan_t":
+        t[rows] = np.nan
+    else:
+        x[rows, [0, 1, 2]] = np.inf if bad == "inf_x" else -np.inf
+    finite = np.setdiff1d(np.arange(8), rows)
+    for ignore in (False, True):
+        res = spec.evaluate_batch(t, x, ignore_validity=ignore)
+        clean = spec.evaluate_batch(t[finite], x[finite], ignore_validity=ignore)
+        assert (res.status[rows] == STATUS_INVALID).all()
+        assert np.array_equal(res.status[finite], clean.status)
+        ok = res.status == STATUS_OK
+        assert np.isfinite(res.state[ok]).all() and np.isfinite(res.jac[ok]).all()
+    assert not spec.validity_mask(t, x)[rows].any()
 
 
 @pytest.mark.parametrize("fid", REGISTRY_IDS)

@@ -211,6 +211,28 @@ def test_conditions_nan_higher_residual_fails_its_row(monkeypatch, capsys):
     assert all(np.isnan(row["higher_max"]) for row in doc["rows"])
 
 
+@pytest.mark.parametrize("fid, waves, reason", [
+    ("R2_E1E2", np.nan, "wave covectors are not finite"),
+    ("R1_E", np.inf, "wave covectors are not finite"),
+    ("R2_E1E2", 0.0, "wave covectors have no invertible pivot block"),
+])
+def test_conditions_degenerate_covectors_fail_their_rows(fid, waves, reason, monkeypatch,
+                                                          capsys):
+    # a sample without usable covectors is a failing row with its reason, and
+    # the request still prints its JSON and exits 1
+    def patched_family(fid, params):
+        spec = make_family(fid, params)
+        spec.waves = lambda u: np.full((len(u), spec.n_waves, 4), waves)
+        return spec
+
+    monkeypatch.setattr(cli, "make_family", patched_family)
+    code, out, _ = run(["conditions", "--family", fid, "--samples", "3"], capsys)
+    doc = json.loads(out)
+    assert code == 1 and doc["rows"] and not doc["pass"]
+    assert all(row == {"sample": row["sample"], "reason": reason, "pass": False}
+               for row in doc["rows"])
+
+
 def test_conditions_nan_bilinear_residual_fails_its_row(monkeypatch, capsys):
     monkeypatch.setattr(cli, "bilinear_rank2_condition", lambda cfg, u: np.full((4, 3), np.nan))
     code, out, _ = run(["conditions", "--pair=1,0,0;-0.333333333333333,0.942809041582063,0",

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from riemannwaves import linalg
+from riemannwaves import linalg, solver
 from riemannwaves.catalog import REGISTRY_IDS, make_family
 from riemannwaves.catalog.base import PotentialWave, RotationalWave, stack_waves
 from riemannwaves.solver import (
@@ -17,7 +17,8 @@ from riemannwaves.solver import (
     jacobi_batch,
     newton_batch,
 )
-from riemannwaves.verify import GridSpec
+from riemannwaves.verify import GridSpec, catastrophe_probe
+from test_output_digests import DIGEST_PLATFORM, _platform
 
 KAPPA = 3.0
 NEWTON_PATH_IDS = [fid for fid in REGISTRY_IDS if make_family(fid).custom_eval is None]
@@ -249,29 +250,42 @@ def _kink_slope(r, level):
     return 1.0 / (q * np.sqrt(q))
 
 
-def _halving_newton(r, level, tol=1e-13, iters=60):
-    """Reference damped Newton for one point: a slope below 1e-14 counts as
-    1e-14 (with its sign); halve a step that makes |g| grow, up to 20 times,
-    and take the last halving if all do."""
-    val = _kink(r, level)
+def _floor(r, level):
+    """1.3 r - (level + r (1 + r^2)^(-1/2)): for level ~ 1.3e6 the root sits
+    near r = 1e6, where one ulp of r (1.2e-10) is far above the 1e-13
+    tolerance, so Newton may settle into an exact 2-cycle instead of a root.
+    Only correctly rounded arithmetic, as in ``_kink``."""
+    return 1.3 * r - (level + r / np.sqrt(1.0 + r * r))
+
+
+def _floor_slope(r, level):
+    q = 1.0 + r * r
+    return 1.3 - 1.0 / (q * np.sqrt(q))
+
+
+def _halving_newton(r, level, g=_kink, dg=_kink_slope, tol=1e-13, iters=60):
+    """Reference damped Newton for one point, every iteration run: a slope
+    below 1e-14 counts as 1e-14 (with its sign); halve a step that makes |g|
+    grow, up to 20 times, and take the last halving if all do."""
+    val = g(r, level)
     for _ in range(iters):
         if abs(val) <= tol:
             break
-        slope = _kink_slope(r, level)
+        slope = dg(r, level)
         step = val / (slope if abs(slope) >= 1e-14 else np.copysign(1e-14, slope))
         r_new = r - step
-        val_new = _kink(r_new, level)
+        val_new = g(r_new, level)
         for _ in range(20):
             if not abs(val_new) > abs(val):
                 break
             step *= 0.5
             r_new = r - step
-            val_new = _kink(r_new, level)
+            val_new = g(r_new, level)
         r, val = r_new, val_new
     return r, abs(val) <= tol
 
 
-def _kink_newton(g, r0, level):
+def _kink_newton(g, r0, level, dg=_kink_slope):
     """damped_newton on g(r, level) = 0 with the reference's tolerance, iteration
     cap and slope floor; returns the roots and the ok flags."""
 
@@ -279,7 +293,7 @@ def _kink_newton(g, r0, level):
         return g(r, level), None
 
     def newton_step(r, val, _, level):
-        slope = _kink_slope(r, level)
+        slope = dg(r, level)
         return val / np.where(np.abs(slope) < 1e-14, np.copysign(1e-14, slope), slope), None
 
     r, aux, status = damped_newton(residual, newton_step, r0, level, tol=1e-13, max_iter=60)
@@ -299,18 +313,31 @@ def test_damped_newton_matches_point_by_point_halving():
     assert np.array_equal(r, [w[0] for w in want])
     assert np.array_equal(ok, [w[1] for w in want])
     assert ok.sum() == 294
+    # at the rounding floor some points end in an exact 2-cycle above the
+    # tolerance.  The kernel stops them early, yet returns the member that all
+    # 60 iterations reach, whichever parity is left: the second pass starts
+    # on the members the first pass ended on.
+    r0 = rng.uniform(0.5e6, 1.5e6, 200)
+    level = rng.uniform(1.2e6, 1.4e6, 200)
+    for n_ok in (177, 0):
+        r, ok = _kink_newton(_floor, r0, level, _floor_slope)
+        want = [_halving_newton(a, b, _floor, _floor_slope) for a, b in zip(r0, level)]
+        assert np.array_equal(r, [w[0] for w in want])
+        assert np.array_equal(ok, [w[1] for w in want])
+        assert ok.sum() == n_ok
+        r0, level = r[~ok], level[~ok]
 
 
-def _counted_kink(evaluated):
+def _counted(evaluated, fn=_kink):
     def g(r, level):
         evaluated.append(np.size(r))
-        return _kink(r, level)
+        return fn(r, level)
     return g
 
 
 def test_damped_newton_cost_of_a_rootless_point_is_its_own():
     evaluated = []
-    g = _counted_kink(evaluated)
+    g = _counted(evaluated)
     r0 = np.linspace(-3.0, 3.0, 1000)
     level = np.linspace(-0.8, 0.8, 1000)
     _, ok = _kink_newton(g, r0, level)
@@ -324,7 +351,7 @@ def test_damped_newton_cost_of_a_rootless_point_is_its_own():
 
 def test_damped_newton_stops_a_nan_row_after_one_residual_call():
     evaluated = []
-    g = _counted_kink(evaluated)
+    g = _counted(evaluated)
     r0 = np.linspace(-3.0, 3.0, 1000)
     level = np.linspace(-0.8, 0.8, 1000)
     r_alone, ok = _kink_newton(g, r0, level)
@@ -334,6 +361,57 @@ def test_damped_newton_stops_a_nan_row_after_one_residual_call():
     assert ok.all() and not ok_with[-1]
     assert sum(evaluated) - alone == 1       # its row of the first call only
     assert r[-1] == 2.0 and np.array_equal(r[:-1], r_alone)
+
+
+def test_damped_newton_stops_a_cycling_point_within_three_iterations():
+    # the 24 of these points that end in a 2-cycle at the rounding floor would
+    # run all 60 iterations (60 residual points each, more with halvings)
+    evaluated = []
+    rng = np.random.default_rng(11)
+    r0 = rng.uniform(0.5e6, 1.5e6, 200)
+    level = rng.uniform(1.2e6, 1.4e6, 200)
+    _, ok = _kink_newton(_counted(evaluated, _floor), r0, level, _floor_slope)
+    assert np.count_nonzero(~ok) == 24
+    assert sum(evaluated) <= 4 * len(r0)
+
+
+# status of each damped_newton solve of the default catastrophe probe (0 ok,
+# 1 no_convergence, 2 near catastrophe), taken when every solve ran to its
+# tolerance or to NEWTON_MAX_ITER
+PROBE_STATUSES = {
+    "R1_E": "000000000000000000000002000000000000000000001101001010010011000",
+    "R2_E1E2": "000000000000000022222202000000000000000000000000000000000000000",
+    "R2_E1S2": "000000000000000000010102000000000000000000100100000010000000010",
+    "R2_E1E2S3": "000000000000001122222202000000000000000000000000000000000000000",
+    "R2_E1S2S3": "000000000000000000000002000000000000000000001100000001110000001",
+    "R3_E1E2E3": "000000000002222222222202000000000000000000000000000000000000000",
+}
+
+
+def test_catastrophe_probes_stop_repeating_solves(monkeypatch):
+    # near t* one ulp of r exceeds the tolerance, and many of the probes' N = 1
+    # solves settle into a 2-cycle above it.  They stop there with the statuses
+    # of the full loop; all iterations would take 1937 residual calls
+    if _platform() != DIGEST_PLATFORM:
+        pytest.skip(f"statuses taken on {DIGEST_PLATFORM}; this platform is {_platform()}")
+    calls, statuses = [0], []
+
+    def counted(residual, newton_step, r0, *data, **kw):
+        def res(r, *d):
+            calls[0] += 1
+            return residual(r, *d)
+        r, aux, status = damped_newton(res, newton_step, r0, *data, **kw)
+        statuses.extend(str(v) for v in status)
+        return r, aux, status
+
+    monkeypatch.setattr(solver, "damped_newton", counted)
+    assert sorted(PROBE_STATUSES) == sorted(
+        fid for fid in NEWTON_PATH_IDS if max(make_family(fid).singular_times(), default=0) > 0)
+    for fid, want in PROBE_STATUSES.items():
+        statuses.clear()
+        assert catastrophe_probe(make_family(fid)).applicable
+        assert "".join(statuses) == want, fid
+    assert calls[0] <= 1000
 
 
 @pytest.mark.parametrize("fid", NEWTON_PATH_IDS)
