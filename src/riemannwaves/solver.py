@@ -16,12 +16,13 @@ gradient catastrophe.  The exact Jacobi matrix of the solved field is
 ``damped_newton`` is the one damped-Newton kernel: ``newton_batch`` runs it
 on G, the transported families' evaluators on their scalar relations.  Near
 a gradient catastrophe |r| grows to 1e5-1e6, where one ulp of r exceeds the
-absolute tolerance 1e-12; Newton there settles into an exact fixed point or
-2-cycle above it.  The kernel stops a point as soon as its iterate repeats
-and returns the iterate (and state) the full loop would have ended on, the
-member of a 2-cycle chosen by the parity of the iterations left, so every
-output stays that of the full loop.  The
-kernels take dr/du from the family (``stack_waves``): t * rows for the
+absolute tolerance 1e-12, and Newton there settles into an exact fixed point
+or 2-cycle above it.  The kernel stops as soon as every point still
+iterating repeats and returns the iterates (and states) the full loop would
+have ended on, a 2-cycle's member chosen by the parity of the iterations
+left, so every output stays that of the full loop.
+
+The kernels take dr/du from the family (``stack_waves``): t * rows for the
 acoustic and vortex waves, whose covectors depend on the state through
 lam_0 alone (a family with a custom covector solves through its own
 evaluator).  All are batched over points (shape (N, ...)); one point is
@@ -79,25 +80,30 @@ def damped_newton(residual, newton_step, r0, *data, tol, max_iter):
     *d) -> (step, stop): the full step, and a mask of points to stop as
     STATUS_NEAR_CATASTROPHE (their step rows are ignored) or None.  Both see
     only the points still iterating, gathered anew when that set shrinks, so
-    a point's result does not depend on its batch.  A point whose max|g| is
+    a point's result does not depend on its batch when the residual rounds
+    each row on its own.  A point whose max|g| is
     not finite stops at once.  A step that makes max|g| grow is halved 1..20
     times, all tried in one residual call; the first halving that does not
     grow wins, else the last.
 
-    A point whose accepted iterate repeats, bit for bit, its current iterate
-    (a fixed point) or the one before (a 2-cycle) stops at once as
-    STATUS_NO_CONVERGENCE: the iteration is a deterministic map of r, so it
-    would cycle above tol until max_iter.  Such a point keeps what the full
-    loop would have returned: of a 2-cycle, the member the parity of the
-    max_iter - it - 1 iterations left selects, with its aux.  The test reads
-    max|g|, which a repeat reproduces exactly, and compares rows only where
-    max|g| did not change.  Returns (r, aux, status).
+    The loop stops early, leaving STATUS_NO_CONVERGENCE, once every point
+    still iterating repeats bit for bit: all accepted iterates equal the
+    current ones (a fixed point), or all equal the ones before them with the
+    same points iterating (a 2-cycle).  The iteration is then a deterministic
+    map of the batch's r, so it would cycle above tol until max_iter; the
+    result is what that full loop returns: of a 2-cycle, the member the
+    parity of the max_iter - it - 1 iterations left selects, with its aux.
+    The stop is decided for the whole batch, not per point, because a row's
+    rounding may depend on the batch it shares (BLAS in the covectors), and
+    a point dropped early would change the batch of the others.  The test
+    reads max|g|, which a repeat reproduces exactly, and compares the rows
+    only when no max|g| changed.  Returns (r, aux, status).
     """
     r = np.array(r0, dtype=float)
     g, aux = residual(r, *data)
     status = np.full(len(r), STATUS_NO_CONVERGENCE, dtype=np.int8)
     i, ri, gi, gni, auxi, di = np.arange(len(r)), r.copy(), g, _max_abs(g), aux, data
-    r_prev = None  # the iterate before ri; ri and r_prev never share memory with r
+    r_prev = None  # the iterates before ri, None once the set of points changed
 
     for it in range(max_iter):
         going = (gni > tol) & np.isfinite(gni)
@@ -106,14 +112,15 @@ def damped_newton(residual, newton_step, r0, *data, tol, max_iter):
             status[i[gni <= tol]] = STATUS_OK
             if not n_going:
                 break
-            i, ri, gi, gni, auxi, r_prev, *di = _rows(going, i, ri, gi, gni, auxi, r_prev, *di)
+            i, ri, gi, gni, auxi, *di = _rows(going, i, ri, gi, gni, auxi, *di)
+            r_prev = None
         step, stop = newton_step(ri, gi, auxi, *di)
         if stop is not None and np.count_nonzero(stop):
             status[i[stop]] = STATUS_NEAR_CATASTROPHE
             if stop.all():
                 break
-            i, ri, gni, auxi, step, r_prev, *di = _rows(~stop, i, ri, gni, auxi, step, r_prev,
-                                                       *di)
+            i, ri, gni, auxi, step, *di = _rows(~stop, i, ri, gni, auxi, step, *di)
+            r_prev = None
 
         r_old, gn_old, aux_old = ri, gni, auxi
         ri = r_old - step
@@ -137,25 +144,16 @@ def damped_newton(residual, newton_step, r0, *data, tol, max_iter):
         if aux is not None:
             aux[i] = auxi
 
-        # a repeated iterate repeats max|g| too, so rows are compared only there
-        same = gni == gn_old
-        if np.count_nonzero(same):
-            s = np.flatnonzero(same)
-            repeat = _same_bits(ri[s], r_old[s])  # a fixed point
-            if r_prev is not None:
-                cycle = ~repeat & _same_bits(ri[s], r_prev[s])  # a 2-cycle
+        # a repeat leaves every max|g| as it was, so rows are compared only then
+        if np.array_equal(gni, gn_old):
+            if _same_bits(ri, r_old):  # a fixed point: r holds it
+                break
+            if r_prev is not None and _same_bits(ri, r_prev):  # a 2-cycle
                 if (max_iter - it - 1) % 2:  # the full loop would end on r_old
-                    c = s[cycle]
-                    r[i[c]] = r_old[c]
+                    r[i] = r_old
                     if aux is not None:
-                        aux[i[c]] = aux_old[c]
-                repeat |= cycle
-            if np.count_nonzero(repeat):
-                keep = np.ones(len(i), dtype=bool)
-                keep[s[repeat]] = False
-                if not keep.any():
-                    break
-                i, ri, gi, gni, auxi, r_old, *di = _rows(keep, i, ri, gi, gni, auxi, r_old, *di)
+                        aux[i] = aux_old
+                break
         r_prev = r_old
     else:
         status[i[gni <= tol]] = STATUS_OK
@@ -166,9 +164,8 @@ def _max_abs(g):  # max|g| per point of an (N,) or (N, k) residual
     return np.abs(g) if g.ndim == 1 else np.abs(g).max(axis=1)
 
 
-def _same_bits(a, b):  # rows of two float arrays equal bit for bit
-    eq = a.view(np.uint64) == b.view(np.uint64)
-    return eq if eq.ndim == 1 else eq.all(axis=1)
+def _same_bits(a, b):  # two float arrays equal bit for bit
+    return np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 def _rows(keep, *arrays):

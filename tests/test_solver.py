@@ -314,9 +314,9 @@ def test_damped_newton_matches_point_by_point_halving():
     assert np.array_equal(ok, [w[1] for w in want])
     assert ok.sum() == 294
     # at the rounding floor some points end in an exact 2-cycle above the
-    # tolerance.  The kernel stops them early, yet returns the member that all
-    # 60 iterations reach, whichever parity is left: the second pass starts
-    # on the members the first pass ended on.
+    # tolerance.  The kernel stops early, yet returns the member that all 60
+    # iterations reach, whichever parity is left: the second pass starts on
+    # the members the first pass ended on.
     r0 = rng.uniform(0.5e6, 1.5e6, 200)
     level = rng.uniform(1.2e6, 1.4e6, 200)
     for n_ok in (177, 0):
@@ -363,9 +363,10 @@ def test_damped_newton_stops_a_nan_row_after_one_residual_call():
     assert r[-1] == 2.0 and np.array_equal(r[:-1], r_alone)
 
 
-def test_damped_newton_stops_a_cycling_point_within_three_iterations():
-    # the 24 of these points that end in a 2-cycle at the rounding floor would
-    # run all 60 iterations (60 residual points each, more with halvings)
+def test_damped_newton_stops_once_every_point_left_cycles():
+    # 24 of these points end in a 2-cycle at the rounding floor; once the
+    # others have converged, the batch stops within two more iterations
+    # instead of running all 60 (24 * 60 residual points, more with halvings)
     evaluated = []
     rng = np.random.default_rng(11)
     r0 = rng.uniform(0.5e6, 1.5e6, 200)
