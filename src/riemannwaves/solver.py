@@ -81,10 +81,9 @@ def damped_newton(residual, newton_step, r0, *data, tol, max_iter):
     STATUS_NEAR_CATASTROPHE (their step rows are ignored) or None.  Both see
     only the points still iterating, gathered anew when that set shrinks, so
     a point's result does not depend on its batch when the residual rounds
-    each row on its own.  A point whose max|g| is
-    not finite stops at once.  A step that makes max|g| grow is halved 1..20
-    times, all tried in one residual call; the first halving that does not
-    grow wins, else the last.
+    each row on its own.  A point whose max|g| is not finite stops at once.
+    A step that makes max|g| grow is halved 1..20 times, all tried in one
+    residual call; the first halving that does not grow wins, else the last.
 
     The loop stops early, leaving STATUS_NO_CONVERGENCE, once every point
     still iterating repeats bit for bit: all accepted iterates equal the
@@ -102,8 +101,9 @@ def damped_newton(residual, newton_step, r0, *data, tol, max_iter):
     r = np.array(r0, dtype=float)
     g, aux = residual(r, *data)
     status = np.full(len(r), STATUS_NO_CONVERGENCE, dtype=np.int8)
+    # ri is a copy: the repeat test compares it with r_old after r[i] = ri
     i, ri, gi, gni, auxi, di = np.arange(len(r)), r.copy(), g, _max_abs(g), aux, data
-    r_prev = None  # the iterates before ri, None once the set of points changed
+    r_prev = None  # the iterates before r_old, None once the set of points changed
 
     for it in range(max_iter):
         going = (gni > tol) & np.isfinite(gni)
