@@ -315,17 +315,25 @@ def test_damped_newton_matches_point_by_point_halving():
     assert ok.sum() == 294
     # at the rounding floor some points end in an exact 2-cycle above the
     # tolerance.  The kernel stops early, yet returns the member that all 60
-    # iterations reach, whichever parity is left: the second pass starts on
-    # the members the first pass ended on.
-    r0 = rng.uniform(0.5e6, 1.5e6, 200)
-    level = rng.uniform(1.2e6, 1.4e6, 200)
-    for n_ok in (177, 0):
+    # iterations reach: the cycling points alone, from their starts, stop
+    # with an odd number of iterations left, and from their last iterates
+    # with an even number
+    def floor_ok(r0, level):
         r, ok = _kink_newton(_floor, r0, level, _floor_slope)
         want = [_halving_newton(a, b, _floor, _floor_slope) for a, b in zip(r0, level)]
         assert np.array_equal(r, [w[0] for w in want])
         assert np.array_equal(ok, [w[1] for w in want])
-        assert ok.sum() == n_ok
-        r0, level = r[~ok], level[~ok]
+        return r, ok
+
+    r0 = rng.uniform(0.5e6, 1.5e6, 200)
+    level = rng.uniform(1.2e6, 1.4e6, 200)
+    _, ok = floor_ok(r0, level)
+    assert ok.sum() == 177
+    r0, level = r0[~ok], level[~ok]
+    r, ok = floor_ok(r0, level)
+    assert not ok.any()
+    _, ok = floor_ok(r, level)
+    assert not ok.any()
 
 
 def _counted(evaluated, fn=_kink):
