@@ -179,7 +179,11 @@ class EvalResult:
 
 
 def _finite_points(t, x):  # (N,) mask: t and every x coordinate finite
-    return np.isfinite(t) & np.isfinite(x).all(axis=-1)
+    ok = np.isfinite(t)
+    finite_x = np.isfinite(x)
+    if not finite_x.all():  # the per-row reduction costs more than a solve step
+        ok &= finite_x.all(axis=-1)
+    return ok
 
 
 @dataclass
@@ -234,11 +238,15 @@ class FamilySpec:
         non-finite t or x is invalid, and ``validity_fn`` never sees it."""
         t = np.asarray(t, dtype=float)
         x = np.asarray(x, dtype=float)
-        ok = _finite_points(t, x)
+        finite = _finite_points(t, x)
+        ok = finite.copy()
         for ts in self.singular_time_values:
             ok &= np.abs(t - ts) >= SINGULAR_TIME_PAD * max(1.0, abs(ts))
         if self.validity_fn is not None:
-            ok[ok] = self.validity_fn(t[ok], x[ok])
+            if finite.all():
+                ok &= self.validity_fn(t, x)
+            else:
+                ok[finite] &= self.validity_fn(t[finite], x[finite])
         return ok
 
     # -- evaluation --------------------------------------------------------
