@@ -8,18 +8,16 @@ trace conditions, and empirical gradient-catastrophe detection.
 """
 
 from . import catalog, conditions, elliptic, fluid, linalg, solver, verify
-from .catalog import ConstraintError, FamilySpec, ValidityError, make_family
+from .catalog import ConstraintError, FamilySpec, make_family
 from .fluid import GasParams, StateVec, WaveVector
-from .solver import CatastropheError, ConvergenceError
 from .verify import GridSpec, ResidualReport
 
 __version__ = "0.1.0"
 
 __all__ = [
     "catalog", "conditions", "elliptic", "fluid", "linalg", "solver", "verify",
-    "ConstraintError", "FamilySpec", "ValidityError", "make_family",
+    "ConstraintError", "FamilySpec", "make_family",
     "GasParams", "StateVec", "WaveVector",
-    "CatastropheError", "ConvergenceError",
     "GridSpec", "ResidualReport",
     "__version__",
 ]

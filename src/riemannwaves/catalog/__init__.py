@@ -3,13 +3,12 @@
 The registry holds one entry per family: wave composition, profile presets,
 parameter defaults and structural constraints, singular-time formulas, and
 validity windows.  ``make_family`` builds a validated FamilySpec,
-``FamilySpec.evaluate`` solves it at spacetime points, and the Monge-Ampere
-residual of a stream-function preset lives alongside.
+``FamilySpec.evaluate_batch`` solves it at spacetime points, and the
+Monge-Ampere residual of a stream-function preset lives alongside.
 """
 
 from .base import (
     ConstraintError,
-    ValidityError,
     FamilySpec,
     STATUS_LABELS,
 )
@@ -24,7 +23,6 @@ from .ops import monge_ampere_residual
 
 __all__ = [
     "ConstraintError",
-    "ValidityError",
     "FamilySpec",
     "STATUS_LABELS",
     "REGISTRY_IDS",

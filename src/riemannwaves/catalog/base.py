@@ -10,8 +10,8 @@ A family bundles
 
 Evaluation is batched: ``evaluate_batch(t, xs)`` returns invariants, states,
 exact Jacobi matrices (assembled only when the caller asks for them),
-implicit-function determinants and per-point status codes; ``evaluate`` wraps
-a single point and raises on failure.
+implicit-function determinants and per-point status codes; one point is
+N = 1.
 """
 
 from __future__ import annotations
@@ -26,8 +26,6 @@ from ..solver import (
     STATUS_NEAR_CATASTROPHE,
     STATUS_NO_CONVERGENCE,
     STATUS_OK,
-    CatastropheError,
-    ConvergenceError,
     initial_guess,
     jacobi_batch,
     newton_batch,
@@ -35,7 +33,6 @@ from ..solver import (
 
 __all__ = [
     "ConstraintError",
-    "ValidityError",
     "STATUS_INVALID",
     "STATUS_LABELS",
     "EvalResult",
@@ -60,10 +57,6 @@ SINGULAR_TIME_PAD = 1e-6  # exclude |t - T| < pad * max(1, |T|)
 
 class ConstraintError(ValueError):
     """Family parameters violate a structural constraint."""
-
-
-class ValidityError(ValueError):
-    """Requested point lies outside the family's validity window."""
 
 
 class _TimeRowWave:
@@ -316,19 +309,6 @@ class FamilySpec:
             res.jac[idx] = jac
         res.cond_det[idx] = cond
         res.status[idx] = status
-        return res
-
-    def evaluate(self, t, x, guess=None):
-        """Single-point evaluation; raises on invalid/unconverged points."""
-        res = self.evaluate_batch(np.array([t]), np.array(x, dtype=float).reshape(1, 3),
-                                  guess=None if guess is None else np.asarray(guess)[None, :])
-        code = int(res.status[0])
-        if code == STATUS_INVALID:
-            raise ValidityError(f"point (t={t}, x={np.asarray(x)}) outside validity window of {self.id}")
-        if code == STATUS_NEAR_CATASTROPHE:
-            raise CatastropheError(f"{self.id}: implicit-function determinant {res.cond_det[0]:.3e}")
-        if code == STATUS_NO_CONVERGENCE:
-            raise ConvergenceError(f"{self.id}: Newton failed at (t={t}, x={np.asarray(x)})")
         return res
 
     # -- helpers for the verifier ------------------------------------------

@@ -118,33 +118,33 @@ def sech_bump(a):
     return Fn1(f"sech(A={a:g})", f, df)
 
 
-def bump(a, b, center=1.0):
-    """Algebraic bump A (1 + B (s - c)^2)^(-1/2)."""
+def bump(a, b):
+    """Algebraic bump A (1 + B (s - 1)^2)^(-1/2)."""
     if b <= 0:
         raise ValueError("bump profile requires B > 0")
 
     def f(s):
-        d = np.asarray(s, float) - center
+        d = np.asarray(s, float) - 1.0
         return a / np.sqrt(1.0 + b * d * d)
 
     def df(s):
-        d = np.asarray(s, float) - center
+        d = np.asarray(s, float) - 1.0
         return -a * b * d * (1.0 + b * d * d) ** -1.5
 
-    return Fn1(f"bump(A={a:g},B={b:g},c={center:g})", f, df)
+    return Fn1(f"bump(A={a:g},B={b:g})", f, df)
 
 
-def coshwell(a, b, d, center=1.0):
-    """A (1 + B cosh(D (s - c)))^(-1/2); solitary hump for B > 0."""
+def coshwell(a, b, d):
+    """A (1 + B cosh(D (s - 1)))^(-1/2); solitary hump for B > 0."""
     if b <= 0:
         raise ValueError("coshwell profile requires B > 0")
 
     def f(s):
-        x = np.asarray(s, float) - center
+        x = np.asarray(s, float) - 1.0
         return a / np.sqrt(1.0 + b * np.cosh(d * x))
 
     def df(s):
-        x = np.asarray(s, float) - center
+        x = np.asarray(s, float) - 1.0
         return -0.5 * a * b * d * np.sinh(d * x) * (1.0 + b * np.cosh(d * x)) ** -1.5
 
     return Fn1(f"coshwell(A={a:g},B={b:g},D={d:g})", f, df)
@@ -219,11 +219,11 @@ def snkink(a, b, beta, k):
     return Fn1(f"snkink(A={a:g},B={b:g},beta={beta:g},k={k:g})", f, df)
 
 
-def kink2(d, w1=1.0, w2=0.5):
-    """Two-argument kink D s (1+s^2)^(-1/2) along s = w1 p + w2 q."""
+def kink2(d):
+    """Two-argument kink D s (1+s^2)^(-1/2) along s = p + q/2."""
 
     def arg(p, q):
-        return w1 * np.asarray(p, float) + w2 * np.asarray(q, float)
+        return np.asarray(p, float) + 0.5 * np.asarray(q, float)
 
     def f(p, q):
         s = arg(p, q)
@@ -234,8 +234,7 @@ def kink2(d, w1=1.0, w2=0.5):
         s = arg(p, q)
         return d * (1.0 + s * s) ** -1.5
 
-    return Fn2(f"kink2(D={d:g},w=({w1:g},{w2:g}))", f,
-               lambda p, q: w1 * slope(p, q), lambda p, q: w2 * slope(p, q))
+    return Fn2(f"kink2(D={d:g})", f, slope, lambda p, q: 0.5 * slope(p, q))
 
 
 def theta_concentric(a2, b2, d1):
@@ -271,20 +270,19 @@ def theta_concentric(a2, b2, d1):
                lambda p, q: jet(p, q)[1], lambda p, q: jet(p, q)[2], jet=jet)
 
 
-def theta_solitary(d1, hw1=1.0, hw2=1.0):
-    """Solitary-wave phase D1 (1 + exp(h))^(-1/2) with h = hw1 p + hw2 q."""
+def theta_solitary(d1):
+    """Solitary-wave phase D1 (1 + exp(h))^(-1/2) with h = p + q."""
 
     def f(p, q):
-        h = hw1 * np.asarray(p, float) + hw2 * np.asarray(q, float)
+        h = np.asarray(p, float) + np.asarray(q, float)
         return d1 / np.sqrt(1.0 + np.exp(h))
 
-    def slope(p, q):
-        h = hw1 * np.asarray(p, float) + hw2 * np.asarray(q, float)
+    def slope(p, q):  # both partials
+        h = np.asarray(p, float) + np.asarray(q, float)
         e = np.exp(h)
         return -0.5 * d1 * e * (1.0 + e) ** -1.5
 
-    return Fn2(f"solitary(D1={d1:g},h=({hw1:g},{hw2:g}))", f,
-               lambda p, q: hw1 * slope(p, q), lambda p, q: hw2 * slope(p, q))
+    return Fn2(f"solitary(D1={d1:g})", f, slope, slope)
 
 
 def quadratic_stream(c):

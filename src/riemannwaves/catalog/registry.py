@@ -10,6 +10,7 @@ constraint.
 from __future__ import annotations
 
 from functools import partial
+from numbers import Real
 
 import numpy as np
 
@@ -30,10 +31,13 @@ ANGLE_TOL = 1e-10
 
 
 def _vec3(value, name):
-    v = np.asarray(value, dtype=float).reshape(3)
-    if not np.all(np.isfinite(v)):
-        raise ConstraintError(f"{name} must be a finite 3-vector")
-    return v
+    try:
+        v = np.asarray(value, dtype=float).reshape(3)
+        if np.all(np.isfinite(v)):
+            return v
+    except (TypeError, ValueError):
+        pass
+    raise ConstraintError(f"{name} must be a finite 3-vector, got {value!r}")
 
 
 def _unit3(value, name):
@@ -142,11 +146,28 @@ def _build_acoustic(fid, p, gas):
             out[:, 1:, i] = eps_kappa * d[:, None] * evecs[i]
         return out
 
-    # a wave with A_i = 0 (or B_i = 0 for expkink) never steepens
+    # per wave, the fold time of its steepest characteristic r_i = rstar_i; a wave
+    # with A_i = 0 (or B_i = 0 for expkink) never steepens and has none
     if p["profile"] == "expkink":  # |f'| = |AB| e (1 + e)^-1.5 / 2, e = exp(Br), peaks at e = 2
-        tsing = tuple(-3.0**1.5 / (eps_1k * a * b) for a, b in zip(A, B) if a * b != 0)
+        fold = [-3.0**1.5 / (eps_1k * a * b) if a * b != 0 else None for a, b in zip(A, B)]
+        rstar = [np.log(2.0) / b if b != 0 else 0.0 for b in B]
     else:
-        tsing = tuple((eps_1k * a) ** -1.0 for a in A if a != 0)
+        fold = [(eps_1k * a) ** -1.0 if a != 0 else None for a in A]
+        rstar = [0.0] * k
+    tsing = tuple(t for t in fold if t is not None)
+    first = [(t, i) for i, t in enumerate(fold) if t is not None and t > 0]
+
+    esum = sum(evecs[1:], evecs[0])
+    probe_x = -esum / max(np.linalg.norm(esum), 1e-9) if unit_probe else -esum
+    if p["profile"] != "linear" and first:
+        # the waves decouple, r_i = eps (1 + kappa) f_i(r_i) t - e_i.x: at t* the
+        # first wave to fold sits on its steepest characteristic and every other
+        # one unit off its own; x is the least-norm solution of e_i.x = c_i
+        tstar, i_first = min(first)
+        r = np.array(rstar) + (np.arange(k) != i_first)
+        c = [eps_1k * float(profs[i](r[i])) * tstar - r[i] for i in range(k)]
+        emat = np.array(evecs)
+        probe_x = emat.T @ np.linalg.solve(emat @ emat.T, c)
 
     def closed_form(t, x):
         r = np.empty((len(t), k))
@@ -154,7 +175,6 @@ def _build_acoustic(fid, p, gas):
             r[:, i] = -(x @ e) / (1.0 - eps_1k * A[i] * t)
         return r, profile(r, t)
 
-    esum = sum(evecs[1:], evecs[0])
     return FamilySpec(
         id=fid, rank=k, n_waves=k, description=description,
         params=p, gas=gas,
@@ -162,7 +182,7 @@ def _build_acoustic(fid, p, gas):
         wave_list=[PotentialWave(e=e, epsilon=eps) for e in evecs],
         singular_time_values=tsing,
         closed_form=closed_form if p["profile"] == "linear" else None,
-        probe_x=-esum / max(np.linalg.norm(esum), 1e-9) if unit_probe else -esum,
+        probe_x=probe_x,
         default_window={"t": (0.0, t_end)},
     )
 
@@ -900,12 +920,18 @@ def make_family(fid: str, overrides: dict | None = None, **kw) -> FamilySpec:
         raise KeyError(f"unknown family id {fid!r}; known: {', '.join(REGISTRY_IDS)}")
     merged = dict(overrides or {})
     merged.update(kw)
-    gamma = float(merged.pop("gamma", 5.0 / 3.0))
+    gamma = merged.pop("gamma", 5.0 / 3.0)
+    if not (isinstance(gamma, Real) and 1.0 < gamma < np.inf):
+        raise ConstraintError(f"gamma must be a finite number above 1, got {gamma!r}")
+    gamma = float(gamma)
     gas = GasParams(gamma=gamma)
     params = _REGISTRY[fid][1](gas)
     unknown = set(merged) - set(params)
     if unknown:
         raise ConstraintError(f"unknown parameters for {fid}: {sorted(unknown)}")
+    for key, value in merged.items():
+        if isinstance(params[key], Real) and not isinstance(value, Real):
+            raise ConstraintError(f"{key} must be a number, got {value!r}")
     params.update(merged)
     params["gamma"] = gamma
     spec = _REGISTRY[fid][0](params, gas)

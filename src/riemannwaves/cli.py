@@ -18,7 +18,6 @@ from .catalog import (
     ConstraintError,
     REGISTRY_IDS,
     STATUS_LABELS,
-    ValidityError,
     make_family,
     registry_entries,
 )
@@ -92,8 +91,11 @@ def parse_value(text: str):
 
 def load_config_file(path: str) -> dict:
     """Flat key-value document: JSON object or 'key = value' lines."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"cannot read config file {path!r}: {exc}") from None
     try:
         data = json.loads(text)
         if not isinstance(data, dict):
@@ -128,7 +130,11 @@ def gather_params(args) -> dict:
 def build_grid(args, spec, counts=(5, 11, 11, 11)) -> GridSpec:
     grid = GridSpec.from_window(spec.default_grid_window(), counts)
     if getattr(args, "grid", None):
-        grid = dataclasses.replace(grid, **parse_grid(args.grid))
+        axes = parse_grid(args.grid)
+        try:
+            grid = dataclasses.replace(grid, **axes)
+        except ValueError as exc:  # GridSpec's own checks
+            raise UsageError(str(exc)) from None
     return grid
 
 
@@ -395,7 +401,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ConstraintError, ValidityError) as exc:
+    except ConstraintError as exc:
         print(f"constraint error: {exc}", file=sys.stderr)
         return EXIT_CONSTRAINT
     except (KeyError,) as exc:

@@ -79,10 +79,6 @@ class StateVec:
         if not np.all(np.isfinite(self.u)):
             raise ValueError("velocity components must be finite")
 
-    @property
-    def as_array(self) -> np.ndarray:
-        return np.concatenate([[self.a], self.u])
-
     @classmethod
     def from_array(cls, arr) -> "StateVec":
         arr = np.asarray(arr, dtype=float).reshape(4)
@@ -110,10 +106,6 @@ class WaveVector:
             raise ValueError(f"unknown wave kind {self.kind!r}")
         if np.allclose(self.lam, 0.0):
             raise DegenerateWavesError("spatial part of a wave covector must be nonzero")
-
-    @property
-    def as_array(self) -> np.ndarray:
-        return np.concatenate([[self.lam0], self.lam])
 
 
 def _unit(e) -> np.ndarray:
@@ -152,14 +144,11 @@ def dispersion_matrix(state: StateVec, wv, gas: GasParams = GasParams()) -> np.n
 def _split_wv(wv):
     if isinstance(wv, WaveVector):
         return wv.lam0, wv.lam
-    if isinstance(wv, (tuple, list)) and len(wv) == 2:
-        lam0, lam = wv
-        return float(lam0), np.asarray(lam, dtype=float).reshape(3)
-    arr = np.asarray(wv, dtype=float).reshape(4)
-    return float(arr[0]), arr[1:]
+    lam0, lam = wv
+    return float(lam0), np.asarray(lam, dtype=float).reshape(3)
 
 
-def dispersion_det(state: StateVec, wv, gas: GasParams = GasParams()) -> float:
+def dispersion_det(state: StateVec, wv) -> float:
     """Factorized dispersion determinant (lam0+u.lam)^2 [(lam0+u.lam)^2 - a^2 lam^2].
 
     Equals det(lam0*I4 + lam_i A^i) to rounding; the determinant route is
@@ -170,7 +159,7 @@ def dispersion_det(state: StateVec, wv, gas: GasParams = GasParams()) -> float:
     return conv * conv * (conv * conv - state.a**2 * float(lam @ lam))
 
 
-def potential_wave(state: StateVec, e, epsilon: int = 1, gas: GasParams = GasParams()) -> WaveVector:
+def potential_wave(state: StateVec, e, epsilon: int = 1) -> WaveVector:
     """Acoustic covector (eps*a + u.e, -e) for a unit direction e and eps = +-1."""
     if epsilon not in (1, -1):
         raise ValueError("epsilon must be +1 or -1")
@@ -179,7 +168,7 @@ def potential_wave(state: StateVec, e, epsilon: int = 1, gas: GasParams = GasPar
     return WaveVector(lam0=lam0, lam=-e, kind="potential", epsilon=epsilon, e=e)
 
 
-def rotational_wave(state: StateVec, e, m, gas: GasParams = GasParams()) -> WaveVector:
+def rotational_wave(state: StateVec, e, m) -> WaveVector:
     """Vortex covector (det(u,e,m), -e x m) for unit e and m not parallel to e."""
     e = _unit(e)
     m = np.asarray(m, dtype=float).reshape(3)
@@ -200,7 +189,7 @@ def wave_kernel(state: StateVec, wv, gas: GasParams = GasParams()) -> np.ndarray
     mat = dispersion_matrix(state, wv, gas)
     lam0, lam = _split_wv(wv)
     scale = 1.0 + max(abs(lam0), float(np.max(np.abs(lam)))) * (1.0 + state.a + float(np.max(np.abs(state.u))))
-    if abs(dispersion_det(state, wv, gas)) > 1e-8 * scale**4:
+    if abs(dispersion_det(state, wv)) > 1e-8 * scale**4:
         raise NotACharacteristicError("covector is not a root of the dispersion relation")
     basis = linalg.null_space(mat)
     if basis.shape[1] == 0:

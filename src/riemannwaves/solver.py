@@ -43,8 +43,6 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "ConvergenceError",
-    "CatastropheError",
     "STATUS_OK",
     "STATUS_NO_CONVERGENCE",
     "STATUS_NEAR_CATASTROPHE",
@@ -61,14 +59,6 @@ _HALVINGS = 0.5 ** np.arange(1, 21)  # a worsening step's fractions, tried in on
 STATUS_OK = 0
 STATUS_NO_CONVERGENCE = 1
 STATUS_NEAR_CATASTROPHE = 2
-
-
-class ConvergenceError(RuntimeError):
-    """Newton iteration failed to reach the residual tolerance."""
-
-
-class CatastropheError(RuntimeError):
-    """Implicit-function determinant below the floor: too close to a gradient catastrophe."""
 
 
 def damped_newton(residual, newton_step, r0, *data, tol, max_iter):

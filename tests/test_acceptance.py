@@ -48,17 +48,18 @@ def random_state(rng):
 
 
 def catalog_covectors(st, e, epsilon, m):
-    """The covectors the families run (catalog.base) for the waves of
-    fluid.potential_wave(st, e, epsilon) and fluid.rotational_wave(st, e, m)."""
-    u = st.as_array[None]
-    return (PotentialWave(e=e, epsilon=epsilon).lam(u)[0],
-            RotationalWave(lsp=-np.cross(e, m)).lam(u)[0])
+    """The covectors (lam0, lam) the families run (catalog.base) for the waves
+    of fluid.potential_wave(st, e, epsilon) and fluid.rotational_wave(st, e, m)."""
+    u = np.concatenate([[st.a], st.u])[None]
+    return tuple((lam[0], lam[1:]) for lam in (PotentialWave(e=e, epsilon=epsilon).lam(u)[0],
+                                               RotationalWave(lsp=-np.cross(e, m)).lam(u)[0]))
 
 
 def covector_gap(refs, lives):
     """max |live - reference| relative to 1 + max |reference| over covector pairs."""
-    return max(float(np.max(np.abs(live - ref.as_array))) / (1.0 + float(np.max(np.abs(ref.as_array))))
-               for ref, live in zip(refs, lives))
+    return max(max(abs(lam0 - ref.lam0), float(np.max(np.abs(lam - ref.lam))))
+               / (1.0 + max(abs(ref.lam0), float(np.max(np.abs(ref.lam)))))
+               for ref, (lam0, lam) in zip(refs, lives))
 
 
 def test_criterion_01_dispersion_consistency():
@@ -78,11 +79,11 @@ def test_criterion_01_dispersion_consistency():
             scale = (1.0 + float(np.max(np.abs(mat)))) ** 4
             det = linalg.determinant(mat)
             worst_root = max(worst_root, abs(det) / (1.0 + scale))
-            fact = dispersion_det(st, wv, GAS)
+            fact = dispersion_det(st, wv)
             worst_rel = max(worst_rel, abs(fact - det) / (1.0 + abs(fact) + abs(det)))
         # generic (non-root) covector: factorized form against the determinant
         wv = (float(rng.normal(0, 2)), rng.normal(size=3))
-        fact = dispersion_det(st, wv, GAS)
+        fact = dispersion_det(st, wv)
         det = linalg.determinant(dispersion_matrix(st, wv, GAS))
         worst_rel = max(worst_rel, abs(fact - det) / (1.0 + abs(fact) + abs(det)))
     report(1, worst_root <= 1e-12 and worst_rel <= 1e-10 and worst_live <= 1e-15,
@@ -155,8 +156,11 @@ def test_criterion_04_angle_condition():
 def test_criterion_05_pde_residuals_all_families():
     rows = []
     ok = True
-    for fid in REGISTRY_IDS:
-        spec = make_family(fid)
+    # every family at its defaults, and the acoustic families' exp-kink preset
+    cases = [(fid, {}) for fid in REGISTRY_IDS] + [
+        (fid, {"profile": "expkink"}) for fid in ("R1_E", "R2_E1E2", "R3_E1E2E3")]
+    for fid, params in cases:
+        spec = make_family(fid, **params)
         grid = GridSpec.from_window(spec.default_grid_window(), counts=(5, 11, 11, 11))
         rex = residual_exact(spec, grid=grid)
         rfd = residual_fd(spec, grid=grid, h=1e-4)
@@ -169,7 +173,7 @@ def test_criterion_05_pde_residuals_all_families():
             order = float(np.log2(r1.max_residual / r2.max_residual))
             entry_ok &= 1.7 <= order <= 2.3
         ok &= entry_ok
-        rows.append(f"{fid}: exact {rex.max_normalized:.1e}, fd {rfd.max_normalized:.1e}"
+        rows.append(f"{fid}{params or ''}: exact {rex.max_normalized:.1e}, fd {rfd.max_normalized:.1e}"
                     + (f", order {order:.2f}" if order is not None else ", order n/a"))
     report(5, ok, "PDE residuals within 1e-8 (exact) / 1e-5 (fd), order in [1.7, 2.3] | "
            + "; ".join(rows))
@@ -368,6 +372,14 @@ def test_criterion_12_cli_determinism_and_exit_codes(tmp_path, capsys):
         (["sample", "--family", "R2_S1S2S3", "--set", "modulus_k=1.4"], 3),
         (["sample", "--family", "R1_E", "--set", "bogus_key=1"], 3),
         (["verify", "--family", "R2_S1S2_MA", "--set", "branch=plus", "--grid", "t=-1:-0.5:3"], 4),
+        (["verify", "--family", "R1_E", "--set", "gamma=abc"], 3),
+        (["verify", "--family", "R1_E", "--set", "gamma=1"], 3),
+        (["verify", "--family", "R1_E", "--set", "A1=abc"], 3),
+        (["verify", "--family", "R1_E", "--set", "e1=1,0"], 3),
+        (["sample", "--family", "R2_S1S2_MA", "--set", "n=abc"], 3),
+        (["sample", "--family", "R1_E", "--grid", "t=0:1:1"], 2),
+        (["sample", "--family", "R1_E", "--grid", "t=nan:1:3"], 2),
+        (["verify", "--family", "R1_E", "--config", str(tmp_path / "missing.cfg")], 2),
     ]
     codes_ok = True
     for args_i, expected in cases:

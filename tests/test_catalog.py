@@ -8,7 +8,6 @@ import pytest
 from riemannwaves.catalog import (
     ConstraintError,
     REGISTRY_IDS,
-    ValidityError,
     family_defaults,
     make_family,
     monge_ampere_residual,
@@ -104,11 +103,10 @@ def test_r1e_positivity_window():
     assert spec.singular_times() == [1.0]
     r, u = spec.closed_form(np.array([0.5]), np.array([[1.0, 0.0, 0.0]]))
     assert abs(u[0, 0] - (-0.5)) <= 1e-14
-    with pytest.raises(ValidityError):
-        spec.evaluate(0.5, [1.0, 0.0, 0.0])
-    # the mirrored ray is valid with a = +0.5
-    res = spec.evaluate(0.5, [-1.0, 0.0, 0.0])
-    assert abs(res.state[0, 0] - 0.5) <= 1e-12
+    # that point is invalid, and the mirrored ray is valid with a = +0.5
+    res = spec.evaluate_batch(np.full(2, 0.5), np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]))
+    assert res.status.tolist() == [STATUS_INVALID, STATUS_OK]
+    assert abs(res.state[1, 0] - 0.5) <= 1e-12
 
 
 def test_time_zero_returns_pure_profile():

@@ -88,18 +88,34 @@ def test_exit_statuses_malformed_matrix(capsys, tmp_path):
         assert code == expected, (args, code, expected)
 
 
+def _verify_csv_agrees(args, doc, code, capsys):
+    """The --format csv report of args holds the JSON report doc's numbers,
+    its pass flag, and exits with the same code."""
+    code_csv, out, _ = run(args + ["--format", "csv"], capsys)
+    lines = out.splitlines()
+    assert lines[0] == "equation,max,mean"
+    for i, line in enumerate(lines[1:5]):
+        eq = doc["residuals"][f"eq{i + 1}"]
+        assert line == f"eq{i + 1},{eq['max']:.17g},{eq['mean']:.17g}"
+    assert lines[5:] == [f"# pass={doc['pass']} max_normalized={doc['max_normalized']:.17g}"]
+    assert code_csv == code
+
+
 def test_verify_pass_and_fail(tmp_path, capsys):
-    code, out, _ = run(["verify", "--family", "R2_E1E2",
-                        "--grid", "t=0:0.4:3,x1=-1:1:5,x2=-1:1:5,x3=-1:1:5"], capsys)
+    args = ["verify", "--family", "R2_E1E2", "--grid", "t=0:0.4:3,x1=-1:1:5,x2=-1:1:5,x3=-1:1:5"]
+    code, out, _ = run(args, capsys)
     assert code == 0
     doc = json.loads(out)
     assert doc["pass"] is True
     assert set(doc["residuals"]) == {"eq1", "eq2", "eq3", "eq4"}
+    _verify_csv_agrees(args, doc, code, capsys)
     # absurdly tight threshold forces a verification failure (exit 1)
-    code, out, _ = run(["verify", "--family", "R2_E1E2", "--method", "fd",
-                        "--grid", "t=0:0.4:3,x1=-1:1:5,x2=-1:1:5,x3=-1:1:5",
-                        "--threshold", "1e-16"], capsys)
+    args += ["--method", "fd", "--threshold", "1e-16"]
+    code, out, _ = run(args, capsys)
     assert code == 1
+    doc = json.loads(out)
+    assert doc["pass"] is False
+    _verify_csv_agrees(args, doc, code, capsys)
 
 
 def test_sheet_is_the_reported_parameter(capsys):

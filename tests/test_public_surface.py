@@ -6,9 +6,12 @@ name), is surface that only tests use.  The KEEP names are exempt: they are
 reference implementations and audit kernels that an acceptance criterion
 checks, plus the package version.
 
-The same holds for the fields of ``FamilySpec``: a field that no package
-code loads as an attribute is a setting nothing reads, apart from the
-KEEP_FIELDS.
+The same holds for every function and method defined under
+``src/riemannwaves``, nested ones included (dunders excepted): one that no
+package code loads by name or as an attribute is reached only by tests,
+unless it is a KEEP name.  And for the fields of ``FamilySpec``: a field
+that no package code loads as an attribute is a setting nothing reads,
+apart from the KEEP_FIELDS.
 """
 
 import ast
@@ -75,6 +78,16 @@ def test_every_export_is_loaded_in_the_package():
               for name in sorted(_exports(tree) & _defined(tree))
               if name not in loaded and name not in KEEP]
     assert unused == [], "exported but used by no package code (only tests?): " + ", ".join(unused)
+
+
+def test_every_function_and_method_is_loaded_in_the_package():
+    trees = _trees()
+    loaded = set().union(*(_loaded(tree) for tree in trees.values()))
+    unused = [f"{module}:{node.lineno}: {node.name}" for module, tree in trees.items()
+              for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+              and not (node.name.startswith("__") and node.name.endswith("__"))
+              and node.name not in loaded and node.name not in KEEP]
+    assert unused == [], "defined but loaded by no package code (only tests?): " + ", ".join(unused)
 
 
 def test_keep_names_are_exported():

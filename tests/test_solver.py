@@ -10,6 +10,7 @@ from riemannwaves.catalog import REGISTRY_IDS, make_family
 from riemannwaves.catalog.base import PotentialWave, RotationalWave, stack_waves
 from riemannwaves.solver import (
     STATUS_NEAR_CATASTROPHE,
+    STATUS_NO_CONVERGENCE,
     STATUS_OK,
     bracket_det,
     damped_newton,
@@ -263,15 +264,20 @@ def _floor_slope(r, level):
     return 1.3 - 1.0 / (q * np.sqrt(q))
 
 
-def _halving_newton(r, level, g=_kink, dg=_kink_slope, tol=1e-13, iters=60):
+def _halving_newton(r, level, g=_kink, dg=_kink_slope, tol=1e-13, iters=60, stop_below=None):
     """Reference damped Newton for one point, every iteration run: a slope
-    below 1e-14 counts as 1e-14 (with its sign); halve a step that makes |g|
-    grow, up to 20 times, and take the last halving if all do."""
+    below 1e-14 counts as 1e-14 (with its sign), and one below ``stop_below``
+    stops the point as near_catastrophe; halve a step that makes |g| grow, up
+    to 20 times, and take the last halving if all do.  A step below half an
+    ulp of r leaves r as it is, for every iteration left.  Returns r and the
+    status."""
     val = g(r, level)
     for _ in range(iters):
         if abs(val) <= tol:
             break
         slope = dg(r, level)
+        if stop_below is not None and abs(slope) < stop_below:
+            return r, STATUS_NEAR_CATASTROPHE
         step = val / (slope if abs(slope) >= 1e-14 else np.copysign(1e-14, slope))
         r_new = r - step
         val_new = g(r_new, level)
@@ -282,23 +288,24 @@ def _halving_newton(r, level, g=_kink, dg=_kink_slope, tol=1e-13, iters=60):
             r_new = r - step
             val_new = g(r_new, level)
         r, val = r_new, val_new
-    return r, abs(val) <= tol
+    return r, STATUS_OK if abs(val) <= tol else STATUS_NO_CONVERGENCE
 
 
-def _kink_newton(g, r0, level, dg=_kink_slope):
+def _kink_newton(g, r0, level, dg=_kink_slope, stop_below=None):
     """damped_newton on g(r, level) = 0 with the reference's tolerance, iteration
-    cap and slope floor; returns the roots and the ok flags."""
+    cap and slope rules; returns the roots and the statuses."""
 
     def residual(r, level):
         return g(r, level), None
 
     def newton_step(r, val, _, level):
         slope = dg(r, level)
-        return val / np.where(np.abs(slope) < 1e-14, np.copysign(1e-14, slope), slope), None
+        stop = None if stop_below is None else np.abs(slope) < stop_below
+        return val / np.where(np.abs(slope) < 1e-14, np.copysign(1e-14, slope), slope), stop
 
     r, aux, status = damped_newton(residual, newton_step, r0, level, tol=1e-13, max_iter=60)
     assert aux is None
-    return r, status == STATUS_OK
+    return r, status
 
 
 def test_damped_newton_matches_point_by_point_halving():
@@ -308,22 +315,22 @@ def test_damped_newton_matches_point_by_point_halving():
     r0 = rng.uniform(-6.0, 6.0, 300)
     level = rng.uniform(-0.9, 0.9, 300)
     level[::50] = 1.5                        # six points without a root
-    r, ok = _kink_newton(_kink, r0, level)
+    r, status = _kink_newton(_kink, r0, level)
     want = [_halving_newton(a, b) for a, b in zip(r0, level)]
     assert np.array_equal(r, [w[0] for w in want])
-    assert np.array_equal(ok, [w[1] for w in want])
-    assert ok.sum() == 294
+    assert np.array_equal(status, [w[1] for w in want])
+    assert np.count_nonzero(status == STATUS_OK) == 294
     # at the rounding floor some points end in an exact 2-cycle above the
     # tolerance.  The kernel stops early, yet returns the member that all 60
     # iterations reach: the cycling points alone, from their starts, stop
     # with an odd number of iterations left, and from their last iterates
     # with an even number
     def floor_ok(r0, level):
-        r, ok = _kink_newton(_floor, r0, level, _floor_slope)
+        r, status = _kink_newton(_floor, r0, level, _floor_slope)
         want = [_halving_newton(a, b, _floor, _floor_slope) for a, b in zip(r0, level)]
         assert np.array_equal(r, [w[0] for w in want])
-        assert np.array_equal(ok, [w[1] for w in want])
-        return r, ok
+        assert np.array_equal(status, [w[1] for w in want])
+        return r, status == STATUS_OK
 
     r0 = rng.uniform(0.5e6, 1.5e6, 200)
     level = rng.uniform(1.2e6, 1.4e6, 200)
@@ -348,12 +355,12 @@ def test_damped_newton_cost_of_a_rootless_point_is_its_own():
     g = _counted(evaluated)
     r0 = np.linspace(-3.0, 3.0, 1000)
     level = np.linspace(-0.8, 0.8, 1000)
-    _, ok = _kink_newton(g, r0, level)
+    _, status = _kink_newton(g, r0, level)
     alone = sum(evaluated)
     evaluated.clear()
-    r, ok_with = _kink_newton(g, np.append(r0, 2.0), np.append(level, 1.5))
+    r, status_with = _kink_newton(g, np.append(r0, 2.0), np.append(level, 1.5))
     # the rootless point runs every iteration: one full step and 20 halvings each
-    assert ok.all() and not ok_with[-1]
+    assert (status == STATUS_OK).all() and status_with[-1] == STATUS_NO_CONVERGENCE
     assert sum(evaluated) - alone <= 1 + 60 * 21
 
 
@@ -362,11 +369,11 @@ def test_damped_newton_stops_a_nan_row_after_one_residual_call():
     g = _counted(evaluated)
     r0 = np.linspace(-3.0, 3.0, 1000)
     level = np.linspace(-0.8, 0.8, 1000)
-    r_alone, ok = _kink_newton(g, r0, level)
+    r_alone, status = _kink_newton(g, r0, level)
     alone = sum(evaluated)
     evaluated.clear()
-    r, ok_with = _kink_newton(g, np.append(r0, 2.0), np.append(level, np.nan))
-    assert ok.all() and not ok_with[-1]
+    r, status_with = _kink_newton(g, np.append(r0, 2.0), np.append(level, np.nan))
+    assert (status == STATUS_OK).all() and status_with[-1] == STATUS_NO_CONVERGENCE
     assert sum(evaluated) - alone == 1       # its row of the first call only
     assert r[-1] == 2.0 and np.array_equal(r[:-1], r_alone)
 
@@ -379,9 +386,59 @@ def test_damped_newton_stops_once_every_point_left_cycles():
     rng = np.random.default_rng(11)
     r0 = rng.uniform(0.5e6, 1.5e6, 200)
     level = rng.uniform(1.2e6, 1.4e6, 200)
-    _, ok = _kink_newton(_counted(evaluated, _floor), r0, level, _floor_slope)
-    assert np.count_nonzero(~ok) == 24
+    _, status = _kink_newton(_counted(evaluated, _floor), r0, level, _floor_slope)
+    assert np.count_nonzero(status != STATUS_OK) == 24
     assert sum(evaluated) <= 4 * len(r0)
+
+
+def _offset(r, level):
+    """r - level + 1e-12 at level ~ 1e6: the root is no float, and at r = level
+    the step 1e-12 is below half an ulp of r (5.8e-11), so r - step == r, a
+    fixed point above the tolerance."""
+    return r - level + 1e-12
+
+
+def _mixed(r, level):  # _kink for |level| < 1e5, _offset above
+    return np.where(np.abs(level) < 1e5, _kink(r, level), _offset(r, level))
+
+
+def _mixed_slope(r, level):
+    return np.where(np.abs(level) < 1e5, _kink_slope(r, level), 1.0)
+
+
+def test_damped_newton_slope_floor_stops_and_fixed_points_match_the_reference():
+    # one batch: kink points that converge, kink points whose slope falls
+    # below the floor while the others still iterate (near_catastrophe), and
+    # points that settle on a fixed point above the tolerance; the batch stops
+    # once only those are left
+    rng = np.random.default_rng(12)
+    level = np.concatenate([rng.uniform(-0.9, 0.9, 100), np.full(20, 1.5),
+                            rng.uniform(0.6e6, 0.9e6, 60)])
+    r0 = np.concatenate([rng.uniform(-6.0, 6.0, 120), level[120:] + rng.uniform(-1e3, 1e3, 60)])
+    order = rng.permutation(len(level))
+    level, r0 = level[order], r0[order]
+    evaluated = []
+    r, status = _kink_newton(_counted(evaluated, _mixed), r0, level, _mixed_slope,
+                             stop_below=1e-6)
+    want = [_halving_newton(a, b, _mixed, _mixed_slope, stop_below=1e-6)
+            for a, b in zip(r0, level)]
+    assert np.array_equal(r, [w[0] for w in want])
+    assert np.array_equal(status, [w[1] for w in want])
+    assert np.bincount(status).tolist() == [84, 60, 36]
+    fixed = level > 1e5
+    assert np.array_equal(r[fixed], level[fixed])
+    assert (status[fixed] == STATUS_NO_CONVERGENCE).all()
+    assert len(evaluated) <= 20           # 60 iterations take at least 61 calls
+
+
+def test_damped_newton_stops_at_once_on_a_fixed_point():
+    # started on their fixed points, the points repeat after the first step:
+    # two residual calls, the second that of the one step
+    evaluated = []
+    level = np.random.default_rng(13).uniform(0.6e6, 0.9e6, 50)
+    r, status = _kink_newton(_counted(evaluated, _offset), level, level, lambda r, level: 1.0)
+    assert evaluated == [50, 50]
+    assert np.array_equal(r, level) and (status == STATUS_NO_CONVERGENCE).all()
 
 
 # status of each damped_newton solve of the default catastrophe probe (0 ok,

@@ -150,6 +150,23 @@ def test_probe_r1e_within_one_percent():
     assert rep.rel_gap <= 0.01
 
 
+@pytest.mark.parametrize("fid,params", [
+    ("R1_E", dict(profile="kink")),
+    ("R2_E1E2", dict(profile="kink")),
+    ("R3_E1E2E3", dict(profile="kink")),
+    ("R1_E", dict(profile="kink", epsilon=-1, A1=-0.25)),
+    ("R1_E", dict(profile="expkink", epsilon=-1)),
+    ("R1_E", dict(profile="expkink", A1=-0.25)),
+    ("R2_E1E2", dict(profile="expkink", A1=-0.25, A2=-0.25)),
+    ("R3_E1E2E3", dict(profile="expkink", A1=-0.25, A2=-0.25, A3=-0.25)),
+])
+def test_probe_finds_the_fold_of_bounded_acoustic_profiles(fid, params):
+    # the fold sits on one characteristic (r = 0 for kink, ln 2 / B for
+    # expkink); a ray that misses it reads rel_gap 0.5
+    rep = catastrophe_probe(make_family(fid, **params))
+    assert rep.applicable and rep.rel_gap <= 1e-4
+
+
 def test_probe_not_applicable_for_bounded_families():
     rep = catastrophe_probe(make_family("R1_S"))
     assert not rep.applicable
