@@ -8,8 +8,8 @@ trace conditions, and empirical gradient-catastrophe detection.
 """
 
 from . import catalog, conditions, elliptic, fluid, linalg, solver, verify
-from .catalog import ConstraintError, FamilySpec, make_family
-from .fluid import GasParams, StateVec, WaveVector
+from .catalog import FamilySpec, make_family
+from .fluid import ConstraintError, GasParams, StateVec, WaveVector
 from .verify import GridSpec, ResidualReport
 
 __version__ = "0.1.0"

@@ -7,11 +7,8 @@ validity windows.  ``make_family`` builds a validated FamilySpec,
 Monge-Ampere residual of a stream-function preset lives alongside.
 """
 
-from .base import (
-    ConstraintError,
-    FamilySpec,
-    STATUS_LABELS,
-)
+from ..fluid import ConstraintError
+from .base import FamilySpec, STATUS_LABELS
 from .registry import (
     REGISTRY_IDS,
     family_defaults,

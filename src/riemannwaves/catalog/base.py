@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from ..fluid import GasParams
+from ..fluid import ConstraintError, GasParams
 from ..solver import (
     STATUS_NEAR_CATASTROPHE,
     STATUS_NO_CONVERGENCE,
@@ -32,7 +32,6 @@ from ..solver import (
 )
 
 __all__ = [
-    "ConstraintError",
     "STATUS_INVALID",
     "STATUS_LABELS",
     "EvalResult",
@@ -53,10 +52,6 @@ STATUS_LABELS = {
 }
 
 SINGULAR_TIME_PAD = 1e-6  # exclude |t - T| < pad * max(1, |T|)
-
-
-class ConstraintError(ValueError):
-    """Family parameters violate a structural constraint."""
 
 
 class _TimeRowWave:
@@ -162,8 +157,6 @@ class EvalResult:
     ``jac`` is None when the evaluation ran with ``jacobian=False``.
     """
 
-    t: np.ndarray
-    x: np.ndarray          # (N, 3)
     r: np.ndarray          # (N, n_waves)
     state: np.ndarray      # (N, 4)
     jac: np.ndarray | None  # (N, 4, 4), or None when not assembled
@@ -269,7 +262,6 @@ class FamilySpec:
         n = len(t)
         k = self.n_waves
         res = EvalResult(
-            t=t, x=x,
             r=np.full((n, k), np.nan),
             state=np.full((n, 4), np.nan),
             jac=np.full((n, 4, 4), np.nan) if jacobian else None,

@@ -14,6 +14,7 @@ from typing import Callable
 import numpy as np
 
 from ..elliptic import jacobi_sn_cn_dn
+from ..fluid import ConstraintError
 
 __all__ = [
     "Fn1", "Fn2", "linear", "kink", "expkink", "sech_bump", "bump",
@@ -77,7 +78,7 @@ def linear(a):
 def kink(a, b):
     """Algebraic kink A s (1 + B s^2)^(-1/2); bounded, monotone."""
     if b <= 0:
-        raise ValueError("kink profile requires B > 0")
+        raise ConstraintError("kink profile requires B > 0")
 
     def f(s):
         s = np.asarray(s, float)
@@ -121,7 +122,7 @@ def sech_bump(a):
 def bump(a, b):
     """Algebraic bump A (1 + B (s - 1)^2)^(-1/2)."""
     if b <= 0:
-        raise ValueError("bump profile requires B > 0")
+        raise ConstraintError("bump profile requires B > 0")
 
     def f(s):
         d = np.asarray(s, float) - 1.0
@@ -137,7 +138,7 @@ def bump(a, b):
 def coshwell(a, b, d):
     """A (1 + B cosh(D (s - 1)))^(-1/2); solitary hump for B > 0."""
     if b <= 0:
-        raise ValueError("coshwell profile requires B > 0")
+        raise ConstraintError("coshwell profile requires B > 0")
 
     def f(s):
         x = np.asarray(s, float) - 1.0
@@ -153,7 +154,7 @@ def coshwell(a, b, d):
 def coshbump(a, b, c):
     """A (1 + B (1 + cosh(C s)))^(-1/2); bounded hump centered at s = 0."""
     if b <= 0:
-        raise ValueError("coshbump profile requires B > 0")
+        raise ConstraintError("coshbump profile requires B > 0")
 
     def f(s):
         s = np.asarray(s, float)
@@ -169,7 +170,7 @@ def coshbump(a, b, c):
 def periodic_well(a, b, c):
     """A (1 - B cos(C s))^(-1/2), |B| < 1; smooth periodic profile."""
     if not abs(b) < 1.0:
-        raise ValueError("periodic profile requires |B| < 1")
+        raise ConstraintError("periodic profile requires |B| < 1")
 
     def f(s):
         s = np.asarray(s, float)
@@ -190,7 +191,7 @@ def periodic_well(a, b, c):
 def snwell(a, b, beta, k):
     """A (1 + B sn^2(beta s, k))^(-1/2); doubly periodic snoidal envelope."""
     if b <= 0:
-        raise ValueError("snwell profile requires B > 0")
+        raise ConstraintError("snwell profile requires B > 0")
 
     def f(s):
         sn, _, _ = jacobi_sn_cn_dn(beta * np.asarray(s, float), k)
@@ -206,7 +207,7 @@ def snwell(a, b, beta, k):
 def snkink(a, b, beta, k):
     """A sn(beta s, k) (1 + B sn^2(beta s, k))^(-1/2)."""
     if b <= 0:
-        raise ValueError("snkink profile requires B > 0")
+        raise ConstraintError("snkink profile requires B > 0")
 
     def f(s):
         sn, _, _ = jacobi_sn_cn_dn(beta * np.asarray(s, float), k)
@@ -244,7 +245,7 @@ def theta_concentric(a2, b2, d1):
     ln|D1 R| = (2n+1) pi; callers mask a band around those circles.
     """
     if b2 <= 0:
-        raise ValueError("concentric phase requires B2 > 0")
+        raise ConstraintError("concentric phase requires B2 > 0")
 
     def parts(p, q):
         p = np.asarray(p, float)

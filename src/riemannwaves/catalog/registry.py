@@ -1,10 +1,12 @@
 """Family registry: builders, defaults, constraints for all solution families.
 
 Parameter names follow the conventional symbols (A1, B1, C1, gamma, e1, m2,
-modulus_k, branch, ...).  Every builder validates its structural constraints
-(unit directions, locked angles, modulus bounds, nondegeneracy) and returns
-a runnable FamilySpec; violations raise ConstraintError naming the
-constraint.
+modulus_k, branch, ...).  ``make_family`` checks the rules every family
+shares: known keys, numeric values where the default is numeric, and the
+admissible values of each finitely-valued key (the registry's choices).
+Each builder then validates its structural constraints (unit directions,
+locked angles, modulus bounds, nondegeneracy) and returns a runnable
+FamilySpec.  Every violation raises ConstraintError naming the constraint.
 """
 
 from __future__ import annotations
@@ -14,15 +16,9 @@ from numbers import Real
 
 import numpy as np
 
-from ..fluid import GasParams
+from ..fluid import ConstraintError, GasParams
 from . import profiles as pf
-from .base import (
-    ConstraintError,
-    CustomWave,
-    FamilySpec,
-    PotentialWave,
-    RotationalWave,
-)
+from .base import CustomWave, FamilySpec, PotentialWave, RotationalWave
 from .transported import PlanarVelocity, RotatingPolarizationEvaluator, TransportedEvaluator
 
 __all__ = ["REGISTRY_IDS", "make_family", "family_defaults", "family_info", "registry_entries"]
@@ -55,14 +51,8 @@ def _check_angle(e_i, e_j, kappa, names):
             f"angle constraint violated: {names[0]}.{names[1]} = {dot:.12g}, required -1/kappa = {-1.0/kappa:.12g}")
 
 
-def _acoustic_profile(preset, a, b, who):
-    if preset == "linear":
-        return pf.linear(a)
-    if preset == "kink":
-        return pf.kink(a, b)
-    if preset == "expkink":
-        return pf.expkink(a, b)
-    raise ConstraintError(f"unknown profile preset {preset!r} for {who}")
+# the acoustic amplitude presets: (A_i, B_i) -> f_i
+_ACOUSTIC_PROFILES = {"linear": lambda a, b: pf.linear(a), "kink": pf.kink, "expkink": pf.expkink}
 
 
 # ---------------------------------------------------------------------------
@@ -120,13 +110,10 @@ def _build_acoustic(fid, p, gas):
     for i in range(k):
         for j in range(i + 1, k):
             _check_angle(evecs[i], evecs[j], kappa, (f"e{i+1}", f"e{j+1}"))
-    eps = p.get("epsilon", 1)
-    if eps not in (1, -1):
-        raise ConstraintError(f"epsilon must be +1 or -1, got {eps!r}")
-    eps = int(eps)
+    eps = int(p.get("epsilon", 1))
     eps_kappa, eps_1k = eps * kappa, eps * (1.0 + kappa)
     A, B = [p[f"A{i}"] for i in ids], [p[f"B{i}"] for i in ids]
-    profs = [_acoustic_profile(p["profile"], a, b, fid) for a, b in zip(A, B)]
+    profs = [_ACOUSTIC_PROFILES[p["profile"]](a, b) for a, b in zip(A, B)]
 
     def profile(r, t):
         # the sums start from the first wave's term (a +0 start would turn -0 into +0)
@@ -202,8 +189,6 @@ def _build_r1_s(p, gas):
     exm = np.cross(e1, m1)
     if abs(exm[2]) < 1e-12:
         raise ConstraintError("(e1 x m1)_3 must be nonzero so u3 can close the circulation")
-    if p["profile"] != "sech":
-        raise ConstraintError(f"unknown profile preset {p['profile']!r} for R1_S")
     p1, p2 = pf.sech_bump(p["A1"]), pf.sech_bump(p["A2"])
     c, a0 = p["C"], p["a0"]
     if not a0 > 0:
@@ -268,10 +253,8 @@ def _build_r2_e1s2(p, gas):
     a0 = p["a0"]
     if p["profile"] == "linear":
         pa, q = pf.linear(p["A1"]), pf.linear(p["A2"])
-    elif p["profile"] == "soliton":
+    else:  # soliton
         pa, q = pf.bump(p["A1"], p["B1"]), pf.coshwell(p["A2"], p["B2"], p["D2"])
-    else:
-        raise ConstraintError(f"unknown profile preset {p['profile']!r} for R2_E1S2")
     offset = np.array([0.0, f2 * 1.0, 0.0])  # u2-line offset: (0, F2, 0)
 
     def profile(r, t):
@@ -298,10 +281,15 @@ def _build_r2_e1s2(p, gas):
             r = np.column_stack([r1, r2])
             return r, profile(r, t)
     else:
-        tsing = ((1.0 + p["B1"]) ** 1.5 / ((1.0 + kappa) * p["A1"] * p["B1"]),)
-        # ray that folds at r1 = 0 exactly at the closed-form time
-        probe_x = float(((1.0 + kappa) * pa(np.zeros(1))[0] + c0) * tsing[0]) * e1
-        closed_form = None
+        # the bump's slope peaks at r* = 1 - sign(A1)/sqrt(2 B1), where
+        # pa'(r*) = 2 |A1| sqrt(B1) / 3^1.5: that characteristic folds first
+        tsing, probe_x, closed_form = (), None, None
+        if p["A1"] != 0:
+            rstar = 1.0 - np.sign(p["A1"]) / np.sqrt(2.0 * p["B1"])
+            tstar = float(3.0**1.5 / (2.0 * (1.0 + kappa) * abs(p["A1"]) * np.sqrt(p["B1"])))
+            tsing = (tstar,)
+            # r1 = (c0 + (1 + kappa) pa(r1)) t - x.e1 puts r1 = r* on this ray at t*
+            probe_x = float((c0 + (1.0 + kappa) * pa(rstar)) * tstar - rstar) * e1
 
     return FamilySpec(
         id="R2_E1S2", rank=2, n_waves=2,
@@ -325,15 +313,13 @@ def _defaults_r2_s1s2_ma(gas):
 
 
 def _build_r2_s1s2_ma(p, gas):
+    if not float(p["n"]).is_integer() or p["n"] == 1:
+        raise ConstraintError(f"power n must be an integer different from 1, got {p['n']!r}")
     n = int(p["n"])
-    if n == 1:
-        raise ConstraintError("power n must be an integer different from 1")
     a0, d1 = p["a0"], p["D1"]
     if not a0 > 0:
         raise ConstraintError("a0 must be positive")
     branch = p["branch"]
-    if branch not in ("plus", "minus", "auto"):
-        raise ConstraintError(f"unknown branch {branch!r}; options: plus, minus, auto")
 
     # r2 = 0 (and w = 0 for n < 2) gives non-finite fields; the point statuses record them
     def profile(r, t):
@@ -419,8 +405,6 @@ def _build_r2_s1s2_add(p, gas):
     if abs(eta_den) < 1e-12:
         raise ConstraintError("wave directions degenerate: l1_1 l2_3 - l1_3 l2_1 = 0")
     eta = (l2[0] * l1[1] - l1[0] * l2[1]) / eta_den
-    if p["profile"] != "kink":
-        raise ConstraintError(f"unknown profile preset {p['profile']!r} for R2_S1S2_ADD")
     q21 = pf.kink(p["A2"], p["B2"])
     q31 = pf.kink(p["A3"], p["B3"])
     q22 = pf.kink(p["A1"], p["B1"])
@@ -473,8 +457,6 @@ def _build_r2_e1e2s3(p, gas):
     if abs(e1[2]) > 1e-12 or abs(e2[2]) > 1e-12:
         raise ConstraintError("e1 and e2 must lie in the x1-x2 plane")
     a1c, u30 = p["A1"], p["u30"]
-    if p["profile"] != "kink13":
-        raise ConstraintError(f"unknown profile preset {p['profile']!r} for R2_E1E2S3")
     u13 = pf.kink(p["D1"], 1.0)
     wdir = (e1 - e2)[:2]
     wdir = wdir / np.linalg.norm(wdir)
@@ -611,8 +593,6 @@ def _build_r2_s1s2s3(p, gas):
     n = float(p["n"])
     if abs(n - 1.0) < 1e-12:
         raise ConstraintError("profile weight n must differ from 1 (rank drops)")
-    if p["profile"] != "snoidal":
-        raise ConstraintError(f"unknown profile preset {p['profile']!r} for R2_S1S2S3")
     bperp = pf.snwell(p["A1"], p["B1"], p["beta"], k)   # b(r2, r3) along r2 + n r3
     gdiag = pf.snkink(p["A2"], p["B2"], p["beta"], k)   # g(r2 - r3)
 
@@ -688,12 +668,10 @@ def _build_r3_e1s2s3_v1(p, gas):
             return (r2sq > 0.25) & (np.abs(np.cos(y)) > 0.2)
         planar = PlanarVelocity(theta=theta, cos_sign=-1.0, post_valid=post_valid)
         tsing = ()
-    elif preset == "solitary":
+    else:  # solitary
         fprof = pf.coshbump(p["A1"], p["B1"], p["C1"])
         planar = PlanarVelocity(theta=pf.theta_solitary(p["D1"]), cos_sign=+1.0)
         tsing = ()
-    else:
-        raise ConstraintError(f"unknown profile preset {preset!r} for R3_E1S2S3_v1")
 
     ev = TransportedEvaluator(fprof, planar, a0, u30, kappa, r3_closed=r3_closed)
 
@@ -756,10 +734,6 @@ def _build_r3_e1s2s3_v2(p, gas):
     a0 = p["a0"]
     if not a0 > 0:
         raise ConstraintError("a0 must be positive")
-    if p["profile"] != "periodic":
-        raise ConstraintError(f"unknown profile preset {p['profile']!r} for R3_E1S2S3_v2")
-    if not abs(p["B1"]) < 1.0:
-        raise ConstraintError("|B1| < 1 required for the periodic amplitude")
     fprof = pf.periodic_well(p["A1"], p["B1"], p["C1"])
     gprof = pf.kink(p["D1"], 1.0)
 
@@ -818,11 +792,9 @@ def _build_rk_time_a(p, gas):
         ch = np.sqrt(b1)
         df_mat = np.array([[c1, ch], [-ch, c1]])
         rank = 3 if abs(c1) > 1e-12 or abs(b1) > 1e-12 else 2
-    elif p["profile"] == "nilpotent":
+    else:  # nilpotent
         df_mat = np.array([[0.0, p["D1"]], [0.0, 0.0]])
         rank = 1
-    else:
-        raise ConstraintError(f"unknown profile preset {p['profile']!r} for RK_TIME_A")
 
     # sound-speed polynomial P(t) = 1 + tr(Df) t + det(Df) t^2
     trd = float(np.trace(df_mat))
@@ -886,20 +858,27 @@ def _build_rk_time_a(p, gas):
 # registry table
 # ---------------------------------------------------------------------------
 
+_ACOUSTIC_CHOICES = {"profile": tuple(_ACOUSTIC_PROFILES)}
+
+# per id: builder, defaults, and the admissible values of each finitely-valued key
 _REGISTRY = {
-    "R1_E": (partial(_build_acoustic, "R1_E"), _defaults_r1_e),
-    "R1_S": (_build_r1_s, _defaults_r1_s),
-    "R2_E1E2": (partial(_build_acoustic, "R2_E1E2"), _defaults_r2_e1e2),
-    "R2_E1S2": (_build_r2_e1s2, _defaults_r2_e1s2),
-    "R2_S1S2_MA": (_build_r2_s1s2_ma, _defaults_r2_s1s2_ma),
-    "R2_S1S2_ADD": (_build_r2_s1s2_add, _defaults_r2_s1s2_add),
-    "R2_E1E2S3": (_build_r2_e1e2s3, _defaults_r2_e1e2s3),
-    "R2_E1S2S3": (_build_r2_e1s2s3, _defaults_r2_e1s2s3),
-    "R2_S1S2S3": (_build_r2_s1s2s3, _defaults_r2_s1s2s3),
-    "R3_E1E2E3": (partial(_build_acoustic, "R3_E1E2E3"), _defaults_r3_e1e2e3),
-    "R3_E1S2S3_v1": (_build_r3_e1s2s3_v1, _defaults_r3_e1s2s3_v1),
-    "R3_E1S2S3_v2": (_build_r3_e1s2s3_v2, _defaults_r3_e1s2s3_v2),
-    "RK_TIME_A": (_build_rk_time_a, _defaults_rk_time_a),
+    "R1_E": (partial(_build_acoustic, "R1_E"), _defaults_r1_e,
+             {**_ACOUSTIC_CHOICES, "epsilon": (1, -1)}),
+    "R1_S": (_build_r1_s, _defaults_r1_s, {"profile": ("sech",)}),
+    "R2_E1E2": (partial(_build_acoustic, "R2_E1E2"), _defaults_r2_e1e2, _ACOUSTIC_CHOICES),
+    "R2_E1S2": (_build_r2_e1s2, _defaults_r2_e1s2, {"profile": ("linear", "soliton")}),
+    "R2_S1S2_MA": (_build_r2_s1s2_ma, _defaults_r2_s1s2_ma,
+                   {"branch": ("plus", "minus", "auto")}),
+    "R2_S1S2_ADD": (_build_r2_s1s2_add, _defaults_r2_s1s2_add, {"profile": ("kink",)}),
+    "R2_E1E2S3": (_build_r2_e1e2s3, _defaults_r2_e1e2s3, {"profile": ("kink13",)}),
+    "R2_E1S2S3": (_build_r2_e1s2s3, _defaults_r2_e1s2s3, {}),
+    "R2_S1S2S3": (_build_r2_s1s2s3, _defaults_r2_s1s2s3, {"profile": ("snoidal",)}),
+    "R3_E1E2E3": (partial(_build_acoustic, "R3_E1E2E3"), _defaults_r3_e1e2e3, _ACOUSTIC_CHOICES),
+    "R3_E1S2S3_v1": (_build_r3_e1s2s3_v1, _defaults_r3_e1s2s3_v1,
+                     {"profile": ("linear", "concentric", "solitary")}),
+    "R3_E1S2S3_v2": (_build_r3_e1s2s3_v2, _defaults_r3_e1s2s3_v2, {"profile": ("periodic",)}),
+    "RK_TIME_A": (_build_rk_time_a, _defaults_rk_time_a,
+                  {"profile": ("quadratic", "nilpotent")}),
 }
 
 REGISTRY_IDS = tuple(_REGISTRY)
@@ -918,14 +897,11 @@ def make_family(fid: str, overrides: dict | None = None, **kw) -> FamilySpec:
     """Build a validated FamilySpec; overrides merge over per-gamma defaults."""
     if fid not in _REGISTRY:
         raise KeyError(f"unknown family id {fid!r}; known: {', '.join(REGISTRY_IDS)}")
+    build, defaults, choices = _REGISTRY[fid]
     merged = dict(overrides or {})
     merged.update(kw)
-    gamma = merged.pop("gamma", 5.0 / 3.0)
-    if not (isinstance(gamma, Real) and 1.0 < gamma < np.inf):
-        raise ConstraintError(f"gamma must be a finite number above 1, got {gamma!r}")
-    gamma = float(gamma)
-    gas = GasParams(gamma=gamma)
-    params = _REGISTRY[fid][1](gas)
+    gas = GasParams(gamma=merged.pop("gamma", 5.0 / 3.0))
+    params = defaults(gas)
     unknown = set(merged) - set(params)
     if unknown:
         raise ConstraintError(f"unknown parameters for {fid}: {sorted(unknown)}")
@@ -933,9 +909,12 @@ def make_family(fid: str, overrides: dict | None = None, **kw) -> FamilySpec:
         if isinstance(params[key], Real) and not isinstance(value, Real):
             raise ConstraintError(f"{key} must be a number, got {value!r}")
     params.update(merged)
-    params["gamma"] = gamma
-    spec = _REGISTRY[fid][0](params, gas)
-    return spec
+    for key, options in choices.items():
+        if not isinstance(params[key], (str, Real)) or params[key] not in options:
+            raise ConstraintError(f"{key} must be one of {', '.join(map(str, options))} "
+                                  f"for {fid}, got {params[key]!r}")
+    params["gamma"] = gas.gamma
+    return build(params, gas)
 
 
 def family_info(fid: str) -> dict:

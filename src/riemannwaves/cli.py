@@ -29,6 +29,7 @@ from .conditions import (
     trace_condition_higher,
     trace_condition_initial,
 )
+from .fluid import GasParams
 from .verify import EmptyReportError, GridSpec, catastrophe_probe, residual_exact, residual_fd
 
 EXIT_OK = 0
@@ -65,8 +66,6 @@ def parse_grid(text: str) -> dict:
             lo, hi, n = float(pieces[0]), float(pieces[1]), int(pieces[2])
         except ValueError as exc:
             raise UsageError(f"bad grid range {rng!r}: {exc}") from None
-        if n < 1:
-            raise UsageError(f"grid axis {name} needs count >= 1")
         axes[name] = (lo, hi, n)
     return axes
 
@@ -80,10 +79,7 @@ def parse_value(text: str):
             raise UsageError(f"bad vector value {text!r}") from None
     for cast in (int, float):
         try:
-            v = cast(text)
-            if cast is int and ("." in text or "e" in text.lower()):
-                continue
-            return v
+            return cast(text)
         except ValueError:
             continue
     return text
@@ -236,21 +232,28 @@ def cmd_verify(args) -> int:
     return EXIT_OK if doc["pass"] else EXIT_FAIL
 
 
-def _pair_config(pair_text: str, gamma: float):
-    """Raw acoustic-pair configuration 'e1x,e1y,e1z;e2x,e2y,e2z' (no validation)
-    and its constant (4, 2) profile Jacobian, the normalised kernel directions."""
+def _pair_config(pair_text: str, params: dict):
+    """Raw acoustic-pair configuration 'e1x,e1y,e1z;e2x,e2y,e2z' and its
+    constant (4, 2) profile Jacobian, the normalised kernel directions.
+
+    The directions need not be angle-locked, only finite and nonzero;
+    ``gamma`` is the one parameter the pair takes."""
     from .catalog.base import PotentialWave, stack_waves
-    from .fluid import GasParams
+    from .catalog.registry import _vec3
+    unknown = set(params) - {"gamma"}
+    if unknown:
+        raise ConstraintError(f"unknown parameters for --pair: {sorted(unknown)}")
+    gas = GasParams(**params)
     parts = pair_text.split(";")
     if len(parts) != 2:
         raise UsageError("--pair expects 'e1x,e1y,e1z;e2x,e2y,e2z'")
     evecs = []
-    for part in parts:
-        v = np.array([float(p) for p in part.split(",")])
-        if v.shape != (3,):
-            raise UsageError("--pair directions must be 3-vectors")
-        evecs.append(v / np.linalg.norm(v))
-    gas = GasParams(gamma=gamma)
+    for i, part in enumerate(parts, 1):
+        v = _vec3(parse_value(part), f"--pair direction {i}")
+        norm = np.linalg.norm(v)
+        if not norm > 0:
+            raise ConstraintError(f"--pair direction {i} must be nonzero")
+        evecs.append(v / norm)
     kappa = gas.kappa
     waves, waves_jac, _ = stack_waves([PotentialWave(e=e) for e in evecs])
     gammas = np.stack([np.concatenate([[1.0], kappa * e]) for e in evecs], axis=1)
@@ -266,11 +269,12 @@ def _max_abs(res) -> float:
 
 
 def cmd_conditions(args) -> int:
+    n = args.samples
+    if n < 1:
+        raise UsageError(f"--samples needs a count >= 1, got {n}")
     rng = np.random.default_rng(args.seed)
-    n = max(args.samples, 0)
     if args.pair:
-        gamma = float(gather_params(args).get("gamma", 5.0 / 3.0))
-        cfg, fr = _pair_config(args.pair, gamma)
+        cfg, fr = _pair_config(args.pair, gather_params(args))
         fam_label = f"pair({args.pair})"
         states, jacs = [], [fr] * n
         for _ in range(n):

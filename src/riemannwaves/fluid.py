@@ -19,12 +19,14 @@ families run (``catalog.base.PotentialWave`` / ``RotationalWave``).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
 from . import linalg
 
 __all__ = [
+    "ConstraintError",
     "GasParams",
     "StateVec",
     "WaveVector",
@@ -42,6 +44,10 @@ UNIT_TOL = 1e-12
 UNIT_FIX = 1e-9  # renormalize silently when within this of unit length
 
 
+class ConstraintError(ValueError):
+    """Parameters violate a structural constraint."""
+
+
 class DegenerateWavesError(ValueError):
     """Wave vectors fail a linear-independence / nondegeneracy requirement."""
 
@@ -52,13 +58,15 @@ class NotACharacteristicError(ValueError):
 
 @dataclass(frozen=True)
 class GasParams:
-    """Adiabatic exponent and the derived kappa = 2/(gamma-1)."""
+    """Adiabatic exponent, a finite real number above 1, and the derived
+    kappa = 2/(gamma-1)."""
 
     gamma: float = 5.0 / 3.0
 
     def __post_init__(self):
-        if not self.gamma > 1.0:
-            raise ValueError(f"gamma must exceed 1, got {self.gamma}")
+        if not (isinstance(self.gamma, Real) and 1.0 < self.gamma < np.inf):
+            raise ConstraintError(f"gamma must be a finite number above 1, got {self.gamma!r}")
+        object.__setattr__(self, "gamma", float(self.gamma))
 
     @property
     def kappa(self) -> float:
@@ -90,7 +98,7 @@ class WaveVector:
     """Dispersion-root covector (lam0, lam1, lam2, lam3) with a kind tag.
 
     kind is "potential" (acoustic, carries epsilon and the unit direction e)
-    or "rotational" (vortex, carries e and m with spatial part -e x m).
+    or "rotational" (vortex, carries e; its spatial part is -e x m).
     """
 
     lam0: float
@@ -98,7 +106,6 @@ class WaveVector:
     kind: str
     epsilon: int = 0
     e: np.ndarray | None = None
-    m: np.ndarray | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "lam", np.asarray(self.lam, dtype=float).reshape(3))
@@ -162,7 +169,7 @@ def dispersion_det(state: StateVec, wv) -> float:
 def potential_wave(state: StateVec, e, epsilon: int = 1) -> WaveVector:
     """Acoustic covector (eps*a + u.e, -e) for a unit direction e and eps = +-1."""
     if epsilon not in (1, -1):
-        raise ValueError("epsilon must be +1 or -1")
+        raise ValueError(f"epsilon must be 1 or -1, got {epsilon!r}")
     e = _unit(e)
     lam0 = epsilon * state.a + float(state.u @ e)
     return WaveVector(lam0=lam0, lam=-e, kind="potential", epsilon=epsilon, e=e)
@@ -176,7 +183,7 @@ def rotational_wave(state: StateVec, e, m) -> WaveVector:
     if np.linalg.norm(exm) < 1e-12:
         raise DegenerateWavesError("e and m are parallel; rotational direction degenerate")
     lam0 = float(np.linalg.det(np.vstack([state.u, e, m])))
-    return WaveVector(lam0=lam0, lam=-exm, kind="rotational", e=e, m=m)
+    return WaveVector(lam0=lam0, lam=-exm, kind="rotational", e=e)
 
 
 def wave_kernel(state: StateVec, wv, gas: GasParams = GasParams()) -> np.ndarray:

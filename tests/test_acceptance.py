@@ -380,6 +380,20 @@ def test_criterion_12_cli_determinism_and_exit_codes(tmp_path, capsys):
         (["sample", "--family", "R1_E", "--grid", "t=0:1:1"], 2),
         (["sample", "--family", "R1_E", "--grid", "t=nan:1:3"], 2),
         (["verify", "--family", "R1_E", "--config", str(tmp_path / "missing.cfg")], 2),
+        # preset constraints, --pair through the same rules, integer n, no samples
+        (["sample", "--family", "R1_E", "--set", "profile=kink", "--set", "B1=-1"], 3),
+        (["sample", "--family", "R2_S1S2_ADD", "--set", "B1=0"], 3),
+        (["sample", "--family", "R2_S1S2S3", "--set", "B1=-1"], 3),
+        (["verify", "--family", "R3_E1S2S3_v1", "--set", "profile=concentric",
+          "--set", "B2=0"], 3),
+        (["sample", "--family", "R2_E1S2", "--set", "profile=soliton", "--set", "B2=-1"], 3),
+        (["conditions", "--pair", "1,0,0;0,1,0", "--set", "gamma=abc"], 3),
+        (["conditions", "--pair", "1,0,0;0,1,0", "--set", "gamma=1"], 3),
+        (["conditions", "--pair", "1,0,0;0,1,0", "--set", "A1=2"], 3),
+        (["conditions", "--pair", "0,0,0;1,0,0"], 3),
+        (["conditions", "--pair", "a,b,c;1,0,0"], 2),
+        (["sample", "--family", "R2_S1S2_MA", "--set", "n=2.5"], 3),
+        (["conditions", "--family", "R1_E", "--samples", "0"], 2),
     ]
     codes_ok = True
     for args_i, expected in cases:

@@ -21,6 +21,7 @@ from riemannwaves.catalog.base import (
     RotationalWave,
     stack_waves,
 )
+from riemannwaves.catalog.registry import _REGISTRY
 from riemannwaves.solver import STATUS_OK
 
 
@@ -94,6 +95,26 @@ def test_unknown_parameter_rejected():
         make_family("R1_E", no_such_knob=1.0)
     with pytest.raises(KeyError):
         make_family("NOT_A_FAMILY")
+
+
+@pytest.mark.parametrize("fid", REGISTRY_IDS)
+def test_every_declared_choice_builds_and_a_bogus_one_names_its_key(fid):
+    choices = _REGISTRY[fid][2]
+    assert set(choices) <= set(family_defaults(fid))
+    for key, options in choices.items():
+        assert family_defaults(fid)[key] in options
+        for value in options:
+            assert make_family(fid, {key: value}).params[key] == value
+        bogus = "bogus" if isinstance(options[0], str) else 2
+        with pytest.raises(ConstraintError, match=f"{key} must be one of .* for {fid}"):
+            make_family(fid, {key: bogus})
+
+
+@pytest.mark.parametrize("n", [2.5, 1, 1.0, float("nan"), float("inf")])
+def test_ma_power_must_be_an_integer_other_than_one(n):
+    with pytest.raises(ConstraintError, match="power n"):
+        make_family("R2_S1S2_MA", n=n)
+    assert make_family("R2_S1S2_MA", n=3.0).params["n"] == 3.0
 
 
 def test_r1e_positivity_window():
@@ -177,8 +198,17 @@ def _first_fold_time(spec, wave, r=np.linspace(-10.0, 10.0, 100001)):
 
 def test_singular_time_formulas():
     assert make_family("R2_E1E2", A1=0.25, A2=0.25).singular_times() == [1.0, 1.0]
-    spec = make_family("R2_E1S2", profile="soliton", A1=1.0, B1=1.0)
-    assert abs(spec.singular_times()[0] - 2.0**1.5 / 4.0) <= 1e-14
+    # the soliton bump folds first on its steepest characteristic: 1/((1 + kappa) max pa'),
+    # with pa' read from ``profile_jac`` on a fine scan of r1
+    r = np.zeros((200001, 2))
+    r[:, 0] = np.linspace(-20.0, 20.0, len(r))
+    for over in ({}, {"A1": 1.0, "B1": 1.0}, {"A1": 0.5, "B1": 3.0}, {"A1": -0.25},
+                 {"B1": 0.5}, {"C1": 2.0}):
+        spec = make_family("R2_E1S2", profile="soliton", **over)
+        slope = np.max(spec.profile_jac(r, np.zeros(len(r)))[:, 0, 0])
+        (tstar,) = spec.singular_times()
+        assert abs(tstar - 1.0 / ((1.0 + spec.gas.kappa) * slope)) <= 1e-6 * tstar, over
+    assert make_family("R2_E1S2", profile="soliton", A1=0.0).singular_times() == []
     assert make_family("R1_S").singular_times() == []
     # exp-kink catastrophes sit at negative times, reported with sign, at every rank
     for fid, k in (("R1_E", 1), ("R2_E1E2", 2), ("R3_E1E2E3", 3)):

@@ -5,6 +5,7 @@ import pytest
 
 from riemannwaves import linalg
 from riemannwaves.fluid import (
+    ConstraintError,
     DegenerateWavesError,
     GasParams,
     NotACharacteristicError,
@@ -152,8 +153,12 @@ def test_wave_kernel_rejects_non_root():
 def test_gas_params():
     gas = GasParams(gamma=5.0 / 3.0)
     assert abs(gas.kappa - 3.0) <= 1e-12
-    with pytest.raises(ValueError):
-        GasParams(gamma=1.0)
+    assert type(GasParams(gamma=2).gamma) is float
+    assert type(GasParams(gamma=np.float32(1.5)).gamma) is float
+    # the one gamma rule: a finite real number above 1
+    for bad in (1.0, 0.5, float("nan"), float("inf"), "abc", None, 1.5j):
+        with pytest.raises(ConstraintError, match="gamma"):
+            GasParams(gamma=bad)
 
 
 def test_state_vec_validation():

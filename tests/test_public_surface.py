@@ -9,9 +9,11 @@ checks, plus the package version.
 The same holds for every function and method defined under
 ``src/riemannwaves``, nested ones included (dunders excepted): one that no
 package code loads by name or as an attribute is reached only by tests,
-unless it is a KEEP name.  And for the fields of ``FamilySpec``: a field
-that no package code loads as an attribute is a setting nothing reads,
-apart from the KEEP_FIELDS.
+unless it is a KEEP name.  And for the fields of every ``@dataclass``: a
+field that no package code loads as an attribute (or names in a
+``getattr`` call) is a setting nothing reads, apart from the KEEP_FIELDS.
+Attributes are matched by name, so a field shares its reads with every
+other attribute of the same name.
 """
 
 import ast
@@ -33,7 +35,7 @@ KEEP = {
 }
 
 KEEP_FIELDS = {
-    "closed_form": "reference oracle of the closed-form agreement tests",
+    "FamilySpec.closed_form": "reference oracle of the closed-form agreement tests",
 }
 
 
@@ -95,18 +97,38 @@ def test_keep_names_are_exported():
     assert set(KEEP) <= exported, sorted(set(KEEP) - exported)
 
 
-def _family_spec_fields(trees):
-    cls = next(node for node in trees["catalog/base.py"].body
-               if isinstance(node, ast.ClassDef) and node.name == "FamilySpec")
-    return [node.target.id for node in cls.body
+def _is_dataclass(node):
+    if not isinstance(node, ast.ClassDef):
+        return False
+    decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+    return any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators)
+
+
+def _dataclass_fields(trees):
+    """The "Class.field" name of every annotated field of every @dataclass under src/."""
+    return [f"{cls.name}.{node.target.id}" for tree in trees.values() for cls in ast.walk(tree)
+            if _is_dataclass(cls) for node in cls.body
             if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)]
 
 
-def test_every_family_spec_field_is_read_in_the_package():
+def _attributes_read(tree):
+    """Attribute names loaded, plus the string constants passed to getattr."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "getattr" and len(node.args) >= 2
+              and isinstance(node.args[1], ast.Constant) and isinstance(node.args[1].value, str)):
+            read.add(node.args[1].value)
+    return read
+
+
+def test_every_dataclass_field_is_read_in_the_package():
     trees = _trees()
-    read = {node.attr for tree in trees.values() for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
-    fields = _family_spec_fields(trees)
+    read = set().union(*(_attributes_read(tree) for tree in trees.values()))
+    fields = _dataclass_fields(trees)
     assert set(KEEP_FIELDS) <= set(fields), sorted(set(KEEP_FIELDS) - set(fields))
-    unread = [name for name in fields if name not in read and name not in KEEP_FIELDS]
-    assert unread == [], "FamilySpec fields no package code reads: " + ", ".join(unread)
+    unread = [name for name in fields
+              if name.split(".")[1] not in read and name not in KEEP_FIELDS]
+    assert unread == [], "dataclass fields no package code reads: " + ", ".join(unread)

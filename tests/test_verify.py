@@ -7,7 +7,9 @@ from riemannwaves import cli
 from riemannwaves.catalog import base, make_family
 from riemannwaves.catalog.base import FamilySpec, PotentialWave
 from riemannwaves.fluid import GasParams
+from riemannwaves.solver import STATUS_OK
 from riemannwaves.verify import (
+    COND_SKIP,
     EmptyReportError,
     GridSpec,
     _keep_mask,
@@ -112,6 +114,22 @@ def test_skipped_points_are_counted():
     assert rep.skip_reasons.get("invalid", 0) > 0
 
 
+def test_near_singular_points_are_skipped_with_their_reason():
+    # solved points just short of the first fold, on the probe ray, whose implicit
+    # determinant is below COND_SKIP: counted as near_singular_cond, left out of the stats
+    spec = make_family("R2_E1E2", profile="kink")
+    t = spec.singular_times()[0] * (1.0 - 10.0 ** -np.linspace(5.5, 9.0, 400))
+    x = np.tile(spec.probe_ray(), (len(t), 1))
+    res = spec.evaluate_batch(t, x)
+    solved = res.status == STATUS_OK
+    near = solved & (np.abs(res.cond_det) < COND_SKIP)
+    assert near.sum() >= 10
+    rep = residual_exact(spec, points=(t, x))
+    assert rep.skip_reasons["near_singular_cond"] == near.sum()
+    assert rep.n_points == solved.sum() - near.sum()
+    assert rep.n_points + rep.n_skipped == len(t)
+
+
 def test_snoidal_divergence_free_and_constant_speed():
     spec = make_family("R2_S1S2S3")
     rng = np.random.default_rng(3)
@@ -159,10 +177,14 @@ def test_probe_r1e_within_one_percent():
     ("R1_E", dict(profile="expkink", A1=-0.25)),
     ("R2_E1E2", dict(profile="expkink", A1=-0.25, A2=-0.25)),
     ("R3_E1E2E3", dict(profile="expkink", A1=-0.25, A2=-0.25, A3=-0.25)),
+    ("R2_E1S2", dict(profile="soliton")),
+    ("R2_E1S2", dict(profile="soliton", A1=-0.25)),
+    ("R2_E1S2", dict(profile="soliton", A1=0.5, B1=3.0)),
 ])
 def test_probe_finds_the_fold_of_bounded_acoustic_profiles(fid, params):
     # the fold sits on one characteristic (r = 0 for kink, ln 2 / B for
-    # expkink); a ray that misses it reads rel_gap 0.5
+    # expkink, 1 - sign(A) / sqrt(2 B) for the soliton bump); a ray that
+    # misses it reads rel_gap 0.5
     rep = catastrophe_probe(make_family(fid, **params))
     assert rep.applicable and rep.rel_gap <= 1e-4
 
