@@ -177,9 +177,9 @@ class FamilySpec:
     """A validated, runnable solution family.
 
     The spec builds ``waves``, ``waves_jac`` and ``dr_du`` from its
-    ``wave_list`` once, with ``stack_waves``: Newton and the Jacobi assembly
-    read ``dr_du`` only, the trace conditions read the full ``waves_jac``
-    slices.  A family with a CustomWave has no ``dr_du`` and must bring a
+    ``wave_list`` once, with ``stack_waves``: Newton reads ``dr_du`` only
+    (its final bracket feeds the Jacobi assembly), the trace conditions read
+    the full ``waves_jac`` slices.  A family with a CustomWave has no ``dr_du`` and must bring a
     ``custom_eval``.
     """
 
@@ -285,10 +285,10 @@ class FamilySpec:
                 r0 = self.guess_fn(t[idx], x[idx])
             else:
                 r0 = initial_guess(self.profile, self.waves, X, k)
-            r, u, status, cond, fr, ru = newton_batch(self.profile, self.profile_jac,
-                                                      self.waves, self.dr_du, X, r0)
+            r, u, status, cond, fr, jmat = newton_batch(self.profile, self.profile_jac,
+                                                        self.waves, self.dr_du, X, r0)
             if jacobian:
-                jac = jacobi_batch(self.waves, u, fr, ru, X, self.extra_time_deriv)
+                jac = jacobi_batch(self.waves, u, fr, jmat, X, self.extra_time_deriv)
 
         solved = status == STATUS_OK
         bad_a = solved & ~(u[:, 0] > 0.0)

@@ -8,8 +8,8 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
-import math
 import sys
 
 import numpy as np
@@ -197,12 +197,12 @@ def cmd_sample(args) -> int:
 
     header = ["t", "x1", "x2", "x3"] + [f"r{j+1}" for j in range(k)] + \
              ["a", "u1", "u2", "u3", "cond_det", "status"]
+    cols = np.column_stack([tv, xv, res.r, res.state, res.cond_det])
+    cols[~np.isfinite(cols)] = np.nan  # "%.17g" prints NaN as nan, an infinity as inf
+    row = ",".join(["%.17g"] * cols.shape[1]) + ",%s"
     lines = [",".join(header)]
-    cols = np.column_stack([tv, xv, res.r, res.state, res.cond_det]).tolist()
-    for vals, code in zip(cols, res.status.tolist()):
-        cells = [(_fmt(v) if math.isfinite(v) else "nan") for v in vals]
-        cells.append(STATUS_LABELS[code])
-        lines.append(",".join(cells))
+    lines += [row % (*vals, STATUS_LABELS[code])
+              for vals, code in zip(cols.tolist(), res.status.tolist())]
     _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
@@ -343,7 +343,9 @@ def cmd_catastrophe(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and reused by every later call."""
     ap = argparse.ArgumentParser(
         prog="riemannwaves",
         description="construct, evaluate and verify rank-k wave solutions of the "

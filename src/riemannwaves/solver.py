@@ -11,7 +11,13 @@ where (dr/du)[A,alpha] = (d lam^A_i / d u^alpha) x^i.  The same bracket is
 the implicit-function condition whose determinant vanishing signals the
 gradient catastrophe.  The exact Jacobi matrix of the solved field is
 
-    du = (I_4 - (df/dr)(dr/du))^(-1) (df/dr) lam.
+    du = (I_4 - (df/dr)(dr/du))^(-1) (df/dr) lam
+       = (df/dr) adj(dG/dr) lam / det(dG/dr),
+
+the second form by the push-through identity (I_4 - F R)^(-1) F =
+F (I_k - R F)^(-1) (Henderson & Searle, SIAM Review 23, 1981), with
+Sylvester's det(I_4 - F R) = det(I_k - R F): the 4x4 system never needs
+solving.
 
 ``damped_newton`` is the one damped-Newton kernel: ``newton_batch`` runs it
 on G, the transported families' evaluators on their scalar relations.  Near
@@ -34,8 +40,9 @@ Each bracket quantity is built once.  Newton's stop test reads the
 determinant in closed form (``bracket_det``, k <= 3), and a k = 1 step is
 g / dG/dr, bitwise LAPACK's 1x1 solve.  The final refresh at the converged
 iterates takes cond_det with LAPACK (``sample`` prints it) and hands its
-df/dr and dr/du to ``jacobi_batch``, which assembles du from them without
-evaluating the profile again.
+df/dr and dG/dr to ``jacobi_batch``, which assembles du from them without
+evaluating the profile again: the adjugate and the determinant in closed
+form for k <= 3, a LAPACK k x k solve above.
 """
 
 from __future__ import annotations
@@ -169,9 +176,9 @@ def newton_batch(profile, profile_jac, waves, dr_du, X, r0):
     dr_du(u, X) -> (N, k, 4) is called once per iteration on the points still
     iterating and once at the end.  A point with |det dG/dr| < 1e-10 stops as
     STATUS_NEAR_CATASTROPHE; inside the loop that test reads the closed-form
-    determinant (``bracket_det``).  Returns (r, u, status, cond_det, fr, ru):
+    determinant (``bracket_det``).  Returns (r, u, status, cond_det, fr, jmat):
     at the final iterates, cond_det = det(dG/dr) by LAPACK, fr = df/dr
-    (N, 4, k) and ru = dr/du (N, k, 4), the pieces ``jacobi_batch`` reads.
+    (N, 4, k) and jmat = dG/dr (N, k, k), the pieces ``jacobi_batch`` reads.
     Failed points keep their last iterate.
     """
     X = np.asarray(X, dtype=float)
@@ -200,11 +207,11 @@ def newton_batch(profile, profile_jac, waves, dr_du, X, r0):
 
     r, u, status = damped_newton(residual, newton_step, r0, X,
                                  tol=NEWTON_TOL, max_iter=NEWTON_MAX_ITER)
-    ru, fr, jmat = bracket(r, u, X)  # refreshed at the final iterates
+    _, fr, jmat = bracket(r, u, X)  # refreshed at the final iterates
     with np.errstate(invalid="ignore"):
         cond = np.linalg.det(jmat)
     status[(np.abs(cond) < DET_FLOOR) & (status == STATUS_OK)] = STATUS_NEAR_CATASTROPHE
-    return r, u, status, cond, fr, ru
+    return r, u, status, cond, fr, jmat
 
 
 def bracket_det(m):
@@ -232,26 +239,44 @@ def initial_guess(profile, waves, X, k):
     return np.einsum("nki,ni->nk", waves(u0), X)
 
 
-def jacobi_batch(waves, u, fr, ru, X, extra_time_deriv=None):
+def jacobi_batch(waves, u, fr, jmat, X, extra_time_deriv=None):
     """Exact Jacobi matrices du (N, 4, 4) at solved states u (N, 4).
 
-    du = (I4 - fr ru)^(-1) fr lam(u), from the df/dr ``fr`` and dr/du ``ru``
-    that ``newton_batch`` returns for these points X (N, 4), plus an optional
-    explicit d/dt column for profiles carrying direct time dependence.
+    du = fr adj(jmat) lam(u) / det(jmat), from the df/dr ``fr`` (N, 4, k) and
+    the bracket ``jmat`` = dG/dr (N, k, k) that ``newton_batch`` returns for
+    these points X (N, 4), plus an optional explicit d/dt column for profiles
+    carrying direct time dependence.  The adjugate and the determinant are in
+    closed form for k <= 3 (k = 1 divides); above, LAPACK solves jmat s = lam.
+    A row whose determinant is zero or not finite comes back NaN.
     """
     X = np.asarray(X, dtype=float)
-    bracket = np.eye(4) - fr @ ru
-    rhs = fr @ waves(u)
-    try:
-        jac = np.linalg.solve(bracket, rhs)
-    except np.linalg.LinAlgError:
-        # exactly singular bracket at isolated points: flag with NaN there
-        jac = np.empty_like(rhs)
-        for i in range(len(rhs)):
-            try:
-                jac[i] = np.linalg.solve(bracket[i], rhs[i])
-            except np.linalg.LinAlgError:
-                jac[i] = np.nan
+    lam = waves(u)
+    k = jmat.shape[-1]
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        det = bracket_det(jmat)
+        bad = (det == 0) | ~np.isfinite(det)
+        if k == 1:
+            sol = lam / jmat
+        elif k <= 3:
+            sol = _adjugate(jmat) @ lam / det[:, None, None]
+        else:
+            if bad.any():
+                jmat = jmat.copy()
+                jmat[bad] = np.eye(k)  # a harmless solve on rows set to NaN below
+            sol = np.linalg.solve(jmat, lam)
+        jac = fr @ sol
+    jac[bad] = np.nan
     if extra_time_deriv is not None:
         jac[:, :, 0] += extra_time_deriv(X[:, 0])
     return jac
+
+
+def _adjugate(m):
+    """Adjugates of an (N, k, k) stack for k = 2, 3: adj(m) m = det(m) I."""
+    if m.shape[-1] == 2:
+        (a, b), (c, d) = m[:, 0].T, m[:, 1].T
+        return np.stack([d, -b, -c, a], axis=1).reshape(-1, 2, 2)
+    (a, b, c), (d, e, f), (g, h, i) = m[:, 0].T, m[:, 1].T, m[:, 2].T
+    return np.stack([e * i - f * h, c * h - b * i, b * f - c * e,
+                     f * g - d * i, a * i - c * g, c * d - a * f,
+                     d * h - e * g, b * g - a * h, a * e - b * d], axis=1).reshape(-1, 3, 3)

@@ -360,3 +360,28 @@ def test_config_file_precedence(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["params"]["A1"] == 0.125  # flag beats config file
     assert doc["params"]["B1"] == 2.0    # config beats registry default
+
+
+def test_sample_prints_every_non_finite_cell_as_nan(monkeypatch, tmp_path):
+    # NaN, +inf and -inf in r, the state and cond_det all print as nan; the
+    # other rows keep their bytes
+    args = ["sample", "--family", "R2_E1E2", "--grid", "t=0:0.2:2,x1=-1:1:2,x2=0:0:1,x3=0:0:1"]
+    assert main([*args, "--out", str(tmp_path / "plain.csv")]) == 0
+    spec = make_family("R2_E1E2", {})
+    evaluate = spec.evaluate_batch
+
+    def patched(*a, **kw):
+        res = evaluate(*a, **kw)
+        res.r[1] = [np.nan, np.inf]
+        res.state[1] = [-np.inf, np.nan, np.inf, -np.inf]
+        res.cond_det[1] = np.inf
+        return res
+
+    spec.evaluate_batch = patched
+    monkeypatch.setattr(cli, "make_family", lambda *_: spec)
+    assert main([*args, "--out", str(tmp_path / "patched.csv")]) == 0
+    plain = (tmp_path / "plain.csv").read_text().splitlines()
+    patched_lines = (tmp_path / "patched.csv").read_text().splitlines()
+    assert patched_lines[2].split(",")[4:-1] == ["nan"] * 7
+    assert patched_lines[:2] + patched_lines[3:] == plain[:2] + plain[3:]
+    assert patched_lines[2].split(",")[:4] == plain[2].split(",")[:4]

@@ -67,16 +67,16 @@ DIGESTS = {
         "RK_TIME_A": "cb76e1be8ba3a19f7d712a5da54bc41299af80d20abfd73d82198064588cd118",
     },
     "catastrophe": {
-        "R1_E": "cac38205905ea62365900277d39eb3704d33038215ff9998aa990203f1bd1daf",
+        "R1_E": "e3c5d82978110c437ed453e457d7830062903b9c36108bec21a5d9619e8d0e46",
         "R1_S": "258553589f992369b2ab92be65f89c748da1779439c8622fe59f35bff364cc71",
-        "R2_E1E2": "e65c2467129cd988ed97cf1aeeda3faf79ca2fe649b8282a68ac713d8a21558e",
-        "R2_E1E2S3": "6c4ffac8c66ecbc5dcf7c07a6f896a34ee3b62902e6cf995d67ae5d14275a8e2",
-        "R2_E1S2": "6c3e61706f6969f4bf858b0692eae3d4fb6f4d2f6f2caee17702768115799e9c",
-        "R2_E1S2S3": "65e9e7de954d99b0b737bf02eefeb8d2b388efaadd3ae1fd3e28ad5d5a13b935",
+        "R2_E1E2": "0099c41e744c376bce27c361fe6608ea5ac4fc4caa3007a89084828d7c1758f2",
+        "R2_E1E2S3": "8b52c17b478b47b0575457839e3344dec57f47f6f325779e0776bbb5c3e11388",
+        "R2_E1S2": "5f6a15a06a09ec59fcfa1e72ca0c33e34e6da0d8a7a4f3c2eba7826a05fa6a7f",
+        "R2_E1S2S3": "5d211f77feb8927a34ebdb7ce9c79d88cf4140011cd2a52b897cbfeea5de16ef",
         "R2_S1S2S3": "aad6b7cb965b8e563feb858be8182bcb306c21a618ee29f37713668d9de56a71",
         "R2_S1S2_ADD": "69f9b9520cefb8f8a8fe66bcd07ad0e6aebade69de0213b1fb9c39bec0c2ff67",
         "R2_S1S2_MA": "18d349f9550b845f21f189aa5705629ddeb8dfb5ba643440dd2dc7bf759fbf23",
-        "R3_E1E2E3": "5601f913f8238a7755ab39288950903540e5e73d4affd98d7ec5a5249336acf9",
+        "R3_E1E2E3": "245725a29c277e9d09acaf4459b4945d1f4b0c60b99e5f6c9d41aad3ddfab698",
         "R3_E1S2S3_v1": "acf2eed37afb2a81369e6b7b83a25a9c43544ed871518ed01d4560d0e9c1b332",
         "R3_E1S2S3_v2": "8927960e4bc5f0f21ed2681e8f9dcd56d78af6bce15482a355b9dc5e1129ca4d",
         "RK_TIME_A": "5bcbe72a07692b83c04bc164ca5b092d73386002116cbe062a39700852d43303",
@@ -138,19 +138,19 @@ NEAR_CATASTROPHE_DIGESTS = {
 # verify JSON on the default grid, the "runtime_ms" line removed
 VERIFY_DIGESTS = {
     "exact": {
-        "R1_E": "b1de6d5c01903de721733b3ee291c526d29b681c0980543bbeb9a252eefc0807",
+        "R1_E": "20953eff48bc89e8a99adc8bd41e2faff27bc3e77b1f7d912cdf7e7945089d22",
         "R1_S": "fd1bdef17d8b111f8735c5a4fd5cdc6a2275197ef749d075f94025d75e88305f",
-        "R2_E1E2": "1cf6cf589c30f53ccc7967660b550918eaea854d7d8af426d6f84aefc22285f7",
-        "R2_E1E2S3": "d42c9835ada5f09275e7804904237ff9404c049416e85550f161c766f2c9573a",
-        "R2_E1S2": "b9f6bd1eafb1f035bb5b04093db8d8bbfc3b40b3b1d37d04d08cec3faca054c4",
-        "R2_E1S2S3": "90fd3481cab36939c3c8c4084c65a3a42870f53dd25e990edaacbe601312acb7",
-        "R2_S1S2S3": "cbf43e752639521866ea625edf529022f8530a0c02e18103669224bfa581817a",
-        "R2_S1S2_ADD": "e8e10bfe05ecec6d155cc38372c7d4bd7110ac5f7cd77e6c532ed3a833e431fa",
-        "R2_S1S2_MA": "4b81dff27097d378080336fd10479699d99a2ae7ec852386b2bab21f0e7165c9",
-        "R3_E1E2E3": "9d4d0e102ddd8d4d56ae0fc8eaea650c76b5d58180706a099dde90aa53dcbe74",
+        "R2_E1E2": "ff892061a3c49499fb89b94d3cbcc8b0f1391280175305eb91068fdea1904fee",
+        "R2_E1E2S3": "d715fa031f8043be5f2d3eec4e0c02e66fe028543c9b15ee363fa8158baf7d04",
+        "R2_E1S2": "3e05838e1b855d7818943049f8d384a5325ca16ccc7cab4547eb033c5f891398",
+        "R2_E1S2S3": "b57b8772f3ac4d8d81a4ef7dd3924c53d2c07dc021f0c4f2489261d20a632de4",
+        "R2_S1S2S3": "8e7784a7bb840bf91c75af3058b454cb50337c1ad8ec7d697a42623752364647",
+        "R2_S1S2_ADD": "932abad3e8d5b4812028e3ef72bc5e5e14e093c066ae359cf89b8becd0b13041",
+        "R2_S1S2_MA": "60461074d2afce4620a68712bd60e04d95e090b9b2189ea8f21ee59d57b7183b",
+        "R3_E1E2E3": "62f3fc1147d43786cb5ec5afbf00ed8dc69dc665dba178027423a1c8910f9f87",
         "R3_E1S2S3_v1": "62e9ec15e72bdaf35611b68f5236fe98be5d60572def8214b5caa640fd696483",
         "R3_E1S2S3_v2": "5bedc589881be31df09b376497204ce8c55a07145df3a0fa2963c29da5fe08b8",
-        "RK_TIME_A": "060713af009275d9214db2431a7f97590b8fc45c8d5a3255b3232880370139ac",
+        "RK_TIME_A": "33f2c5b6ce2d7c034fb3000e72af41ea754ba592e03466751cacaff5eab5ec3a",
     },
     "fd": {
         "R1_E": "c982404a3fc9938b130d358400dec7d8e154cb4d7a7cf2ff3006bf01d3f0bd8d",

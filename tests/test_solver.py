@@ -7,6 +7,7 @@ import pytest
 
 from riemannwaves import linalg, solver
 from riemannwaves.catalog import REGISTRY_IDS, make_family
+from riemannwaves.catalog import base
 from riemannwaves.catalog.base import PotentialWave, RotationalWave, stack_waves
 from riemannwaves.solver import (
     STATUS_NEAR_CATASTROPHE,
@@ -38,10 +39,10 @@ def solve_one(prob, x, expect=STATUS_OK):
         return np.einsum("nkia,ni->nka", prob.waves_jac(u), pts)
 
     r0 = initial_guess(prob.profile, prob.waves, X, prob.k)
-    r, u, status, cond, fr, ru = newton_batch(prob.profile, prob.profile_jac, prob.waves,
-                                              dr_du, X, r0)
+    r, u, status, cond, fr, jmat = newton_batch(prob.profile, prob.profile_jac, prob.waves,
+                                                dr_du, X, r0)
     assert status[0] == expect
-    jac = jacobi_batch(prob.waves, u, fr, ru, X)
+    jac = jacobi_batch(prob.waves, u, fr, jmat, X)
     resid = float(np.max(np.abs(r - np.einsum("nki,ni->nk", prob.waves(u), X))))
     return SimpleNamespace(r=r[0], state=u[0], jac=jac[0], cond_det=float(cond[0]),
                            x=X[0], residual=resid)
@@ -548,30 +549,17 @@ def test_time_row_dr_du_is_the_per_wave_stack_bitwise():
 
 
 def _reference_jacobi(spec, X, r):
-    """The Jacobi assembly re-evaluated at the solved r: profile, df/dr and
-    dr/du anew, one LAPACK solve, plus the explicit time column."""
-    t = X[:, 0]
-    u = spec.profile(r, t)
-    fr = spec.profile_jac(r, t)
-    bracket = np.eye(4) - fr @ spec.dr_du(u, X)
-    rhs = fr @ spec.waves(u)
-    try:
-        jac = np.linalg.solve(bracket, rhs)
-    except np.linalg.LinAlgError:
-        jac = np.empty_like(rhs)
-        for i in range(len(rhs)):
-            try:
-                jac[i] = np.linalg.solve(bracket[i], rhs[i])
-            except np.linalg.LinAlgError:
-                jac[i] = np.nan
-    if spec.extra_time_deriv is not None:
-        jac[:, :, 0] += spec.extra_time_deriv(t)
-    return jac
+    """The Jacobi assembly re-evaluated at the solved r: profile, df/dr, dr/du
+    and the bracket anew, then the same k x k assembly."""
+    u = spec.profile(r, X[:, 0])
+    fr = spec.profile_jac(r, X[:, 0])
+    jmat = np.eye(spec.n_waves) - spec.dr_du(u, X) @ fr
+    return jacobi_batch(spec.waves, u, fr, jmat, X, spec.extra_time_deriv)
 
 
 @pytest.mark.parametrize("fid", NEWTON_PATH_IDS)
 def test_jacobi_from_the_final_refresh_is_the_re_evaluated_assembly_bitwise(fid):
-    # the exact route assembles du from Newton's final df/dr and dr/du; a
+    # the exact route assembles du from Newton's final df/dr and bracket; a
     # fresh evaluation at the solved r gives the same bits on every row
     spec = make_family(fid)
     grid = GridSpec.from_window(spec.default_grid_window(), counts=(5, 7, 7, 7))
@@ -582,3 +570,108 @@ def test_jacobi_from_the_final_refresh_is_the_re_evaluated_assembly_bitwise(fid)
     want = _reference_jacobi(spec, X, res.r[valid])
     assert np.count_nonzero(res.status == STATUS_OK) >= 100
     assert np.array_equal(res.jac[valid], want, equal_nan=True)
+
+
+def _four_by_four_jacobi(fr, ru, lam):
+    """The 4 x 4 form du = (I4 - fr ru)^(-1) fr lam, one LAPACK solve per point."""
+    return np.linalg.solve(np.eye(4) - fr @ ru, fr @ lam)
+
+
+def _four_by_four_longdouble(fr, ru, lam):
+    """The 4 x 4 form in np.longdouble: Gaussian elimination with partial pivoting."""
+    fr, ru, lam = (np.asarray(a, dtype=np.longdouble) for a in (fr, ru, lam))
+    a, b = np.eye(4, dtype=np.longdouble) - fr @ ru, fr @ lam
+    rows = np.arange(len(a))
+    for col in range(4):
+        piv = col + np.argmax(np.abs(a[:, col:, col]), axis=1)
+        for m in (a, b):
+            m[rows, col], m[rows, piv] = m[rows, piv], m[rows, col].copy()
+        f = a[:, col + 1:, col] / a[:, col, col][:, None]
+        a[:, col + 1:] -= f[:, :, None] * a[:, None, col]
+        b[:, col + 1:] -= f[:, :, None] * b[:, None, col]
+    x = np.empty_like(b)
+    for i in range(3, -1, -1):
+        x[:, i] = (b[:, i] - np.einsum("nj,nja->na", a[:, i, i + 1:], x[:, i + 1:])) \
+            / a[:, i, i][:, None]
+    return x
+
+
+def _rel_err(jac, ref):  # max over points of max|jac - ref| / max|ref|
+    ref = np.asarray(ref, dtype=float)
+    return float(np.max(np.abs(jac - ref).max(axis=(1, 2)) / np.abs(ref).max(axis=(1, 2))))
+
+
+CATASTROPHE_IDS = [fid for fid in NEWTON_PATH_IDS
+                   if any(t > 0 for t in make_family(fid).singular_times())]
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="np.longdouble is no wider than float64 here")
+@pytest.mark.parametrize("fid", CATASTROPHE_IDS)
+def test_jacobi_on_the_catastrophe_schedule_against_extended_precision(fid, monkeypatch):
+    # the k x k assembly is at least as accurate as the 4 x 4 solve it
+    # replaced where the bracket nears singular, measured against the 4 x 4
+    # form solved in extended precision from the same df/dr and dr/du
+    calls = []
+
+    def captured(*args):
+        calls.append(args)
+        return jacobi_batch(*args)
+
+    monkeypatch.setattr(base, "jacobi_batch", captured)
+    spec = make_family(fid)
+    catastrophe_probe(spec)
+    assert len(calls) >= 15
+    new, old, ref = [], [], []
+    for waves, u, fr, jmat, X, extra in calls:
+        ru = spec.dr_du(u, X)
+        lam = waves(u)
+        assert np.array_equal(jmat, np.eye(spec.n_waves) - ru @ fr)
+        new.append(jacobi_batch(waves, u, fr, jmat, X))
+        old.append(_four_by_four_jacobi(fr, ru, lam))
+        ref.append(_four_by_four_longdouble(fr, ru, lam))
+    new, old, ref = np.concatenate(new), np.concatenate(old), np.concatenate(ref)
+    assert _rel_err(new, ref) <= 2.0 * _rel_err(old, ref)
+
+
+@pytest.mark.parametrize("fid", NEWTON_PATH_IDS)
+def test_jacobi_agrees_with_the_four_by_four_solve_on_the_default_grid(fid):
+    spec = make_family(fid)
+    grid = GridSpec.from_window(spec.default_grid_window())
+    t, x = grid.points()
+    valid = spec.validity_mask(t, x)
+    t, x = t[valid], x[valid]
+    X = np.column_stack([t, x])
+    if spec.guess_fn is not None:
+        r0 = spec.guess_fn(t, x)
+    else:
+        r0 = initial_guess(spec.profile, spec.waves, X, spec.n_waves)
+    _, u, status, cond, fr, jmat = newton_batch(spec.profile, spec.profile_jac, spec.waves,
+                                                spec.dr_du, X, r0)
+    keep = (status == STATUS_OK) & (np.abs(cond) >= 1e-6)
+    assert np.count_nonzero(keep) >= 1000
+    new = jacobi_batch(spec.waves, u, fr, jmat, X)[keep]
+    old = _four_by_four_jacobi(fr, spec.dr_du(u, X), spec.waves(u))[keep]
+    scale = 1.0 + np.abs(old).max(axis=(1, 2))
+    assert np.all(np.abs(new - old).max(axis=(1, 2)) <= 1e-13 * scale)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_singular_bracket_row_is_nan_and_leaves_the_others_bitwise(k):
+    # an exactly singular bracket (a zero row) yields a NaN Jacobi row, with
+    # no RuntimeWarning, and the other rows are what they are without it
+    rng = np.random.default_rng(70 + k)
+    n, bad = 50, 17
+    e = rng.normal(size=(k, 3))
+    waves = stack_waves([PotentialWave(e=v / np.linalg.norm(v)) for v in e])[0]
+    u = rng.normal(size=(n, 4))
+    fr = rng.normal(size=(n, 4, k))
+    jmat = np.eye(k) + rng.uniform(-0.3, 0.3, (n, k, k)) / k
+    X = rng.normal(size=(n, 4))
+    jmat[bad, 0] = 0.0
+    jac = jacobi_batch(waves, u, fr, jmat, X)
+    others = np.arange(n) != bad
+    alone = jacobi_batch(waves, u[others], fr[others], jmat[others], X[others])
+    assert np.isnan(jac[bad]).all()
+    assert np.isfinite(alone).all() and np.array_equal(jac[others], alone)
