@@ -179,8 +179,8 @@ class FamilySpec:
     The spec builds ``waves``, ``waves_jac`` and ``dr_du`` from its
     ``wave_list`` once, with ``stack_waves``: Newton reads ``dr_du`` only
     (its final bracket feeds the Jacobi assembly), the trace conditions read
-    the full ``waves_jac`` slices.  A family with a CustomWave has no ``dr_du`` and must bring a
-    ``custom_eval``.
+    the full ``waves_jac`` slices.  A family with a CustomWave has no
+    ``dr_du`` and must bring a ``custom_eval``.
     """
 
     id: str

@@ -19,7 +19,7 @@ from riemannwaves.solver import (
     jacobi_batch,
     newton_batch,
 )
-from riemannwaves.verify import GridSpec, catastrophe_probe
+from riemannwaves.verify import COND_SKIP, GridSpec, catastrophe_probe
 from test_output_digests import DIGEST_PLATFORM, _platform
 
 KAPPA = 3.0
@@ -648,7 +648,7 @@ def test_jacobi_agrees_with_the_four_by_four_solve_on_the_default_grid(fid):
         r0 = initial_guess(spec.profile, spec.waves, X, spec.n_waves)
     _, u, status, cond, fr, jmat = newton_batch(spec.profile, spec.profile_jac, spec.waves,
                                                 spec.dr_du, X, r0)
-    keep = (status == STATUS_OK) & (np.abs(cond) >= 1e-6)
+    keep = (status == STATUS_OK) & (np.abs(cond) >= COND_SKIP)  # verify's kept points
     assert np.count_nonzero(keep) >= 1000
     new = jacobi_batch(spec.waves, u, fr, jmat, X)[keep]
     old = _four_by_four_jacobi(fr, spec.dr_du(u, X), spec.waves(u))[keep]
