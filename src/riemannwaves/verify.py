@@ -7,9 +7,11 @@ implementation-independent cross-check.  A catastrophe probe locates the
 gradient blow-up empirically by bisecting on the implicit-function
 determinant along a ray and compares it with the family's closed-form time.
 
-Only the exact route and the probe's schedule read Jacobi matrices; the FD
-route's nine solves (centre and stencil) and the probe's bisection solves call
-``evaluate_batch(..., jacobian=False)`` and skip their assembly.
+The exact route, the probe's schedule and the FD route's centre assemble
+Jacobi matrices.  The FD centre's give the tangent dr/dx that starts each of
+its eight shifted Newton solves (a first-order predictor); those solves and
+the probe's bisection solves call ``evaluate_batch(..., jacobian=False)`` and
+skip the assembly.  The FD differences themselves never read the matrices.
 """
 
 from __future__ import annotations
@@ -174,9 +176,10 @@ def _sites(spec, points, grid):
     return *grid.points(), grid
 
 
-def _report(spec, method, res, keep, jac, grid, t0, h=None) -> ResidualReport:
+def _report(spec, method, res, keep, jac, reasons, grid, t0, h=None) -> ResidualReport:
     """Residual statistics over the points ``keep`` of the evaluation ``res``,
-    given the field gradients ``jac`` at those points."""
+    given the field gradients ``jac`` at those points and the skip counts
+    ``reasons`` of the others."""
     if not keep.any():
         raise EmptyReportError(f"{spec.id}: all {len(keep)} points skipped")
     state = res.state[keep]
@@ -188,7 +191,7 @@ def _report(spec, method, res, keep, jac, grid, t0, h=None) -> ResidualReport:
         n_points=int(keep.sum()), n_skipped=int((~keep).sum()),
         h=h, grid=grid.as_dict() if grid is not None else None,
         runtime_ms=1e3 * (time.perf_counter() - t0),
-        skip_reasons=_skip_counts(res.status, res.cond_det),
+        skip_reasons=reasons,
     )
 
 
@@ -198,24 +201,8 @@ def residual_exact(spec: FamilySpec, points=None, grid: GridSpec | None = None) 
     tv, xv, grid = _sites(spec, points, grid)
     res = spec.evaluate_batch(tv, xv)
     keep = _keep_mask(res.status, res.cond_det)
-    return _report(spec, "exact", res, keep, res.jac[keep], grid, t0)
-
-
-def _fd_states(spec, tv, xv, h, guess):
-    """Fields at +-h along each spacetime axis; returns list of (plus, minus, ok)."""
-    out = []
-    for axis in range(4):
-        shifted = []
-        for sgn in (+1.0, -1.0):
-            tt = tv + sgn * h if axis == 0 else tv
-            xx = xv.copy()
-            if axis > 0:
-                xx[:, axis - 1] += sgn * h
-            r = spec.evaluate_batch(tt, xx, guess=guess, jacobian=False)
-            shifted.append(r)
-        ok = (shifted[0].status == STATUS_OK) & (shifted[1].status == STATUS_OK)
-        out.append((shifted[0].state, shifted[1].state, ok))
-    return out
+    return _report(spec, "exact", res, keep, res.jac[keep],
+                   _skip_counts(res.status, res.cond_det), grid, t0)
 
 
 def residual_fd(spec: FamilySpec, grid: GridSpec | None = None, h: float = DEFAULT_H,
@@ -223,28 +210,70 @@ def residual_fd(spec: FamilySpec, grid: GridSpec | None = None, h: float = DEFAU
     """Residuals via central differences of the re-solved fields.
 
     Grid spacing must stay >= 4h so neighboring stencils never overlap.
-    The centre and the eight shifted solves assemble no Jacobi matrices
-    (``jacobian=False``): the route differentiates the states alone.  The
-    shifted solves run only at the points the centre keeps, starting from
-    the centre's invariants; a point the centre skips costs no stencil.
+    The eight shifted solves run only at the points the centre keeps, so a
+    point the centre skips costs no stencil.  They start from the centre's
+    invariants moved along their tangent, r_c +- h dr/dx (a first-order
+    predictor; Allgower & Georg, *Introduction to Numerical Continuation
+    Methods*, 1990, ch. 2), which the centre's Jacobi matrices give.  So
+    the centre solve is the route's one Jacobi assembly, and the shifted
+    solves assemble none.  The predictor only moves Newton's start: each
+    shifted state still solves G(r) = 0 to Newton's tolerance, so the
+    differences stay independent of the exact Jacobi matrices.  A family
+    with its own evaluator (no ``dr_du``) starts each shifted solve from
+    r_c and assembles nothing.
+
+    Each difference divides by the step the shifted coordinates take,
+    (x + h) - (x - h).  A point whose step rounds to 0 is skipped as
+    ``fd_step_lost``; a point whose shifted solve fails, as
+    ``stencil_<status>`` of the first failure.
     """
     t0 = time.perf_counter()
     tv, xv, grid = _sites(spec, points, grid)
     if points is None and grid.min_spacing() < 4 * h:
         raise ValueError(f"grid spacing {grid.min_spacing():.3g} below 4h = {4*h:.3g}")
 
-    center = spec.evaluate_batch(tv, xv, jacobian=False)
+    predict = spec.dr_du is not None
+    center = spec.evaluate_batch(tv, xv, jacobian=predict)
     keep = _keep_mask(center.status, center.cond_det)
+    reasons = _skip_counts(center.status, center.cond_det)
     idx = np.flatnonzero(keep)
-    stencil = _fd_states(spec, tv[idx], xv[idx], h, center.r[idx])
-    for _, _, ok in stencil:
-        keep[idx[~ok]] = False
+    tv, xv, r_c = tv[idx], xv[idx], center.r[idx]
+    X = np.column_stack([tv, xv])
+    slope = None
+    if predict:
+        # the tangent dr/dx = lam(u) + (dr/du) du of r = lam(u) . x (jac's time
+        # column carries any explicit time term); a row that is not finite is 0
+        u = center.state[idx]
+        slope = spec.waves(u) + spec.dr_du(u, X) @ center.jac[idx]
+        slope[~np.isfinite(slope).all(axis=(1, 2))] = 0.0
+        center.jac = None
 
-    sel = keep[idx]
-    jac = np.empty((int(keep.sum()), 4, 4))
-    for axis, (plus, minus, _) in enumerate(stencil):
-        jac[:, :, axis] = (plus[sel] - minus[sel]) / (2.0 * h)
-    return _report(spec, "fd", center, keep, jac, grid, t0, h=h)
+    failed = np.full(len(idx), -1)  # the first failed status of each stencil
+
+    def shifted_state(axis, sgn):
+        tt = tv + sgn * h if axis == 0 else tv
+        xx = xv.copy()
+        if axis > 0:
+            xx[:, axis - 1] += sgn * h
+        guess = r_c if slope is None else r_c + sgn * h * slope[:, :, axis]
+        res = spec.evaluate_batch(tt, xx, guess=guess, jacobian=False)
+        first = (failed < 0) & (res.status != STATUS_OK)
+        failed[first] = res.status[first]
+        return res.state
+
+    diffs = [shifted_state(axis, +1.0) - shifted_state(axis, -1.0) for axis in range(4)]
+    step = (X + h) - (X - h)  # the steps the shifted coordinates take
+    lost = (failed < 0) & (step == 0.0).any(axis=1)
+    for code, label in STATUS_LABELS.items():
+        n = int(np.sum(failed == code))
+        if n:
+            reasons[f"stencil_{label}"] = n
+    if lost.any():
+        reasons["fd_step_lost"] = int(lost.sum())
+    sel = (failed < 0) & ~lost
+    keep[idx[~sel]] = False
+    jac = np.stack(diffs, axis=-1)[sel] / step[sel, None, :]
+    return _report(spec, "fd", center, keep, jac, reasons, grid, t0, h=h)
 
 
 @dataclass

@@ -153,19 +153,19 @@ VERIFY_DIGESTS = {
         "RK_TIME_A": "33f2c5b6ce2d7c034fb3000e72af41ea754ba592e03466751cacaff5eab5ec3a",
     },
     "fd": {
-        "R1_E": "c982404a3fc9938b130d358400dec7d8e154cb4d7a7cf2ff3006bf01d3f0bd8d",
-        "R1_S": "8d4e3b2d39d21d86a23a5a8f7b732cec5c8ef31057a47834502f8c3d6acdad46",
-        "R2_E1E2": "b6cc487e3acd6954b3fc2eac6774f82bf3f24ef6f071d5a5d6ece75592357229",
-        "R2_E1E2S3": "f29c99bcc03b2cbb8dbf53df5b46d0e2ec1f8cb3b5a0bae8fbc95e827a906a1a",
-        "R2_E1S2": "e8cbce0fde45849dfbb65d5863fefbf34baebe7b0bfa7c49f2f269925a6eb3f0",
-        "R2_E1S2S3": "2cd7eef6de5b7792f9257defd0525e6396fb90e7c19f41835c4c66b478b5fa7e",
-        "R2_S1S2S3": "2a19c244c17abfb65d064e7d8a836a2ffc07bfd964aaf7b51928392ce8cf2c0f",
-        "R2_S1S2_ADD": "45648967c1aad9a5d52109f236fdb7b769a153ea87f5a694e96581a79f778d3a",
-        "R2_S1S2_MA": "049ed35f2d56e025de5f458d45ca83b53dbfdaa7fd4dffac09a0bd1723e01728",
-        "R3_E1E2E3": "42c050b0c271738d05fb9cd36941b3b68f81b0a5e289ced4942252bee4596bf2",
-        "R3_E1S2S3_v1": "627a35d645eacf62e9ed4b9a2612cbc3c4d15d6a32a3b682d94a44f0886657bf",
-        "R3_E1S2S3_v2": "21c7abe6c66521410cce1e96bfeb4fe4983c9af405810d3320452cbbcf058d2b",
-        "RK_TIME_A": "a0b5a479af70884c5e3c19f86b827109c3ec21414ce8e32616b3fbc1afce4845",
+        "R1_E": "e8ede181df8db2c6dd25129ffac37de97956a32b01ae86795cb04ea297f2e0fa",
+        "R1_S": "f23a03b50ffd5765da800981e0728570c31fc4cb599943d8b1a5a22ca07dd9d0",
+        "R2_E1E2": "1198c1fc23325207c5afb0c748fb5d2284b3a1480559ef9da6aba61ad2a82076",
+        "R2_E1E2S3": "69e4031395534c968c1897c2e586053641e4435ae5b9b7124f63367386122f59",
+        "R2_E1S2": "f84e857ec086983becb3f1e85143f4bfabe504abcfb885f96b4927637bb90e22",
+        "R2_E1S2S3": "fa1f28fe93d44251c9e67c8dfca46b713963cbd15eafe3e7e422641bdad12122",
+        "R2_S1S2S3": "52497b80622fd2d6f5b64a169ae654ea264abb9d7d109c35719c68f051e499e4",
+        "R2_S1S2_ADD": "3ea90f99d25f6a76c05fd548c5fbc93ffb7cc09bde3095bc4b852ba314ac85bb",
+        "R2_S1S2_MA": "241ae7bd7bb624283ae25c309fda1caae3646d8869cfa9f62d07fdaeb55873e3",
+        "R3_E1E2E3": "18ac80b79e056c14b9b3a598e8d898b964a285712efdf27f21f81b1923e8d217",
+        "R3_E1S2S3_v1": "aaec0b8f1cc4b2e1fccbe8d2301de8eb0ed2eeaa0704b68e71466055dc093d6f",
+        "R3_E1S2S3_v2": "bf9e7a21df4f87f1ab234a86c7fe803ada2a2b024a5cadcd1b9628507e7f4e2b",
+        "RK_TIME_A": "d959cdd777fdf53ed65851beaa1cc9fdce7bc14f2a6e50ba5d6e218f022485c0",
     },
 }
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from riemannwaves import cli
-from riemannwaves.catalog import base, make_family
+from riemannwaves.catalog import REGISTRY_IDS, base, make_family
 from riemannwaves.catalog.base import FamilySpec, PotentialWave
 from riemannwaves.fluid import GasParams
 from riemannwaves.solver import STATUS_OK
@@ -237,8 +237,8 @@ def test_grid_odometer_order():
 
 
 def test_jacobi_assembly_only_where_read(monkeypatch, tmp_path):
-    # the FD route, the probe's bisection and `sample` never read jac, so
-    # they must not assemble it; the exact route and the probe schedule do
+    # the probe's bisection and `sample` never read jac, so they must not
+    # assemble it; the exact route, the FD centre and the probe schedule do
     calls = []
     real = base.jacobi_batch
 
@@ -250,10 +250,11 @@ def test_jacobi_assembly_only_where_read(monkeypatch, tmp_path):
     spec = make_family("R1_E")
     grid = GridSpec.from_window(spec.default_grid_window(), counts=SMALL)
 
+    # the FD route assembles once, at the centre (the exact route's points),
+    # for its predictor; the shifted solves assemble none
     residual_fd(spec, grid=grid)
-    assert calls == []
     residual_exact(spec, grid=grid)
-    assert len(calls) == 1
+    assert len(calls) == 2 and calls[0] == calls[1] > 0
     calls.clear()
     rep = catastrophe_probe(spec)
     assert rep.applicable and 0 < len(calls) <= len(rep.schedule)
@@ -382,3 +383,131 @@ def test_fd_report_same_with_and_without_the_skipped_points(fid, params):
     assert sub.n_points == full.n_points
     assert np.array_equal(sub.eq_max, full.eq_max)
     assert np.array_equal(sub.eq_mean, full.eq_mean)
+
+
+NEWTON_PATH = [fid for fid in REGISTRY_IDS if not fid.startswith("R3_E1S2S3_v")]
+
+
+@pytest.mark.parametrize("fid", REGISTRY_IDS)
+def test_fd_skip_reasons_name_every_skipped_point(fid):
+    spec = make_family(fid)
+    grid = GridSpec.from_window(spec.default_grid_window(), counts=SMALL)
+    rep = residual_fd(spec, grid=grid)
+    assert sum(rep.skip_reasons.values()) == rep.n_skipped
+    assert rep.n_points + rep.n_skipped == 3 * 5 * 5 * 5
+
+
+def test_fd_failed_stencils_have_their_own_reason():
+    # on R3_E1E2E3's default grid the centre keeps points whose shifted
+    # solves leave the a > 0 half-space
+    rep = residual_fd(make_family("R3_E1E2E3"))
+    assert rep.skip_reasons["stencil_invalid"] > 0
+    assert rep.skip_reasons["invalid"] + rep.skip_reasons["stencil_invalid"] == rep.n_skipped
+
+
+@pytest.mark.parametrize("fid", ["R2_S1S2_MA", "R1_S", "R3_E1E2E3"])
+def test_fd_point_whose_step_is_lost_is_skipped(fid):
+    # at x1 = 1e200, x1 +- h == x1: the x1 column would be 0 / 2h
+    spec = make_family(fid)
+    grid = GridSpec.from_window(spec.default_grid_window(), counts=SMALL)
+    t, x = grid.points()
+    ref = residual_fd(spec, points=(t, x))
+    t_mid = 0.5 * sum(spec.default_grid_window()["t"])
+    rep = residual_fd(make_family(fid), points=(np.append(t, t_mid),
+                                                np.vstack([x, [1e200, 0.5, 0.5]])))
+    assert rep.skip_reasons == {**ref.skip_reasons, "fd_step_lost": 1}
+    assert rep.n_points == ref.n_points and rep.n_skipped == ref.n_skipped + 1
+    assert np.array_equal(rep.eq_max, ref.eq_max)
+    assert rep.passed(1e-5)
+
+
+def _with_profile_jac_offset(spec, delta):
+    """Add ``delta`` to every entry of df/dr: Newton's bracket and the exact
+    Jacobi matrices go wrong, the solved states stay solutions."""
+    profile_jac = spec.profile_jac
+    spec.profile_jac = lambda r, t: profile_jac(r, t) + delta
+    return spec
+
+
+def _with_sound_speed_bump(spec, eps):
+    """Add eps r1^2 to the sound speed, and 2 eps r1 to its df/dr: a consistent
+    implicit solution of an ansatz that does not solve the fluid system."""
+    profile, profile_jac = spec.profile, spec.profile_jac
+
+    def bumped(r, t):
+        u = profile(r, t)
+        u[:, 0] += eps * r[:, 0] ** 2
+        return u
+
+    def bumped_jac(r, t):
+        fr = profile_jac(r, t)
+        fr[:, 0, 0] += 2.0 * eps * r[:, 0]
+        return fr
+
+    spec.profile, spec.profile_jac = bumped, bumped_jac
+    return spec
+
+
+@pytest.mark.parametrize("fid", ["R2_E1E2", "R2_S1S2S3"])
+def test_fd_route_is_independent_of_the_exact_jacobian(fid):
+    # the predictor reads the exact Jacobi matrices, but only to start Newton
+    grid = GridSpec.from_window(make_family(fid).default_grid_window(), counts=SMALL)
+    clean = residual_fd(make_family(fid), grid=grid)
+    spec = _with_profile_jac_offset(make_family(fid), 1e-3)
+    assert residual_exact(spec, grid=grid).max_normalized > 1e-4
+    fd = residual_fd(spec, grid=grid)
+    assert fd.passed(1e-5)
+    assert (fd.n_points, fd.skip_reasons) == (clean.n_points, clean.skip_reasons)
+
+
+def test_fd_stencil_with_a_non_finite_tangent_starts_from_the_centre():
+    # NaN Jacobi rows at the centre give NaN tangents; those stencils must
+    # start from r_c instead of failing on a NaN guess
+    fid = "R2_E1E2"
+    grid = GridSpec.from_window(make_family(fid).default_grid_window(), counts=SMALL)
+    clean = residual_fd(make_family(fid), grid=grid)
+    spec = make_family(fid)
+    evaluate = spec.evaluate_batch
+
+    def nan_jacobians(*args, **kwargs):
+        res = evaluate(*args, **kwargs)
+        if res.jac is not None:
+            res.jac[::2, 1, 2] = np.nan
+        return res
+
+    spec.evaluate_batch = nan_jacobians
+    rep = residual_fd(spec, grid=grid)
+    assert (rep.n_points, rep.skip_reasons) == (clean.n_points, clean.skip_reasons)
+    assert rep.passed(1e-5)
+
+
+@pytest.mark.parametrize("fid", ["R1_S", "R2_E1E2"])
+def test_fd_route_flags_a_wrong_ansatz(fid):
+    spec = _with_sound_speed_bump(make_family(fid), 1e-3)
+    grid = GridSpec.from_window(spec.default_grid_window(), counts=SMALL)
+    assert residual_fd(spec, grid=grid).max_normalized > 1e-3
+
+
+@pytest.mark.parametrize("fid", NEWTON_PATH)
+def test_fd_stencil_solves_take_one_newton_step(fid):
+    # from the tangent predictor each shifted solve converges in one step:
+    # profile is evaluated at the guess and at the one iterate
+    spec = make_family(fid)
+    assert spec.dr_du is not None
+    rows, per_call = [], []
+    profile, evaluate = spec.profile, spec.evaluate_batch
+
+    def counted_profile(r, t):
+        rows.append(len(r))
+        return profile(r, t)
+
+    def counted_evaluate(t, x, **kwargs):
+        rows.clear()
+        res = evaluate(t, x, **kwargs)
+        per_call.append(sum(rows) / len(t))
+        return res
+
+    spec.profile, spec.evaluate_batch = counted_profile, counted_evaluate
+    residual_fd(spec, grid=GridSpec.from_window(spec.default_grid_window(), counts=SMALL))
+    assert len(per_call) == 9
+    assert max(per_call[1:]) <= 2.0
