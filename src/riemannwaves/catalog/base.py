@@ -134,8 +134,11 @@ def stack_waves(wave_list):
                          a wave is a CustomWave.
     """
 
-    def waves(u):
-        return np.stack([w.lam(u) for w in wave_list], axis=1)
+    def waves(u):  # filled column by column: bitwise np.stack, without its overhead
+        out = np.empty((len(u), len(wave_list), 4))
+        for a, w in enumerate(wave_list):
+            out[:, a] = w.lam(u)
+        return out
 
     def waves_jac(u):
         return np.stack([w.jac(u) for w in wave_list], axis=1)
@@ -155,6 +158,11 @@ class EvalResult:
     """Batched evaluation output; arrays share the leading point dimension.
 
     ``jac`` is None when the evaluation ran with ``jacobian=False``.
+    ``cond_det`` is det(dG/dr) at the final iterates, in closed form for
+    k <= 3 (``solver.bracket_det``): the status test, ``verify`` and the
+    catastrophe probe read it.  ``bracket`` is that dG/dr itself, NaN on
+    rows no Newton solve reached and None from a custom evaluator; ``sample``
+    prints LAPACK's determinant of it, the value its pinned bytes carry.
     """
 
     r: np.ndarray          # (N, n_waves)
@@ -162,6 +170,7 @@ class EvalResult:
     jac: np.ndarray | None  # (N, 4, 4), or None when not assembled
     cond_det: np.ndarray   # (N,)
     status: np.ndarray     # (N,) int8
+    bracket: np.ndarray | None  # (N, k, k) dG/dr, or None from a custom evaluator
 
 
 def _finite_points(t, x):  # (N,) mask: t and every x coordinate finite
@@ -254,7 +263,8 @@ class FamilySpec:
 
         jacobian=False skips the Jacobi-matrix assembly (``jacobi_batch``;
         a custom evaluator's matrices are dropped) and returns ``jac=None``;
-        ``r``, ``state``, ``cond_det`` and ``status`` are the same either way.
+        ``r``, ``state``, ``cond_det``, ``status`` and ``bracket`` are the
+        same either way.
         """
         t = np.atleast_1d(np.asarray(t, dtype=float))
         x = np.asarray(x, dtype=float).reshape(len(t), 3)
@@ -267,11 +277,14 @@ class FamilySpec:
             jac=np.full((n, 4, 4), np.nan) if jacobian else None,
             cond_det=np.full(n, np.nan),
             status=np.full(n, STATUS_INVALID, dtype=np.int8),
+            bracket=np.full((n, k, k), np.nan) if self.custom_eval is None else None,
         )
         valid = _finite_points(t, x) if ignore_validity else self.validity_mask(t, x)
         if not valid.any():
             return res
-        idx = np.nonzero(valid)[0]
+        # every point valid (the common case): a slice, so the gathers below are
+        # views and the scatters plain copies
+        idx = slice(None) if valid.all() else np.flatnonzero(valid)
         X = np.column_stack([t[idx], x[idx]])
 
         if guess is not None:
@@ -289,6 +302,7 @@ class FamilySpec:
                                                         self.waves, self.dr_du, X, r0)
             if jacobian:
                 jac = jacobi_batch(self.waves, u, fr, jmat, X, self.extra_time_deriv)
+            res.bracket[idx] = jmat
 
         solved = status == STATUS_OK
         bad_a = solved & ~(u[:, 0] > 0.0)

@@ -178,6 +178,10 @@ def cmd_sample(args) -> int:
     tv, xv = grid.points()
     res = spec.evaluate_batch(tv, xv, jacobian=False)
     k = spec.n_waves
+    cond = res.cond_det
+    if res.bracket is not None:  # LAPACK's determinant; nan where the closed form is not finite
+        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+            cond = np.where(np.isfinite(cond), np.linalg.det(res.bracket), cond)
 
     if args.format == "json":
         rows = []
@@ -187,7 +191,7 @@ def cmd_sample(args) -> int:
                 "r": [None if not np.isfinite(v) else v for v in res.r[i]],
                 "a": None if not np.isfinite(res.state[i, 0]) else res.state[i, 0],
                 "u": [None if not np.isfinite(v) else v for v in res.state[i, 1:]],
-                "cond_det": None if not np.isfinite(res.cond_det[i]) else res.cond_det[i],
+                "cond_det": None if not np.isfinite(cond[i]) else cond[i],
                 "status": STATUS_LABELS[int(res.status[i])],
             })
         _emit(json.dumps({"family": spec.id, "params": _json_params(spec),
@@ -197,7 +201,7 @@ def cmd_sample(args) -> int:
 
     header = ["t", "x1", "x2", "x3"] + [f"r{j+1}" for j in range(k)] + \
              ["a", "u1", "u2", "u3", "cond_det", "status"]
-    cols = np.column_stack([tv, xv, res.r, res.state, res.cond_det])
+    cols = np.column_stack([tv, xv, res.r, res.state, cond])
     cols[~np.isfinite(cols)] = np.nan  # "%.17g" prints NaN as nan, an infinity as inf
     row = ",".join(["%.17g"] * cols.shape[1]) + ",%s"
     lines = [",".join(header)]

@@ -36,13 +36,18 @@ N = 1.  The full derivative stack waves_jac (N, k, 4, 4) never enters them:
 the trace conditions read it, and the tests contract it with x as the
 reference dr/du.
 
-Each bracket quantity is built once.  Newton's stop test reads the
-determinant in closed form (``bracket_det``, k <= 3), and a k = 1 step is
-g / dG/dr, bitwise LAPACK's 1x1 solve.  The final refresh at the converged
-iterates takes cond_det with LAPACK (``sample`` prints it) and hands its
-df/dr and dG/dr to ``jacobi_batch``, which assembles du from them without
-evaluating the profile again: the adjugate and the determinant in closed
-form for k <= 3, a LAPACK k x k solve above.
+Each bracket quantity is built once.  The determinant is in closed form
+(``bracket_det``, k <= 3) everywhere on the solver path: in Newton's stop
+test, and in the final refresh at the converged iterates, whose cond_det
+feeds the status and every consumer (``verify``'s skips, the catastrophe
+probe).  Only ``sample`` prints LAPACK's value, of the dG/dr the refresh
+returns.  A k = 1 step is g / dG/dr, bitwise LAPACK's 1x1 solve.  A
+step whose LAPACK solve meets an exact zero pivot (a badly scaled bracket
+whose closed-form determinant is rounding above the floor) stops those
+points instead of raising for the batch.  The refresh hands its df/dr and
+dG/dr to ``jacobi_batch``, which assembles du from them without evaluating
+the profile again: the adjugate and the determinant in closed form for
+k <= 3, a LAPACK k x k solve above.
 """
 
 from __future__ import annotations
@@ -157,8 +162,17 @@ def damped_newton(residual, newton_step, r0, *data, tol, max_iter):
     return r, aux, status
 
 
-def _max_abs(g):  # max|g| per point of an (N,) or (N, k) residual
-    return np.abs(g) if g.ndim == 1 else np.abs(g).max(axis=1)
+def _max_abs(g):
+    """max|g| per point of an (N,) or (N, k) residual: one np.maximum per
+    column, bitwise the axis reduction (both exact and NaN-propagating) at a
+    fraction of its cost on a short axis."""
+    a = np.abs(g)
+    if a.ndim == 1:
+        return a
+    m = a[:, 0]
+    for j in range(1, a.shape[1]):
+        m = np.maximum(m, a[:, j])
+    return m
 
 
 def _same_bits(a, b):  # two float arrays equal bit for bit
@@ -174,12 +188,14 @@ def newton_batch(profile, profile_jac, waves, dr_du, X, r0):
     the initial guess r0 (N, k).
 
     dr_du(u, X) -> (N, k, 4) is called once per iteration on the points still
-    iterating and once at the end.  A point with |det dG/dr| < 1e-10 stops as
-    STATUS_NEAR_CATASTROPHE; inside the loop that test reads the closed-form
-    determinant (``bracket_det``).  Returns (r, u, status, cond_det, fr, jmat):
-    at the final iterates, cond_det = det(dG/dr) by LAPACK, fr = df/dr
-    (N, 4, k) and jmat = dG/dr (N, k, k), the pieces ``jacobi_batch`` reads.
-    Failed points keep their last iterate.
+    iterating and once at the end.  A point with |det dG/dr| < 1e-10, or a
+    determinant that is not finite, stops as STATUS_NEAR_CATASTROPHE, in the
+    loop and at the final iterates alike; so does a point whose step meets
+    an exact zero pivot in LAPACK's solve.  Returns (r, u, status, cond_det,
+    fr, jmat): at the final iterates, cond_det = det(dG/dr) by the closed
+    form (``bracket_det``), fr = df/dr (N, 4, k) and jmat = dG/dr (N, k, k),
+    the pieces ``jacobi_batch`` reads and whose LAPACK determinant ``sample``
+    prints.  Failed points keep their last iterate.
     """
     X = np.asarray(X, dtype=float)
     k = np.shape(r0)[1]
@@ -197,21 +213,33 @@ def newton_batch(profile, profile_jac, waves, dr_du, X, r0):
     def newton_step(r, g, u, X):
         jmat = bracket(r, u, X)[2]
         with np.errstate(invalid="ignore", over="ignore"):
-            det = bracket_det(jmat)
-        stop = (np.abs(det) < DET_FLOOR) | ~np.isfinite(det)
+            stop = _near_singular(bracket_det(jmat))
         if stop.any():
             jmat[stop] = eye  # a harmless step on rows the kernel drops
         if k == 1:  # bitwise LAPACK's 1x1 solve
             return g / jmat[:, 0], stop
-        return np.linalg.solve(jmat, g[..., None])[..., 0], stop
+        try:
+            return np.linalg.solve(jmat, g[..., None])[..., 0], stop
+        except np.linalg.LinAlgError:
+            # an exact zero pivot behind a closed-form det above the floor (a
+            # badly scaled bracket): stop those rows, step the others
+            with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+                lu_det = np.linalg.det(jmat)
+            singular = ~np.isfinite(lu_det) | (lu_det == 0)
+            jmat[singular] = eye
+            return np.linalg.solve(jmat, g[..., None])[..., 0], stop | singular
 
     r, u, status = damped_newton(residual, newton_step, r0, X,
                                  tol=NEWTON_TOL, max_iter=NEWTON_MAX_ITER)
     _, fr, jmat = bracket(r, u, X)  # refreshed at the final iterates
-    with np.errstate(invalid="ignore"):
-        cond = np.linalg.det(jmat)
-    status[(np.abs(cond) < DET_FLOOR) & (status == STATUS_OK)] = STATUS_NEAR_CATASTROPHE
+    with np.errstate(invalid="ignore", over="ignore"):
+        cond = bracket_det(jmat)
+    status[_near_singular(cond) & (status == STATUS_OK)] = STATUS_NEAR_CATASTROPHE
     return r, u, status, cond, fr, jmat
+
+
+def _near_singular(det):  # |det| < DET_FLOOR, or det not finite
+    return ~np.isfinite(det) | (np.abs(det) < DET_FLOOR)
 
 
 def bracket_det(m):

@@ -415,7 +415,11 @@ def test_evaluate_without_jacobian_keeps_every_other_field(fid):
     assert (full.status == 0).any()
     assert bare.jac is None
     assert full.jac is not None and full.jac.shape == (24, 4, 4)
-    for name in ("r", "state", "cond_det", "status"):
+    assert (bare.bracket is None) == (full.bracket is None) == (spec.custom_eval is not None)
+    names = ["r", "state", "cond_det", "status"]
+    if full.bracket is not None:
+        names.append("bracket")
+    for name in names:
         assert np.array_equal(getattr(bare, name), getattr(full, name), equal_nan=True), name
 
 

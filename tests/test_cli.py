@@ -136,6 +136,22 @@ def test_non_finite_profile_points_write_nothing_to_stderr():
     assert out.stderr == ""
 
 
+def test_sample_with_singular_lu_brackets_writes_nothing_to_stderr():
+    # n = -2: on the sample grid some brackets reach 1e8 with an exact zero
+    # LU pivot behind a closed-form determinant above the floor; those points
+    # stop as near_catastrophe instead of raising for the whole batch
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-m", "riemannwaves.cli", "sample",
+                          "--family", "R2_S1S2_MA", "--set", "n=-2"],
+                         capture_output=True, text=True, env=env)
+    assert out.returncode == 0
+    assert out.stderr == ""
+    rows = [line.split(",") for line in out.stdout.splitlines()[1:]]
+    assert len(rows) == 3 * 5 * 5 * 5
+    assert "near_catastrophe" in {row[-1] for row in rows}
+    assert all("nan" not in row for row in rows if row[-1] == "ok")
+
+
 def test_conditions_family_and_pair(capsys):
     code, out, _ = run(["conditions", "--family", "R2_E1E2", "--samples", "10"], capsys)
     assert code == 0

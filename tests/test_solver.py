@@ -1,5 +1,6 @@
 """Implicit-solution solver: Newton path, Jacobi matrices, condition determinant."""
 
+import dataclasses
 from types import SimpleNamespace
 
 import numpy as np
@@ -525,6 +526,22 @@ def test_bracket_det_closed_form_matches_lapack(k):
         assert not np.isfinite(bracket_det(bad)).any()
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_max_abs_is_the_axis_reduction_bitwise(k):
+    # one np.maximum per column against np.abs(g).max(axis=1): signed zeros,
+    # subnormals, NaN and +-inf rows, in every column
+    rng = np.random.default_rng(60 + k)
+    g = rng.normal(size=(3000, k)) * 10.0 ** rng.uniform(-320, 300, (3000, k))
+    g[rng.random((3000, k)) < 0.05] = -0.0
+    specials = (np.nan, np.inf, -np.inf)
+    for n, (value, col) in enumerate((v, c) for v in specials for c in range(k)):
+        g[n, col] = value
+    g[3 * k:6 * k] = np.nan
+    for got, want in ((solver._max_abs(g), np.abs(g).max(axis=1)),
+                      (solver._max_abs(g[:, 0]), np.abs(g[:, 0]))):
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def test_one_by_one_division_is_lapack_solve_bitwise():
     # the k = 1 Newton step divides; LAPACK's 1x1 solve gives the same bits
     rng = np.random.default_rng(5)
@@ -675,3 +692,38 @@ def test_singular_bracket_row_is_nan_and_leaves_the_others_bitwise(k):
     alone = jacobi_batch(waves, u[others], fr[others], jmat[others], X[others])
     assert np.isnan(jac[bad]).all()
     assert np.isfinite(alone).all() and np.array_equal(jac[others], alone)
+
+
+def _digest_grids():
+    """The sample and default grids of the Newton-path families, and the
+    near-catastrophe sample grids whose bytes test_output_digests pins."""
+    from riemannwaves.cli import parse_grid
+    from test_output_digests import NEAR_CATASTROPHE_DIGESTS
+    grids = [(fid, GridSpec.from_window(make_family(fid).default_grid_window(), counts))
+             for fid in NEWTON_PATH_IDS for counts in ((3, 5, 5, 5), (5, 11, 11, 11))]
+    for fid, text in NEAR_CATASTROPHE_DIGESTS:
+        sample = GridSpec.from_window(make_family(fid).default_grid_window(), (3, 5, 5, 5))
+        grids.append((fid, dataclasses.replace(sample, **parse_grid(text))))
+    return grids
+
+
+@pytest.mark.parametrize("fid,grid", _digest_grids(),
+                         ids=lambda v: v if isinstance(v, str) else str(v.t[2]))
+def test_closed_form_cond_det_flips_no_status(fid, grid):
+    # cond_det is the closed form of det(dG/dr); LAPACK's value of the same
+    # bracket (what sample prints) sits on the same side of DET_FLOOR and of
+    # COND_SKIP on every solved row, so the final status test and verify's
+    # keep mask decide alike under either determinant
+    from riemannwaves.verify import _keep_mask
+    res = make_family(fid).evaluate_batch(*grid.points(), jacobian=False)
+    solved = np.isfinite(res.bracket).all(axis=(1, 2))
+    assert solved.sum() >= 0.5 * len(solved)
+    lapack = np.full(len(solved), np.nan)
+    lapack[solved] = np.linalg.det(res.bracket[solved])
+    assert np.array_equal(np.isfinite(res.cond_det), np.isfinite(lapack))
+    fin = np.isfinite(lapack)
+    rel = np.abs(res.cond_det[fin] - lapack[fin]) / np.abs(lapack[fin])
+    assert rel.max() <= 1e-14  # 1.6e-15 at most when the bound was set
+    for floor in (solver.DET_FLOOR, COND_SKIP):
+        assert np.array_equal(np.abs(res.cond_det) >= floor, np.abs(lapack) >= floor)
+    assert np.array_equal(_keep_mask(res.status, res.cond_det), _keep_mask(res.status, lapack))

@@ -421,6 +421,26 @@ def test_fd_point_whose_step_is_lost_is_skipped(fid):
     assert rep.passed(1e-5)
 
 
+@pytest.mark.parametrize("n", [-4, -3, -2])
+@pytest.mark.parametrize("branch", ["plus", "minus", "auto"])
+def test_ma_negative_powers_keep_the_per_point_contract(n, branch):
+    # n <= -2 puts points on r2 = 0, where w = r1/r2 blows up: brackets with
+    # entries near 1e8 whose LU meets an exact zero pivot, and final brackets
+    # that are not finite.  Neither may raise for the batch or leave a
+    # non-finite value in an ok row, and every skipped point has its reason.
+    spec = make_family("R2_S1S2_MA", n=n, branch=branch)
+    for counts in (SMALL, (5, 11, 11, 11)):
+        grid = GridSpec.from_window(spec.default_grid_window(), counts=counts)
+        res = spec.evaluate_batch(*grid.points())
+        ok = res.status == STATUS_OK
+        assert ok.any()
+        for name in ("r", "state", "cond_det", "jac"):
+            assert np.isfinite(getattr(res, name)[ok]).all(), name
+    for route in (residual_exact, residual_fd):  # on the sample grid
+        rep = route(spec, grid=GridSpec.from_window(spec.default_grid_window(), counts=SMALL))
+        assert sum(rep.skip_reasons.values()) == rep.n_skipped, route.__name__
+
+
 def _with_profile_jac_offset(spec, delta):
     """Add ``delta`` to every entry of df/dr: Newton's bracket and the exact
     Jacobi matrices go wrong, the solved states stay solutions."""
