@@ -3,8 +3,7 @@
 The registry holds one entry per family: wave composition, profile presets,
 parameter defaults and structural constraints, singular-time formulas, and
 validity windows.  ``make_family`` builds a validated FamilySpec,
-``FamilySpec.evaluate_batch`` solves it at spacetime points, and the
-Monge-Ampere residual of a stream-function preset lives alongside.
+and ``FamilySpec.evaluate_batch`` solves it at spacetime points.
 """
 
 from ..fluid import ConstraintError
@@ -16,7 +15,6 @@ from .registry import (
     make_family,
     registry_entries,
 )
-from .ops import monge_ampere_residual
 
 __all__ = [
     "ConstraintError",
@@ -27,5 +25,4 @@ __all__ = [
     "family_info",
     "make_family",
     "registry_entries",
-    "monge_ampere_residual",
 ]

@@ -19,8 +19,7 @@ from ..fluid import ConstraintError
 __all__ = [
     "Fn1", "Fn2", "linear", "kink", "expkink", "sech_bump", "bump",
     "coshwell", "coshbump", "periodic_well", "snwell", "snkink", "kink2",
-    "theta_concentric", "theta_solitary", "quadratic_stream", "npower_stream",
-    "homogeneous_stream",
+    "theta_concentric", "theta_solitary",
 ]
 
 
@@ -32,7 +31,6 @@ class Fn1:
     ``jet(s) -> (f, df)``, mirroring ``Fn2.jet``.
     """
 
-    name: str
     f: Callable
     df: Callable
     jet: Callable | None = None
@@ -51,16 +49,13 @@ class Fn1:
 class Fn2:
     """Two-argument profile (p, q) -> f with partial derivatives (dp, dq).
 
-    Stream-function presets also carry an analytic ``hessian(p, q)`` map
-    returning (f_pp, f_qq, f_pq), which the Monge-Ampere residual reads.  A preset whose value and
-    partials share costly parts supplies ``jet(p, q) -> (f, dp, dq)``.
+    A preset whose value and partials share costly parts supplies
+    ``jet(p, q) -> (f, dp, dq)``.
     """
 
-    name: str
     f: Callable
     dp: Callable
     dq: Callable
-    hessian: Callable | None = None
     jet: Callable | None = None
 
     def __call__(self, p, q):
@@ -71,8 +66,7 @@ class Fn2:
 
 
 def linear(a):
-    return Fn1(f"linear(A={a:g})", lambda s: a * np.asarray(s, float),
-               lambda s: np.full_like(np.asarray(s, float), a))
+    return Fn1(lambda s: a * np.asarray(s, float), lambda s: np.full_like(np.asarray(s, float), a))
 
 
 def kink(a, b):
@@ -88,7 +82,7 @@ def kink(a, b):
         s = np.asarray(s, float)
         return a * (1.0 + b * s * s) ** -1.5
 
-    return Fn1(f"kink(A={a:g},B={b:g})", f, df)
+    return Fn1(f, df)
 
 
 def expkink(a, b):
@@ -103,7 +97,7 @@ def expkink(a, b):
         e = np.exp(b * s)
         return -0.5 * a * b * e * (1.0 + e) ** -1.5
 
-    return Fn1(f"expkink(A={a:g},B={b:g})", f, df)
+    return Fn1(f, df)
 
 
 def sech_bump(a):
@@ -116,7 +110,7 @@ def sech_bump(a):
         s = np.asarray(s, float)
         return -a * np.tanh(a * s) / np.cosh(a * s)
 
-    return Fn1(f"sech(A={a:g})", f, df)
+    return Fn1(f, df)
 
 
 def bump(a, b):
@@ -132,7 +126,7 @@ def bump(a, b):
         d = np.asarray(s, float) - 1.0
         return -a * b * d * (1.0 + b * d * d) ** -1.5
 
-    return Fn1(f"bump(A={a:g},B={b:g})", f, df)
+    return Fn1(f, df)
 
 
 def coshwell(a, b, d):
@@ -148,7 +142,7 @@ def coshwell(a, b, d):
         x = np.asarray(s, float) - 1.0
         return -0.5 * a * b * d * np.sinh(d * x) * (1.0 + b * np.cosh(d * x)) ** -1.5
 
-    return Fn1(f"coshwell(A={a:g},B={b:g},D={d:g})", f, df)
+    return Fn1(f, df)
 
 
 def coshbump(a, b, c):
@@ -164,7 +158,7 @@ def coshbump(a, b, c):
         s = np.asarray(s, float)
         return -0.5 * a * b * c * np.sinh(c * s) * (1.0 + b * (1.0 + np.cosh(c * s))) ** -1.5
 
-    return Fn1(f"coshbump(A={a:g},B={b:g},C={c:g})", f, df)
+    return Fn1(f, df)
 
 
 def periodic_well(a, b, c):
@@ -185,7 +179,7 @@ def periodic_well(a, b, c):
         well = 1.0 - b * np.cos(cs)
         return a / np.sqrt(well), -0.5 * a * b * c * np.sin(cs) * well ** -1.5
 
-    return Fn1(f"periodic(A={a:g},B={b:g},C={c:g})", f, df, jet=jet)
+    return Fn1(f, df, jet=jet)
 
 
 def snwell(a, b, beta, k):
@@ -201,7 +195,7 @@ def snwell(a, b, beta, k):
         sn, cn, dn = jacobi_sn_cn_dn(beta * np.asarray(s, float), k)
         return -a * b * beta * sn * cn * dn * (1.0 + b * sn * sn) ** -1.5
 
-    return Fn1(f"snwell(A={a:g},B={b:g},beta={beta:g},k={k:g})", f, df)
+    return Fn1(f, df)
 
 
 def snkink(a, b, beta, k):
@@ -217,7 +211,7 @@ def snkink(a, b, beta, k):
         sn, cn, dn = jacobi_sn_cn_dn(beta * np.asarray(s, float), k)
         return a * beta * cn * dn * (1.0 + b * sn * sn) ** -1.5
 
-    return Fn1(f"snkink(A={a:g},B={b:g},beta={beta:g},k={k:g})", f, df)
+    return Fn1(f, df)
 
 
 def kink2(d):
@@ -235,7 +229,7 @@ def kink2(d):
         s = arg(p, q)
         return d * (1.0 + s * s) ** -1.5
 
-    return Fn2(f"kink2(D={d:g})", f, slope, lambda p, q: 0.5 * slope(p, q))
+    return Fn2(f, slope, lambda p, q: 0.5 * slope(p, q))
 
 
 def theta_concentric(a2, b2, d1):
@@ -267,8 +261,7 @@ def theta_concentric(a2, b2, d1):
         return (a2 * phi / np.sqrt(r2), a2 * np.asarray(p, float) * r2 ** -1.5 * (dphi - phi),
                 a2 * np.asarray(q, float) * r2 ** -1.5 * (dphi - phi))
 
-    return Fn2(f"concentric(A2={a2:g},B2={b2:g},D1={d1:g})", f,
-               lambda p, q: jet(p, q)[1], lambda p, q: jet(p, q)[2], jet=jet)
+    return Fn2(f, lambda p, q: jet(p, q)[1], lambda p, q: jet(p, q)[2], jet=jet)
 
 
 def theta_solitary(d1):
@@ -283,77 +276,4 @@ def theta_solitary(d1):
         e = np.exp(h)
         return -0.5 * d1 * e * (1.0 + e) ** -1.5
 
-    return Fn2(f"solitary(D1={d1:g})", f, slope, slope)
-
-
-def quadratic_stream(c):
-    """Stream function h = (c/2)(p^2 + q^2); h11 h22 - h12^2 = c^2."""
-
-    def f(p, q):
-        p = np.asarray(p, float)
-        q = np.asarray(q, float)
-        return 0.5 * c * (p * p + q * q)
-
-    def hess(p, q):
-        shape = np.broadcast(np.asarray(p, float), np.asarray(q, float)).shape
-        return (np.full(shape, c), np.full(shape, c), np.zeros(shape))
-
-    return Fn2(f"quadratic(c={c:g})", f,
-               lambda p, q: c * np.asarray(p, float),
-               lambda p, q: c * np.asarray(q, float),
-               hessian=hess)
-
-
-def npower_stream(n):
-    """Degenerate stream function psi = -p^n q^(1-n); h11 h22 - h12^2 = 0.
-
-    Generates the power-law velocity pair u1 = -(1-n) psi_q-style coupling of
-    the two-vortex family; homogeneous of degree one, hence an exact solution
-    of the homogeneous Monge-Ampere equation.
-    """
-    n = int(n)
-
-    def f(p, q):
-        p, q = np.asarray(p, float), np.asarray(q, float)
-        return -(p**n) * q ** (1 - n)
-
-    def dp(p, q):
-        p, q = np.asarray(p, float), np.asarray(q, float)
-        return -n * p ** (n - 1) * q ** (1 - n)
-
-    def dq(p, q):
-        p, q = np.asarray(p, float), np.asarray(q, float)
-        return (n - 1) * p**n * q ** (-n)
-
-    def hess(p, q):
-        p, q = np.asarray(p, float), np.asarray(q, float)
-        hpp = -n * (n - 1) * p ** (n - 2) * q ** (1 - n)
-        hqq = -n * (n - 1) * p**n * q ** (-1 - n)
-        hpq = n * (n - 1) * p ** (n - 1) * q ** (-n)
-        return hpp, hqq, hpq
-
-    return Fn2(f"npower(n={n})", f, dp, dq, hessian=hess)
-
-
-def homogeneous_stream(g, dg, d2g):
-    """psi(p, q) = p g(q/p): degree-one homogeneous, exact degenerate Hessian."""
-
-    def f(p, q):
-        p, q = np.asarray(p, float), np.asarray(q, float)
-        return p * g(q / p)
-
-    def dp(p, q):
-        p, q = np.asarray(p, float), np.asarray(q, float)
-        w = q / p
-        return g(w) - w * dg(w)
-
-    def dq(p, q):
-        p, q = np.asarray(p, float), np.asarray(q, float)
-        return dg(q / p)
-
-    def hess(p, q):
-        p, q = np.asarray(p, float), np.asarray(q, float)
-        w = q / p
-        return (w * w / p) * d2g(w), d2g(w) / p, -(w / p) * d2g(w)
-
-    return Fn2("homogeneous", f, dp, dq, hessian=hess)
+    return Fn2(f, slope, slope)

@@ -640,8 +640,7 @@ def _build_r3_e1s2s3_v1(p, gas):
     if preset == "linear":
         def fshift(s):
             return p["A1"] * np.asarray(s, float) + p["B1"]
-        fprof = pf.Fn1(f"affine(A={p['A1']:g},B={p['B1']:g})", fshift,
-                       lambda s: np.full_like(np.asarray(s, float), p["A1"]))
+        fprof = pf.Fn1(fshift, lambda s: np.full_like(np.asarray(s, float), p["A1"]))
         planar = PlanarVelocity(theta=pf.kink2(p["D1"]), cos_sign=-1.0)
         nu = kappa / (kappa + 1.0)
         beta = (1.0 + 1.0 / kappa) * p["A1"]
@@ -791,14 +790,14 @@ def _build_rk_time_a(p, gas):
             raise ConstraintError("B1 must be nonnegative")
         ch = np.sqrt(b1)
         df_mat = np.array([[c1, ch], [-ch, c1]])
-        rank = 3 if abs(c1) > 1e-12 or abs(b1) > 1e-12 else 2
     else:  # nilpotent
         df_mat = np.array([[0.0, p["D1"]], [0.0, 0.0]])
-        rank = 1
 
     # sound-speed polynomial P(t) = 1 + tr(Df) t + det(Df) t^2
     trd = float(np.trace(df_mat))
     detd = float(np.linalg.det(df_mat))
+    # du/dx has the velocity rows Df (I + t Df)^-1 and, where P varies, a's time row
+    rank = int(np.linalg.matrix_rank(df_mat)) + int(trd != 0.0 or detd != 0.0)
 
     def pol(t):
         return 1.0 + trd * t + detd * t * t

@@ -30,7 +30,14 @@ from .conditions import (
     trace_condition_initial,
 )
 from .fluid import GasParams
-from .verify import EmptyReportError, GridSpec, catastrophe_probe, residual_exact, residual_fd
+from .verify import (
+    DEFAULT_H,
+    EmptyReportError,
+    GridSpec,
+    catastrophe_probe,
+    residual_exact,
+    residual_fd,
+)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -43,6 +50,22 @@ _GRID_AXES = ("t", "x1", "x2", "x3")
 
 class UsageError(ValueError):
     pass
+
+
+def _spacing(text: str) -> float:
+    """--h: a finite step above 0."""
+    v = float(text)
+    if not (np.isfinite(v) and v > 0.0):
+        raise argparse.ArgumentTypeError(f"needs a finite number > 0, got {text!r}")
+    return v
+
+
+def _threshold(text: str) -> float:
+    """--threshold: a finite bound of at least 0."""
+    v = float(text)
+    if not (np.isfinite(v) and v >= 0.0):
+        raise argparse.ArgumentTypeError(f"needs a finite number >= 0, got {text!r}")
+    return v
 
 
 def _fmt(v: float) -> str:
@@ -218,7 +241,10 @@ def cmd_verify(args) -> int:
         report = residual_exact(spec, grid=grid)
         threshold = args.threshold if args.threshold is not None else 1e-8
     else:
-        report = residual_fd(spec, grid=grid, h=args.h)
+        try:
+            report = residual_fd(spec, grid=grid, h=args.h)
+        except ValueError as exc:  # the grid is closer than the stencils allow
+            raise UsageError(str(exc)) from None
         threshold = args.threshold if args.threshold is not None else 1e-5
     doc = report.as_dict()
     doc["family"] = spec.id
@@ -379,8 +405,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--grid")
     p.add_argument("--method", choices=("exact", "fd"), default="exact")
-    p.add_argument("--h", type=float, default=1e-4)
-    p.add_argument("--threshold", type=float, default=None)
+    p.add_argument("--h", type=_spacing, default=DEFAULT_H)
+    p.add_argument("--threshold", type=_threshold, default=None)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(fn=cmd_verify)
 

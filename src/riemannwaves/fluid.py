@@ -11,9 +11,9 @@ the coefficient matrices A^i, the dispersion relation
     det(lam0*I4 + lam_i A^i) = (lam0 + u.lam)^2 [(lam0 + u.lam)^2 - a^2 lam^2],
 
 and its two root families (potential / acoustic and rotational / vortex wave
-covectors) with their wave-relation kernels.  ``potential_wave`` and
-``rotational_wave`` are the reference form of the covectors that the catalog
-families run (``catalog.base.PotentialWave`` / ``RotationalWave``).
+covectors) with their wave-relation kernels.  The covectors themselves are
+built where the families run them (``catalog.base.PotentialWave`` /
+``RotationalWave``); this module takes any covector as a pair (lam0, lam).
 """
 
 from __future__ import annotations
@@ -29,27 +29,16 @@ __all__ = [
     "ConstraintError",
     "GasParams",
     "StateVec",
-    "WaveVector",
-    "DegenerateWavesError",
     "NotACharacteristicError",
     "coefficient_matrices",
     "dispersion_matrix",
     "dispersion_det",
-    "potential_wave",
-    "rotational_wave",
     "wave_kernel",
 ]
-
-UNIT_TOL = 1e-12
-UNIT_FIX = 1e-9  # renormalize silently when within this of unit length
 
 
 class ConstraintError(ValueError):
     """Parameters violate a structural constraint."""
-
-
-class DegenerateWavesError(ValueError):
-    """Wave vectors fail a linear-independence / nondegeneracy requirement."""
 
 
 class NotACharacteristicError(ValueError):
@@ -93,38 +82,6 @@ class StateVec:
         return cls(a=float(arr[0]), u=arr[1:].copy())
 
 
-@dataclass(frozen=True)
-class WaveVector:
-    """Dispersion-root covector (lam0, lam1, lam2, lam3) with a kind tag.
-
-    kind is "potential" (acoustic, carries epsilon and the unit direction e)
-    or "rotational" (vortex, carries e; its spatial part is -e x m).
-    """
-
-    lam0: float
-    lam: np.ndarray
-    kind: str
-    epsilon: int = 0
-    e: np.ndarray | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "lam", np.asarray(self.lam, dtype=float).reshape(3))
-        if self.kind not in ("potential", "rotational"):
-            raise ValueError(f"unknown wave kind {self.kind!r}")
-        if np.allclose(self.lam, 0.0):
-            raise DegenerateWavesError("spatial part of a wave covector must be nonzero")
-
-
-def _unit(e) -> np.ndarray:
-    e = np.asarray(e, dtype=float).reshape(3)
-    norm = float(np.linalg.norm(e))
-    if abs(norm - 1.0) > UNIT_FIX:
-        raise ValueError(f"direction must be a unit vector, |e| = {norm}")
-    if abs(norm - 1.0) > UNIT_TOL:
-        e = e / norm
-    return e
-
-
 def coefficient_matrices(state: StateVec, gas: GasParams = GasParams()):
     """The three 4x4 matrices A^i: u^i on the diagonal plus the acoustic coupling.
 
@@ -142,15 +99,13 @@ def coefficient_matrices(state: StateVec, gas: GasParams = GasParams()):
 
 
 def dispersion_matrix(state: StateVec, wv, gas: GasParams = GasParams()) -> np.ndarray:
-    """lam0*I4 + lam_i A^i for a covector (lam0, lam) or WaveVector."""
+    """lam0*I4 + lam_i A^i for a covector (lam0, lam)."""
     lam0, lam = _split_wv(wv)
     a1, a2, a3 = coefficient_matrices(state, gas)
     return lam0 * np.eye(4) + lam[0] * a1 + lam[1] * a2 + lam[2] * a3
 
 
 def _split_wv(wv):
-    if isinstance(wv, WaveVector):
-        return wv.lam0, wv.lam
     lam0, lam = wv
     return float(lam0), np.asarray(lam, dtype=float).reshape(3)
 
@@ -164,26 +119,6 @@ def dispersion_det(state: StateVec, wv) -> float:
     lam0, lam = _split_wv(wv)
     conv = lam0 + float(state.u @ lam)
     return conv * conv * (conv * conv - state.a**2 * float(lam @ lam))
-
-
-def potential_wave(state: StateVec, e, epsilon: int = 1) -> WaveVector:
-    """Acoustic covector (eps*a + u.e, -e) for a unit direction e and eps = +-1."""
-    if epsilon not in (1, -1):
-        raise ValueError(f"epsilon must be 1 or -1, got {epsilon!r}")
-    e = _unit(e)
-    lam0 = epsilon * state.a + float(state.u @ e)
-    return WaveVector(lam0=lam0, lam=-e, kind="potential", epsilon=epsilon, e=e)
-
-
-def rotational_wave(state: StateVec, e, m) -> WaveVector:
-    """Vortex covector (det(u,e,m), -e x m) for unit e and m not parallel to e."""
-    e = _unit(e)
-    m = np.asarray(m, dtype=float).reshape(3)
-    exm = np.cross(e, m)
-    if np.linalg.norm(exm) < 1e-12:
-        raise DegenerateWavesError("e and m are parallel; rotational direction degenerate")
-    lam0 = float(np.linalg.det(np.vstack([state.u, e, m])))
-    return WaveVector(lam0=lam0, lam=-exm, kind="rotational", e=e)
 
 
 def wave_kernel(state: StateVec, wv, gas: GasParams = GasParams()) -> np.ndarray:

@@ -8,8 +8,7 @@ import numpy as np
 import pytest
 
 from riemannwaves import linalg
-from riemannwaves.catalog import REGISTRY_IDS, ConstraintError, make_family, monge_ampere_residual
-from riemannwaves.catalog import profiles as pf
+from riemannwaves.catalog import REGISTRY_IDS, ConstraintError, make_family
 from riemannwaves.catalog.base import PotentialWave, RotationalWave
 from riemannwaves.cli import main as cli_main
 from riemannwaves.conditions import (
@@ -24,12 +23,18 @@ from riemannwaves.fluid import (
     StateVec,
     dispersion_det,
     dispersion_matrix,
-    potential_wave,
-    rotational_wave,
     wave_kernel,
 )
 from riemannwaves.verify import GridSpec, catastrophe_probe, residual_exact, residual_fd
 
+from oracles import (
+    cayley_hamilton_residual,
+    faddeev_coeffs,
+    homogeneous_stream,
+    monge_ampere_residual,
+    potential_wave,
+    rotational_wave,
+)
 from test_catalog import family_stream, stream_profile_gap
 from test_conditions import acoustic_pair_config, locked_pair, perturbed_pair
 from test_elliptic import ORACLE_CN_1_05, ORACLE_DN_1_05, ORACLE_SN_1_05
@@ -49,7 +54,7 @@ def random_state(rng):
 
 def catalog_covectors(st, e, epsilon, m):
     """The covectors (lam0, lam) the families run (catalog.base) for the waves
-    of fluid.potential_wave(st, e, epsilon) and fluid.rotational_wave(st, e, m)."""
+    of the reference forms potential_wave(st, e, epsilon) and rotational_wave(st, e, m)."""
     u = np.concatenate([[st.a], st.u])[None]
     return tuple((lam[0], lam[1:]) for lam in (PotentialWave(e=e, epsilon=epsilon).lam(u)[0],
                                                RotationalWave(lsp=-np.cross(e, m)).lam(u)[0]))
@@ -88,7 +93,7 @@ def test_criterion_01_dispersion_consistency():
         worst_rel = max(worst_rel, abs(fact - det) / (1.0 + abs(fact) + abs(det)))
     report(1, worst_root <= 1e-12 and worst_rel <= 1e-10 and worst_live <= 1e-15,
            f"dispersion roots vanish ({worst_root:.2e}), factorized = det ({worst_rel:.2e}), "
-           f"catalog covectors = fluid reference ({worst_live:.1e})")
+           f"catalog covectors = reference form ({worst_live:.1e})")
 
 
 def test_criterion_02_kernel_multiplicities():
@@ -109,7 +114,7 @@ def test_criterion_02_kernel_multiplicities():
             worst = max(worst, float(np.max(np.abs(dispersion_matrix(st, wv, GAS) @ kern))))
     report(2, ok and worst <= 1e-10 and worst_live <= 1e-15,
            f"potential kernels 1-dim, rotational 2-dim, residual {worst:.2e}; "
-           f"catalog covectors = fluid reference ({worst_live:.1e})")
+           f"catalog covectors = reference form ({worst_live:.1e})")
 
 
 def test_criterion_03_faddeev_oracle():
@@ -118,12 +123,12 @@ def test_criterion_03_faddeev_oracle():
     for n in (2, 3, 4, 5):
         for _ in range(200):
             m = rng.normal(size=(n, n))
-            p = linalg.faddeev_coeffs(m)
+            p = faddeev_coeffs(m)
             p_oracle = charpoly_cofactor(m)
             worst_rel = max(worst_rel, float(np.max(np.abs(p - p_oracle) /
                                                     np.maximum(np.abs(p_oracle), 1.0))))
             bound = 1e-9 * (1.0 + float(np.max(np.abs(m))) ** n)
-            worst_ch = max(worst_ch, linalg.cayley_hamilton_residual(m) / bound)
+            worst_ch = max(worst_ch, cayley_hamilton_residual(m) / bound)
     report(3, worst_rel <= 1e-10 and worst_ch <= 1.0,
            f"Faddeev vs cofactor oracle rel {worst_rel:.2e}, CH within bound x{worst_ch:.2f}")
 
@@ -193,7 +198,7 @@ def test_criterion_06_rank_verification():
         good = res.status == 0
         idx = np.nonzero(good)[0][:1000]
         assert len(idx) >= 600, fid
-        ranks = linalg.numerical_rank(res.jac[idx], rel_tol=1e-8)
+        ranks = np.linalg.matrix_rank(res.jac[idx], rtol=1e-8)
         frac = float(np.mean(ranks == spec.rank))
         fractions.append(f"{fid}:{frac:.3f}")
         ok &= frac >= 0.95
@@ -344,7 +349,7 @@ def test_criterion_11_monge_ampere():
     ma = make_family("R2_S1S2_MA")
     pts_pos = np.column_stack([rng.uniform(0.5, 2.5, 300), rng.uniform(0.5, 2.5, 300)])
     res_stream = monge_ampere_residual(*family_stream(ma), pts_pos)
-    psi = pf.homogeneous_stream(np.cos, lambda w: -np.sin(w), lambda w: -np.cos(w))
+    psi = homogeneous_stream(np.cos, lambda w: -np.sin(w), lambda w: -np.cos(w))
     res_homog = monge_ampere_residual(psi, 0.0, pts_pos)
     rk = make_family("RK_TIME_A")
     pts = rng.uniform(-2, 2, (300, 2))

@@ -10,7 +10,6 @@ from riemannwaves.catalog import (
     REGISTRY_IDS,
     family_defaults,
     make_family,
-    monge_ampere_residual,
     registry_entries,
 )
 from riemannwaves.catalog import profiles as pf
@@ -24,6 +23,8 @@ from riemannwaves.catalog.base import (
 from riemannwaves.catalog.registry import _REGISTRY
 from riemannwaves.solver import STATUS_OK
 
+from oracles import Stream, homogeneous_stream, monge_ampere_residual, npower_stream, quadratic_stream
+
 
 def shear_stream(d1):
     """psi = (D1/2) q^2, the stream of RK_TIME_A's nilpotent preset: h_pp h_qq - h_pq^2 = 0."""
@@ -32,7 +33,7 @@ def shear_stream(d1):
         shape = np.broadcast(np.asarray(p, float), np.asarray(q, float)).shape
         return np.zeros(shape), np.full(shape, d1), np.zeros(shape)
 
-    return pf.Fn2(f"shear(D1={d1:g})", lambda p, q: 0.5 * d1 * np.asarray(q, float) ** 2,
+    return Stream(f"shear(D1={d1:g})", lambda p, q: 0.5 * d1 * np.asarray(q, float) ** 2,
                   lambda p, q: np.zeros_like(np.asarray(p, float)),
                   lambda p, q: d1 * np.asarray(q, float), hessian=hess)
 
@@ -42,10 +43,10 @@ def family_stream(spec):
     presets with the family's own parameters, and its Monge-Ampere value."""
     p = spec.params
     if spec.id == "R2_S1S2_MA":
-        return pf.npower_stream(p["n"]), 0.0
+        return npower_stream(p["n"]), 0.0
     if p["profile"] == "nilpotent":
         return shear_stream(p["D1"]), 0.0
-    return pf.quadratic_stream(np.sqrt(p["B1"])), p["B1"]
+    return quadratic_stream(np.sqrt(p["B1"])), p["B1"]
 
 
 def stream_profile_gap(spec, r):
@@ -274,6 +275,20 @@ def test_snoidal_structure():
     assert np.max(np.abs(res.state[:, 0] - spec.params["a0"])) <= 1e-14
 
 
+@pytest.mark.parametrize("params", [{}, {"B1": 0.0, "C1": 0.0}, {"profile": "nilpotent"},
+                                    {"profile": "nilpotent", "D1": 0.0}])
+def test_time_only_family_declares_the_rank_of_its_field(params):
+    # B1 = C1 = 0 and D1 = 0 give Df = 0: a constant state, rank 0
+    spec = make_family("RK_TIME_A", **params)
+    rng = np.random.default_rng(41)
+    t = rng.uniform(0, 2, 300)
+    x = rng.uniform(-1, 1, (300, 3))
+    res = spec.evaluate_batch(t, x)
+    ok = res.status == STATUS_OK
+    assert ok.sum() >= 200
+    assert np.all(np.linalg.matrix_rank(res.jac[ok], rtol=1e-8) == spec.rank)
+
+
 def test_time_only_family_jacobian_invariants():
     spec = make_family("RK_TIME_A")
     df = spec.profile_jac(np.zeros((1, 2)), np.zeros(1))[0, 1:3, :]  # constant Df
@@ -293,7 +308,7 @@ def test_time_only_family_jacobian_invariants():
 
 
 def test_monge_ampere_homogeneous_stream():
-    psi = pf.homogeneous_stream(np.cos, lambda w: -np.sin(w), lambda w: -np.cos(w))
+    psi = homogeneous_stream(np.cos, lambda w: -np.sin(w), lambda w: -np.cos(w))
     rng = np.random.default_rng(29)
     samples = np.column_stack([rng.uniform(0.5, 2.0, 200), rng.uniform(-2, 2, 200)])
     assert monge_ampere_residual(psi, 0.0, samples) <= 1e-8
@@ -301,7 +316,7 @@ def test_monge_ampere_homogeneous_stream():
 
 def test_monge_ampere_quadratic_and_registered_streams():
     c = 1.7
-    h = pf.quadratic_stream(c)
+    h = quadratic_stream(c)
     samples = np.random.default_rng(31).uniform(-2, 2, (100, 2))
     assert monge_ampere_residual(h, c * c, samples) <= 1e-12
     # the stream functions of the catalog families

@@ -88,6 +88,23 @@ def test_exit_statuses_malformed_matrix(capsys, tmp_path):
         assert code == expected, (args, code, expected)
 
 
+@pytest.mark.parametrize("bad", [
+    ["--method", "fd", "--h=1"],          # grid closer than the stencils' 4h
+    ["--method", "fd", "--h", "0"],
+    ["--method", "fd", "--h", "nan"],
+    ["--method", "fd", "--h=-1e-4"],
+    ["--method", "fd", "--h", "inf"],
+    ["--threshold", "nan"],
+    ["--threshold=-1"],
+    ["--method", "fd", "--threshold", "inf"],
+], ids=["h-above-spacing", "h-zero", "h-nan", "h-negative", "h-inf",
+        "threshold-nan", "threshold-negative", "threshold-inf"])
+def test_verify_rejects_bad_step_and_threshold(bad, capsys):
+    code, out, err = run(["verify", "--family", "R1_E", *bad], capsys)
+    assert code == 2, err
+    assert out == "" and "error" in err and "Traceback" not in err
+
+
 def _verify_csv_agrees(args, doc, code, capsys):
     """The --format csv report of args holds the JSON report doc's numbers,
     its pass flag, and exits with the same code."""

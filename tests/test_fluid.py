@@ -6,17 +6,16 @@ import pytest
 from riemannwaves import linalg
 from riemannwaves.fluid import (
     ConstraintError,
-    DegenerateWavesError,
     GasParams,
     NotACharacteristicError,
     StateVec,
     coefficient_matrices,
     dispersion_det,
     dispersion_matrix,
-    potential_wave,
-    rotational_wave,
     wave_kernel,
 )
+
+from oracles import DegenerateWavesError, potential_wave, rotational_wave
 
 GAS = GasParams()  # gamma = 5/3, kappa = 3
 

@@ -112,7 +112,7 @@ def test_constant_profile_linear_solve_and_zero_jacobian():
     lam = prob.waves(pt.state[None, :])[0, 0]
     assert abs(pt.r[0] - lam @ pt.x) <= 1e-14
     assert np.max(np.abs(pt.jac)) <= 1e-14
-    assert linalg.numerical_rank(pt.jac) == 0
+    assert np.linalg.matrix_rank(pt.jac, rtol=1e-8) == 0
     assert abs(pt.cond_det - 1.0) <= 1e-14
 
 
@@ -191,10 +191,10 @@ def test_solution_rank_examples():
     spec1 = make_family("R1_E")
     res = spec1.evaluate_batch(np.array([0.3]), np.array([[-0.7, 0.2, 0.1]]))
     assert res.status[0] == 0
-    assert linalg.numerical_rank(res.jac[0]) == 1
+    assert np.linalg.matrix_rank(res.jac[0], rtol=1e-8) == 1
     spec2 = make_family("R2_S1S2_MA", branch="plus")
     res2 = spec2.evaluate_batch(np.array([1.0]), np.array([[1.0, 0.2, 0.0]]))
-    assert linalg.numerical_rank(res2.jac[0]) == 2
+    assert np.linalg.matrix_rank(res2.jac[0], rtol=1e-8) == 2
 
 
 def test_newton_residual_tolerance_everywhere():
