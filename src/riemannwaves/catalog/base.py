@@ -158,11 +158,12 @@ class EvalResult:
     """Batched evaluation output; arrays share the leading point dimension.
 
     ``jac`` is None when the evaluation ran with ``jacobian=False``.
-    ``cond_det`` is det(dG/dr) at the final iterates, in closed form for
-    k <= 3 (``solver.bracket_det``): the status test, ``verify`` and the
-    catastrophe probe read it.  ``bracket`` is that dG/dr itself, NaN on
-    rows no Newton solve reached and None from a custom evaluator; ``sample``
-    prints LAPACK's determinant of it, the value its pinned bytes carry.
+    ``cond_det`` is det(dG/dr) at the final iterates, in closed form
+    (``solver.bracket_det``): the status test, the Jacobi assembly,
+    ``verify`` and the catastrophe probe read it.  ``bracket`` is that dG/dr
+    itself, NaN on rows no Newton solve reached and None from a custom
+    evaluator; ``sample`` prints LAPACK's determinant of it, the value its
+    pinned bytes carry.
     """
 
     r: np.ndarray          # (N, n_waves)
@@ -185,16 +186,16 @@ def _finite_points(t, x):  # (N,) mask: t and every x coordinate finite
 class FamilySpec:
     """A validated, runnable solution family.
 
-    The spec builds ``waves``, ``waves_jac`` and ``dr_du`` from its
-    ``wave_list`` once, with ``stack_waves``: Newton reads ``dr_du`` only
-    (its final bracket feeds the Jacobi assembly), the trace conditions read
-    the full ``waves_jac`` slices.  A family with a CustomWave has no
+    The spec derives ``n_waves`` from its ``wave_list`` (1 to 3 waves, so
+    every bracket quantity has a closed form) and builds ``waves``,
+    ``waves_jac`` and ``dr_du`` from it once, with ``stack_waves``: Newton
+    reads ``dr_du`` only (its final bracket feeds the Jacobi assembly), the
+    trace conditions read the full ``waves_jac`` slices.  A family with a CustomWave has no
     ``dr_du`` and must bring a ``custom_eval``.
     """
 
     id: str
     rank: int
-    n_waves: int
     description: str
     params: dict
     gas: GasParams
@@ -205,16 +206,20 @@ class FamilySpec:
     extra_time_deriv: Callable | None = None
     initial_a_rate: Callable | None = None   # da/dt on the t=0 section, fn of state
     guess_fn: Callable | None = None          # (t, x) -> r0
-    closed_form: Callable | None = None       # (t, x) -> (r, state)
+    closed_form: Callable | None = None       # (t, x) -> r; the state is profile(r, t)
     custom_eval: Callable | None = None       # (t, x, guess): replaces the Newton path
     validity_fn: Callable | None = None       # (t, x) -> bool mask (pre-solve)
     probe_x: np.ndarray | None = None
     default_window: dict = field(default_factory=dict)
+    n_waves: int = field(init=False)          # len(wave_list), 1 to 3
     waves: Callable = field(init=False)       # (N,4) -> (N,k,4)
     waves_jac: Callable = field(init=False)   # (N,4) -> (N,k,4,4), for the trace conditions
     dr_du: Callable | None = field(init=False)  # (u (N,4), X (N,4)) -> (N,k,4), for the solver
 
     def __post_init__(self):
+        self.n_waves = len(self.wave_list)
+        if not 1 <= self.n_waves <= 3:
+            raise ConstraintError(f"{self.id}: a family has 1 to 3 waves, got {self.n_waves}")
         self.waves, self.waves_jac, self.dr_du = stack_waves(self.wave_list)
         if self.dr_du is None and self.custom_eval is None:
             raise ConstraintError(f"{self.id}: a custom covector needs a custom_eval")
@@ -301,7 +306,7 @@ class FamilySpec:
             r, u, status, cond, fr, jmat = newton_batch(self.profile, self.profile_jac,
                                                         self.waves, self.dr_du, X, r0)
             if jacobian:
-                jac = jacobi_batch(self.waves, u, fr, jmat, X, self.extra_time_deriv)
+                jac = jacobi_batch(self.waves, u, fr, jmat, X, cond, self.extra_time_deriv)
             res.bracket[idx] = jmat
 
         solved = status == STATUS_OK

@@ -182,17 +182,29 @@ def periodic_well(a, b, c):
     return Fn1(f, df, jet=jet)
 
 
+def _sn_cn_dn(beta, s, k):
+    """sn, cn, dn at beta s, NaN where beta s is not finite: an overflowed
+    invariant ends its point non-ok instead of raising for the batch."""
+    u = beta * np.asarray(s, float)
+    finite = np.isfinite(u)
+    if finite.all():
+        return jacobi_sn_cn_dn(u, k)
+    out = np.full((3,) + u.shape, np.nan)
+    out[:, finite] = jacobi_sn_cn_dn(u[finite], k)
+    return out
+
+
 def snwell(a, b, beta, k):
     """A (1 + B sn^2(beta s, k))^(-1/2); doubly periodic snoidal envelope."""
     if b <= 0:
         raise ConstraintError("snwell profile requires B > 0")
 
     def f(s):
-        sn, _, _ = jacobi_sn_cn_dn(beta * np.asarray(s, float), k)
+        sn, _, _ = _sn_cn_dn(beta, s, k)
         return a / np.sqrt(1.0 + b * sn * sn)
 
     def df(s):
-        sn, cn, dn = jacobi_sn_cn_dn(beta * np.asarray(s, float), k)
+        sn, cn, dn = _sn_cn_dn(beta, s, k)
         return -a * b * beta * sn * cn * dn * (1.0 + b * sn * sn) ** -1.5
 
     return Fn1(f, df)
@@ -204,11 +216,11 @@ def snkink(a, b, beta, k):
         raise ConstraintError("snkink profile requires B > 0")
 
     def f(s):
-        sn, _, _ = jacobi_sn_cn_dn(beta * np.asarray(s, float), k)
+        sn, _, _ = _sn_cn_dn(beta, s, k)
         return a * sn / np.sqrt(1.0 + b * sn * sn)
 
     def df(s):
-        sn, cn, dn = jacobi_sn_cn_dn(beta * np.asarray(s, float), k)
+        sn, cn, dn = _sn_cn_dn(beta, s, k)
         return a * beta * cn * dn * (1.0 + b * sn * sn) ** -1.5
 
     return Fn1(f, df)

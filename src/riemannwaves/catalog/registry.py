@@ -3,10 +3,11 @@
 Parameter names follow the conventional symbols (A1, B1, C1, gamma, e1, m2,
 modulus_k, branch, ...).  ``make_family`` checks the rules every family
 shares: known keys, numeric values where the default is numeric, and the
-admissible values of each finitely-valued key (the registry's choices).
-Each builder then validates its structural constraints (unit directions,
-locked angles, modulus bounds, nondegeneracy) and returns a runnable
-FamilySpec.  Every violation raises ConstraintError naming the constraint.
+admissible values and the positive keys the registry table declares.  Each
+builder then validates its structural constraints (unit directions, locked
+angles, modulus bounds, nondegeneracy) and returns its family's own fields;
+``make_family`` alone builds the FamilySpec from them.  Every violation
+raises ConstraintError naming the constraint.
 """
 
 from __future__ import annotations
@@ -157,15 +158,10 @@ def _build_acoustic(fid, p, gas):
         probe_x = emat.T @ np.linalg.solve(emat @ emat.T, c)
 
     def closed_form(t, x):
-        r = np.empty((len(t), k))
-        for i, e in enumerate(evecs):
-            r[:, i] = -(x @ e) / (1.0 - eps_1k * A[i] * t)
-        return r, profile(r, t)
+        return -(x @ np.transpose(evecs)) / (1.0 - eps_1k * np.multiply.outer(t, A))
 
-    return FamilySpec(
-        id=fid, rank=k, n_waves=k, description=description,
-        params=p, gas=gas,
-        profile=profile, profile_jac=profile_jac,
+    return dict(
+        rank=k, description=description, profile=profile, profile_jac=profile_jac,
         wave_list=[PotentialWave(e=e, epsilon=eps) for e in evecs],
         singular_time_values=tsing,
         closed_form=closed_form if p["profile"] == "linear" else None,
@@ -191,8 +187,6 @@ def _build_r1_s(p, gas):
         raise ConstraintError("(e1 x m1)_3 must be nonzero so u3 can close the circulation")
     p1, p2 = pf.sech_bump(p["A1"]), pf.sech_bump(p["A2"])
     c, a0 = p["C"], p["a0"]
-    if not a0 > 0:
-        raise ConstraintError("a0 must be positive")
 
     def profile(r, t):
         s = r[:, 0]
@@ -209,10 +203,8 @@ def _build_r1_s(p, gas):
         out[:, 3, 0] = -(exm[0] * d1 + exm[1] * d2) / exm[2]
         return out
 
-    return FamilySpec(
-        id="R1_S", rank=1, n_waves=1,
-        description="rank-1 vortex wave with bounded sech profiles",
-        params=p, gas=gas,
+    return dict(
+        rank=1, description="rank-1 vortex wave with bounded sech profiles",
         profile=profile, profile_jac=profile_jac, wave_list=[RotationalWave(lsp=-exm)],
         default_window={"t": (0.0, 3.0)},
     )
@@ -277,9 +269,7 @@ def _build_r2_e1s2(p, gas):
 
         def closed_form(t, x):
             r1 = (c0 * t - x @ e1) / (1.0 - (1.0 + kappa) * p["A1"] * t)
-            r2 = p["C2"] * t + x @ s
-            r = np.column_stack([r1, r2])
-            return r, profile(r, t)
+            return np.column_stack([r1, p["C2"] * t + x @ s])
     else:
         # the bump's slope peaks at r* = 1 - sign(A1)/sqrt(2 B1), where
         # pa'(r*) = 2 |A1| sqrt(B1) / 3^1.5: that characteristic folds first
@@ -291,10 +281,8 @@ def _build_r2_e1s2(p, gas):
             # r1 = (c0 + (1 + kappa) pa(r1)) t - x.e1 puts r1 = r* on this ray at t*
             probe_x = float((c0 + (1.0 + kappa) * pa(rstar)) * tstar - rstar) * e1
 
-    return FamilySpec(
-        id="R2_E1S2", rank=2, n_waves=2,
-        description="acoustic + vortex double wave (trigonometric or solitary)",
-        params=p, gas=gas,
+    return dict(
+        rank=2, description="acoustic + vortex double wave (trigonometric or solitary)",
         profile=profile, profile_jac=profile_jac,
         wave_list=[PotentialWave(e=e1), RotationalWave(lsp=s)],
         singular_time_values=tsing,
@@ -317,8 +305,6 @@ def _build_r2_s1s2_ma(p, gas):
         raise ConstraintError(f"power n must be an integer different from 1, got {p['n']!r}")
     n = int(p["n"])
     a0, d1 = p["a0"], p["D1"]
-    if not a0 > 0:
-        raise ConstraintError("a0 must be positive")
     branch = p["branch"]
 
     # r2 = 0 (and w = 0 for n < 2) gives non-finite fields; the point statuses record them
@@ -358,24 +344,19 @@ def _build_r2_s1s2_ma(p, gas):
         r2 = x2 + 2.0 * w * t
         return np.column_stack([r1, r2])
 
-    def closed_form(t, x):
-        r = guess_fn(t, x)
-        return r, profile(r, t)
-
     def validity_fn(t, x):
         disc = x[:, 1] ** 2 + 4.0 * t * x[:, 0]
         return (t > 1e-6) & (disc > 1e-10)
 
-    return FamilySpec(
-        id="R2_S1S2_MA", rank=2, n_waves=2,
+    return dict(
+        rank=2,
         description="two vortex waves from a degenerate stream function (power-law, two sheets)",
-        params=p, gas=gas,
         profile=profile, profile_jac=profile_jac,
         wave_list=[RotationalWave(lsp=np.array([1.0, 0, 0])),
                    RotationalWave(lsp=np.array([0, 1.0, 0]))],
         singular_time_values=(0.0,),
         guess_fn=guess_fn,
-        closed_form=closed_form if n == 2 else None,
+        closed_form=guess_fn if n == 2 else None,
         validity_fn=validity_fn,
         default_window={"t": (0.5, 1.5), "x1": (0.5, 1.5), "x2": (-0.5, 0.5), "x3": (-1.0, 1.0)},
     )
@@ -395,8 +376,6 @@ def _defaults_r2_s1s2_add(gas):
 
 def _build_r2_s1s2_add(p, gas):
     a0, c1, c2 = p["a0"], p["C1"], p["C2"]
-    if not a0 > 0:
-        raise ConstraintError("a0 must be positive")
     l1 = np.cross(_unit3(p["e1"], "e1"), _vec3(p["m1"], "m1"))
     l2 = np.cross(_unit3(p["e2"], "e2"), _vec3(p["m2"], "m2"))
     if abs(l1[0]) < 1e-12 or abs(l2[0]) < 1e-12:
@@ -429,10 +408,8 @@ def _build_r2_s1s2_add(p, gas):
         out[:, 3, 0], out[:, 3, 1] = d31, eta * d22
         return out
 
-    return FamilySpec(
-        id="R2_S1S2_ADD", rank=2, n_waves=2,
-        description="two vortex waves, additive velocity split, kink profiles",
-        params=p, gas=gas,
+    return dict(
+        rank=2, description="two vortex waves, additive velocity split, kink profiles",
         profile=profile, profile_jac=profile_jac,
         wave_list=[RotationalWave(lsp=-l1), RotationalWave(lsp=-l2)],
         default_window={"t": (0.0, 3.0)},
@@ -487,13 +464,10 @@ def _build_r2_e1e2s3(p, gas):
         denom = 1.0 - (1.0 + kappa) * a1c * t
         r1 = (float(e1[:2] @ wdir) * w * t - x @ e1) / denom
         r2 = (float(e2[:2] @ wdir) * w * t - x @ e2) / denom
-        r = np.column_stack([r1, r2, r3])
-        return r, profile(r, t)
+        return np.column_stack([r1, r2, r3])
 
-    return FamilySpec(
-        id="R2_E1E2S3", rank=2, n_waves=3,
-        description="two angle-locked acoustic waves plus a transverse vortex mode",
-        params=p, gas=gas,
+    return dict(
+        rank=2, description="two angle-locked acoustic waves plus a transverse vortex mode",
         profile=profile, profile_jac=profile_jac,
         wave_list=[PotentialWave(e=e1), PotentialWave(e=e2),
                    RotationalWave(lsp=np.array([0.0, 0.0, 1.0]))],
@@ -553,17 +527,14 @@ def _build_r2_e1s2s3(p, gas):
         u1 = kappa * a1c * r1 + cconst
         r2 = l2[0] * u1 * t - x @ l2
         r3 = l31 * u1 * t - x @ l3
-        r = np.column_stack([r1, r2, r3])
-        return r, profile(r, t)
+        return np.column_stack([r1, r2, r3])
 
     def validity_fn(t, x):
         denom = 1.0 - (1.0 + kappa) * a1c * t
         return (cconst * t - x[:, 0]) / np.where(np.abs(denom) < 1e-12, np.nan, denom) > 0
 
-    return FamilySpec(
-        id="R2_E1S2S3", rank=2, n_waves=3,
-        description="acoustic wave with two stationary planar shear modes",
-        params=p, gas=gas,
+    return dict(
+        rank=2, description="acoustic wave with two stationary planar shear modes",
         profile=profile, profile_jac=profile_jac,
         wave_list=[PotentialWave(e=e1), RotationalWave(lsp=-l2), RotationalWave(lsp=-l3)],
         singular_time_values=(tval,),
@@ -585,8 +556,6 @@ def _defaults_r2_s1s2s3(gas):
 
 def _build_r2_s1s2s3(p, gas):
     a0 = p["a0"]
-    if not a0 > 0:
-        raise ConstraintError("a0 must be positive")
     k = float(p["modulus_k"])
     if not 0.0 < k * k < 1.0:
         raise ConstraintError(f"elliptic modulus must satisfy 0 < k^2 < 1, got k^2 = {k*k:.6g}")
@@ -596,24 +565,26 @@ def _build_r2_s1s2s3(p, gas):
     bperp = pf.snwell(p["A1"], p["B1"], p["beta"], k)   # b(r2, r3) along r2 + n r3
     gdiag = pf.snkink(p["A2"], p["B2"], p["beta"], k)   # g(r2 - r3)
 
+    # an invariant near the float range overflows these arguments to +-inf;
+    # the profiles give NaN there and the point's status records it
     def profile(r, t):
-        u1 = bperp(r[:, 1] + n * r[:, 2])
-        g = gdiag(r[:, 1] - r[:, 2])
+        with np.errstate(over="ignore", invalid="ignore"):
+            u1 = bperp(r[:, 1] + n * r[:, 2])
+            g = gdiag(r[:, 1] - r[:, 2])
         return np.column_stack([np.full(len(r), a0), u1, g, g])
 
     def profile_jac(r, t):
-        db = bperp.d(r[:, 1] + n * r[:, 2])
-        dg = gdiag.d(r[:, 1] - r[:, 2])
+        with np.errstate(over="ignore", invalid="ignore"):
+            db = bperp.d(r[:, 1] + n * r[:, 2])
+            dg = gdiag.d(r[:, 1] - r[:, 2])
         out = np.zeros((len(r), 4, 3))
         out[:, 1, 1], out[:, 1, 2] = db, n * db
         out[:, 2, 1], out[:, 2, 2] = dg, -dg
         out[:, 3, 1], out[:, 3, 2] = dg, -dg
         return out
 
-    return FamilySpec(
-        id="R2_S1S2S3", rank=2, n_waves=3,
-        description="three vortex directions, nilpotent coupling, snoidal profiles",
-        params=p, gas=gas,
+    return dict(
+        rank=2, description="three vortex directions, nilpotent coupling, snoidal profiles",
         profile=profile, profile_jac=profile_jac,
         wave_list=[RotationalWave(lsp=lsp) for lsp in np.eye(3)],
         default_window={"t": (0.0, 3.0)},
@@ -632,8 +603,6 @@ def _defaults_r3_e1s2s3_v1(gas):
 def _build_r3_e1s2s3_v1(p, gas):
     kappa = gas.kappa
     a0, u30 = p["a0"], p["u30"]
-    if not a0 > 0:
-        raise ConstraintError("a0 must be positive")
 
     preset = p["profile"]
     r3_closed = None
@@ -706,10 +675,8 @@ def _build_r3_e1s2s3_v1(p, gas):
 
     win = {"t": (0.0, 1.0)} if preset == "linear" else \
           {"t": (0.0, 1.0), "x1": (-1.0, 1.0), "x2": (-1.0, 1.0), "x3": (1.0, 2.5)}
-    return FamilySpec(
-        id="R3_E1S2S3_v1", rank=2, n_waves=3,
-        description="acoustic + two vortex waves with a transported third invariant",
-        params=p, gas=gas,
+    return dict(
+        rank=2, description="acoustic + two vortex waves with a transported third invariant",
         profile=profile, profile_jac=profile_jac,
         wave_list=[PotentialWave(e=e1), CustomWave(lam_fn=lam2_fn, jac_fn=lam2_jac),
                    RotationalWave(lsp=np.array([0.0, 0.0, 1.0]))],
@@ -730,9 +697,6 @@ def _defaults_r3_e1s2s3_v2(gas):
 
 def _build_r3_e1s2s3_v2(p, gas):
     kappa = gas.kappa
-    a0 = p["a0"]
-    if not a0 > 0:
-        raise ConstraintError("a0 must be positive")
     fprof = pf.periodic_well(p["A1"], p["B1"], p["C1"])
     gprof = pf.kink(p["D1"], 1.0)
 
@@ -750,7 +714,7 @@ def _build_r3_e1s2s3_v2(p, gas):
         out[:, 2, 1] = -1.0
         return out
 
-    ev = RotatingPolarizationEvaluator(fprof, gprof, a0, kappa)
+    ev = RotatingPolarizationEvaluator(fprof, gprof, p["a0"], kappa)
 
     def profile(r, t):
         return ev.profile_chart(r)[0]
@@ -758,10 +722,8 @@ def _build_r3_e1s2s3_v2(p, gas):
     def profile_jac(r, t):
         return ev.profile_chart(r)[1]
 
-    return FamilySpec(
-        id="R3_E1S2S3_v2", rank=2, n_waves=3,
-        description="acoustic + two vortex waves with rotating polarization",
-        params=p, gas=gas,
+    return dict(
+        rank=2, description="acoustic + two vortex waves with rotating polarization",
         profile=profile, profile_jac=profile_jac,
         wave_list=[CustomWave(lam_fn=lam1_fn, jac_fn=lam1_jac),
                    RotationalWave(lsp=np.array([0.0, -1.0, 0.0])),
@@ -782,8 +744,6 @@ def _defaults_rk_time_a(gas):
 def _build_rk_time_a(p, gas):
     kappa = gas.kappa
     a1c = p["A1"]
-    if not a1c > 0:
-        raise ConstraintError("A1 must be positive")
     if p["profile"] == "quadratic":
         b1, c1 = p["B1"], p["C1"]
         if b1 < 0:
@@ -830,18 +790,12 @@ def _build_rk_time_a(p, gas):
     tsing = tuple(float(r.real) for r in np.atleast_1d(roots)
                   if abs(np.imag(r)) < 1e-12)
 
-    def closed_form(t, x):
-        # linear profile: solve (I + t Df) r = x_12 directly
-        n = len(t)
-        r = np.empty((n, 2))
-        for i in range(n):
-            r[i] = np.linalg.solve(np.eye(2) + t[i] * df_mat, x[i, :2])
-        return r, profile(r, t)
+    def closed_form(t, x):  # linear profile: solve (I + t Df) r = x_12 directly
+        return np.linalg.solve(np.eye(2) + t[:, None, None] * df_mat, x[:, :2, None])[..., 0]
 
-    return FamilySpec(
-        id="RK_TIME_A", rank=rank, n_waves=2,
+    return dict(
+        rank=rank,
         description="free-streaming velocity with time-only sound speed (quadratic or nilpotent stream)",
-        params=p, gas=gas,
         profile=profile, profile_jac=profile_jac,
         wave_list=[RotationalWave(lsp=np.array([1.0, 0, 0])),
                    RotationalWave(lsp=np.array([0, 1.0, 0]))],
@@ -859,25 +813,30 @@ def _build_rk_time_a(p, gas):
 
 _ACOUSTIC_CHOICES = {"profile": tuple(_ACOUSTIC_PROFILES)}
 
-# per id: builder, defaults, and the admissible values of each finitely-valued key
+
+# per id: the builder, (params, gas) -> the family's own FamilySpec fields;
+# the defaults; the admissible values of each finitely-valued key; and the
+# keys whose value has to be positive.  make_family checks both, then builds.
 _REGISTRY = {
     "R1_E": (partial(_build_acoustic, "R1_E"), _defaults_r1_e,
-             {**_ACOUSTIC_CHOICES, "epsilon": (1, -1)}),
-    "R1_S": (_build_r1_s, _defaults_r1_s, {"profile": ("sech",)}),
-    "R2_E1E2": (partial(_build_acoustic, "R2_E1E2"), _defaults_r2_e1e2, _ACOUSTIC_CHOICES),
-    "R2_E1S2": (_build_r2_e1s2, _defaults_r2_e1s2, {"profile": ("linear", "soliton")}),
+             {**_ACOUSTIC_CHOICES, "epsilon": (1, -1)}, ()),
+    "R1_S": (_build_r1_s, _defaults_r1_s, {"profile": ("sech",)}, ("a0",)),
+    "R2_E1E2": (partial(_build_acoustic, "R2_E1E2"), _defaults_r2_e1e2, _ACOUSTIC_CHOICES, ()),
+    "R2_E1S2": (_build_r2_e1s2, _defaults_r2_e1s2, {"profile": ("linear", "soliton")}, ()),
     "R2_S1S2_MA": (_build_r2_s1s2_ma, _defaults_r2_s1s2_ma,
-                   {"branch": ("plus", "minus", "auto")}),
-    "R2_S1S2_ADD": (_build_r2_s1s2_add, _defaults_r2_s1s2_add, {"profile": ("kink",)}),
-    "R2_E1E2S3": (_build_r2_e1e2s3, _defaults_r2_e1e2s3, {"profile": ("kink13",)}),
-    "R2_E1S2S3": (_build_r2_e1s2s3, _defaults_r2_e1s2s3, {}),
-    "R2_S1S2S3": (_build_r2_s1s2s3, _defaults_r2_s1s2s3, {"profile": ("snoidal",)}),
-    "R3_E1E2E3": (partial(_build_acoustic, "R3_E1E2E3"), _defaults_r3_e1e2e3, _ACOUSTIC_CHOICES),
+                   {"branch": ("plus", "minus", "auto")}, ("a0",)),
+    "R2_S1S2_ADD": (_build_r2_s1s2_add, _defaults_r2_s1s2_add, {"profile": ("kink",)}, ("a0",)),
+    "R2_E1E2S3": (_build_r2_e1e2s3, _defaults_r2_e1e2s3, {"profile": ("kink13",)}, ()),
+    "R2_E1S2S3": (_build_r2_e1s2s3, _defaults_r2_e1s2s3, {}, ()),
+    "R2_S1S2S3": (_build_r2_s1s2s3, _defaults_r2_s1s2s3, {"profile": ("snoidal",)}, ("a0",)),
+    "R3_E1E2E3": (partial(_build_acoustic, "R3_E1E2E3"), _defaults_r3_e1e2e3,
+                  _ACOUSTIC_CHOICES, ()),
     "R3_E1S2S3_v1": (_build_r3_e1s2s3_v1, _defaults_r3_e1s2s3_v1,
-                     {"profile": ("linear", "concentric", "solitary")}),
-    "R3_E1S2S3_v2": (_build_r3_e1s2s3_v2, _defaults_r3_e1s2s3_v2, {"profile": ("periodic",)}),
+                     {"profile": ("linear", "concentric", "solitary")}, ("a0",)),
+    "R3_E1S2S3_v2": (_build_r3_e1s2s3_v2, _defaults_r3_e1s2s3_v2, {"profile": ("periodic",)},
+                     ("a0",)),
     "RK_TIME_A": (_build_rk_time_a, _defaults_rk_time_a,
-                  {"profile": ("quadratic", "nilpotent")}),
+                  {"profile": ("quadratic", "nilpotent")}, ("A1",)),
 }
 
 REGISTRY_IDS = tuple(_REGISTRY)
@@ -896,7 +855,7 @@ def make_family(fid: str, overrides: dict | None = None, **kw) -> FamilySpec:
     """Build a validated FamilySpec; overrides merge over per-gamma defaults."""
     if fid not in _REGISTRY:
         raise KeyError(f"unknown family id {fid!r}; known: {', '.join(REGISTRY_IDS)}")
-    build, defaults, choices = _REGISTRY[fid]
+    build, defaults, choices, positive = _REGISTRY[fid]
     merged = dict(overrides or {})
     merged.update(kw)
     gas = GasParams(gamma=merged.pop("gamma", 5.0 / 3.0))
@@ -912,8 +871,11 @@ def make_family(fid: str, overrides: dict | None = None, **kw) -> FamilySpec:
         if not isinstance(params[key], (str, Real)) or params[key] not in options:
             raise ConstraintError(f"{key} must be one of {', '.join(map(str, options))} "
                                   f"for {fid}, got {params[key]!r}")
+    for key in positive:
+        if not params[key] > 0:
+            raise ConstraintError(f"{key} must be positive")
     params["gamma"] = gas.gamma
-    return build(params, gas)
+    return FamilySpec(id=fid, params=params, gas=gas, **build(params, gas))
 
 
 def family_info(fid: str) -> dict:

@@ -45,9 +45,9 @@ returns.  A k = 1 step is g / dG/dr, bitwise LAPACK's 1x1 solve.  A
 step whose LAPACK solve meets an exact zero pivot (a badly scaled bracket
 whose closed-form determinant is rounding above the floor) stops those
 points instead of raising for the batch.  The refresh hands its df/dr and
-dG/dr to ``jacobi_batch``, which assembles du from them without evaluating
-the profile again: the adjugate and the determinant in closed form for
-k <= 3, a LAPACK k x k solve above.
+dG/dr and its cond_det to ``jacobi_batch``, which assembles du from them
+without evaluating the profile or the determinant again: a family has 1
+to 3 waves, so the adjugate is in closed form too.
 """
 
 from __future__ import annotations
@@ -193,9 +193,9 @@ def newton_batch(profile, profile_jac, waves, dr_du, X, r0):
     loop and at the final iterates alike; so does a point whose step meets
     an exact zero pivot in LAPACK's solve.  Returns (r, u, status, cond_det,
     fr, jmat): at the final iterates, cond_det = det(dG/dr) by the closed
-    form (``bracket_det``), fr = df/dr (N, 4, k) and jmat = dG/dr (N, k, k),
-    the pieces ``jacobi_batch`` reads and whose LAPACK determinant ``sample``
-    prints.  Failed points keep their last iterate.
+    form (``bracket_det``), fr = df/dr (N, 4, k) and jmat = dG/dr (N, k, k):
+    the pieces ``jacobi_batch`` reads.  ``sample`` prints jmat's LAPACK
+    determinant.  Failed points keep their last iterate.
     """
     X = np.asarray(X, dtype=float)
     k = np.shape(r0)[1]
@@ -243,7 +243,8 @@ def _near_singular(det):  # |det| < DET_FLOOR, or det not finite
 
 
 def bracket_det(m):
-    """Determinants of an (N, k, k) stack: closed form for k <= 3, LAPACK above.
+    """Determinants of an (N, k, k) stack: closed form for k <= 3, LAPACK
+    above (a public ``AnsatzConfig`` may carry more waves than a family).
 
     The closed form agrees with np.linalg.det to rounding and is non-finite on
     any row that holds a NaN or an infinity.
@@ -267,33 +268,24 @@ def initial_guess(profile, waves, X, k):
     return np.einsum("nki,ni->nk", waves(u0), X)
 
 
-def jacobi_batch(waves, u, fr, jmat, X, extra_time_deriv=None):
+def jacobi_batch(waves, u, fr, jmat, X, det, extra_time_deriv=None):
     """Exact Jacobi matrices du (N, 4, 4) at solved states u (N, 4).
 
-    du = fr adj(jmat) lam(u) / det(jmat), from the df/dr ``fr`` (N, 4, k) and
-    the bracket ``jmat`` = dG/dr (N, k, k) that ``newton_batch`` returns for
-    these points X (N, 4), plus an optional explicit d/dt column for profiles
-    carrying direct time dependence.  The adjugate and the determinant are in
-    closed form for k <= 3 (k = 1 divides); above, LAPACK solves jmat s = lam.
-    A row whose determinant is zero or not finite comes back NaN.
+    du = fr adj(jmat) lam(u) / det, from the df/dr ``fr`` (N, 4, k), the
+    bracket ``jmat`` = dG/dr (N, k, k) and its determinant ``det`` (N,)
+    that ``newton_batch`` returns for these points X (N, 4), plus an
+    optional explicit d/dt column for profiles carrying direct time
+    dependence.  The adjugate is in closed form (k = 1 divides).  A row
+    whose determinant is zero or not finite comes back NaN.
     """
-    X = np.asarray(X, dtype=float)
     lam = waves(u)
-    k = jmat.shape[-1]
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-        det = bracket_det(jmat)
-        bad = (det == 0) | ~np.isfinite(det)
-        if k == 1:
+        if jmat.shape[-1] == 1:
             sol = lam / jmat
-        elif k <= 3:
-            sol = _adjugate(jmat) @ lam / det[:, None, None]
         else:
-            if bad.any():
-                jmat = jmat.copy()
-                jmat[bad] = np.eye(k)  # a harmless solve on rows set to NaN below
-            sol = np.linalg.solve(jmat, lam)
+            sol = _adjugate(jmat) @ lam / det[:, None, None]
         jac = fr @ sol
-    jac[bad] = np.nan
+    jac[(det == 0) | ~np.isfinite(det)] = np.nan
     if extra_time_deriv is not None:
         jac[:, :, 0] += extra_time_deriv(X[:, 0])
     return jac

@@ -25,6 +25,7 @@ from riemannwaves.fluid import (
     dispersion_matrix,
     wave_kernel,
 )
+from riemannwaves.solver import bracket_det
 from riemannwaves.verify import GridSpec, catastrophe_probe, residual_exact, residual_fd
 
 from oracles import (
@@ -118,8 +119,10 @@ def test_criterion_02_kernel_multiplicities():
 
 
 def test_criterion_03_faddeev_oracle():
+    # the package's determinants (linalg's elimination; the solver's closed
+    # form, k <= 3) against the oracle's det(m) = (-1)^(n+1) p_n
     rng = np.random.default_rng(103)
-    worst_rel, worst_ch = 0.0, 0.0
+    worst_rel, worst_ch, worst_det = 0.0, 0.0, 0.0
     for n in (2, 3, 4, 5):
         for _ in range(200):
             m = rng.normal(size=(n, n))
@@ -129,8 +132,12 @@ def test_criterion_03_faddeev_oracle():
                                                     np.maximum(np.abs(p_oracle), 1.0))))
             bound = 1e-9 * (1.0 + float(np.max(np.abs(m))) ** n)
             worst_ch = max(worst_ch, cayley_hamilton_residual(m) / bound)
-    report(3, worst_rel <= 1e-10 and worst_ch <= 1.0,
-           f"Faddeev vs cofactor oracle rel {worst_rel:.2e}, CH within bound x{worst_ch:.2f}")
+            det = (-1.0) ** (n + 1) * p[-1]
+            dets = [linalg.determinant(m)] + ([bracket_det(m[None])[0]] if n <= 3 else [])
+            worst_det = max([worst_det] + [abs(d - det) / max(abs(det), 1.0) for d in dets])
+    report(3, worst_rel <= 1e-10 and worst_ch <= 1.0 and worst_det <= 1e-10,
+           f"Faddeev vs cofactor oracle rel {worst_rel:.2e}, CH within bound x{worst_ch:.2f}, "
+           f"package determinants rel {worst_det:.2e}")
 
 
 def test_criterion_04_angle_condition():

@@ -111,6 +111,56 @@ def test_every_declared_choice_builds_and_a_bogus_one_names_its_key(fid):
             make_family(fid, {key: bogus})
 
 
+POSITIVE_KEYS = [(fid, key) for fid in REGISTRY_IDS for key in _REGISTRY[fid][3]]
+
+
+def test_positive_keys_are_the_rules_the_builders_held():
+    # the table moved the seven checks out of the builders; none was added or lost
+    assert POSITIVE_KEYS == [(fid, "a0") for fid in ("R1_S", "R2_S1S2_MA", "R2_S1S2_ADD",
+                                                     "R2_S1S2S3", "R3_E1S2S3_v1",
+                                                     "R3_E1S2S3_v2")] + [("RK_TIME_A", "A1")]
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, float("nan")])
+@pytest.mark.parametrize("fid,key", POSITIVE_KEYS)
+def test_a_declared_positive_key_rejects_zero_negative_and_nan(fid, key, value):
+    with pytest.raises(ConstraintError, match=f"^{key} must be positive$"):
+        make_family(fid, {key: value})
+
+
+def test_r2_e1s2_a0_stays_unchecked():
+    assert make_family("R2_E1S2", a0=-1.0).params["a0"] == -1.0
+
+
+@pytest.mark.parametrize("n", [0, 4])
+def test_a_spec_holds_one_to_three_waves(n):
+    spec = make_family("R3_E1E2E3")
+    waves = [PotentialWave(e=np.eye(3)[i % 3]) for i in range(n)]
+    with pytest.raises(ConstraintError, match="1 to 3 waves"):
+        dataclasses.replace(spec, wave_list=waves)
+    assert dataclasses.replace(spec, wave_list=spec.wave_list[:2]).n_waves == 2
+
+
+@pytest.mark.filterwarnings("error")
+def test_an_overflowed_snoidal_argument_fails_its_point_alone():
+    # x3 near the float range overflows r2 + n r3 to +-inf; those points end
+    # non-ok, with no warning, and every other row keeps its bits
+    spec = make_family("R2_S1S2S3")
+    rng = np.random.default_rng(23)
+    t, x = rng.uniform(0.0, 3.0, 40), rng.uniform(-1.0, 1.0, (40, 3))
+    t_mixed = np.insert(t, (17, 30), 0.5)
+    x_mixed = np.insert(x, (17, 30), [[0.0, 0.0, -1.7e308], [0.3, -0.2, 1.7e308]], axis=0)
+    alone = spec.evaluate_batch(t, x)
+    mixed = spec.evaluate_batch(t_mixed, x_mixed)
+    bad = np.array([17, 31])  # the inserted points' rows
+    rows = np.delete(np.arange(len(t_mixed)), bad)
+    assert np.count_nonzero(alone.status == STATUS_OK) >= 30
+    assert (mixed.status[bad] != STATUS_OK).all()
+    for name in ("r", "state", "jac", "cond_det", "status", "bracket"):
+        want, got = getattr(alone, name), getattr(mixed, name)[rows]
+        assert np.array_equal(want.view(np.uint8), got.view(np.uint8)), name
+
+
 @pytest.mark.parametrize("n", [2.5, 1, 1.0, float("nan"), float("inf")])
 def test_ma_power_must_be_an_integer_other_than_one(n):
     with pytest.raises(ConstraintError, match="power n"):
@@ -123,7 +173,8 @@ def test_r1e_positivity_window():
     # a = 0.25/(0.25*4*0.5 - 1) = -0.5 < 0, outside the validity window
     spec = make_family("R1_E")
     assert spec.singular_times() == [1.0]
-    r, u = spec.closed_form(np.array([0.5]), np.array([[1.0, 0.0, 0.0]]))
+    t = np.array([0.5])
+    u = spec.profile(spec.closed_form(t, np.array([[1.0, 0.0, 0.0]])), t)
     assert abs(u[0, 0] - (-0.5)) <= 1e-14
     # that point is invalid, and the mirrored ray is valid with a = +0.5
     res = spec.evaluate_batch(np.full(2, 0.5), np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]))
@@ -152,7 +203,8 @@ def test_two_sheet_closed_form_oracle():
     x = np.column_stack([rng.uniform(0.5, 1.5, 30), rng.uniform(-0.5, 0.5, 30),
                          rng.uniform(-1, 1, 30)])
     res = spec.evaluate_batch(t, x)
-    rc, uc = spec.closed_form(t, x)
+    rc = spec.closed_form(t, x)
+    uc = spec.profile(rc, t)
     ok = res.status == 0
     assert ok.sum() >= 25
     assert np.max(np.abs(res.state[ok] - uc[ok])) <= 1e-12
@@ -240,7 +292,7 @@ def test_r1_e_negative_epsilon_is_a_solution():
     res = spec.evaluate_batch(t, x)
     ok = res.status == 0  # about half the points have a > 0
     assert ok.sum() >= 30
-    _, uc = spec.closed_form(t[ok], x[ok])
+    uc = spec.profile(spec.closed_form(t[ok], x[ok]), t[ok])
     assert np.max(np.abs(uc - res.state[ok])) <= 1e-10
     for bad in (0, 2):  # only eps = +-1 gives an acoustic covector
         with pytest.raises(ConstraintError):
@@ -260,7 +312,7 @@ def test_closed_forms_agree_with_newton_path():
         ok = res.status == 0
         if not ok.any():
             continue
-        _, uc = spec.closed_form(t[ok], x[ok])
+        uc = spec.profile(spec.closed_form(t[ok], x[ok]), t[ok])
         assert np.max(np.abs(uc - res.state[ok])) <= 1e-10, fid
 
 

@@ -19,6 +19,7 @@ from riemannwaves.conditions import (
 from riemannwaves.verify import residual_fd
 from riemannwaves.catalog import REGISTRY_IDS, make_family
 
+from test_catalog import POSITIVE_KEYS
 from test_conditions import acoustic_pair_config, kernel_columns
 
 
@@ -167,6 +168,27 @@ def test_sample_with_singular_lu_brackets_writes_nothing_to_stderr():
     assert len(rows) == 3 * 5 * 5 * 5
     assert "near_catastrophe" in {row[-1] for row in rows}
     assert all("nan" not in row for row in rows if row[-1] == "ok")
+
+
+def test_sample_with_an_overflowed_invariant_writes_nothing_to_stderr():
+    # x3 = -1.7e308 overflows the snoidal argument r2 + n r3; the point ends
+    # non-ok instead of raising for the batch
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-m", "riemannwaves.cli", "sample",
+                          "--family", "R2_S1S2S3",
+                          "--grid", "t=0.5:0.5:1,x1=0:0:1,x2=0:0:1,x3=-1.7e308:-1.7e308:1"],
+                         capture_output=True, text=True, env=env)
+    assert out.returncode == 0
+    assert out.stderr == ""
+    (row,) = [line.split(",") for line in out.stdout.splitlines()[1:]]
+    assert row[-1] != "ok"
+
+
+@pytest.mark.parametrize("fid,key", POSITIVE_KEYS)
+def test_a_nonpositive_declared_key_exits_3(fid, key, capsys):
+    for value in ("0", "-1", "nan"):
+        code, _, err = run(["sample", "--family", fid, "--set", f"{key}={value}"], capsys)
+        assert code == 3 and f"{key} must be positive" in err, (value, code, err)
 
 
 def test_conditions_family_and_pair(capsys):

@@ -26,8 +26,8 @@ SRC = TESTS.parent / "src" / "riemannwaves"
 
 KEEP = {
     "__version__": "package metadata, read by installers and users",
-    "determinant": "criterion 01's dispersion-determinant audit, and a layer the "
-                   "benchmark tracer patches as linalg.determinant",
+    "determinant": "criteria 01 and 03 (the dispersion and Faddeev determinant audits), "
+                   "and a layer the benchmark tracer patches as linalg.determinant",
 }
 
 KEEP_FIELDS = {
@@ -152,3 +152,28 @@ def test_every_dataclass_field_is_read_in_the_package():
     unread = [name for name in fields
               if name.split(".")[1] not in read and name not in KEEP_FIELDS]
     assert unread == [], "dataclass fields no package code reads: " + ", ".join(unread)
+
+
+def _calls(tree):
+    """(enclosing function names, call node) for every call in a module."""
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope + (child.name,) if isinstance(child, ast.FunctionDef) else scope
+            if isinstance(child, ast.Call):
+                yield scope, child
+            yield from walk(child, inner)
+    yield from walk(tree, ())
+
+
+def test_family_spec_is_built_only_in_make_family():
+    # make_family adds the id, the parameters and the gas to a builder's fields
+    built = [(module, scope) for module, tree in _trees().items() for scope, call in _calls(tree)
+             if isinstance(call.func, ast.Name) and call.func.id == "FamilySpec"]
+    assert built == [("catalog/registry.py", ("make_family",))], built
+
+
+def test_no_package_call_passes_n_waves():
+    # FamilySpec derives n_waves from its wave_list
+    passed = [f"{module}:{call.lineno}" for module, tree in _trees().items()
+              for _, call in _calls(tree) if any(kw.arg == "n_waves" for kw in call.keywords)]
+    assert passed == [], passed

@@ -43,7 +43,7 @@ def solve_one(prob, x, expect=STATUS_OK):
     r, u, status, cond, fr, jmat = newton_batch(prob.profile, prob.profile_jac, prob.waves,
                                                 dr_du, X, r0)
     assert status[0] == expect
-    jac = jacobi_batch(prob.waves, u, fr, jmat, X)
+    jac = jacobi_batch(prob.waves, u, fr, jmat, X, cond)
     resid = float(np.max(np.abs(r - np.einsum("nki,ni->nk", prob.waves(u), X))))
     return SimpleNamespace(r=r[0], state=u[0], jac=jac[0], cond_det=float(cond[0]),
                            x=X[0], residual=resid)
@@ -571,7 +571,7 @@ def _reference_jacobi(spec, X, r):
     u = spec.profile(r, X[:, 0])
     fr = spec.profile_jac(r, X[:, 0])
     jmat = np.eye(spec.n_waves) - spec.dr_du(u, X) @ fr
-    return jacobi_batch(spec.waves, u, fr, jmat, X, spec.extra_time_deriv)
+    return jacobi_batch(spec.waves, u, fr, jmat, X, bracket_det(jmat), spec.extra_time_deriv)
 
 
 @pytest.mark.parametrize("fid", NEWTON_PATH_IDS)
@@ -640,11 +640,12 @@ def test_jacobi_on_the_catastrophe_schedule_against_extended_precision(fid, monk
     catastrophe_probe(spec)
     assert len(calls) >= 15
     new, old, ref = [], [], []
-    for waves, u, fr, jmat, X, extra in calls:
+    for waves, u, fr, jmat, X, det, extra in calls:
         ru = spec.dr_du(u, X)
         lam = waves(u)
         assert np.array_equal(jmat, np.eye(spec.n_waves) - ru @ fr)
-        new.append(jacobi_batch(waves, u, fr, jmat, X))
+        assert np.array_equal(det, bracket_det(jmat), equal_nan=True)
+        new.append(jacobi_batch(waves, u, fr, jmat, X, det))
         old.append(_four_by_four_jacobi(fr, ru, lam))
         ref.append(_four_by_four_longdouble(fr, ru, lam))
     new, old, ref = np.concatenate(new), np.concatenate(old), np.concatenate(ref)
@@ -667,14 +668,14 @@ def test_jacobi_agrees_with_the_four_by_four_solve_on_the_default_grid(fid):
                                                 spec.dr_du, X, r0)
     keep = (status == STATUS_OK) & (np.abs(cond) >= COND_SKIP)  # verify's kept points
     assert np.count_nonzero(keep) >= 1000
-    new = jacobi_batch(spec.waves, u, fr, jmat, X)[keep]
+    new = jacobi_batch(spec.waves, u, fr, jmat, X, cond)[keep]
     old = _four_by_four_jacobi(fr, spec.dr_du(u, X), spec.waves(u))[keep]
     scale = 1.0 + np.abs(old).max(axis=(1, 2))
     assert np.all(np.abs(new - old).max(axis=(1, 2)) <= 1e-13 * scale)
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("k", [1, 2, 3])
 def test_singular_bracket_row_is_nan_and_leaves_the_others_bitwise(k):
     # an exactly singular bracket (a zero row) yields a NaN Jacobi row, with
     # no RuntimeWarning, and the other rows are what they are without it
@@ -687,9 +688,10 @@ def test_singular_bracket_row_is_nan_and_leaves_the_others_bitwise(k):
     jmat = np.eye(k) + rng.uniform(-0.3, 0.3, (n, k, k)) / k
     X = rng.normal(size=(n, 4))
     jmat[bad, 0] = 0.0
-    jac = jacobi_batch(waves, u, fr, jmat, X)
+    det = bracket_det(jmat)
+    jac = jacobi_batch(waves, u, fr, jmat, X, det)
     others = np.arange(n) != bad
-    alone = jacobi_batch(waves, u[others], fr[others], jmat[others], X[others])
+    alone = jacobi_batch(waves, u[others], fr[others], jmat[others], X[others], det[others])
     assert np.isnan(jac[bad]).all()
     assert np.isfinite(alone).all() and np.array_equal(jac[others], alone)
 

@@ -51,7 +51,7 @@ def corrupted_e1e2(delta=0.1):
         out[:, 1:, 1] = kappa * s2 * e2
         return out
 
-    return FamilySpec(id="corrupted", rank=2, n_waves=2, description="angle broken",
+    return FamilySpec(id="corrupted", rank=2, description="angle broken",
                       params={}, gas=gas, profile=profile, profile_jac=profile_jac,
                       wave_list=[PotentialWave(e=e1), PotentialWave(e=e2)],
                       probe_x=-(e1 + e2), default_window={"t": (0.0, 0.45)})
