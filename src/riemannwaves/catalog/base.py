@@ -3,8 +3,9 @@
 A family bundles
   * the wave covectors lam^A(u) with analytic derivatives, and the
     contraction dr/du = (d lam^A_i/d u) x^i that the solver reads,
-  * the profile f(r) with analytic Jacobian (optionally carrying an explicit
-    time dependence, e.g. the time-only sound-speed law),
+  * the profile jet: f(r) and its analytic Jacobian df/dr from one
+    evaluation (optionally carrying an explicit time dependence, e.g. the
+    time-only sound-speed law),
   * parameter values, structural constraints, singular-time formulas,
   * a default evaluation window and a default catastrophe-probe ray.
 
@@ -192,6 +193,10 @@ class FamilySpec:
     reads ``dr_du`` only (its final bracket feeds the Jacobi assembly), the
     trace conditions read the full ``waves_jac`` slices.  A family with a CustomWave has no
     ``dr_du`` and must bring a ``custom_eval``.
+
+    ``profile`` is the family's one profile callable, a jet: the state and
+    df/dr from one evaluation, which is what Newton and ``conditions`` read.
+    ``profile_jac`` is its second part, for callers that want df/dr alone.
     """
 
     id: str
@@ -199,14 +204,13 @@ class FamilySpec:
     description: str
     params: dict
     gas: GasParams
-    profile: Callable            # (r (N,k), t (N,)) -> (N,4)
-    profile_jac: Callable        # (r, t) -> (N,4,k)
+    profile: Callable            # the jet: (r (N,k), t (N,)) -> (u (N,4), df/dr (N,4,k))
     wave_list: list              # one covector per wave (PotentialWave, ...)
     singular_time_values: tuple = ()
     extra_time_deriv: Callable | None = None
     initial_a_rate: Callable | None = None   # da/dt on the t=0 section, fn of state
     guess_fn: Callable | None = None          # (t, x) -> r0
-    closed_form: Callable | None = None       # (t, x) -> r; the state is profile(r, t)
+    closed_form: Callable | None = None       # (t, x) -> r; the state is profile(r, t)[0]
     custom_eval: Callable | None = None       # (t, x, guess): replaces the Newton path
     validity_fn: Callable | None = None       # (t, x) -> bool mask (pre-solve)
     probe_x: np.ndarray | None = None
@@ -215,12 +219,15 @@ class FamilySpec:
     waves: Callable = field(init=False)       # (N,4) -> (N,k,4)
     waves_jac: Callable = field(init=False)   # (N,4) -> (N,k,4,4), for the trace conditions
     dr_du: Callable | None = field(init=False)  # (u (N,4), X (N,4)) -> (N,k,4), for the solver
+    profile_jac: Callable = field(init=False)  # (r, t) -> df/dr (N,4,k): the jet's second part
 
     def __post_init__(self):
         self.n_waves = len(self.wave_list)
         if not 1 <= self.n_waves <= 3:
             raise ConstraintError(f"{self.id}: a family has 1 to 3 waves, got {self.n_waves}")
         self.waves, self.waves_jac, self.dr_du = stack_waves(self.wave_list)
+        jet = self.profile  # captured, not self: a spec holds no reference cycle
+        self.profile_jac = lambda r, t: jet(r, t)[1]
         if self.dr_du is None and self.custom_eval is None:
             raise ConstraintError(f"{self.id}: a custom covector needs a custom_eval")
 
@@ -273,9 +280,13 @@ class FamilySpec:
         """
         t = np.atleast_1d(np.asarray(t, dtype=float))
         x = np.asarray(x, dtype=float).reshape(len(t), 3)
+        n, k = len(t), self.n_waves
+        if guess is not None:
+            guess = np.asarray(guess, dtype=float).reshape(n, k)
+        valid = _finite_points(t, x) if ignore_validity else self.validity_mask(t, x)
+        if n and valid.all():  # the common case: the solve's arrays are the result
+            return self._solve(t, x, guess, jacobian)
 
-        n = len(t)
-        k = self.n_waves
         res = EvalResult(
             r=np.full((n, k), np.nan),
             state=np.full((n, 4), np.nan),
@@ -284,43 +295,36 @@ class FamilySpec:
             status=np.full(n, STATUS_INVALID, dtype=np.int8),
             bracket=np.full((n, k, k), np.nan) if self.custom_eval is None else None,
         )
-        valid = _finite_points(t, x) if ignore_validity else self.validity_mask(t, x)
-        if not valid.any():
-            return res
-        # every point valid (the common case): a slice, so the gathers below are
-        # views and the scatters plain copies
-        idx = slice(None) if valid.all() else np.flatnonzero(valid)
-        X = np.column_stack([t[idx], x[idx]])
+        if valid.any():
+            idx = np.flatnonzero(valid)
+            part = self._solve(t[idx], x[idx], None if guess is None else guess[idx], jacobian)
+            for name in ("r", "state", "jac", "cond_det", "status", "bracket"):
+                if getattr(res, name) is not None:
+                    getattr(res, name)[idx] = getattr(part, name)
+        return res
 
-        if guess is not None:
-            guess = np.asarray(guess, dtype=float).reshape(n, k)[idx]
+    def _solve(self, t, x, guess, jacobian):
+        """evaluate_batch on valid points only."""
+        X = np.column_stack([t, x])
+        jac = jmat = None
         if self.custom_eval is not None:
-            r, u, jac, cond, status = self.custom_eval(t[idx], x[idx], guess)
+            r, u, jac, cond, status = self.custom_eval(t, x, guess)
+            jac = jac if jacobian else None
         else:
             if guess is not None:
                 r0 = guess
             elif self.guess_fn is not None:
-                r0 = self.guess_fn(t[idx], x[idx])
+                r0 = self.guess_fn(t, x)
             else:
-                r0 = initial_guess(self.profile, self.waves, X, k)
-            r, u, status, cond, fr, jmat = newton_batch(self.profile, self.profile_jac,
-                                                        self.waves, self.dr_du, X, r0)
+                r0 = initial_guess(self.profile, self.waves, X, self.n_waves)
+            r, u, status, cond, fr, jmat = newton_batch(self.profile, self.waves, self.dr_du,
+                                                        X, r0)
             if jacobian:
                 jac = jacobi_batch(self.waves, u, fr, jmat, X, cond, self.extra_time_deriv)
-            res.bracket[idx] = jmat
 
-        solved = status == STATUS_OK
-        bad_a = solved & ~(u[:, 0] > 0.0)
         status = status.copy()
-        status[bad_a] = STATUS_INVALID
-
-        res.r[idx] = r
-        res.state[idx] = u
-        if jacobian:
-            res.jac[idx] = jac
-        res.cond_det[idx] = cond
-        res.status[idx] = status
-        return res
+        status[(status == STATUS_OK) & ~(u[:, 0] > 0.0)] = STATUS_INVALID
+        return EvalResult(r=r, state=u, jac=jac, cond_det=cond, status=status, bracket=jmat)
 
     # -- helpers for the verifier ------------------------------------------
 

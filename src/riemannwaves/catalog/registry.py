@@ -116,23 +116,17 @@ def _build_acoustic(fid, p, gas):
     A, B = [p[f"A{i}"] for i in ids], [p[f"B{i}"] for i in ids]
     profs = [_ACOUSTIC_PROFILES[p["profile"]](a, b) for a, b in zip(A, B)]
 
-    def profile(r, t):
-        # the sums start from the first wave's term (a +0 start would turn -0 into +0)
-        a = profs[0](r[:, 0])
-        u = a[:, None] * evecs[0]
-        for i in range(1, k):
-            amp = profs[i](r[:, i])
-            a = a + amp
-            u = u + amp[:, None] * evecs[i]
-        return np.column_stack([a, eps_kappa * u])
-
-    def profile_jac(r, t):
-        out = np.empty((len(r), 4, k))
+    def jet(r, t):
+        fr = np.empty((len(r), 4, k))
         for i in range(k):
-            d = profs[i].d(r[:, i])
-            out[:, 0, i] = d
-            out[:, 1:, i] = eps_kappa * d[:, None] * evecs[i]
-        return out
+            amp, d = profs[i].value_and_d(r[:, i])
+            fr[:, 0, i] = d
+            fr[:, 1:, i] = eps_kappa * d[:, None] * evecs[i]
+            if i == 0:  # the sums start from this term (a +0 start would turn -0 into +0)
+                a, u = amp, amp[:, None] * evecs[0]
+            else:
+                a, u = a + amp, u + amp[:, None] * evecs[i]
+        return np.column_stack([a, eps_kappa * u]), fr
 
     # per wave, the fold time of its steepest characteristic r_i = rstar_i; a wave
     # with A_i = 0 (or B_i = 0 for expkink) never steepens and has none
@@ -161,7 +155,7 @@ def _build_acoustic(fid, p, gas):
         return -(x @ np.transpose(evecs)) / (1.0 - eps_1k * np.multiply.outer(t, A))
 
     return dict(
-        rank=k, description=description, profile=profile, profile_jac=profile_jac,
+        rank=k, description=description, profile=jet,
         wave_list=[PotentialWave(e=e, epsilon=eps) for e in evecs],
         singular_time_values=tsing,
         closed_form=closed_form if p["profile"] == "linear" else None,
@@ -188,24 +182,19 @@ def _build_r1_s(p, gas):
     p1, p2 = pf.sech_bump(p["A1"]), pf.sech_bump(p["A2"])
     c, a0 = p["C"], p["a0"]
 
-    def profile(r, t):
+    def jet(r, t):
         s = r[:, 0]
-        u1, u2 = p1(s), p2(s)
+        (u1, d1), (u2, d2) = p1.value_and_d(s), p2.value_and_d(s)
         u3 = (c - exm[0] * u1 - exm[1] * u2) / exm[2]
-        return np.column_stack([np.full_like(s, a0), u1, u2, u3])
-
-    def profile_jac(r, t):
-        s = r[:, 0]
-        d1, d2 = p1.d(s), p2.d(s)
-        out = np.zeros((len(s), 4, 1))
-        out[:, 1, 0] = d1
-        out[:, 2, 0] = d2
-        out[:, 3, 0] = -(exm[0] * d1 + exm[1] * d2) / exm[2]
-        return out
+        fr = np.zeros((len(s), 4, 1))
+        fr[:, 1, 0] = d1
+        fr[:, 2, 0] = d2
+        fr[:, 3, 0] = -(exm[0] * d1 + exm[1] * d2) / exm[2]
+        return np.column_stack([np.full_like(s, a0), u1, u2, u3]), fr
 
     return dict(
         rank=1, description="rank-1 vortex wave with bounded sech profiles",
-        profile=profile, profile_jac=profile_jac, wave_list=[RotationalWave(lsp=-exm)],
+        profile=jet, wave_list=[RotationalWave(lsp=-exm)],
         default_window={"t": (0.0, 3.0)},
     )
 
@@ -249,18 +238,14 @@ def _build_r2_e1s2(p, gas):
         pa, q = pf.bump(p["A1"], p["B1"]), pf.coshwell(p["A2"], p["B2"], p["D2"])
     offset = np.array([0.0, f2 * 1.0, 0.0])  # u2-line offset: (0, F2, 0)
 
-    def profile(r, t):
-        av, qv = pa(r[:, 0]), q(r[:, 1])
+    def jet(r, t):
+        (av, da), (qv, dq) = pa.value_and_d(r[:, 0]), q.value_and_d(r[:, 1])
         u = kappa * av[:, None] * e1 + qv[:, None] * dline + offset
-        return np.column_stack([av + a0, u])
-
-    def profile_jac(r, t):
-        da, dq = pa.d(r[:, 0]), q.d(r[:, 1])
-        out = np.empty((len(r), 4, 2))
-        out[:, 0, 0], out[:, 0, 1] = da, 0.0
-        out[:, 1:, 0] = kappa * da[:, None] * e1
-        out[:, 1:, 1] = dq[:, None] * dline
-        return out
+        fr = np.empty((len(r), 4, 2))
+        fr[:, 0, 0], fr[:, 0, 1] = da, 0.0
+        fr[:, 1:, 0] = kappa * da[:, None] * e1
+        fr[:, 1:, 1] = dq[:, None] * dline
+        return np.column_stack([av + a0, u]), fr
 
     c0 = a0 + f2 * e1[1]  # constant part of the acoustic phase
     if p["profile"] == "linear":
@@ -283,7 +268,7 @@ def _build_r2_e1s2(p, gas):
 
     return dict(
         rank=2, description="acoustic + vortex double wave (trigonometric or solitary)",
-        profile=profile, profile_jac=profile_jac,
+        profile=jet,
         wave_list=[PotentialWave(e=e1), RotationalWave(lsp=s)],
         singular_time_values=tsing,
         closed_form=closed_form,
@@ -308,26 +293,21 @@ def _build_r2_s1s2_ma(p, gas):
     branch = p["branch"]
 
     # r2 = 0 (and w = 0 for n < 2) gives non-finite fields; the point statuses record them
-    def profile(r, t):
+    def jet(r, t):
+        fr = np.zeros((len(r), 4, 2))
         with np.errstate(divide="ignore", invalid="ignore"):
             w = r[:, 0] / r[:, 1]
+            w_n1 = w ** (n - 1)
             u1 = (1.0 - n) * w**n
-            u2 = -n * w ** (n - 1)
-        u3 = d1 * r[:, 0]
-        return np.column_stack([np.full(len(r), a0), u1, u2, u3])
-
-    def profile_jac(r, t):
-        out = np.zeros((len(r), 4, 2))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            w = r[:, 0] / r[:, 1]
+            u2 = -n * w_n1
             dw1 = 1.0 / r[:, 1]
             dw2 = -w / r[:, 1]
-            du1 = (1.0 - n) * n * w ** (n - 1)
+            du1 = (1.0 - n) * n * w_n1
             du2 = -n * (n - 1) * w ** (n - 2)
-            out[:, 1, 0], out[:, 1, 1] = du1 * dw1, du1 * dw2
-            out[:, 2, 0], out[:, 2, 1] = du2 * dw1, du2 * dw2
-        out[:, 3, 0] = d1
-        return out
+            fr[:, 1, 0], fr[:, 1, 1] = du1 * dw1, du1 * dw2
+            fr[:, 2, 0], fr[:, 2, 1] = du2 * dw1, du2 * dw2
+        fr[:, 3, 0] = d1
+        return np.column_stack([np.full(len(r), a0), u1, u2, d1 * r[:, 0]]), fr
 
     def guess_fn(t, x):
         x1, x2 = x[:, 0], x[:, 1]
@@ -351,7 +331,7 @@ def _build_r2_s1s2_ma(p, gas):
     return dict(
         rank=2,
         description="two vortex waves from a degenerate stream function (power-law, two sheets)",
-        profile=profile, profile_jac=profile_jac,
+        profile=jet,
         wave_list=[RotationalWave(lsp=np.array([1.0, 0, 0])),
                    RotationalWave(lsp=np.array([0, 1.0, 0]))],
         singular_time_values=(0.0,),
@@ -388,29 +368,21 @@ def _build_r2_s1s2_add(p, gas):
     q31 = pf.kink(p["A3"], p["B3"])
     q22 = pf.kink(p["A1"], p["B1"])
 
-    def parts(r):
-        return q21(r[:, 0]), q31(r[:, 0]), q22(r[:, 1])
-
-    def profile(r, t):
-        v21, v31, v22 = parts(r)
+    def jet(r, t):
+        (v21, d21), (v31, d31) = q21.value_and_d(r[:, 0]), q31.value_and_d(r[:, 0])
+        v22, d22 = q22.value_and_d(r[:, 1])
         u1 = (c1 - l1[1] * v21 - l1[2] * v31) / l1[0] \
             - ((l2[2] * eta + l2[1]) * v22 - c2) / l2[0]
-        u2 = v21 + v22
-        u3 = v31 + eta * v22
-        return np.column_stack([np.full(len(r), a0), u1, u2, u3])
-
-    def profile_jac(r, t):
-        d21, d31, d22 = q21.d(r[:, 0]), q31.d(r[:, 0]), q22.d(r[:, 1])
-        out = np.zeros((len(r), 4, 2))
-        out[:, 1, 0] = -(l1[1] * d21 + l1[2] * d31) / l1[0]
-        out[:, 1, 1] = -(l2[2] * eta + l2[1]) * d22 / l2[0]
-        out[:, 2, 0], out[:, 2, 1] = d21, d22
-        out[:, 3, 0], out[:, 3, 1] = d31, eta * d22
-        return out
+        fr = np.zeros((len(r), 4, 2))
+        fr[:, 1, 0] = -(l1[1] * d21 + l1[2] * d31) / l1[0]
+        fr[:, 1, 1] = -(l2[2] * eta + l2[1]) * d22 / l2[0]
+        fr[:, 2, 0], fr[:, 2, 1] = d21, d22
+        fr[:, 3, 0], fr[:, 3, 1] = d31, eta * d22
+        return np.column_stack([np.full(len(r), a0), u1, v21 + v22, v31 + eta * v22]), fr
 
     return dict(
         rank=2, description="two vortex waves, additive velocity split, kink profiles",
-        profile=profile, profile_jac=profile_jac,
+        profile=jet,
         wave_list=[RotationalWave(lsp=-l1), RotationalWave(lsp=-l2)],
         default_window={"t": (0.0, 3.0)},
     )
@@ -438,23 +410,19 @@ def _build_r2_e1e2s3(p, gas):
     wdir = (e1 - e2)[:2]
     wdir = wdir / np.linalg.norm(wdir)
 
-    def profile(r, t):
+    def jet(r, t):
         base = kappa * a1c * (r[:, :1] * e1 + r[:, 1:2] * e2)
-        w = u13(r[:, 2])
+        w, dw = u13.value_and_d(r[:, 2])
+        fr = np.zeros((len(r), 4, 3))
+        fr[:, 0, 0] = fr[:, 0, 1] = a1c
+        fr[:, 1:3, 0] = kappa * a1c * e1[:2]
+        fr[:, 1:3, 1] = kappa * a1c * e2[:2]
+        fr[:, 1, 2] = dw * wdir[0]
+        fr[:, 2, 2] = dw * wdir[1]
         return np.column_stack([a1c * (r[:, 0] + r[:, 1]),
                                 base[:, 0] + w * wdir[0],
                                 base[:, 1] + w * wdir[1],
-                                np.full(len(r), u30)])
-
-    def profile_jac(r, t):
-        out = np.zeros((len(r), 4, 3))
-        out[:, 0, 0] = out[:, 0, 1] = a1c
-        out[:, 1:3, 0] = kappa * a1c * e1[:2]
-        out[:, 1:3, 1] = kappa * a1c * e2[:2]
-        dw = u13.d(r[:, 2])
-        out[:, 1, 2] = dw * wdir[0]
-        out[:, 2, 2] = dw * wdir[1]
-        return out
+                                np.full(len(r), u30)]), fr
 
     tval = ((1.0 + kappa) * a1c) ** -1.0
 
@@ -468,7 +436,7 @@ def _build_r2_e1e2s3(p, gas):
 
     return dict(
         rank=2, description="two angle-locked acoustic waves plus a transverse vortex mode",
-        profile=profile, profile_jac=profile_jac,
+        profile=jet,
         wave_list=[PotentialWave(e=e1), PotentialWave(e=e2),
                    RotationalWave(lsp=np.array([0.0, 0.0, 1.0]))],
         singular_time_values=(tval,),
@@ -502,22 +470,15 @@ def _build_r2_e1s2s3(p, gas):
     cc = p["C"]
     e1 = np.array([1.0, 0.0, 0.0])
 
-    def profile(r, t):
+    def jet(r, t):
         shear = cc * (l31 * r[:, 1] - l2[0] * r[:, 2])
-        return np.column_stack([
-            a1c * r[:, 0],
-            kappa * a1c * r[:, 0] + cconst,
-            shear,
-            -(l2[1] / l2[2]) * shear,
-        ])
-
-    def profile_jac(r, t):
-        out = np.zeros((len(r), 4, 3))
-        out[:, 0, 0] = a1c
-        out[:, 1, 0] = kappa * a1c
-        out[:, 2, 1], out[:, 2, 2] = cc * l31, -cc * l2[0]
-        out[:, 3, 1], out[:, 3, 2] = -(l2[1] / l2[2]) * cc * l31, (l2[1] / l2[2]) * cc * l2[0]
-        return out
+        fr = np.zeros((len(r), 4, 3))
+        fr[:, 0, 0] = a1c
+        fr[:, 1, 0] = kappa * a1c
+        fr[:, 2, 1], fr[:, 2, 2] = cc * l31, -cc * l2[0]
+        fr[:, 3, 1], fr[:, 3, 2] = -(l2[1] / l2[2]) * cc * l31, (l2[1] / l2[2]) * cc * l2[0]
+        return np.column_stack([a1c * r[:, 0], kappa * a1c * r[:, 0] + cconst,
+                                shear, -(l2[1] / l2[2]) * shear]), fr
 
     tval = ((1.0 + kappa) * a1c) ** -1.0
 
@@ -535,7 +496,7 @@ def _build_r2_e1s2s3(p, gas):
 
     return dict(
         rank=2, description="acoustic wave with two stationary planar shear modes",
-        profile=profile, profile_jac=profile_jac,
+        profile=jet,
         wave_list=[PotentialWave(e=e1), RotationalWave(lsp=-l2), RotationalWave(lsp=-l3)],
         singular_time_values=(tval,),
         closed_form=closed_form,
@@ -567,25 +528,19 @@ def _build_r2_s1s2s3(p, gas):
 
     # an invariant near the float range overflows these arguments to +-inf;
     # the profiles give NaN there and the point's status records it
-    def profile(r, t):
+    def jet(r, t):
         with np.errstate(over="ignore", invalid="ignore"):
-            u1 = bperp(r[:, 1] + n * r[:, 2])
-            g = gdiag(r[:, 1] - r[:, 2])
-        return np.column_stack([np.full(len(r), a0), u1, g, g])
-
-    def profile_jac(r, t):
-        with np.errstate(over="ignore", invalid="ignore"):
-            db = bperp.d(r[:, 1] + n * r[:, 2])
-            dg = gdiag.d(r[:, 1] - r[:, 2])
-        out = np.zeros((len(r), 4, 3))
-        out[:, 1, 1], out[:, 1, 2] = db, n * db
-        out[:, 2, 1], out[:, 2, 2] = dg, -dg
-        out[:, 3, 1], out[:, 3, 2] = dg, -dg
-        return out
+            u1, db = bperp.value_and_d(r[:, 1] + n * r[:, 2])
+            g, dg = gdiag.value_and_d(r[:, 1] - r[:, 2])
+        fr = np.zeros((len(r), 4, 3))
+        fr[:, 1, 1], fr[:, 1, 2] = db, n * db
+        fr[:, 2, 1], fr[:, 2, 2] = dg, -dg
+        fr[:, 3, 1], fr[:, 3, 2] = dg, -dg
+        return np.column_stack([np.full(len(r), a0), u1, g, g]), fr
 
     return dict(
         rank=2, description="three vortex directions, nilpotent coupling, snoidal profiles",
-        profile=profile, profile_jac=profile_jac,
+        profile=jet,
         wave_list=[RotationalWave(lsp=lsp) for lsp in np.eye(3)],
         default_window={"t": (0.0, 3.0)},
     )
@@ -658,26 +613,20 @@ def _build_r3_e1s2s3_v1(p, gas):
         out[:, 2, 2] = -1.0
         return out
 
-    def profile(r, t):
-        f1 = fprof(r[:, 0])
+    def jet(r, t):
+        f1, df = fprof.value_and_d(r[:, 0])
         u1, u2 = planar.fields(r[:, 1], r[:, 2])
-        return np.column_stack([f1 / kappa + a0, u1, u2, f1 + u30])
-
-    def profile_jac(r, t):
-        df = fprof.d(r[:, 0])
-        u1p, u1q, u2p, u2q = planar.partials(r[:, 1], r[:, 2])
-        out = np.zeros((len(r), 4, 3))
-        out[:, 0, 0] = df / kappa
-        out[:, 3, 0] = df
-        out[:, 1, 1], out[:, 1, 2] = u1p, u1q
-        out[:, 2, 1], out[:, 2, 2] = u2p, u2q
-        return out
+        fr = np.zeros((len(r), 4, 3))
+        fr[:, 0, 0] = df / kappa
+        fr[:, 3, 0] = df
+        fr[:, 1, 1], fr[:, 1, 2], fr[:, 2, 1], fr[:, 2, 2] = planar.partials(r[:, 1], r[:, 2])
+        return np.column_stack([f1 / kappa + a0, u1, u2, f1 + u30]), fr
 
     win = {"t": (0.0, 1.0)} if preset == "linear" else \
           {"t": (0.0, 1.0), "x1": (-1.0, 1.0), "x2": (-1.0, 1.0), "x3": (1.0, 2.5)}
     return dict(
         rank=2, description="acoustic + two vortex waves with a transported third invariant",
-        profile=profile, profile_jac=profile_jac,
+        profile=jet,
         wave_list=[PotentialWave(e=e1), CustomWave(lam_fn=lam2_fn, jac_fn=lam2_jac),
                    RotationalWave(lsp=np.array([0.0, 0.0, 1.0]))],
         singular_time_values=tsing,
@@ -716,15 +665,9 @@ def _build_r3_e1s2s3_v2(p, gas):
 
     ev = RotatingPolarizationEvaluator(fprof, gprof, p["a0"], kappa)
 
-    def profile(r, t):
-        return ev.profile_chart(r)[0]
-
-    def profile_jac(r, t):
-        return ev.profile_chart(r)[1]
-
     return dict(
         rank=2, description="acoustic + two vortex waves with rotating polarization",
-        profile=profile, profile_jac=profile_jac,
+        profile=lambda r, t: ev.profile_chart(r),
         wave_list=[CustomWave(lam_fn=lam1_fn, jac_fn=lam1_jac),
                    RotationalWave(lsp=np.array([0.0, -1.0, 0.0])),
                    RotationalWave(lsp=np.array([1.0, 0.0, 0.0]))],
@@ -771,14 +714,11 @@ def _build_rk_time_a(p, gas):
     def da_dt(t):
         return a1c * (-1.0 / kappa) * pol(t) ** (-1.0 / kappa - 1.0) * dpol(t)
 
-    def profile(r, t):
+    def jet(r, t):
         vel = r @ df_mat.T
-        return np.column_stack([a_of_t(t), vel[:, 0], vel[:, 1], np.zeros(len(r))])
-
-    def profile_jac(r, t):
-        out = np.zeros((len(r), 4, 2))
-        out[:, 1:3, :] = df_mat
-        return out
+        fr = np.zeros((len(r), 4, 2))
+        fr[:, 1:3, :] = df_mat
+        return np.column_stack([a_of_t(t), vel[:, 0], vel[:, 1], np.zeros(len(r))]), fr
 
     def extra_time_deriv(t):
         out = np.zeros((len(t), 4))
@@ -796,7 +736,7 @@ def _build_rk_time_a(p, gas):
     return dict(
         rank=rank,
         description="free-streaming velocity with time-only sound speed (quadratic or nilpotent stream)",
-        profile=profile, profile_jac=profile_jac,
+        profile=jet,
         wave_list=[RotationalWave(lsp=np.array([1.0, 0, 0])),
                    RotationalWave(lsp=np.array([0, 1.0, 0]))],
         singular_time_values=tsing,

@@ -222,8 +222,7 @@ class TransportedEvaluator:
         r2_start = t if guess is None else np.where(np.isfinite(guess[:, 1]), guess[:, 1], t)
         r2, ok2 = self.solve_r2(t, x1, x2, r3, r2_start)
 
-        f1 = self.f(r1)
-        df1 = self.f.d(r1)
+        f1, df1 = self.f.value_and_d(r1)
         u1f, u2f = self.planar.fields(r2, r3)
         u = np.column_stack([f1 / self.kappa + self.a0, u1f, u2f, f1 + self.u30])
 
@@ -290,11 +289,9 @@ class RotatingPolarizationEvaluator:
     Per instance, ``_foot`` memoises its last 8 integrations (``ode_steps``
     RK4 steps, 100 from the registry), keyed on the bytes and shapes of
     (t, x1, x2) plus ``ode_steps``, so a central-difference stencil
-    integrates 7 times, not 9 (x3 shifts reuse the centre); ``profile_chart``
-    memoises its last chart, keyed on the invariant triples plus
-    ``ode_steps``, so ``profile`` and ``profile_jac`` on one batch share it:
-    a ``conditions`` request, which evaluates both once on all its samples,
-    builds one chart.  Memoised arrays are read-only.
+    integrates 7 times, not 9 (x3 shifts reuse the centre).  Memoised arrays
+    are read-only.  ``profile_chart`` is the family's profile jet: a
+    ``conditions`` request builds one chart for all its samples.
     """
 
     def __init__(self, fprof, gprof, a0, kappa, ode_steps=100):
@@ -304,7 +301,6 @@ class RotatingPolarizationEvaluator:
         self.kappa = float(kappa)
         self.ode_steps = ode_steps
         self._foot_memo = _Memo(_MEMO_SIZE)
-        self._chart_memo = _Memo(1)
 
     def solve_r1(self, t, x1, x2):
         def g(r, t, x1, x2):
@@ -396,8 +392,7 @@ class RotatingPolarizationEvaluator:
         grad_m[:, 1] = d1 * mmat[:, 0, 1] + d2 * mmat[:, 1, 1]
         dm_dt = -(grad_m[:, 0] * s + grad_m[:, 1] * (-c))
 
-        u3 = self.g(m)
-        dg = self.g.d(m)
+        u3, dg = self.g.value_and_d(m)
         u = np.column_stack([a, s, -c, u3])
 
         grad_r1 = np.zeros((n, 4))
@@ -441,11 +436,7 @@ class RotatingPolarizationEvaluator:
         chart and both u and the coefficients of the exact gradient over the
         wave covectors, du = Phi lam, are functions of the invariant triple;
         Phi plays the profile-Jacobian role in the compatibility checks.
-        The last chart is memoised (read-only arrays).
         """
-        return self._chart_memo(self._chart, r, steps=self.ode_steps)
-
-    def _chart(self, r):
         t, x1, x2 = self.invariants_to_point(r)
         x = np.column_stack([x1, x2, np.zeros_like(x1)])
         _, u, jac, _, _ = self(t, x)

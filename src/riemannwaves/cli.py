@@ -314,11 +314,10 @@ def cmd_conditions(args) -> int:
         spec = make_family(args.family, gather_params(args))
         cfg = config_from_family(spec)
         fam_label = spec.id
-        # one profile evaluation for the request: the draws are the per-sample
-        # stream, and each row of profile/profile_jac is the row evaluated alone
+        # one profile jet for the request: the draws are the per-sample stream,
+        # and each row of the jet is the row evaluated alone
         r = rng.uniform(-0.8, 0.8, (n, cfg.k))
-        zero = np.zeros(n)
-        states, jacs = spec.profile(r, zero), spec.profile_jac(r, zero)
+        states, jacs = spec.profile(r, np.zeros(n))
 
     rows = []
     for i, (u, fr) in enumerate(zip(states, jacs)):

@@ -11,10 +11,14 @@ c_N vanishes to machine precision, seed phi_N = 2^N a_N u and descend
 then sn = sin(phi_0), cn = cos(phi_0), dn = sqrt(1 - k^2 sn^2).  The scheme
 is derivative-free and uniformly accurate over the admitted moduli; the
 degenerate endpoints and a narrow band around k^2 = 1 use the trigonometric
-and hyperbolic closed forms to avoid cancellation in the ladder.
+and hyperbolic closed forms to avoid cancellation in the ladder.  The ladder
+of each modulus is built once (as 2^N a_N and the ratios c_n/a_n), and the
+descent runs in place, with the loop's arithmetic and bits.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -32,8 +36,11 @@ def _validate_modulus(k: float) -> float:
     return k
 
 
-def _agm_ladder(kp: float):
-    """AGM sequence for (1, k'); returns lists (a_n, c_n)."""
+@lru_cache(maxsize=32)  # a few moduli per process; bounded for a sweep over k
+def _descent(m: float):
+    """AGM ladder for (1, k'), k' = sqrt(1 - m), as the descent reads it: the
+    seed scale 2^N a_N and the ratios c_n/a_n for n = N..1."""
+    kp = np.sqrt(1.0 - m)
     a, b = 1.0, kp
     avals = [a]
     cvals = [(1.0 - kp * kp) ** 0.5]  # c_0 = k
@@ -42,7 +49,8 @@ def _agm_ladder(kp: float):
         a, b = an, bn
         avals.append(an)
         cvals.append(cn)
-    return avals, cvals
+    n = len(avals) - 1
+    return (2.0**n) * avals[n], tuple(cvals[i] / avals[i] for i in range(n, 0, -1))
 
 
 def jacobi_sn_cn_dn(u, k: float):
@@ -66,12 +74,17 @@ def jacobi_sn_cn_dn(u, k: float):
         sn, cn = np.tanh(u), 1.0 / np.cosh(u)
         dn = cn.copy()
     else:
-        kp = np.sqrt(1.0 - m)
-        avals, cvals = _agm_ladder(kp)
-        n = len(avals) - 1
-        phi = (2.0**n) * avals[n] * u
-        for i in range(n, 0, -1):
-            phi = 0.5 * (phi + np.arcsin(np.clip(cvals[i] / avals[i] * np.sin(phi), -1.0, 1.0)))
+        scale, ratios = _descent(m)
+        phi = scale * u
+        step = np.empty_like(phi)
+        for ratio in ratios:  # phi = (phi + asin(clip(ratio sin phi, -1, 1))) / 2, in place
+            np.sin(phi, out=step)
+            step *= ratio
+            np.maximum(step, -1.0, out=step)
+            np.minimum(step, 1.0, out=step)
+            np.arcsin(step, out=step)
+            phi += step
+            phi *= 0.5
         sn = np.sin(phi)
         cn = np.cos(phi)
         dn = np.sqrt(1.0 - m * sn * sn)

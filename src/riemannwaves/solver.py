@@ -1,9 +1,9 @@
 """Evaluate implicitly defined rank-k solutions u = f(r), r^A = lam^A_i(u) x^i.
 
-A solution family supplies the profile f (with analytic Jacobian df/dr), the
-wave covectors lam^A as functions of the state, and the contraction dr/du
-below as a callable dr_du(u, X) -> (N, k, 4).  At a spacetime point x the
-Riemann invariants solve G(r) = 0,
+A solution family supplies the profile as a jet, f and its analytic Jacobian
+df/dr from one evaluation, the wave covectors lam^A as functions of the
+state, and the contraction dr/du below as a callable dr_du(u, X) -> (N, k,
+4).  At a spacetime point x the Riemann invariants solve G(r) = 0,
 
     G(r) = r - lam(f(r)) . x,     dG/dr = I_k - (dr/du)(df/dr),
 
@@ -36,18 +36,20 @@ N = 1.  The full derivative stack waves_jac (N, k, 4, 4) never enters them:
 the trace conditions read it, and the tests contract it with x as the
 reference dr/du.
 
-Each bracket quantity is built once.  The determinant is in closed form
-(``bracket_det``, k <= 3) everywhere on the solver path: in Newton's stop
+Each bracket quantity is built once.  G needs f and the bracket df/dr at
+the same r, so each residual evaluation takes the profile jet once and
+Newton carries (u, df/dr) with its iterates.  The determinant is in closed
+form (``bracket_det``, k <= 3) everywhere on the solver path: in Newton's stop
 test, and in the final refresh at the converged iterates, whose cond_det
 feeds the status and every consumer (``verify``'s skips, the catastrophe
 probe).  Only ``sample`` prints LAPACK's value, of the dG/dr the refresh
 returns.  A k = 1 step is g / dG/dr, bitwise LAPACK's 1x1 solve.  A
 step whose LAPACK solve meets an exact zero pivot (a badly scaled bracket
 whose closed-form determinant is rounding above the floor) stops those
-points instead of raising for the batch.  The refresh hands its df/dr and
-dG/dr and its cond_det to ``jacobi_batch``, which assembles du from them
-without evaluating the profile or the determinant again: a family has 1
-to 3 waves, so the adjugate is in closed form too.
+points instead of raising for the batch.  The refresh builds dG/dr from the
+carried df/dr, and hands both and its cond_det to ``jacobi_batch``, which
+assembles du from them without evaluating the profile or the determinant
+again: a family has 1 to 3 waves, so the adjugate is in closed form too.
 """
 
 from __future__ import annotations
@@ -78,7 +80,8 @@ def damped_newton(residual, newton_step, r0, *data, tol, max_iter):
     (N, k), each data array holds per-point values along its first axis.
 
     residual(r, *d) -> (g, aux): g shaped like r, aux per-point values kept
-    for the final iterates (the state, say) or None; newton_step(r, g, aux,
+    for the final iterates or None: an array (the state, say) or a tuple of
+    them (the state and df/dr); newton_step(r, g, aux,
     *d) -> (step, stop): the full step, and a mask of points to stop as
     STATUS_NEAR_CATASTROPHE (their step rows are ignored) or None.  Both see
     only the points still iterating, gathered anew when that set shrinks, so
@@ -141,10 +144,10 @@ def damped_newton(residual, newton_step, r0, *data, tol, max_iter):
             pick += np.arange(w.size) * len(_HALVINGS)
             ri[w], gi[w], gni[w] = ladder[pick], g_lad[pick], gn_lad.ravel()[pick]
             if aux is not None:
-                auxi[w] = aux_lad[pick]
+                _put(auxi, w, _rows(pick, aux_lad)[0])
         r[i] = ri
         if aux is not None:
-            aux[i] = auxi
+            _put(aux, i, auxi)
 
         # a repeat leaves every max|g| as it was, so rows are compared only then
         if np.array_equal(gni, gn_old):
@@ -154,7 +157,7 @@ def damped_newton(residual, newton_step, r0, *data, tol, max_iter):
                 if (max_iter - it - 1) % 2:  # the full loop would end on r_old
                     r[i] = r_old
                     if aux is not None:
-                        aux[i] = aux_old
+                        _put(aux, i, aux_old)
                 break
         r_prev = r_old
     else:
@@ -179,16 +182,29 @@ def _same_bits(a, b):  # two float arrays equal bit for bit
     return np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
-def _rows(keep, *arrays):
-    return [None if a is None else a[keep] for a in arrays]
+def _rows(keep, *arrays):  # rows of each array, or of each array of a tuple; None stays
+    return [a if a is None else tuple(b[keep] for b in a) if isinstance(a, tuple) else a[keep]
+            for a in arrays]
 
 
-def newton_batch(profile, profile_jac, waves, dr_du, X, r0):
+def _put(a, rows, values):  # a[rows] = values, for an array or each array of a tuple
+    if isinstance(a, tuple):
+        for b, v in zip(a, values):
+            b[rows] = v
+    else:
+        a[rows] = values
+
+
+def newton_batch(profile_jet, waves, dr_du, X, r0):
     """Damped Newton (``damped_newton``) for G(r) = 0 at points X (N, 4) from
     the initial guess r0 (N, k).
 
-    dr_du(u, X) -> (N, k, 4) is called once per iteration on the points still
-    iterating and once at the end.  A point with |det dG/dr| < 1e-10, or a
+    profile_jet(r, t) -> (u (N, 4), df/dr (N, 4, k)) is the one profile
+    evaluation: each residual call takes it, and Newton carries both parts
+    with its iterates (the halving ladder keeps its picked rows' df/dr), so
+    the bracket and the final refresh evaluate no profile.  dr_du(u, X) ->
+    (N, k, 4) is called once per iteration on the points still iterating and
+    once at the end.  A point with |det dG/dr| < 1e-10, or a
     determinant that is not finite, stops as STATUS_NEAR_CATASTROPHE, in the
     loop and at the final iterates alike; so does a point whose step meets
     an exact zero pivot in LAPACK's solve.  Returns (r, u, status, cond_det,
@@ -202,16 +218,14 @@ def newton_batch(profile, profile_jac, waves, dr_du, X, r0):
     eye = np.eye(k)
 
     def residual(r, X):
-        u = profile(r, X[:, 0])
-        return r - np.einsum("nki,ni->nk", waves(u), X), u
+        u, fr = profile_jet(r, X[:, 0])
+        return r - np.einsum("nki,ni->nk", waves(u), X), (u, fr)
 
-    def bracket(r, u, X):  # dr/du, df/dr and dG/dr
-        ru = dr_du(u, X)
-        fr = profile_jac(r, X[:, 0])
-        return ru, fr, eye - ru @ fr
+    def bracket(u, fr, X):  # dG/dr
+        return eye - dr_du(u, X) @ fr
 
-    def newton_step(r, g, u, X):
-        jmat = bracket(r, u, X)[2]
+    def newton_step(r, g, jet, X):
+        jmat = bracket(*jet, X)
         with np.errstate(invalid="ignore", over="ignore"):
             stop = _near_singular(bracket_det(jmat))
         if stop.any():
@@ -229,9 +243,9 @@ def newton_batch(profile, profile_jac, waves, dr_du, X, r0):
             jmat[singular] = eye
             return np.linalg.solve(jmat, g[..., None])[..., 0], stop | singular
 
-    r, u, status = damped_newton(residual, newton_step, r0, X,
-                                 tol=NEWTON_TOL, max_iter=NEWTON_MAX_ITER)
-    _, fr, jmat = bracket(r, u, X)  # refreshed at the final iterates
+    r, (u, fr), status = damped_newton(residual, newton_step, r0, X,
+                                       tol=NEWTON_TOL, max_iter=NEWTON_MAX_ITER)
+    jmat = bracket(u, fr, X)  # refreshed at the final iterates, from their jets
     with np.errstate(invalid="ignore", over="ignore"):
         cond = bracket_det(jmat)
     status[_near_singular(cond) & (status == STATUS_OK)] = STATUS_NEAR_CATASTROPHE
@@ -261,10 +275,10 @@ def bracket_det(m):
     return np.linalg.det(m)
 
 
-def initial_guess(profile, waves, X, k):
+def initial_guess(profile_jet, waves, X, k):
     """r0^A = lam^A(f(0)) . x: freeze the state at the profile origin."""
     X = np.asarray(X, dtype=float)
-    u0 = profile(np.zeros((len(X), k)), X[:, 0])
+    u0 = profile_jet(np.zeros((len(X), k)), X[:, 0])[0]
     return np.einsum("nki,ni->nk", waves(u0), X)
 
 

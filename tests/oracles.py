@@ -8,7 +8,10 @@ None of this runs in the package.  It holds:
   which the catalog's ``PotentialWave`` / ``RotationalWave`` must reproduce
   (criteria 01 and 02);
 * stream-function presets with analytic Hessians and the Monge-Ampere
-  residual they satisfy (criterion 11).
+  residual they satisfy (criterion 11);
+* the descending-Landen loop of ``jacobi_sn_cn_dn`` as first written (its
+  ladder rebuilt per call, one ``np.clip`` and new arrays per step), which
+  the cached, in-place descent must reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -223,3 +226,30 @@ def monge_ampere_residual(h, b1: float, samples) -> float:
     hpp, hqq, hpq = hessian(samples[:, 0], samples[:, 1])
     res = hpp * hqq - hpq**2 - b1
     return float(np.max(np.abs(res)))
+
+
+# -- Jacobi elliptic descent ----------------------------------------------------
+
+def agm_ladder(kp: float):
+    """AGM sequence for (1, k'); returns lists (a_n, c_n)."""
+    a, b = 1.0, kp
+    avals = [a]
+    cvals = [(1.0 - kp * kp) ** 0.5]  # c_0 = k
+    while cvals[-1] > 1e-15 and len(avals) < 32:
+        an, bn, cn = 0.5 * (a + b), np.sqrt(a * b), 0.5 * (a - b)
+        a, b = an, bn
+        avals.append(an)
+        cvals.append(cn)
+    return avals, cvals
+
+
+def sn_cn_dn_descent(u, k: float):
+    """(sn, cn, dn) of finite u (N,) for 0 < k^2 < 1 - 1e-12 by the reference loop."""
+    m = k * k
+    avals, cvals = agm_ladder(np.sqrt(1.0 - m))
+    n = len(avals) - 1
+    phi = (2.0**n) * avals[n] * u
+    for i in range(n, 0, -1):
+        phi = 0.5 * (phi + np.arcsin(np.clip(cvals[i] / avals[i] * np.sin(phi), -1.0, 1.0)))
+    sn = np.sin(phi)
+    return sn, np.cos(phi), np.sqrt(1.0 - m * sn * sn)

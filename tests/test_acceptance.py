@@ -220,12 +220,11 @@ def test_criterion_07_trace_conditions():
         spec = make_family(fid)
         cfg = config_from_family(spec)
         # the first 100 of up to 400 draws with a finite state and a > 0;
-        # profile and profile_jac take them in one call each (one chart for
-        # R3_E1S2S3_v2), and each row holds the bits of the row evaluated alone
+        # one profile jet takes them all (one chart for R3_E1S2S3_v2), and
+        # each row holds the bits of the row evaluated alone
         stream = rng.bit_generator.state
         r = rng.uniform(-0.8, 0.8, (400, spec.n_waves))
-        zero = np.zeros(len(r))
-        states, jacs = spec.profile(r, zero), spec.profile_jac(r, zero)
+        states, jacs = spec.profile(r, np.zeros(len(r)))
         kept = np.flatnonzero(np.isfinite(states).all(axis=1) & (states[:, 0] > 0))[:100]
         # the stream moves on past the draws a one-by-one loop would have made
         rng.bit_generator.state = stream
@@ -312,8 +311,8 @@ def test_criterion_09_time_only_structure():
             rp, rm = r.copy(), r.copy()
             rp[j] += h
             rm[j] -= h
-            up = spec.profile(rp[None, :], np.zeros(1))[0, 1:3]
-            um = spec.profile(rm[None, :], np.zeros(1))[0, 1:3]
+            up = spec.profile(rp[None, :], np.zeros(1))[0][0, 1:3]
+            um = spec.profile(rm[None, :], np.zeros(1))[0][0, 1:3]
             df[:, j] = (up - um) / (2 * h)
         worst_tr = max(worst_tr, abs(np.trace(df) - 2 * c1))
         worst_det = max(worst_det, abs(np.linalg.det(df) - (b1 + c1**2)))

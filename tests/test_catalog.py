@@ -60,7 +60,7 @@ def stream_profile_gap(spec, r):
     else:
         c1 = spec.params["C1"] if spec.params["profile"] == "quadratic" else 0.0
         want = c1 * r + np.column_stack([psi_q, -psi_p])
-    got = spec.profile(r, np.ones(len(r)))[:, 1:3]
+    got = spec.profile(r, np.ones(len(r)))[0][:, 1:3]
     return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
 
 
@@ -174,7 +174,7 @@ def test_r1e_positivity_window():
     spec = make_family("R1_E")
     assert spec.singular_times() == [1.0]
     t = np.array([0.5])
-    u = spec.profile(spec.closed_form(t, np.array([[1.0, 0.0, 0.0]])), t)
+    u = spec.profile(spec.closed_form(t, np.array([[1.0, 0.0, 0.0]])), t)[0]
     assert abs(u[0, 0] - (-0.5)) <= 1e-14
     # that point is invalid, and the mirrored ray is valid with a = +0.5
     res = spec.evaluate_batch(np.full(2, 0.5), np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]))
@@ -193,7 +193,7 @@ def test_time_zero_returns_pure_profile():
         r_expect = lam[:, 1:] @ x[0]
         assert np.allclose(res.r[0], r_expect, atol=1e-13)
         assert np.allclose(res.state[0],
-                           spec.profile(res.r, np.zeros(1))[0], atol=1e-13)
+                           spec.profile(res.r, np.zeros(1))[0][0], atol=1e-13)
 
 
 def test_two_sheet_closed_form_oracle():
@@ -204,7 +204,7 @@ def test_two_sheet_closed_form_oracle():
                          rng.uniform(-1, 1, 30)])
     res = spec.evaluate_batch(t, x)
     rc = spec.closed_form(t, x)
-    uc = spec.profile(rc, t)
+    uc = spec.profile(rc, t)[0]
     ok = res.status == 0
     assert ok.sum() >= 25
     assert np.max(np.abs(res.state[ok] - uc[ok])) <= 1e-12
@@ -292,7 +292,7 @@ def test_r1_e_negative_epsilon_is_a_solution():
     res = spec.evaluate_batch(t, x)
     ok = res.status == 0  # about half the points have a > 0
     assert ok.sum() >= 30
-    uc = spec.profile(spec.closed_form(t[ok], x[ok]), t[ok])
+    uc = spec.profile(spec.closed_form(t[ok], x[ok]), t[ok])[0]
     assert np.max(np.abs(uc - res.state[ok])) <= 1e-10
     for bad in (0, 2):  # only eps = +-1 gives an acoustic covector
         with pytest.raises(ConstraintError):
@@ -312,7 +312,7 @@ def test_closed_forms_agree_with_newton_path():
         ok = res.status == 0
         if not ok.any():
             continue
-        uc = spec.profile(spec.closed_form(t[ok], x[ok]), t[ok])
+        uc = spec.profile(spec.closed_form(t[ok], x[ok]), t[ok])[0]
         assert np.max(np.abs(uc - res.state[ok])) <= 1e-10, fid
 
 
@@ -551,8 +551,66 @@ def test_periodic_well_jet_is_value_and_derivative_bit_for_bit(abc):
 
 
 def test_fn1_without_jet_returns_value_and_derivative():
-    fprof = pf.kink(1.5, 2.0)
+    fprof = pf.linear(1.5)
     s = np.linspace(-3.0, 3.0, 101)
     assert fprof.jet is None
     f, df = fprof.value_and_d(s)
     assert f.tobytes() == fprof(s).tobytes() and df.tobytes() == fprof.d(s).tobytes()
+
+
+def _window_points(spec, n, seed):
+    win = spec.default_grid_window()
+    rng = np.random.default_rng(seed)
+    t = rng.uniform(*win["t"], n)
+    return t, np.column_stack([rng.uniform(*win[f"x{i}"], n) for i in (1, 2, 3)])
+
+
+JET_CASES = [(fid, preset) for fid in REGISTRY_IDS
+             for preset in _REGISTRY[fid][2].get("profile", (None,))]
+
+
+@pytest.mark.parametrize("fid,preset", JET_CASES, ids=[f"{f}-{p}" for f, p in JET_CASES])
+def test_profile_jet_derivative_matches_central_differences(fid, preset):
+    # df/dr from the jet against central differences of its state, at the
+    # invariants of seeded solved points of the default window (RK_TIME_A's
+    # profile depends on t explicitly: there t runs over (0, 2], never 0)
+    spec = make_family(fid, {} if preset is None else {"profile": preset})
+    t, x = _window_points(spec, 200, seed=24)
+    ok = spec.evaluate_batch(t, x, jacobian=False).status == STATUS_OK
+    assert ok.sum() >= 50
+    r, t = spec.evaluate_batch(t[ok], x[ok], jacobian=False).r, t[ok]
+    assert (t != 0.0).all()
+    u, fr = spec.profile(r, t)
+    fd = np.empty_like(fr)
+    for a in range(r.shape[1]):
+        h = 1e-5 * (1.0 + np.abs(r[:, a]))
+        rp, rm = r.copy(), r.copy()
+        rp[:, a] += h
+        rm[:, a] -= h
+        fd[:, :, a] = (spec.profile(rp, t)[0] - spec.profile(rm, t)[0]) / (2.0 * h[:, None])
+    if fid == "R3_E1S2S3_v2":
+        # v2's jet is its invariant chart, whose second part is the wave
+        # decomposition du = Phi lam: Phi = (df/dr) (I_3 - r_u df/dr)^-1
+        X = np.column_stack([*spec.custom_eval.invariants_to_point(r), np.zeros(len(r))])
+        ru = np.einsum("nkia,ni->nka", spec.waves_jac(u), X)
+        fd = fd @ np.linalg.inv(np.eye(3) - ru @ fd)
+    assert np.all(np.abs(fr - fd) <= 1e-6 * (1.0 + np.abs(fr))), np.max(np.abs(fr - fd))
+
+
+@pytest.mark.parametrize("fid", REGISTRY_IDS)
+def test_all_valid_batch_equals_its_rows_beside_a_non_finite_point(fid):
+    # the all-valid batch returns the solve's arrays, a mixed one scatters
+    # them into NaN-filled ones: the shared rows hold the same bits
+    spec = make_family(fid)
+    t, x = _window_points(spec, 60, seed=25)
+    valid = spec.validity_mask(t, x)
+    t, x = t[valid], x[valid]
+    whole = spec.evaluate_batch(t, x)
+    mixed = spec.evaluate_batch(np.insert(t, 3, np.nan), np.insert(x, 3, 0.0, axis=0))
+    rows = np.arange(len(t) + 1) != 3
+    assert mixed.status[3] == STATUS_INVALID and (whole.status == STATUS_OK).sum() >= 15
+    for name in ("r", "state", "jac", "cond_det", "status", "bracket"):
+        got, want = getattr(mixed, name), getattr(whole, name)
+        assert (got is None) == (want is None), name
+        if want is not None:
+            assert got[rows].tobytes() == want.tobytes(), name

@@ -218,18 +218,17 @@ def _max_abs(res):
 
 
 def _family_rows_one_by_one(fid, samples, seed):
-    """`conditions` rows with each sample's profile and profile_jac evaluated
-    on its own r[None], in the per-sample draw order."""
+    """`conditions` rows with each sample's profile jet evaluated on its own
+    r[None], in the per-sample draw order."""
     spec = make_family(fid)
     cfg = config_from_family(spec)
     rng = np.random.default_rng(seed)
     rows = []
     for i in range(samples):
         r = rng.uniform(-0.8, 0.8, spec.n_waves)[None, :]
-        u = spec.profile(r, np.zeros(1))[0]
+        (u,), (fr,) = spec.profile(r, np.zeros(1))
         if not u[0] > 0:
             continue
-        fr = spec.profile_jac(r, np.zeros(1))[0]
         initial = _max_abs(trace_condition_initial(cfg, u, fr))
         higher = _max_abs(trace_condition_higher(cfg, u, fr)[0])
         tol = 1e-10 * (1.0 + np.max(np.abs(u)))

@@ -31,9 +31,11 @@ def kernel_columns(e1, e2, gas=GAS):
     return cols / np.linalg.norm(cols, axis=0)
 
 
-def profile_jac_at(spec, r):
-    """The (4, k) profile Jacobian at one invariant sample r, evaluated alone."""
-    return spec.profile_jac(r[None, :], np.zeros(1))[0]
+def jet_at(spec, r):
+    """The state (4,) and profile Jacobian (4, k) at one invariant sample r,
+    from one profile jet evaluated alone."""
+    u, fr = spec.profile(r[None, :], np.zeros(1))
+    return u[0], fr[0]
 
 
 def locked_pair():
@@ -67,11 +69,10 @@ def test_rank1_family_initial_small_and_higher_empty():
     rng = np.random.default_rng(2)
     for _ in range(20):
         r = rng.uniform(-1.0, 1.0, 1)
-        u = spec.profile(r[None, :], np.zeros(1))[0]
+        u, fr = jet_at(spec, r)
         if not u[0] > 0:
             continue
         scale = 1.0 + np.max(np.abs(u))
-        fr = profile_jac_at(spec, r)
         assert np.max(np.abs(trace_condition_initial(cfg, u, fr))) <= 1e-10 * scale
         res, labels = trace_condition_higher(cfg, u, fr)
         assert res.size == 0 and labels == []
@@ -85,8 +86,7 @@ def test_constant_covectors_higher_identically_zero():
         waves_jac=lambda u: np.zeros((len(u), 2, 4, 4)), gas=GAS)
     rng = np.random.default_rng(3)
     r = rng.uniform(-0.5, 0.5, 2)
-    u = spec.profile(r[None, :], np.zeros(1))[0]
-    res, _ = trace_condition_higher(zero_eta_cfg, u, profile_jac_at(spec, r))
+    res, _ = trace_condition_higher(zero_eta_cfg, *jet_at(spec, r))
     assert np.max(np.abs(res)) == 0.0
 
 
@@ -96,11 +96,11 @@ def test_angle_lock_detected_by_higher_condition():
     rng = np.random.default_rng(5)
     for _ in range(25):
         r = rng.uniform(-0.8, 0.8, 2)
-        u = spec.profile(r[None, :], np.zeros(1))[0]
+        u, fr = jet_at(spec, r)
         if not u[0] > 0:
             continue
         scale = 1.0 + np.max(np.abs(u))
-        res, _ = trace_condition_higher(cfg, u, profile_jac_at(spec, r))
+        res, _ = trace_condition_higher(cfg, u, fr)
         assert np.max(np.abs(res)) <= 1e-10 * scale
     # perturbing the angle by 0.1 breaks the higher condition
     bad = acoustic_pair_config(*perturbed_pair())
@@ -115,9 +115,9 @@ def test_mixed_pair_higher_condition():
     rng = np.random.default_rng(6)
     for _ in range(25):
         r = rng.uniform(-0.8, 0.8, 2)
-        u = spec.profile(r[None, :], np.zeros(1))[0]
+        u, fr = jet_at(spec, r)
         scale = 1.0 + np.max(np.abs(u))
-        res, _ = trace_condition_higher(cfg, u, profile_jac_at(spec, r))
+        res, _ = trace_condition_higher(cfg, u, fr)
         assert np.max(np.abs(res)) <= 1e-10 * scale
 
 
@@ -178,12 +178,11 @@ def test_all_registry_families_pass_trace_conditions():
         count = 0
         for _ in range(30):
             r = rng.uniform(-0.8, 0.8, k)
-            u = spec.profile(r[None, :], np.zeros(1))[0]
+            u, fr = jet_at(spec, r)
             if not u[0] > 0:
                 continue
             count += 1
             scale = 1.0 + float(np.max(np.abs(u)))
-            fr = profile_jac_at(spec, r)
             res_i = trace_condition_initial(cfg, u, fr)
             assert np.max(np.abs(res_i)) <= 1e-10 * scale, fid
             res_h, labels = trace_condition_higher(cfg, u, fr)
@@ -240,5 +239,5 @@ def test_bilinear_vortex_pair_exact_zero():
     # the reduction vanishes exactly through the rotational-kernel path
     spec = make_family("R2_S1S2_ADD")
     cfg = config_from_family(spec)
-    u = spec.profile(np.array([[0.2, -0.3]]), np.zeros(1))[0]
+    u = spec.profile(np.array([[0.2, -0.3]]), np.zeros(1))[0][0]
     assert np.max(np.abs(bilinear_rank2_condition(cfg, u))) <= 1e-12

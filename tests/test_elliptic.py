@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oracles import sn_cn_dn_descent
 from riemannwaves.elliptic import jacobi_sn_cn_dn
 
 # Frozen values from the independent quadrature oracle: invert the incomplete
@@ -111,6 +112,19 @@ def test_periodicity_4k():
 def test_complete_elliptic_matches_quadrature():
     for k in (0.1, 0.5, 0.9):
         assert abs(complete_elliptic_k(k) - _incomplete_f(np.pi / 2, k)) <= 1e-12
+
+
+@pytest.mark.parametrize("k", [0.1, 0.3, np.sqrt(0.5), 0.9, 0.99, 0.999999])
+@pytest.mark.parametrize("n", [1, 7, 6655])
+def test_cached_in_place_descent_is_the_reference_loop_bitwise(k, n):
+    # magnitudes 1e-8 to 1e4 of both signs, and exact zeros
+    rng = np.random.default_rng(n)
+    u = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-8, 4, n)
+    u[1::5] = 0.0
+    for _ in range(2):  # the second call reads the cached ladder
+        got, want = jacobi_sn_cn_dn(u, k), sn_cn_dn_descent(u, k)
+        for g, w in zip(got, want):
+            assert np.array_equal(g.view(np.uint64), w.view(np.uint64))
 
 
 def test_modulus_domain_error():

@@ -32,6 +32,8 @@ KEEP = {
 
 KEEP_FIELDS = {
     "FamilySpec.closed_form": "reference oracle of the closed-form agreement tests",
+    "FamilySpec.profile_jac": "df/dr alone, the profile jet's second part: the benchmark "
+                              "tracer wraps it on every built spec, and the tests read it",
 }
 
 

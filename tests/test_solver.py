@@ -28,7 +28,9 @@ NEWTON_PATH_IDS = [fid for fid in REGISTRY_IDS if make_family(fid).custom_eval i
 
 
 def problem(k, profile, profile_jac, waves, waves_jac):
+    """A hand-built problem; ``jet`` pairs the two profile callables."""
     return SimpleNamespace(k=k, profile=profile, profile_jac=profile_jac,
+                           jet=lambda r, t: (profile(r, t), profile_jac(r, t)),
                            waves=waves, waves_jac=waves_jac)
 
 
@@ -39,9 +41,8 @@ def solve_one(prob, x, expect=STATUS_OK):
     def dr_du(u, pts):
         return np.einsum("nkia,ni->nka", prob.waves_jac(u), pts)
 
-    r0 = initial_guess(prob.profile, prob.waves, X, prob.k)
-    r, u, status, cond, fr, jmat = newton_batch(prob.profile, prob.profile_jac, prob.waves,
-                                                dr_du, X, r0)
+    r0 = initial_guess(prob.jet, prob.waves, X, prob.k)
+    r, u, status, cond, fr, jmat = newton_batch(prob.jet, prob.waves, dr_du, X, r0)
     assert status[0] == expect
     jac = jacobi_batch(prob.waves, u, fr, jmat, X, cond)
     resid = float(np.max(np.abs(r - np.einsum("nki,ni->nk", prob.waves(u), X))))
@@ -393,6 +394,65 @@ def test_damped_newton_stops_once_every_point_left_cycles():
     assert sum(evaluated) <= 4 * len(r0)
 
 
+def test_damped_newton_carries_each_points_aux_with_its_final_iterate():
+    # the aux of every point is what the residual returned at its final
+    # iterate, through shrinking point sets, halving ladders (kink) and
+    # 2-cycle choices (floor), for a tuple of arrays and for one array alike;
+    # r and the statuses are those of the solve without an aux
+    rng = np.random.default_rng(21)
+    cases = [(_kink, _kink_slope, rng.uniform(-6.0, 6.0, 300), rng.uniform(-0.9, 0.9, 300)),
+             (_floor, _floor_slope, rng.uniform(0.5e6, 1.5e6, 200),
+              rng.uniform(1.2e6, 1.4e6, 200))]
+    for g, dg, r0, level in cases:
+        want, want_status = _kink_newton(g, r0, level, dg)
+        for pack in (lambda r, val: (r.copy(), val), lambda r, val: np.column_stack([r, val])):
+            def residual(r, level):
+                val = g(r, level)
+                return val, pack(r, val)
+
+            def newton_step(r, val, aux, level):
+                slope = dg(r, level)
+                return val / np.where(np.abs(slope) < 1e-14, np.copysign(1e-14, slope), slope), None
+
+            r, aux, status = damped_newton(residual, newton_step, r0, level, tol=1e-13,
+                                           max_iter=60)
+            assert np.array_equal(r, want) and np.array_equal(status, want_status)
+            at_r, val = aux if isinstance(aux, tuple) else aux.T
+            assert np.array_equal(at_r, r) and np.array_equal(val, g(r, level))
+
+
+@pytest.mark.parametrize("fid", NEWTON_PATH_IDS)
+def test_newton_evaluates_one_profile_jet_per_residual_and_nothing_else(fid, monkeypatch):
+    # every profile evaluation of a solve is one jet call per residual call
+    # (after the initial guess's, for a family without a guess_fn): the
+    # bracket and the final refresh read the carried df/dr, and df/dr alone
+    # is never asked for
+    spec = make_family(fid)
+    jets, residuals = [], []
+    jet = spec.profile
+
+    def counted_jet(r, t):
+        jets.append(len(r))
+        return jet(r, t)
+
+    def counted_newton(residual, *args, **kwargs):
+        def counted(r, *data):
+            residuals.append(len(r))
+            return residual(r, *data)
+        return damped_newton(counted, *args, **kwargs)
+
+    def no_profile_jac(r, t):
+        raise AssertionError("df/dr evaluated apart from the jet")
+
+    monkeypatch.setattr(solver, "damped_newton", counted_newton)
+    spec.profile, spec.profile_jac = counted_jet, no_profile_jac
+    t, x = GridSpec.from_window(spec.default_grid_window(), counts=(3, 5, 5, 5)).points()
+    res = spec.evaluate_batch(t, x)
+    start = [] if spec.guess_fn is not None else [int(spec.validity_mask(t, x).sum())]
+    assert residuals and jets == start + residuals
+    assert (res.status == STATUS_OK).sum() >= 100
+
+
 def _offset(r, level):
     """r - level + 1e-12 at level ~ 1e6: the root is no float, and at r = level
     the step 1e-12 is below half an ulp of r (5.8e-11), so r - step == r, a
@@ -502,9 +562,9 @@ def test_newton_batch_result_of_a_point_does_not_depend_on_its_batch(fid):
     def waves(u):
         return np.concatenate([spec.waves(u[i:i + 1]) for i in range(len(u))])
 
-    r, _, status, *_ = newton_batch(spec.profile, spec.profile_jac, waves, spec.dr_du, X, r0)
+    r, _, status, *_ = newton_batch(spec.profile, waves, spec.dr_du, X, r0)
     for i in np.random.default_rng(11).choice(len(t), 25, replace=False):
-        r_i, _, status_i, *_ = newton_batch(spec.profile, spec.profile_jac, waves, spec.dr_du,
+        r_i, _, status_i, *_ = newton_batch(spec.profile, waves, spec.dr_du,
                                             X[i:i + 1], r0[i:i + 1])
         assert np.array_equal(r_i[0], r[i], equal_nan=True), i
         assert status_i[0] == status[i], i
@@ -568,8 +628,7 @@ def test_time_row_dr_du_is_the_per_wave_stack_bitwise():
 def _reference_jacobi(spec, X, r):
     """The Jacobi assembly re-evaluated at the solved r: profile, df/dr, dr/du
     and the bracket anew, then the same k x k assembly."""
-    u = spec.profile(r, X[:, 0])
-    fr = spec.profile_jac(r, X[:, 0])
+    u, fr = spec.profile(r, X[:, 0])
     jmat = np.eye(spec.n_waves) - spec.dr_du(u, X) @ fr
     return jacobi_batch(spec.waves, u, fr, jmat, X, bracket_det(jmat), spec.extra_time_deriv)
 
@@ -664,8 +723,7 @@ def test_jacobi_agrees_with_the_four_by_four_solve_on_the_default_grid(fid):
         r0 = spec.guess_fn(t, x)
     else:
         r0 = initial_guess(spec.profile, spec.waves, X, spec.n_waves)
-    _, u, status, cond, fr, jmat = newton_batch(spec.profile, spec.profile_jac, spec.waves,
-                                                spec.dr_du, X, r0)
+    _, u, status, cond, fr, jmat = newton_batch(spec.profile, spec.waves, spec.dr_du, X, r0)
     keep = (status == STATUS_OK) & (np.abs(cond) >= COND_SKIP)  # verify's kept points
     assert np.count_nonzero(keep) >= 1000
     new = jacobi_batch(spec.waves, u, fr, jmat, X, cond)[keep]

@@ -282,8 +282,8 @@ def test_fd_stencil_integrates_once_per_distinct_argument(monkeypatch, fid, para
 
 
 def test_conditions_builds_one_chart_per_request(monkeypatch, capsys):
-    # profile and profile_jac of all samples share one chart
-    calls = _count_calls(monkeypatch, RotatingPolarizationEvaluator, "_chart")
+    # one profile jet for all samples: the chart is v2's jet
+    calls = _count_calls(monkeypatch, RotatingPolarizationEvaluator, "profile_chart")
     assert cli.main(["conditions", "--family", V2, "--samples", "3"]) == 0
     capsys.readouterr()
     assert len(calls) == 1
@@ -302,7 +302,7 @@ def test_memo_hit_equals_fresh_evaluation_and_is_read_only(fid, params):
 
     ev = spec.custom_eval
     if fid == V2:
-        cached = ev._foot(t, x[:, 0], x[:, 1]) + ev.profile_chart(first.r[:2])
+        cached = ev._foot(t, x[:, 0], x[:, 1])
     else:
         cached = _v1_foot(spec, t, x[:, 2])[1:]
     for arr in cached:
@@ -342,19 +342,6 @@ def test_memo_misses_on_mutated_input_and_on_changed_steps(monkeypatch, fid, par
         x[:, 2] += 0.01
         spec.evaluate_batch(t, x)
         assert len(calls) == 3
-
-
-def test_chart_memo_misses_on_mutated_triple(monkeypatch):
-    ev = make_family(V2).custom_eval
-    calls = _count_calls(monkeypatch, ev, "_chart")
-    r = np.array([[0.1, -0.2, 0.3]])
-    u0 = ev.profile_chart(r)[0].copy()
-    ev.profile_chart(r)
-    assert len(calls) == 1
-    r[0, 0] = 0.2
-    u1 = ev.profile_chart(r)[0]
-    assert len(calls) == 2
-    assert not np.array_equal(u0, u1)
 
 
 @pytest.mark.parametrize("fid,params", ODE_FAMILIES, ids=ODE_IDS)

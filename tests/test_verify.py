@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from riemannwaves import cli
+from riemannwaves import cli, solver
 from riemannwaves.catalog import REGISTRY_IDS, base, make_family
 from riemannwaves.catalog.base import FamilySpec, PotentialWave
 from riemannwaves.fluid import GasParams
-from riemannwaves.solver import STATUS_OK
+from riemannwaves.solver import STATUS_OK, damped_newton
 from riemannwaves.verify import (
     COND_SKIP,
     EmptyReportError,
@@ -40,19 +40,16 @@ def corrupted_e1e2(delta=0.1):
     e2 = np.array([np.cos(phi), np.sin(phi), 0.0])
     s1 = s2 = 0.25
 
-    def profile(r, t):
+    def jet(r, t):
         a1, a2 = s1 * r[:, 0], s2 * r[:, 1]
-        return np.column_stack([a1 + a2, kappa * (a1[:, None] * e1 + a2[:, None] * e2)])
-
-    def profile_jac(r, t):
-        out = np.empty((len(r), 4, 2))
-        out[:, 0, 0], out[:, 0, 1] = s1, s2
-        out[:, 1:, 0] = kappa * s1 * e1
-        out[:, 1:, 1] = kappa * s2 * e2
-        return out
+        fr = np.empty((len(r), 4, 2))
+        fr[:, 0, 0], fr[:, 0, 1] = s1, s2
+        fr[:, 1:, 0] = kappa * s1 * e1
+        fr[:, 1:, 1] = kappa * s2 * e2
+        return np.column_stack([a1 + a2, kappa * (a1[:, None] * e1 + a2[:, None] * e2)]), fr
 
     return FamilySpec(id="corrupted", rank=2, description="angle broken",
-                      params={}, gas=gas, profile=profile, profile_jac=profile_jac,
+                      params={}, gas=gas, profile=jet,
                       wave_list=[PotentialWave(e=e1), PotentialWave(e=e2)],
                       probe_x=-(e1 + e2), default_window={"t": (0.0, 0.45)})
 
@@ -442,29 +439,31 @@ def test_ma_negative_powers_keep_the_per_point_contract(n, branch):
 
 
 def _with_profile_jac_offset(spec, delta):
-    """Add ``delta`` to every entry of df/dr: Newton's bracket and the exact
-    Jacobi matrices go wrong, the solved states stay solutions."""
-    profile_jac = spec.profile_jac
-    spec.profile_jac = lambda r, t: profile_jac(r, t) + delta
+    """Add ``delta`` to every entry of the jet's df/dr: Newton's bracket and
+    the exact Jacobi matrices go wrong, the solved states stay solutions."""
+    jet = spec.profile
+
+    def offset(r, t):
+        u, fr = jet(r, t)
+        return u, fr + delta
+
+    spec.profile = offset
     return spec
 
 
 def _with_sound_speed_bump(spec, eps):
-    """Add eps r1^2 to the sound speed, and 2 eps r1 to its df/dr: a consistent
-    implicit solution of an ansatz that does not solve the fluid system."""
-    profile, profile_jac = spec.profile, spec.profile_jac
+    """Add eps r1^2 to the jet's sound speed, and 2 eps r1 to its df/dr: a
+    consistent implicit solution of an ansatz that does not solve the fluid
+    system."""
+    jet = spec.profile
 
     def bumped(r, t):
-        u = profile(r, t)
+        u, fr = jet(r, t)
         u[:, 0] += eps * r[:, 0] ** 2
-        return u
-
-    def bumped_jac(r, t):
-        fr = profile_jac(r, t)
         fr[:, 0, 0] += 2.0 * eps * r[:, 0]
-        return fr
+        return u, fr
 
-    spec.profile, spec.profile_jac = bumped, bumped_jac
+    spec.profile = bumped
     return spec
 
 
@@ -509,25 +508,35 @@ def test_fd_route_flags_a_wrong_ansatz(fid):
 
 
 @pytest.mark.parametrize("fid", NEWTON_PATH)
-def test_fd_stencil_solves_take_one_newton_step(fid):
+def test_fd_stencil_solves_take_one_newton_step(fid, monkeypatch):
     # from the tangent predictor each shifted solve converges in one step:
-    # profile is evaluated at the guess and at the one iterate
+    # the profile jet is evaluated at the guess and at the one iterate.  No
+    # solve evaluates it once Newton's loop is done: the final refresh reads
+    # the df/dr the loop carried
     spec = make_family(fid)
     assert spec.dr_du is not None
-    rows, per_call = [], []
-    profile, evaluate = spec.profile, spec.evaluate_batch
+    rows, per_call, after_loop, at_loop_end = [], [], [], []
+    jet, evaluate = spec.profile, spec.evaluate_batch
 
-    def counted_profile(r, t):
+    def counted_jet(r, t):
         rows.append(len(r))
-        return profile(r, t)
+        return jet(r, t)
+
+    def counted_newton(*args, **kwargs):
+        out = damped_newton(*args, **kwargs)
+        at_loop_end.append(len(rows))
+        return out
 
     def counted_evaluate(t, x, **kwargs):
         rows.clear()
         res = evaluate(t, x, **kwargs)
         per_call.append(sum(rows) / len(t))
+        after_loop.append(len(rows) - at_loop_end[-1])
         return res
 
-    spec.profile, spec.evaluate_batch = counted_profile, counted_evaluate
+    monkeypatch.setattr(solver, "damped_newton", counted_newton)
+    spec.profile, spec.evaluate_batch = counted_jet, counted_evaluate
     residual_fd(spec, grid=GridSpec.from_window(spec.default_grid_window(), counts=SMALL))
     assert len(per_call) == 9
     assert max(per_call[1:]) <= 2.0
+    assert after_loop == [0] * 9
