@@ -196,7 +196,9 @@ class FamilySpec:
 
     ``profile`` is the family's one profile callable, a jet: the state and
     df/dr from one evaluation, which is what Newton and ``conditions`` read.
-    ``profile_jac`` is its second part, for callers that want df/dr alone.
+    ``R3_E1S2S3_v2``'s jet is its invariant chart: its second part is the
+    wave-decomposition matrix Phi (du = Phi lam), not df/dr.  ``profile_jac``
+    is the jet's second part, for callers that want it alone.
     """
 
     id: str
@@ -207,8 +209,7 @@ class FamilySpec:
     profile: Callable            # the jet: (r (N,k), t (N,)) -> (u (N,4), df/dr (N,4,k))
     wave_list: list              # one covector per wave (PotentialWave, ...)
     singular_time_values: tuple = ()
-    extra_time_deriv: Callable | None = None
-    initial_a_rate: Callable | None = None   # da/dt on the t=0 section, fn of state
+    extra_time_deriv: Callable | None = None  # t -> explicit d/dt of the state (N, 4)
     guess_fn: Callable | None = None          # (t, x) -> r0
     closed_form: Callable | None = None       # (t, x) -> r; the state is profile(r, t)[0]
     custom_eval: Callable | None = None       # (t, x, guess): replaces the Newton path

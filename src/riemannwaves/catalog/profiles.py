@@ -1,9 +1,9 @@
 """Profile presets: the arbitrary functions the solution families ship with.
 
-Each preset is a scalar function with its analytic first derivative,
-vectorized over numpy arrays.  One-argument profiles feed the simple-wave
-amplitudes; two-argument ones feed the mixed families (stream-like
-couplings, concentric-wave phases).
+Each preset is a scalar function with its jet, the value and the analytic
+first derivative from one evaluation, vectorized over numpy arrays.
+One-argument profiles feed the simple-wave amplitudes; two-argument ones
+feed the mixed families (stream-like couplings, concentric-wave phases).
 """
 
 from __future__ import annotations
@@ -25,48 +25,39 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Fn1:
-    """Scalar profile s -> f(s) with derivative df.
+    """Scalar profile s -> f(s) with its jet s -> (f(s), df/ds(s)).
 
-    A preset whose value and derivative share costly parts supplies
-    ``jet(s) -> (f, df)``, mirroring ``Fn2.jet``.
+    The jet computes the parts f and df share once, and its first part is
+    f's value bit for bit; ``f`` serves the callers that read the value alone.
     """
 
     f: Callable
-    df: Callable
-    jet: Callable | None = None
+    jet: Callable
 
     def __call__(self, s):
         return self.f(s)
 
-    def d(self, s):
-        return self.df(s)
-
-    def value_and_d(self, s):
-        return self.jet(s) if self.jet else (self.f(s), self.df(s))
-
 
 @dataclass(frozen=True)
 class Fn2:
-    """Two-argument profile (p, q) -> f with partial derivatives (dp, dq).
+    """Two-argument profile (p, q) -> f with its jet (p, q) -> (f, df/dp, df/dq).
 
-    A preset whose value and partials share costly parts supplies
-    ``jet(p, q) -> (f, dp, dq)``.
+    As for ``Fn1``, the jet's first part is f's value bit for bit.
     """
 
     f: Callable
-    dp: Callable
-    dq: Callable
-    jet: Callable | None = None
+    jet: Callable
 
     def __call__(self, p, q):
         return self.f(p, q)
 
-    def value_and_partials(self, p, q):
-        return self.jet(p, q) if self.jet else (self.f(p, q), self.dp(p, q), self.dq(p, q))
-
 
 def linear(a):
-    return Fn1(lambda s: a * np.asarray(s, float), lambda s: np.full_like(np.asarray(s, float), a))
+    def jet(s):
+        s = np.asarray(s, float)
+        return a * s, np.full_like(s, a)
+
+    return Fn1(lambda s: a * np.asarray(s, float), jet)
 
 
 def _shared(parts, f, df):
@@ -78,7 +69,7 @@ def _shared(parts, f, df):
         p = parts(s)
         return f(*p), df(*p)
 
-    return Fn1(lambda s: f(*parts(s)), lambda s: df(*parts(s)), jet=jet)
+    return Fn1(lambda s: f(*parts(s)), jet)
 
 
 def kink(a, b):
@@ -160,16 +151,12 @@ def periodic_well(a, b, c):
     def f(s):
         return a / np.sqrt(1.0 - b * np.cos(c * np.asarray(s, float)))
 
-    def df(s):
-        cs = c * np.asarray(s, float)
-        return -0.5 * a * b * c * np.sin(cs) * (1.0 - b * np.cos(cs)) ** -1.5
-
     def jet(s):
-        cs = c * np.asarray(s, float)  # f's and df's arithmetic, cos(C s) taken once
+        cs = c * np.asarray(s, float)  # f's arithmetic, cos(C s) taken once
         well = 1.0 - b * np.cos(cs)
         return a / np.sqrt(well), -0.5 * a * b * c * np.sin(cs) * well ** -1.5
 
-    return Fn1(f, df, jet=jet)
+    return Fn1(f, jet)
 
 
 def _sn_cn_dn(beta, s, k):
@@ -218,11 +205,15 @@ def kink2(d):
         with np.errstate(invalid="ignore"):  # s = +-inf gives nan, as for nan input
             return d * s / np.sqrt(1.0 + s * s)
 
-    def slope(p, q):
+    def jet(p, q):
         s = arg(p, q)
-        return d * (1.0 + s * s) ** -1.5
+        base = 1.0 + s * s
+        with np.errstate(invalid="ignore"):
+            value = d * s / np.sqrt(base)
+        slope = d * base ** -1.5
+        return value, slope, 0.5 * slope
 
-    return Fn2(f, slope, lambda p, q: 0.5 * slope(p, q))
+    return Fn2(f, jet)
 
 
 def theta_concentric(a2, b2, d1):
@@ -254,7 +245,7 @@ def theta_concentric(a2, b2, d1):
         return (a2 * phi / np.sqrt(r2), a2 * np.asarray(p, float) * r2 ** -1.5 * (dphi - phi),
                 a2 * np.asarray(q, float) * r2 ** -1.5 * (dphi - phi))
 
-    return Fn2(f, lambda p, q: jet(p, q)[1], lambda p, q: jet(p, q)[2], jet=jet)
+    return Fn2(f, jet)
 
 
 def theta_solitary(d1):
@@ -264,9 +255,11 @@ def theta_solitary(d1):
         h = np.asarray(p, float) + np.asarray(q, float)
         return d1 / np.sqrt(1.0 + np.exp(h))
 
-    def slope(p, q):  # both partials
+    def jet(p, q):
         h = np.asarray(p, float) + np.asarray(q, float)
         e = np.exp(h)
-        return -0.5 * d1 * e * (1.0 + e) ** -1.5
+        base = 1.0 + e
+        slope = -0.5 * d1 * e * base ** -1.5  # both partials
+        return d1 / np.sqrt(base), slope, slope
 
-    return Fn2(f, slope, slope)
+    return Fn2(f, jet)

@@ -119,7 +119,7 @@ def _build_acoustic(fid, p, gas):
     def jet(r, t):
         fr = np.empty((len(r), 4, k))
         for i in range(k):
-            amp, d = profs[i].value_and_d(r[:, i])
+            amp, d = profs[i].jet(r[:, i])
             fr[:, 0, i] = d
             fr[:, 1:, i] = eps_kappa * d[:, None] * evecs[i]
             if i == 0:  # the sums start from this term (a +0 start would turn -0 into +0)
@@ -184,7 +184,7 @@ def _build_r1_s(p, gas):
 
     def jet(r, t):
         s = r[:, 0]
-        (u1, d1), (u2, d2) = p1.value_and_d(s), p2.value_and_d(s)
+        (u1, d1), (u2, d2) = p1.jet(s), p2.jet(s)
         u3 = (c - exm[0] * u1 - exm[1] * u2) / exm[2]
         fr = np.zeros((len(s), 4, 1))
         fr[:, 1, 0] = d1
@@ -239,7 +239,7 @@ def _build_r2_e1s2(p, gas):
     offset = np.array([0.0, f2 * 1.0, 0.0])  # u2-line offset: (0, F2, 0)
 
     def jet(r, t):
-        (av, da), (qv, dq) = pa.value_and_d(r[:, 0]), q.value_and_d(r[:, 1])
+        (av, da), (qv, dq) = pa.jet(r[:, 0]), q.jet(r[:, 1])
         u = kappa * av[:, None] * e1 + qv[:, None] * dline + offset
         fr = np.empty((len(r), 4, 2))
         fr[:, 0, 0], fr[:, 0, 1] = da, 0.0
@@ -369,8 +369,8 @@ def _build_r2_s1s2_add(p, gas):
     q22 = pf.kink(p["A1"], p["B1"])
 
     def jet(r, t):
-        (v21, d21), (v31, d31) = q21.value_and_d(r[:, 0]), q31.value_and_d(r[:, 0])
-        v22, d22 = q22.value_and_d(r[:, 1])
+        (v21, d21), (v31, d31) = q21.jet(r[:, 0]), q31.jet(r[:, 0])
+        v22, d22 = q22.jet(r[:, 1])
         u1 = (c1 - l1[1] * v21 - l1[2] * v31) / l1[0] \
             - ((l2[2] * eta + l2[1]) * v22 - c2) / l2[0]
         fr = np.zeros((len(r), 4, 2))
@@ -412,7 +412,7 @@ def _build_r2_e1e2s3(p, gas):
 
     def jet(r, t):
         base = kappa * a1c * (r[:, :1] * e1 + r[:, 1:2] * e2)
-        w, dw = u13.value_and_d(r[:, 2])
+        w, dw = u13.jet(r[:, 2])
         fr = np.zeros((len(r), 4, 3))
         fr[:, 0, 0] = fr[:, 0, 1] = a1c
         fr[:, 1:3, 0] = kappa * a1c * e1[:2]
@@ -530,8 +530,8 @@ def _build_r2_s1s2s3(p, gas):
     # the profiles give NaN there and the point's status records it
     def jet(r, t):
         with np.errstate(over="ignore", invalid="ignore"):
-            u1, db = bperp.value_and_d(r[:, 1] + n * r[:, 2])
-            g, dg = gdiag.value_and_d(r[:, 1] - r[:, 2])
+            u1, db = bperp.jet(r[:, 1] + n * r[:, 2])
+            g, dg = gdiag.jet(r[:, 1] - r[:, 2])
         fr = np.zeros((len(r), 4, 3))
         fr[:, 1, 1], fr[:, 1, 2] = db, n * db
         fr[:, 2, 1], fr[:, 2, 2] = dg, -dg
@@ -562,9 +562,8 @@ def _build_r3_e1s2s3_v1(p, gas):
     preset = p["profile"]
     r3_closed = None
     if preset == "linear":
-        def fshift(s):
-            return p["A1"] * np.asarray(s, float) + p["B1"]
-        fprof = pf.Fn1(fshift, lambda s: np.full_like(np.asarray(s, float), p["A1"]))
+        fshift = lambda s: p["A1"] * np.asarray(s, float) + p["B1"]
+        fprof = pf.Fn1(fshift, lambda s: (fshift(s), np.full_like(np.asarray(s, float), p["A1"])))
         planar = PlanarVelocity(theta=pf.kink2(p["D1"]), cos_sign=-1.0)
         nu = kappa / (kappa + 1.0)
         beta = (1.0 + 1.0 / kappa) * p["A1"]
@@ -613,20 +612,11 @@ def _build_r3_e1s2s3_v1(p, gas):
         out[:, 2, 2] = -1.0
         return out
 
-    def jet(r, t):
-        f1, df = fprof.value_and_d(r[:, 0])
-        u1, u2 = planar.fields(r[:, 1], r[:, 2])
-        fr = np.zeros((len(r), 4, 3))
-        fr[:, 0, 0] = df / kappa
-        fr[:, 3, 0] = df
-        fr[:, 1, 1], fr[:, 1, 2], fr[:, 2, 1], fr[:, 2, 2] = planar.partials(r[:, 1], r[:, 2])
-        return np.column_stack([f1 / kappa + a0, u1, u2, f1 + u30]), fr
-
     win = {"t": (0.0, 1.0)} if preset == "linear" else \
           {"t": (0.0, 1.0), "x1": (-1.0, 1.0), "x2": (-1.0, 1.0), "x3": (1.0, 2.5)}
     return dict(
         rank=2, description="acoustic + two vortex waves with a transported third invariant",
-        profile=jet,
+        profile=ev.jet,
         wave_list=[PotentialWave(e=e1), CustomWave(lam_fn=lam2_fn, jac_fn=lam2_jac),
                    RotationalWave(lsp=np.array([0.0, 0.0, 1.0]))],
         singular_time_values=tsing,
@@ -667,7 +657,7 @@ def _build_r3_e1s2s3_v2(p, gas):
 
     return dict(
         rank=2, description="acoustic + two vortex waves with rotating polarization",
-        profile=lambda r, t: ev.profile_chart(r),
+        profile=ev.jet,
         wave_list=[CustomWave(lam_fn=lam1_fn, jac_fn=lam1_jac),
                    RotationalWave(lsp=np.array([0.0, -1.0, 0.0])),
                    RotationalWave(lsp=np.array([1.0, 0.0, 0.0]))],
@@ -705,14 +695,8 @@ def _build_rk_time_a(p, gas):
     def pol(t):
         return 1.0 + trd * t + detd * t * t
 
-    def dpol(t):
-        return trd + 2.0 * detd * t
-
     def a_of_t(t):
         return a1c * pol(t) ** (-1.0 / kappa)
-
-    def da_dt(t):
-        return a1c * (-1.0 / kappa) * pol(t) ** (-1.0 / kappa - 1.0) * dpol(t)
 
     def jet(r, t):
         vel = r @ df_mat.T
@@ -720,9 +704,10 @@ def _build_rk_time_a(p, gas):
         fr[:, 1:3, :] = df_mat
         return np.column_stack([a_of_t(t), vel[:, 0], vel[:, 1], np.zeros(len(r))]), fr
 
-    def extra_time_deriv(t):
+    def extra_time_deriv(t):  # da/dt; on the t = 0 section -A1 tr(Df)/kappa
         out = np.zeros((len(t), 4))
-        out[:, 0] = da_dt(t)
+        out[:, 0] = (a1c * (-1.0 / kappa) * pol(t) ** (-1.0 / kappa - 1.0)
+                     * (trd + 2.0 * detd * t))
         return out
 
     roots = np.roots([detd, trd, 1.0]) if abs(detd) > 1e-14 else \
@@ -741,7 +726,6 @@ def _build_rk_time_a(p, gas):
                    RotationalWave(lsp=np.array([0, 1.0, 0]))],
         singular_time_values=tsing,
         extra_time_deriv=extra_time_deriv,
-        initial_a_rate=lambda u: -(trd / kappa) * u[..., 0],
         closed_form=closed_form,
         default_window={"t": (0.0, 2.0)},
     )
@@ -804,7 +788,8 @@ def make_family(fid: str, overrides: dict | None = None, **kw) -> FamilySpec:
     if unknown:
         raise ConstraintError(f"unknown parameters for {fid}: {sorted(unknown)}")
     for key, value in merged.items():
-        if isinstance(params[key], Real) and not isinstance(value, Real):
+        if isinstance(params[key], Real) and (isinstance(value, bool)
+                                              or not isinstance(value, Real)):
             raise ConstraintError(f"{key} must be a number, got {value!r}")
     params.update(merged)
     for key, options in choices.items():

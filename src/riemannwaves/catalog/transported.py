@@ -91,17 +91,17 @@ class PlanarVelocity:
         th = self.theta(p, q)
         return np.sin(th), self.cos_sign * np.cos(th)
 
-    def partials(self, p, q):
-        th, tp, tq = self.theta.value_and_partials(p, q)
+    def jet(self, p, q):  # (fields, (du1/dp, du1/dq, du2/dp, du2/dq)), one phase jet
+        th, tp, tq = self.theta.jet(p, q)
         c, s = np.cos(th), np.sin(th)
-        # d(sin th), d(cos_sign cos th)
-        return c * tp, c * tq, -self.cos_sign * s * tp, -self.cos_sign * s * tq
+        ds = -self.cos_sign * s  # d(cos_sign cos th)/d th; d(sin th)/d th = c
+        return (s, self.cos_sign * c), (c * tp, c * tq, ds * tp, ds * tq)
 
 
 def _scalar_newton(g, dg, r0, *data):
     """damped_newton for g(r, *data) = 0 on per-point (N,) arrays: |g| <= 1e-13 within
     60 iterations; a slope dg below 1e-14 in size counts as 1e-14 with its sign (+ at 0)."""
-    residual = lambda r, *d: (g(r, *d), None)
+    residual = lambda r, *d: (g(r, *d), ())
 
     def newton_step(r, val, _, *d):
         s = dg(r, *d)
@@ -159,7 +159,7 @@ class TransportedEvaluator:
 
     def solve_r1(self, t, x3):
         g = lambda r, t, x3: r - self.phase1(r) * t + x3
-        dg = lambda r, t, x3: 1.0 - (1.0 + 1.0 / self.kappa) * self.f.d(r) * t
+        dg = lambda r, t, x3: 1.0 - (1.0 + 1.0 / self.kappa) * self.f.jet(r)[1] * t
         return _scalar_newton(g, dg, self.phase1(np.zeros_like(t)) * t - x3, t, x3)
 
     def r3_first_integral(self, t, r1):
@@ -202,12 +202,22 @@ class TransportedEvaluator:
             return r - t + a * x1 + b * x2
 
         def dg(r, t, x1, x2, r3):
-            dp1, _, dp2, _ = self.planar.partials(r, r3)
+            dp1, _, dp2, _ = self.planar.jet(r, r3)[1]
             return 1.0 + dp1 * x1 + dp2 * x2
 
         return _scalar_newton(g, dg, r0, t, x1, x2, r3)
 
-    # -- FamilySpec.custom_eval ---------------------------------------------
+    # -- FamilySpec.profile and FamilySpec.custom_eval ----------------------
+
+    def jet(self, r, t):
+        """The profile jet: u (N, 4) and df/dr (N, 4, 3) at r (N, 3); no t dependence."""
+        f1, df1 = self.f.jet(r[:, 0])
+        (u1, u2), (u1p, u1q, u2p, u2q) = self.planar.jet(r[:, 1], r[:, 2])
+        fr = np.zeros((len(r), 4, 3))
+        fr[:, 0, 0] = df1 / self.kappa
+        fr[:, 3, 0] = df1
+        fr[:, 1, 1], fr[:, 1, 2], fr[:, 2, 1], fr[:, 2, 2] = u1p, u1q, u2p, u2q
+        return np.column_stack([f1 / self.kappa + self.a0, u1, u2, f1 + self.u30]), fr
 
     def __call__(self, t, x, guess=None):
         """A finite ``guess`` (N, 3), such as an FD stencil's centre, starts
@@ -222,9 +232,10 @@ class TransportedEvaluator:
         r2_start = t if guess is None else np.where(np.isfinite(guess[:, 1]), guess[:, 1], t)
         r2, ok2 = self.solve_r2(t, x1, x2, r3, r2_start)
 
-        f1, df1 = self.f.value_and_d(r1)
-        u1f, u2f = self.planar.fields(r2, r3)
-        u = np.column_stack([f1 / self.kappa + self.a0, u1f, u2f, f1 + self.u30])
+        r = np.column_stack([r1, r2, r3])
+        u, fr = self.jet(r, t)
+        df1, (u1f, u2f) = fr[:, 3, 0], u[:, 1:3].T
+        u1p, u1q, u2p, u2q = fr[:, 1, 1], fr[:, 1, 2], fr[:, 2, 1], fr[:, 2, 2]
 
         # invariant gradients over (t, x1, x2, x3)
         d1 = 1.0 - (1.0 + 1.0 / self.kappa) * df1 * t
@@ -237,7 +248,6 @@ class TransportedEvaluator:
         grad_r3[:, 0] = dr3_dt
         grad_r3[:, 3] = dr3_dx3
 
-        u1p, u1q, u2p, u2q = self.planar.partials(r2, r3)
         d2 = 1.0 + u1p * x1 + u2p * x2
         grad_r2 = np.zeros((n, 4))
         gq = u1q * x1 + u2q * x2
@@ -247,7 +257,7 @@ class TransportedEvaluator:
         grad_r2[:, 3] = -gq * dr3_dx3 / d2
 
         jac = np.zeros((n, 4, 4))
-        jac[:, 0, :] = (df1 / self.kappa)[:, None] * grad_r1
+        jac[:, 0, :] = fr[:, 0, 0, None] * grad_r1
         jac[:, 1, :] = u1p[:, None] * grad_r2 + u1q[:, None] * grad_r3
         jac[:, 2, :] = u2p[:, None] * grad_r2 + u2q[:, None] * grad_r3
         jac[:, 3, :] = df1[:, None] * grad_r1
@@ -259,8 +269,6 @@ class TransportedEvaluator:
             status = np.where(good, status, STATUS_INVALID).astype(np.int8)
         bad = ~np.isfinite(u).all(axis=1)
         status[bad] = STATUS_NO_CONVERGENCE
-
-        r = np.column_stack([r1, r2, r3])
         return r, u, jac, cond, status
 
 
@@ -282,16 +290,16 @@ class RotatingPolarizationEvaluator:
     carried r1 misses r1 = -y . n at the foot by more than 1e-8, the path
     met delta = 0 and the point is near_catastrophe.  At the defaults the
     foot is within 2.6e-13 and M within 5.9e-13 of DOP853.  F and F' come
-    from one profile jet (``Fn1.value_and_d``) wherever both are read at
-    the same r1; every RK4 operation is elementwise, so a foot is bitwise
-    the same in any batch.
+    from one profile jet (``Fn1.jet``) wherever both are read at the same
+    r1; every RK4 operation is elementwise, so a foot is bitwise the same
+    in any batch.
 
     Per instance, ``_foot`` memoises its last 8 integrations (``ode_steps``
     RK4 steps, 100 from the registry), keyed on the bytes and shapes of
     (t, x1, x2) plus ``ode_steps``, so a central-difference stencil
     integrates 7 times, not 9 (x3 shifts reuse the centre).  Memoised arrays
-    are read-only.  ``profile_chart`` is the family's profile jet: a
-    ``conditions`` request builds one chart for all its samples.
+    are read-only.  ``jet`` is the family's profile jet, the invariant
+    chart: a ``conditions`` request builds one chart for all its samples.
     """
 
     def __init__(self, fprof, gprof, a0, kappa, ode_steps=100):
@@ -308,7 +316,7 @@ class RotatingPolarizationEvaluator:
             return r - (fv / self.kappa + self.a0) * t + x1 * np.cos(fv) + x2 * np.sin(fv)
 
         def dg(r, t, x1, x2):
-            fv, df = self.F.value_and_d(r)
+            fv, df = self.F.jet(r)
             return 1.0 - df / self.kappa * t - (x1 * np.sin(fv) - x2 * np.cos(fv)) * df
 
         zero = np.zeros_like(t)  # start at r = 0's right-hand side a(0) t - x . n(0)
@@ -326,7 +334,7 @@ class RotatingPolarizationEvaluator:
         r1, ok = self.solve_r1(t, x1, x2)
         one, zero = np.ones_like(t), np.zeros_like(t)
         state = np.stack([x1, x2, r1, one, zero, zero, one])
-        jet, kappa, a0, steps = self.F.value_and_d, self.kappa, self.a0, self.ode_steps
+        jet, kappa, a0, steps = self.F.jet, self.kappa, self.a0, self.ode_steps
         h = -t / steps
         half, sixth = 0.5 * h, h / 6.0
 
@@ -363,7 +371,7 @@ class RotatingPolarizationEvaluator:
         """Initial convected chart m0 = y1 sin F0 - y2 cos F0 and its gradient."""
         zero = np.zeros(y.shape[0])
         r10, _ = self.solve_r1(zero, y[:, 0], y[:, 1])
-        fv, df = self.F.value_and_d(r10)
+        fv, df = self.F.jet(r10)
         c, s = np.cos(fv), np.sin(fv)
         delta0 = 1.0 - (y[:, 0] * s - y[:, 1] * c) * df
         val = y[:, 0] * s - y[:, 1] * c
@@ -381,7 +389,7 @@ class RotatingPolarizationEvaluator:
         n = len(t)
 
         y, mmat, r1, ok, drift = self._foot(t, x1, x2)
-        fv, df = self.F.value_and_d(r1)
+        fv, df = self.F.jet(r1)
         c, s = np.cos(fv), np.sin(fv)
         a = fv / self.kappa + self.a0
         delta = 1.0 - df / self.kappa * t - (x1 * s - x2 * c) * df
@@ -392,7 +400,7 @@ class RotatingPolarizationEvaluator:
         grad_m[:, 1] = d1 * mmat[:, 0, 1] + d2 * mmat[:, 1, 1]
         dm_dt = -(grad_m[:, 0] * s + grad_m[:, 1] * (-c))
 
-        u3, dg = self.g.value_and_d(m)
+        u3, dg = self.g.jet(m)
         u = np.column_stack([a, s, -c, u3])
 
         grad_r1 = np.zeros((n, 4))
@@ -429,13 +437,15 @@ class RotatingPolarizationEvaluator:
         x2 = -r[:, 1] - c * t
         return t, x1, x2
 
-    def profile_chart(self, r):
-        """State u = f(r) and the wave-decomposition matrix Phi (N, 4, 3).
+    def jet(self, r, t=None):
+        """The family's profile jet: the state u = f(r) and, as its second
+        part, the wave-decomposition matrix Phi (N, 4, 3), not df/dr.
 
         The solution is x3-independent, so (t, x1, x2) -> (r1, r2, r3) is a
         chart and both u and the coefficients of the exact gradient over the
-        wave covectors, du = Phi lam, are functions of the invariant triple;
-        Phi plays the profile-Jacobian role in the compatibility checks.
+        wave covectors, du = Phi lam, are functions of the invariant triple
+        (``t`` is unused); Phi = (df/dr) (I_3 - r_u df/dr)^-1 plays the
+        profile-Jacobian role in the compatibility checks.
         """
         t, x1, x2 = self.invariants_to_point(r)
         x = np.column_stack([x1, x2, np.zeros_like(x1)])

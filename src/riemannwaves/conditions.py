@@ -73,12 +73,12 @@ class AnsatzConfig:
     waves: Callable
     waves_jac: Callable
     gas: GasParams = GasParams()
-    explicit_a_rate: Callable | None = None  # da/dt on the initial section
+    extra_time_deriv: Callable | None = None  # t (N,) -> the profile's explicit d/dt (N, 4)
 
 
 def config_from_family(spec) -> AnsatzConfig:
     return AnsatzConfig(k=spec.n_waves, waves=spec.waves, waves_jac=spec.waves_jac,
-                        gas=spec.gas, explicit_a_rate=spec.initial_a_rate)
+                        gas=spec.gas, extra_time_deriv=spec.extra_time_deriv)
 
 
 def _state_data(cfg: AnsatzConfig, u):
@@ -148,15 +148,14 @@ def _normalize(lam, eta, fr, k):
 def trace_condition_initial(cfg: AnsatzConfig, state, fr):
     """Residuals of tr(A^mu (df/dr) lam), one per fluid equation.
 
-    ``fr`` is the (4, k) profile Jacobian df/dr at the sample.  Profiles
-    carrying an explicit time dependence of the sound speed contribute
-    their initial-section rate da/dt to the first equation.
+    ``fr`` is the (4, k) profile Jacobian df/dr at the sample.  A profile
+    with an explicit time dependence contributes its da/dt on the t = 0
+    section, ``extra_time_deriv(0)``'s first entry, to the first equation.
     """
     u, lam, _ = _state_data(cfg, state)
     res = _equation_residual(_dispersion_stack(u, lam, cfg.gas), fr)
-    if cfg.explicit_a_rate is not None:
-        res = res.copy()
-        res[0] += cfg.explicit_a_rate(u)
+    if cfg.extra_time_deriv is not None:
+        res[0] += cfg.extra_time_deriv(np.zeros(1))[0, 0]
     return res
 
 

@@ -79,11 +79,11 @@ def damped_newton(residual, newton_step, r0, *data, tol, max_iter):
     """Damped Newton for residual(r, *data) = 0 over points: r0 is (N,) or
     (N, k), each data array holds per-point values along its first axis.
 
-    residual(r, *d) -> (g, aux): g shaped like r, aux per-point values kept
-    for the final iterates or None: an array (the state, say) or a tuple of
-    them (the state and df/dr); newton_step(r, g, aux,
-    *d) -> (step, stop): the full step, and a mask of points to stop as
-    STATUS_NEAR_CATASTROPHE (their step rows are ignored) or None.  Both see
+    residual(r, *d) -> (g, aux): g shaped like r, aux a tuple of per-point
+    arrays kept for the final iterates (the state and df/dr, or () when
+    there are none); newton_step(r, g, aux, *d) -> (step, stop): the full
+    step, and a mask of points to stop as STATUS_NEAR_CATASTROPHE (their
+    step rows are ignored) or None.  Both see
     only the points still iterating, gathered anew when that set shrinks, so
     a point's result does not depend on its batch when the residual rounds
     each row on its own.  A point whose max|g| is not finite stops at once.
@@ -117,14 +117,17 @@ def damped_newton(residual, newton_step, r0, *data, tol, max_iter):
             status[i[gni <= tol]] = STATUS_OK
             if not n_going:
                 break
-            i, ri, gi, gni, auxi, *di = _rows(going, i, ri, gi, gni, auxi, *di)
+            i, ri, gi, gni = i[going], ri[going], gi[going], gni[going]
+            auxi, di = tuple(a[going] for a in auxi), tuple(a[going] for a in di)
             r_prev = None
         step, stop = newton_step(ri, gi, auxi, *di)
         if stop is not None and np.count_nonzero(stop):
             status[i[stop]] = STATUS_NEAR_CATASTROPHE
             if stop.all():
                 break
-            i, ri, gni, auxi, step, *di = _rows(~stop, i, ri, gni, auxi, step, *di)
+            keep = ~stop
+            i, ri, gni, step = i[keep], ri[keep], gni[keep], step[keep]
+            auxi, di = tuple(a[keep] for a in auxi), tuple(a[keep] for a in di)
             r_prev = None
 
         r_old, gn_old, aux_old = ri, gni, auxi
@@ -143,11 +146,11 @@ def damped_newton(residual, newton_step, r0, *data, tol, max_iter):
             pick = np.where(better.any(axis=1), better.argmax(axis=1), len(_HALVINGS) - 1)
             pick += np.arange(w.size) * len(_HALVINGS)
             ri[w], gi[w], gni[w] = ladder[pick], g_lad[pick], gn_lad.ravel()[pick]
-            if aux is not None:
-                _put(auxi, w, _rows(pick, aux_lad)[0])
+            for a, a_lad in zip(auxi, aux_lad):
+                a[w] = a_lad[pick]
         r[i] = ri
-        if aux is not None:
-            _put(aux, i, auxi)
+        for a, ai in zip(aux, auxi):
+            a[i] = ai
 
         # a repeat leaves every max|g| as it was, so rows are compared only then
         if np.array_equal(gni, gn_old):
@@ -156,8 +159,8 @@ def damped_newton(residual, newton_step, r0, *data, tol, max_iter):
             if r_prev is not None and _same_bits(ri, r_prev):  # a 2-cycle
                 if (max_iter - it - 1) % 2:  # the full loop would end on r_old
                     r[i] = r_old
-                    if aux is not None:
-                        _put(aux, i, aux_old)
+                    for a, ai in zip(aux, aux_old):
+                        a[i] = ai
                 break
         r_prev = r_old
     else:
@@ -180,19 +183,6 @@ def _max_abs(g):
 
 def _same_bits(a, b):  # two float arrays equal bit for bit
     return np.array_equal(a.view(np.uint64), b.view(np.uint64))
-
-
-def _rows(keep, *arrays):  # rows of each array, or of each array of a tuple; None stays
-    return [a if a is None else tuple(b[keep] for b in a) if isinstance(a, tuple) else a[keep]
-            for a in arrays]
-
-
-def _put(a, rows, values):  # a[rows] = values, for an array or each array of a tuple
-    if isinstance(a, tuple):
-        for b, v in zip(a, values):
-            b[rows] = v
-    else:
-        a[rows] = values
 
 
 def newton_batch(profile_jet, waves, dr_du, X, r0):

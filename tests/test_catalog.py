@@ -536,26 +536,66 @@ def test_custom_covector_without_custom_eval_is_a_constraint_error():
         dataclasses.replace(spec, custom_eval=None)
 
 
-@pytest.mark.parametrize("abc", [None, (0.7, -0.9, 5.0)], ids=["registry", "off-default"])
-def test_periodic_well_jet_is_value_and_derivative_bit_for_bit(abc):
-    if abc is None:  # v2's amplitude at the registry values
-        fprof = make_family("R3_E1S2S3_v2").custom_eval.F
-    else:
-        fprof = pf.periodic_well(*abc)
-    s = np.linspace(-50.0, 50.0, 10001)
-    f, df = fprof.jet(s)
-    assert f.tobytes() == fprof(s).tobytes()
-    assert df.tobytes() == fprof.d(s).tobytes()
-    f, df = fprof.value_and_d(s)
-    assert f.tobytes() == fprof(s).tobytes() and df.tobytes() == fprof.d(s).tobytes()
+def _v1_fshift(a1, b1):  # v1's linear amplitude A1 s + B1, from its builder
+    return make_family("R3_E1S2S3_v1", {"A1": a1, "B1": b1}).custom_eval.f
 
 
-def test_fn1_without_jet_returns_value_and_derivative():
-    fprof = pf.linear(1.5)
-    s = np.linspace(-3.0, 3.0, 101)
-    assert fprof.jet is None
-    f, df = fprof.value_and_d(s)
-    assert f.tobytes() == fprof(s).tobytes() and df.tobytes() == fprof.d(s).tobytes()
+# per preset: its factory, the registry values (the family that ships them)
+# and one off-default set
+FN1_PRESETS = {
+    "linear": (pf.linear, (0.25,), (-1.7,)),                              # R1_E
+    "kink": (pf.kink, (0.25, 1.0), (-1.3, 2.5)),                          # R2_S1S2_ADD
+    "expkink": (pf.expkink, (0.25, 1.0), (0.8, -1.7)),                    # R1_E
+    "sech_bump": (pf.sech_bump, (1.0,), (0.6,)),                          # R1_S
+    "bump": (pf.bump, (0.25, 1.0), (-0.9, 0.4)),                          # R2_E1S2
+    "coshwell": (pf.coshwell, (0.25, 1.0, 1.0), (0.7, 0.3, -1.4)),        # R2_E1S2
+    "coshbump": (pf.coshbump, (0.25, 1.0, 1.0), (-0.6, 2.0, 0.7)),        # v1
+    "periodic_well": (pf.periodic_well, (0.5, 0.5, 1.0), (0.7, -0.9, 5.0)),  # v2
+    "snwell": (pf.snwell, (0.5, 1.0, 1.0, np.sqrt(0.5)), (0.3, 2.0, 1.5, 0.9)),  # R2_S1S2S3
+    "snkink": (pf.snkink, (0.5, 1.0, 1.0, np.sqrt(0.5)), (-0.4, 0.5, 0.8, 0.3)),  # R2_S1S2S3
+    "v1_fshift": (_v1_fshift, (0.25, 1.0), (-0.8, 0.3)),                  # v1
+}
+FN2_PRESETS = {
+    "kink2": (pf.kink2, (0.5,), (-1.3,)),                                 # v1
+    "theta_concentric": (pf.theta_concentric, (1.0, 1.0, 0.5), (0.8, 2.0, 1.5)),  # v1
+    "theta_solitary": (pf.theta_solitary, (0.5,), (-0.7,)),               # v1
+}
+PRESET_CASES = [(name, which) for name in (*FN1_PRESETS, *FN2_PRESETS)
+                for which in ("registry", "off-default")]
+
+
+def _central(f, s):  # central difference of f at s, step 1e-6 (1 + |s|)
+    h = 1e-6 * (1.0 + np.abs(s))
+    return (f(s + h) - f(s - h)) / (2.0 * h)
+
+
+def _assert_derivative(d, fd):
+    assert np.all(np.abs(d - fd) <= 1e-6 * np.max(np.abs(d))), np.max(np.abs(d - fd))
+
+
+@pytest.mark.parametrize("name,which", PRESET_CASES, ids=[f"{n}-{w}" for n, w in PRESET_CASES])
+def test_preset_jet_is_its_value_bitwise_and_its_derivative(name, which):
+    # every preset's jet: its first part is f's value bit for bit, its
+    # derivatives match central differences of f to 1e-6 of their size
+    if name in FN1_PRESETS:
+        make, *values = FN1_PRESETS[name]
+        fprof = make(*values[which == "off-default"])
+        s = np.linspace(-8.0, 8.0, 1601)
+        f, df = fprof.jet(s)
+        assert f.tobytes() == fprof(s).tobytes()
+        _assert_derivative(df, _central(fprof, s))
+        return
+    make, *values = FN2_PRESETS[name]
+    fprof = make(*values[which == "off-default"])
+    p, q = (a.ravel() for a in np.meshgrid(np.linspace(-3.0, 3.0, 41), np.linspace(-2.9, 3.1, 41)))
+    if name == "theta_concentric":  # off the origin and the jump circles, cos(y) = 0
+        y = 0.5 * np.log(np.abs(values[which == "off-default"][2] * (p * p + q * q)))
+        keep = (p * p + q * q > 0.25) & (np.abs(np.cos(y)) > 0.2)
+        p, q = p[keep], q[keep]
+    f, dp, dq = fprof.jet(p, q)
+    assert f.tobytes() == fprof(p, q).tobytes()
+    _assert_derivative(dp, _central(lambda a: fprof(a, q), p))
+    _assert_derivative(dq, _central(lambda b: fprof(p, b), q))
 
 
 def _window_points(spec, n, seed):
@@ -565,16 +605,18 @@ def _window_points(spec, n, seed):
     return t, np.column_stack([rng.uniform(*win[f"x{i}"], n) for i in (1, 2, 3)])
 
 
-JET_CASES = [(fid, preset) for fid in REGISTRY_IDS
-             for preset in _REGISTRY[fid][2].get("profile", (None,))]
+JET_CASES = [(f"{fid}-{preset}", fid, {} if preset is None else {"profile": preset})
+             for fid in REGISTRY_IDS for preset in _REGISTRY[fid][2].get("profile", (None,))]
+# e1 x m1 = (0.8, 0, -0.6): the defaults' l1_3 = 0 hides the l1_3 terms of the jet
+JET_CASES.append(("R2_S1S2_ADD-kink-l1_3_nonzero", "R2_S1S2_ADD", {"e1": (0.6, 0.0, 0.8)}))
 
 
-@pytest.mark.parametrize("fid,preset", JET_CASES, ids=[f"{f}-{p}" for f, p in JET_CASES])
-def test_profile_jet_derivative_matches_central_differences(fid, preset):
+@pytest.mark.parametrize("fid,params", [c[1:] for c in JET_CASES], ids=[c[0] for c in JET_CASES])
+def test_profile_jet_derivative_matches_central_differences(fid, params):
     # df/dr from the jet against central differences of its state, at the
     # invariants of seeded solved points of the default window (RK_TIME_A's
     # profile depends on t explicitly: there t runs over (0, 2], never 0)
-    spec = make_family(fid, {} if preset is None else {"profile": preset})
+    spec = make_family(fid, params)
     t, x = _window_points(spec, 200, seed=24)
     ok = spec.evaluate_batch(t, x, jacobian=False).status == STATUS_OK
     assert ok.sum() >= 50

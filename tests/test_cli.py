@@ -416,6 +416,17 @@ def test_config_file_precedence(tmp_path, capsys):
     assert doc["params"]["B1"] == 2.0    # config beats registry default
 
 
+@pytest.mark.parametrize("key", ["A1", "epsilon"])
+@pytest.mark.parametrize("text", ['{{"{key}": true}}', "{key} = true\n"], ids=["json", "key-value"])
+def test_config_file_boolean_for_a_numeric_key_exits_3(tmp_path, capsys, key, text):
+    # a JSON true is a bool, which Python counts as an int: it is still no number
+    cfg = tmp_path / "params.cfg"
+    cfg.write_text(text.format(key=key))
+    code, out, err = run(["sample", "--family", "R1_E", "--config", str(cfg),
+                          "--grid", "t=0:0:1,x1=-1:-1:1,x2=0:0:1,x3=0:0:1"], capsys)
+    assert code == 3 and f"{key} must be a number" in err and out == ""
+
+
 def test_sample_prints_every_non_finite_cell_as_nan(monkeypatch, tmp_path):
     # NaN, +inf and -inf in r, the state and cond_det all print as nan; the
     # other rows keep their bytes

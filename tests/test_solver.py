@@ -299,7 +299,7 @@ def _kink_newton(g, r0, level, dg=_kink_slope, stop_below=None):
     cap and slope rules; returns the roots and the statuses."""
 
     def residual(r, level):
-        return g(r, level), None
+        return g(r, level), ()
 
     def newton_step(r, val, _, level):
         slope = dg(r, level)
@@ -307,7 +307,7 @@ def _kink_newton(g, r0, level, dg=_kink_slope, stop_below=None):
         return val / np.where(np.abs(slope) < 1e-14, np.copysign(1e-14, slope), slope), stop
 
     r, aux, status = damped_newton(residual, newton_step, r0, level, tol=1e-13, max_iter=60)
-    assert aux is None
+    assert aux == ()
     return r, status
 
 
@@ -397,28 +397,26 @@ def test_damped_newton_stops_once_every_point_left_cycles():
 def test_damped_newton_carries_each_points_aux_with_its_final_iterate():
     # the aux of every point is what the residual returned at its final
     # iterate, through shrinking point sets, halving ladders (kink) and
-    # 2-cycle choices (floor), for a tuple of arrays and for one array alike;
-    # r and the statuses are those of the solve without an aux
+    # 2-cycle choices (floor); r and the statuses are those of the solve
+    # without an aux
     rng = np.random.default_rng(21)
     cases = [(_kink, _kink_slope, rng.uniform(-6.0, 6.0, 300), rng.uniform(-0.9, 0.9, 300)),
              (_floor, _floor_slope, rng.uniform(0.5e6, 1.5e6, 200),
               rng.uniform(1.2e6, 1.4e6, 200))]
     for g, dg, r0, level in cases:
         want, want_status = _kink_newton(g, r0, level, dg)
-        for pack in (lambda r, val: (r.copy(), val), lambda r, val: np.column_stack([r, val])):
-            def residual(r, level):
-                val = g(r, level)
-                return val, pack(r, val)
+        def residual(r, level):
+            val = g(r, level)
+            return val, (r.copy(), val)
 
-            def newton_step(r, val, aux, level):
-                slope = dg(r, level)
-                return val / np.where(np.abs(slope) < 1e-14, np.copysign(1e-14, slope), slope), None
+        def newton_step(r, val, aux, level):
+            slope = dg(r, level)
+            return val / np.where(np.abs(slope) < 1e-14, np.copysign(1e-14, slope), slope), None
 
-            r, aux, status = damped_newton(residual, newton_step, r0, level, tol=1e-13,
-                                           max_iter=60)
-            assert np.array_equal(r, want) and np.array_equal(status, want_status)
-            at_r, val = aux if isinstance(aux, tuple) else aux.T
-            assert np.array_equal(at_r, r) and np.array_equal(val, g(r, level))
+        r, (at_r, val), status = damped_newton(residual, newton_step, r0, level, tol=1e-13,
+                                               max_iter=60)
+        assert np.array_equal(r, want) and np.array_equal(status, want_status)
+        assert np.array_equal(at_r, r) and np.array_equal(val, g(r, level))
 
 
 @pytest.mark.parametrize("fid", NEWTON_PATH_IDS)

@@ -62,7 +62,7 @@ def _dop853_foot(ev, t, x3):
     for ti, xi in zip(t, x3):
         def rhs(s, y):
             r1, _ = ev.solve_r1(np.array([s]), np.array([y[0]]))
-            df = ev.f.d(r1)[0]
+            df = ev.f.jet(r1)[1][0]
             d1 = 1.0 - (1.0 + 1.0 / ev.kappa) * df * s
             return [ev.f(r1)[0] + ev.u30, -df / d1 * y[1]]
         sol = solve_ivp(rhs, (ti, 0.0), [xi, 1.0], method="DOP853", rtol=1e-13, atol=1e-13)
@@ -80,7 +80,7 @@ def _dop853_planar_foot(ev, t, x1, x2):
     for ti, a, b in zip(t, x1, x2):
         def rhs(s, z):
             r1, _ = ev.solve_r1(np.array([s]), z[:1], z[1:2])
-            fv, df = ev.F(r1)[0], ev.F.d(r1)[0]
+            fv, df = (v[0] for v in ev.F.jet(r1))
             c, sn = np.cos(fv), np.sin(fv)
             delta = 1.0 - df / ev.kappa * s - (z[0] * sn - z[1] * c) * df
             n = np.array([c, sn])
@@ -283,7 +283,7 @@ def test_fd_stencil_integrates_once_per_distinct_argument(monkeypatch, fid, para
 
 def test_conditions_builds_one_chart_per_request(monkeypatch, capsys):
     # one profile jet for all samples: the chart is v2's jet
-    calls = _count_calls(monkeypatch, RotatingPolarizationEvaluator, "profile_chart")
+    calls = _count_calls(monkeypatch, RotatingPolarizationEvaluator, "jet")
     assert cli.main(["conditions", "--family", V2, "--samples", "3"]) == 0
     capsys.readouterr()
     assert len(calls) == 1
