@@ -209,7 +209,9 @@ class FamilySpec:
     profile: Callable            # the jet: (r (N,k), t (N,)) -> (u (N,4), df/dr (N,4,k))
     wave_list: list              # one covector per wave (PotentialWave, ...)
     singular_time_values: tuple = ()
-    extra_time_deriv: Callable | None = None  # t -> explicit d/dt of the state (N, 4)
+    # t -> explicit d/dt of the state (N, 4); the trace conditions take t as an invariant
+    # r0 with covector e0 = (1, 0, 0, 0), so RK_TIME_A's higher order holds identically
+    extra_time_deriv: Callable | None = None
     guess_fn: Callable | None = None          # (t, x) -> r0
     closed_form: Callable | None = None       # (t, x) -> r; the state is profile(r, t)[0]
     custom_eval: Callable | None = None       # (t, x, guess): replaces the Newton path

@@ -231,17 +231,16 @@ def theta_concentric(a2, b2, d1):
         r2 = p * p + q * q
         y = 0.5 * np.log(np.abs(d1 * r2))
         tau = np.tan(y)
-        phi = tau / np.sqrt(b2 + tau * tau)
-        # d(phi)/dy and the radial derivative of A2 R^(-1/2) phi(y)
-        dphi = b2 / (np.cos(y) ** 2 * (b2 + tau * tau) ** 1.5)
-        return r2, phi, dphi
+        return r2, y, tau, tau / np.sqrt(b2 + tau * tau)
 
     def f(p, q):
-        r2, phi, _ = parts(p, q)
+        r2, _, _, phi = parts(p, q)
         return a2 * phi / np.sqrt(r2)
 
     def jet(p, q):
-        r2, phi, dphi = parts(p, q)
+        r2, y, tau, phi = parts(p, q)
+        # d(phi)/dy and the radial derivative of A2 R^(-1/2) phi(y)
+        dphi = b2 / (np.cos(y) ** 2 * (b2 + tau * tau) ** 1.5)
         return (a2 * phi / np.sqrt(r2), a2 * np.asarray(p, float) * r2 ** -1.5 * (dphi - phi),
                 a2 * np.asarray(q, float) * r2 ** -1.5 * (dphi - phi))
 

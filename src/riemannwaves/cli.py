@@ -25,7 +25,6 @@ from .conditions import (
     AnsatzConfig,
     DegenerateSampleError,
     bilinear_rank2_condition,
-    config_from_family,
     trace_condition_higher,
     trace_condition_initial,
 )
@@ -288,7 +287,30 @@ def _pair_config(pair_text: str, params: dict):
     waves, waves_jac, _ = stack_waves([PotentialWave(e=e) for e in evecs])
     gammas = np.stack([np.concatenate([[1.0], kappa * e]) for e in evecs], axis=1)
     gammas /= np.linalg.norm(gammas, axis=0)
-    return AnsatzConfig(k=2, waves=waves, waves_jac=waves_jac, gas=gas), gammas
+    return AnsatzConfig(waves, waves_jac, gas), gammas
+
+
+def config_from_family(spec):
+    """The family's config and its jet (r, t) -> (u, profile Jacobian).
+
+    A spec with an explicit time rate gets the covectors [e0, lam^1..lam^k]
+    (e0's waves_jac row is zero) and the Jacobian [df/dt | df/dr].
+    """
+    if spec.extra_time_deriv is None:
+        return AnsatzConfig(spec.waves, spec.waves_jac, spec.gas), spec.profile
+    waves, waves_jac, jet, rate = spec.waves, spec.waves_jac, spec.profile, spec.extra_time_deriv
+
+    def time_waves(u):
+        return np.concatenate([np.broadcast_to(np.eye(1, 4), (len(u), 1, 4)), waves(u)], axis=1)
+
+    def time_waves_jac(u):
+        return np.concatenate([np.zeros((len(u), 1, 4, 4)), waves_jac(u)], axis=1)
+
+    def time_jet(r, t):
+        u, fr = jet(r, t)
+        return u, np.concatenate([rate(t)[:, :, None], fr], axis=2)
+
+    return AnsatzConfig(time_waves, time_waves_jac, spec.gas), time_jet
 
 
 _ROW_MAXIMA = ("initial_max", "higher_max", "bilinear_max")  # the last for --pair only
@@ -312,12 +334,12 @@ def cmd_conditions(args) -> int:
             rng.uniform(-0.8, 0.8, 2)  # r: unused (fr is constant), drawn to keep the stream
     else:
         spec = make_family(args.family, gather_params(args))
-        cfg = config_from_family(spec)
+        cfg, jet = config_from_family(spec)
         fam_label = spec.id
         # one profile jet for the request: the draws are the per-sample stream,
         # and each row of the jet is the row evaluated alone
-        r = rng.uniform(-0.8, 0.8, (n, cfg.k))
-        states, jacs = spec.profile(r, np.zeros(n))
+        r = rng.uniform(-0.8, 0.8, (n, spec.n_waves))
+        states, jacs = jet(r, np.zeros(n))
 
     rows = []
     for i, (u, fr) in enumerate(zip(states, jacs)):
@@ -326,7 +348,7 @@ def cmd_conditions(args) -> int:
         tol = 1e-10 * (1.0 + float(np.max(np.abs(u))))
         try:
             worst = [_max_abs(trace_condition_initial(cfg, u, fr)),
-                     _max_abs(trace_condition_higher(cfg, u, fr)[0])]
+                     _max_abs(trace_condition_higher(cfg, u, fr))]
             if args.pair:
                 worst.append(_max_abs(bilinear_rank2_condition(cfg, u)))
         except DegenerateSampleError as exc:
@@ -338,8 +360,8 @@ def cmd_conditions(args) -> int:
 
     doc = {"family": fam_label, "samples": len(rows),
            "tolerance_rule": "1e-10 * (1 + max field magnitude)",
-           "higher_order": "identically satisfied" if cfg.k == 1 else None, "rows": rows,
-           "pass": bool(rows) and all(r["pass"] for r in rows)}
+           "higher_order": "identically satisfied" if jacs[0].shape[1] == 1 else None,
+           "rows": rows, "pass": bool(rows) and all(r["pass"] for r in rows)}
     _emit(json.dumps(doc, indent=2, default=float) + "\n", args.out)
     return EXIT_OK if doc["pass"] else EXIT_FAIL
 

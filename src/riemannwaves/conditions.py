@@ -28,6 +28,12 @@ wave-kernel frame and a single shared normalization coordinate, wave-pair
 admissibility reads tr(A^mu Gamma (eta_a Gamma - I2 tr(eta_a Gamma)) lam)
 over the remaining p-1 coordinate slices.
 
+Explicit time is one more invariant r^0 = t, with the constant covector
+e0 = (1, 0, 0, 0) and the profile column df/dt (``cli.config_from_family``).
+For ``RK_TIME_A`` the pivot block is then (t, x1, x2) and the one remaining
+slice, along x3, is zero, since no covector has an x3 component: its
+higher order is identically satisfied.
+
 A sample whose covectors are non-finite, or leave no invertible pivot block
 (or, for a pair, no shared normalization coordinate), raises
 ``DegenerateSampleError``; the ``conditions`` command turns it into a
@@ -37,6 +43,7 @@ failing row with its reason.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations, combinations_with_replacement, permutations
 from typing import Callable
 
@@ -52,7 +59,6 @@ __all__ = [
     "trace_condition_initial",
     "trace_condition_higher",
     "bilinear_rank2_condition",
-    "config_from_family",
 ]
 
 
@@ -64,21 +70,14 @@ class DegenerateSampleError(ValueError):
 class AnsatzConfig:
     """Wave covectors (with derivatives) for one ansatz.
 
-    waves / waves_jac follow the batched catalog conventions; k is the wave
-    count.  The profile Jacobian df/dr goes to each trace condition as its
-    (4, k) argument ``fr``, so a caller evaluates the profile once per batch.
+    waves / waves_jac follow the batched catalog conventions, and the rows
+    of ``waves(u)`` are the k waves.  Each trace condition takes the (4, k)
+    profile Jacobian as ``fr``, so a caller evaluates the profile once.
     """
 
-    k: int
     waves: Callable
     waves_jac: Callable
     gas: GasParams = GasParams()
-    extra_time_deriv: Callable | None = None  # t (N,) -> the profile's explicit d/dt (N, 4)
-
-
-def config_from_family(spec) -> AnsatzConfig:
-    return AnsatzConfig(k=spec.n_waves, waves=spec.waves, waves_jac=spec.waves_jac,
-                        gas=spec.gas, extra_time_deriv=spec.extra_time_deriv)
 
 
 def _state_data(cfg: AnsatzConfig, u):
@@ -102,8 +101,9 @@ def _equation_residual(lmats, m):
     return np.einsum("aij,ja->i", lmats, m)
 
 
-def _pivot_columns(lam, k):
+def _pivot_columns(lam):
     """Deterministic pivot choice: best |det| block, spatial columns preferred."""
+    k = len(lam)
     spatial = list(combinations(range(1, 4), k))
     with_time = [c for c in combinations(range(4), k) if 0 in c]
     dets = np.abs(bracket_det(np.stack([lam[:, c] for c in spatial + with_time])))
@@ -117,7 +117,7 @@ def _pivot_columns(lam, k):
     raise DegenerateSampleError("wave covectors have no invertible pivot block")
 
 
-def _normalize(lam, eta, fr, k):
+def _normalize(lam, eta, fr):
     """Transform the ansatz data to the basis with identity pivot block.
 
     The covectors become lam~ = inv(Lambda) lam and the non-pivot derivative
@@ -129,66 +129,52 @@ def _normalize(lam, eta, fr, k):
     state (f~ = f_r Lambda), matching the construction's chart where the
     pivot components of the invariants are the pivot coordinates themselves.
     """
-    pivots = _pivot_columns(lam, k)
-    others = [i for i in range(4) if i not in pivots]
+    pivots = _pivot_columns(lam)
     block = lam[:, list(pivots)]
     inv = linalg.inverse(block)
     lam_t = inv @ lam
     fr_t = fr @ block
     slices = []
-    for a in others:
-        s = np.empty((k, 4))
+    for a in (i for i in range(4) if i not in pivots):
+        s = np.empty(lam.shape)
         for alpha in range(4):
             dblock = eta[:, list(pivots), alpha]
             s[:, alpha] = (-inv @ dblock @ inv @ lam[:, a] + inv @ eta[:, a, alpha])
         slices.append(s)
-    return lam_t, slices, fr_t, others
+    return lam_t, slices, fr_t
 
 
 def trace_condition_initial(cfg: AnsatzConfig, state, fr):
     """Residuals of tr(A^mu (df/dr) lam), one per fluid equation.
 
-    ``fr`` is the (4, k) profile Jacobian df/dr at the sample.  A profile
-    with an explicit time dependence contributes its da/dt on the t = 0
-    section, ``extra_time_deriv(0)``'s first entry, to the first equation.
+    ``fr`` is the (4, k) profile Jacobian at the sample.
     """
     u, lam, _ = _state_data(cfg, state)
-    res = _equation_residual(_dispersion_stack(u, lam, cfg.gas), fr)
-    if cfg.extra_time_deriv is not None:
-        res[0] += cfg.extra_time_deriv(np.zeros(1))[0, 0]
-    return res
+    return _equation_residual(_dispersion_stack(u, lam, cfg.gas), fr)
 
 
 def trace_condition_higher(cfg: AnsatzConfig, state, fr):
     """Symmetrized higher trace residuals of every order s = 1..k-1, with
     ``fr`` the (4, k) profile Jacobian at the sample.
 
-    Returns (residuals, index_tuples): residuals has one 4-vector row per
-    symmetrized multi-index of non-pivot coordinate slices, order by order,
-    and each index tuple's length is its order s.  All orders share one
-    normalization at the state.  Empty for k = 1, where the conditions hold
-    identically.
+    One 4-vector row per symmetrized multi-index of non-pivot coordinate
+    slices, order by order, all from one normalization at the state.  Empty
+    for k = 1, where the conditions hold identically.
     """
-    if cfg.k == 1:
-        return np.zeros((0, 4)), []
     u, lam, eta = _state_data(cfg, state)
-    lam_t, slices, fr_t, coords = _normalize(lam, eta, fr, cfg.k)
+    k = len(lam)
+    if k == 1:
+        return np.zeros((0, 4))
+    lam_t, slices, fr_t = _normalize(lam, eta, fr)
     lmats = _dispersion_stack(u, lam_t, cfg.gas)
 
-    residuals, labels = [], []
-    for s in range(1, cfg.k):
+    residuals = []
+    for s in range(1, k):
         for combo in combinations_with_replacement(range(len(slices)), s):
-            acc = np.zeros((4, cfg.k))
             perms = set(permutations(combo))
-            for perm in perms:
-                m = fr_t
-                for a in perm:
-                    m = m @ slices[a] @ fr_t
-                acc += m
-            acc /= len(perms)
-            residuals.append(_equation_residual(lmats, acc))
-            labels.append(tuple(coords[a] for a in combo))
-    return np.asarray(residuals), labels
+            chains = [reduce(lambda m, a: m @ slices[a] @ fr_t, perm, fr_t) for perm in perms]
+            residuals.append(_equation_residual(lmats, sum(chains) / len(perms)))
+    return np.asarray(residuals)
 
 
 def bilinear_rank2_condition(cfg: AnsatzConfig, state):
@@ -204,9 +190,9 @@ def bilinear_rank2_condition(cfg: AnsatzConfig, state):
     representative-dependent, so a nonzero report there is inconclusive and
     the trace conditions remain the authoritative admissibility test.
     """
-    if cfg.k != 2:
-        raise ValueError("bilinear reduction applies to wave pairs (k = 2)")
     u, lam, eta = _state_data(cfg, state)
+    if len(lam) != 2:
+        raise ValueError("bilinear reduction applies to wave pairs (k = 2)")
     sv = StateVec.from_array(u)
 
     # kernel frame: one representative kernel vector per wave (for the

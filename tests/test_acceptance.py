@@ -10,10 +10,9 @@ import pytest
 from riemannwaves import linalg
 from riemannwaves.catalog import REGISTRY_IDS, ConstraintError, make_family
 from riemannwaves.catalog.base import PotentialWave, RotationalWave
-from riemannwaves.cli import main as cli_main
+from riemannwaves.cli import config_from_family, main as cli_main
 from riemannwaves.conditions import (
     bilinear_rank2_condition,
-    config_from_family,
     trace_condition_higher,
     trace_condition_initial,
 )
@@ -218,13 +217,13 @@ def test_criterion_07_trace_conditions():
     worst_all = 0.0
     for fid in REGISTRY_IDS:
         spec = make_family(fid)
-        cfg = config_from_family(spec)
+        cfg, jet = config_from_family(spec)
         # the first 100 of up to 400 draws with a finite state and a > 0;
         # one profile jet takes them all (one chart for R3_E1S2S3_v2), and
         # each row holds the bits of the row evaluated alone
         stream = rng.bit_generator.state
         r = rng.uniform(-0.8, 0.8, (400, spec.n_waves))
-        states, jacs = spec.profile(r, np.zeros(len(r)))
+        states, jacs = jet(r, np.zeros(len(r)))
         kept = np.flatnonzero(np.isfinite(states).all(axis=1) & (states[:, 0] > 0))[:100]
         # the stream moves on past the draws a one-by-one loop would have made
         rng.bit_generator.state = stream
@@ -232,7 +231,7 @@ def test_criterion_07_trace_conditions():
         for u, fr in zip(states[kept], jacs[kept]):
             scale = 1.0 + float(np.max(np.abs(u)))
             res = np.vstack([trace_condition_initial(cfg, u, fr),
-                             trace_condition_higher(cfg, u, fr)[0]])
+                             trace_condition_higher(cfg, u, fr)])
             worst_all = max(worst_all, float(np.max(np.abs(res))) / scale)
             ok &= bool(np.all(np.abs(res) <= 1e-10 * scale))  # a NaN fails
         ok &= len(kept) == 100

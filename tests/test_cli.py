@@ -1,5 +1,7 @@
 """CLI: determinism, exit statuses, round-trips."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -7,12 +9,13 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riemannwaves import cli, conditions, linalg
-from riemannwaves.cli import main, parse_grid, parse_value
+from riemannwaves.cli import config_from_family, main, parse_grid, parse_value
 from riemannwaves.conditions import (
     bilinear_rank2_condition,
-    config_from_family,
     trace_condition_higher,
     trace_condition_initial,
 )
@@ -221,16 +224,16 @@ def _family_rows_one_by_one(fid, samples, seed):
     """`conditions` rows with each sample's profile jet evaluated on its own
     r[None], in the per-sample draw order."""
     spec = make_family(fid)
-    cfg = config_from_family(spec)
+    cfg, jet = config_from_family(spec)
     rng = np.random.default_rng(seed)
     rows = []
     for i in range(samples):
         r = rng.uniform(-0.8, 0.8, spec.n_waves)[None, :]
-        (u,), (fr,) = spec.profile(r, np.zeros(1))
+        (u,), (fr,) = jet(r, np.zeros(1))
         if not u[0] > 0:
             continue
         initial = _max_abs(trace_condition_initial(cfg, u, fr))
-        higher = _max_abs(trace_condition_higher(cfg, u, fr)[0])
+        higher = _max_abs(trace_condition_higher(cfg, u, fr))
         tol = 1e-10 * (1.0 + np.max(np.abs(u)))
         rows.append({"sample": i, "initial_max": initial, "higher_max": higher,
                      "pass": initial <= tol and higher <= tol})
@@ -248,6 +251,23 @@ def test_conditions_batch_equals_samples_one_by_one(fid, seed, capsys):
     assert code == (0 if expected and all(row["pass"] for row in expected) else 1)
 
 
+@settings(max_examples=50, derandomize=True, deadline=None, database=None)
+@given(preset=st.sampled_from(["quadratic", "nilpotent"]), c1=st.floats(-3.0, 3.0),
+       b1=st.floats(0.0, 4.0), a1=st.floats(0.01, 4.0), d1=st.floats(-3.0, 3.0),
+       gamma=st.floats(1.0, 3.0, exclude_min=True))
+def test_property_rk_time_a_conditions_pass_off_defaults(preset, c1, b1, a1, d1, gamma):
+    # explicit time is one more invariant: every row of an exact time-dependent
+    # solution passes both orders, wherever its parameters sit
+    overrides = [f"profile={preset}", f"C1={c1!r}", f"B1={b1!r}", f"A1={a1!r}",
+                 f"D1={d1!r}", f"gamma={gamma!r}"]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["conditions", "--family", "RK_TIME_A", *(f"--set={kv}" for kv in overrides)])
+    doc = json.loads(out.getvalue())
+    assert doc["rows"] and all(row["pass"] for row in doc["rows"]), overrides
+    assert code == 0
+
+
 def test_conditions_pair_equals_samples_one_by_one(capsys):
     e1, e2 = np.array([1.0, 0.0, 0.0]), np.array([-0.6, 0.8, 0.0])
     cfg, fr = acoustic_pair_config(e1, e2), kernel_columns(e1, e2)
@@ -256,7 +276,7 @@ def test_conditions_pair_equals_samples_one_by_one(capsys):
     for i in range(25):
         u = np.concatenate([[rng.uniform(0.5, 2.0)], rng.normal(0, 0.5, 3)])
         rng.uniform(-0.8, 0.8, 2)
-        res = [trace_condition_initial(cfg, u, fr), trace_condition_higher(cfg, u, fr)[0],
+        res = [trace_condition_initial(cfg, u, fr), trace_condition_higher(cfg, u, fr),
                bilinear_rank2_condition(cfg, u)]
         worst = [_max_abs(x) for x in res]
         tol = 1e-10 * (1.0 + np.max(np.abs(u)))

@@ -1,13 +1,16 @@
 """Trace compatibility conditions and the rank-2 bilinear reduction."""
 
+from math import comb
+
 import numpy as np
+import pytest
 
 from riemannwaves.catalog import REGISTRY_IDS, make_family
 from riemannwaves.catalog.base import PotentialWave, stack_waves
+from riemannwaves.cli import config_from_family
 from riemannwaves.conditions import (
     AnsatzConfig,
     bilinear_rank2_condition,
-    config_from_family,
     trace_condition_higher,
     trace_condition_initial,
 )
@@ -21,7 +24,7 @@ def acoustic_pair_config(e1, e2, gas=GAS):
     """Raw acoustic pair (no validation)."""
     e1, e2 = np.asarray(e1, float), np.asarray(e2, float)
     waves, waves_jac, _ = stack_waves([PotentialWave(e=e1), PotentialWave(e=e2)])
-    return AnsatzConfig(k=2, waves=waves, waves_jac=waves_jac, gas=gas)
+    return AnsatzConfig(waves, waves_jac, gas)
 
 
 def kernel_columns(e1, e2, gas=GAS):
@@ -31,11 +34,17 @@ def kernel_columns(e1, e2, gas=GAS):
     return cols / np.linalg.norm(cols, axis=0)
 
 
-def jet_at(spec, r):
+def jet_at(jet, r):
     """The state (4,) and profile Jacobian (4, k) at one invariant sample r,
     from one profile jet evaluated alone."""
-    u, fr = spec.profile(r[None, :], np.zeros(1))
+    u, fr = jet(r[None, :], np.zeros(1))
     return u[0], fr[0]
+
+
+def higher_rows(k):
+    """Row count of the higher conditions for k covectors: the symmetrized
+    multi-indices of order s = 1..k-1 over the 4 - k non-pivot slices."""
+    return sum(comb(4 - k + s - 1, s) for s in range(1, k))
 
 
 def locked_pair():
@@ -57,67 +66,64 @@ def seeded_states(rng, n):
 
 def test_constant_profile_gives_zero_initial():
     spec = make_family("R2_E1E2")
-    cfg = config_from_family(spec)
-    zero_cfg = AnsatzConfig(k=2, waves=cfg.waves, waves_jac=cfg.waves_jac, gas=GAS)
+    cfg, _ = config_from_family(spec)
+    zero_cfg = AnsatzConfig(cfg.waves, cfg.waves_jac, GAS)
     u = np.array([1.2, 0.3, -0.4, 0.1])
     assert np.max(np.abs(trace_condition_initial(zero_cfg, u, np.zeros((4, 2))))) == 0.0
 
 
 def test_rank1_family_initial_small_and_higher_empty():
     spec = make_family("R1_E")
-    cfg = config_from_family(spec)
+    cfg, jet = config_from_family(spec)
     rng = np.random.default_rng(2)
     for _ in range(20):
         r = rng.uniform(-1.0, 1.0, 1)
-        u, fr = jet_at(spec, r)
+        u, fr = jet_at(jet, r)
         if not u[0] > 0:
             continue
         scale = 1.0 + np.max(np.abs(u))
         assert np.max(np.abs(trace_condition_initial(cfg, u, fr))) <= 1e-10 * scale
-        res, labels = trace_condition_higher(cfg, u, fr)
-        assert res.size == 0 and labels == []
+        assert trace_condition_higher(cfg, u, fr).shape == (higher_rows(1), 4) == (0, 4)
 
 
 def test_constant_covectors_higher_identically_zero():
     spec = make_family("R2_S1S2_ADD")  # constant spatial parts, eta only in phase
-    cfg = config_from_family(spec)
-    zero_eta_cfg = AnsatzConfig(
-        k=2, waves=cfg.waves,
-        waves_jac=lambda u: np.zeros((len(u), 2, 4, 4)), gas=GAS)
+    cfg, jet = config_from_family(spec)
+    zero_eta_cfg = AnsatzConfig(cfg.waves, lambda u: np.zeros((len(u), 2, 4, 4)), GAS)
     rng = np.random.default_rng(3)
     r = rng.uniform(-0.5, 0.5, 2)
-    res, _ = trace_condition_higher(zero_eta_cfg, *jet_at(spec, r))
+    res = trace_condition_higher(zero_eta_cfg, *jet_at(jet, r))
     assert np.max(np.abs(res)) == 0.0
 
 
 def test_angle_lock_detected_by_higher_condition():
     spec = make_family("R2_E1E2")
-    cfg = config_from_family(spec)
+    cfg, jet = config_from_family(spec)
     rng = np.random.default_rng(5)
     for _ in range(25):
         r = rng.uniform(-0.8, 0.8, 2)
-        u, fr = jet_at(spec, r)
+        u, fr = jet_at(jet, r)
         if not u[0] > 0:
             continue
         scale = 1.0 + np.max(np.abs(u))
-        res, _ = trace_condition_higher(cfg, u, fr)
+        res = trace_condition_higher(cfg, u, fr)
         assert np.max(np.abs(res)) <= 1e-10 * scale
     # perturbing the angle by 0.1 breaks the higher condition
     bad = acoustic_pair_config(*perturbed_pair())
     u = np.array([1.1, 0.2, -0.3, 0.4])
-    res, _ = trace_condition_higher(bad, u, kernel_columns(*perturbed_pair()))
+    res = trace_condition_higher(bad, u, kernel_columns(*perturbed_pair()))
     assert np.max(np.abs(res)) > 1e-3
 
 
 def test_mixed_pair_higher_condition():
     spec = make_family("R2_E1S2")
-    cfg = config_from_family(spec)
+    cfg, jet = config_from_family(spec)
     rng = np.random.default_rng(6)
     for _ in range(25):
         r = rng.uniform(-0.8, 0.8, 2)
-        u, fr = jet_at(spec, r)
+        u, fr = jet_at(jet, r)
         scale = 1.0 + np.max(np.abs(u))
-        res, _ = trace_condition_higher(cfg, u, fr)
+        res = trace_condition_higher(cfg, u, fr)
         assert np.max(np.abs(res)) <= 1e-10 * scale
 
 
@@ -136,9 +142,8 @@ def test_bilinear_examples():
 
 def test_bilinear_constant_covectors_zero():
     spec = make_family("R2_S1S2_ADD")
-    cfg0 = config_from_family(spec)
-    cfg = AnsatzConfig(k=2, waves=cfg0.waves,
-                       waves_jac=lambda u: np.zeros((len(u), 2, 4, 4)), gas=GAS)
+    cfg0, _ = config_from_family(spec)
+    cfg = AnsatzConfig(cfg0.waves, lambda u: np.zeros((len(u), 2, 4, 4)), GAS)
     u = np.array([1.0, 0.4, -0.2, 0.3])
     assert np.max(np.abs(bilinear_rank2_condition(cfg, u))) == 0.0
 
@@ -159,7 +164,7 @@ def test_bilinear_rescaling_homogeneity():
         def waves_jac(uu):
             return base.waves_jac(uu) * scale[None, :, None, None]
 
-        return AnsatzConfig(k=2, waves=waves, waves_jac=waves_jac, gas=GAS)
+        return AnsatzConfig(waves, waves_jac, GAS)
 
     base_res = bilinear_rank2_condition(scaled_cfg(perturbed_pair(), 1.0, 1.0), u)
     for c1, c2 in [(2.0, 2.0), (3.0, 0.5), (0.2, 5.0)]:
@@ -169,27 +174,67 @@ def test_bilinear_rescaling_homogeneity():
         assert np.max(np.abs(zeros)) <= 1e-12
 
 
+# RK_TIME_A away from its defaults, where tr(Df^2) != 0 (all but the nilpotent preset)
+RK_TIME_OFF_DEFAULT = [
+    {"C1": 0.5}, {"C1": 2.0}, {"B1": 0.3}, {"gamma": 1.4, "C1": 2.0},
+    {"C1": 0.2, "B1": 4.0, "A1": 0.7, "gamma": 3.0}, {"profile": "nilpotent", "D1": 3.0},
+]
+
+
 def test_all_registry_families_pass_trace_conditions():
     rng = np.random.default_rng(11)
-    for fid in REGISTRY_IDS:
-        spec = make_family(fid)
-        cfg = config_from_family(spec)
-        k = spec.n_waves
+    inputs = [(fid, {}) for fid in REGISTRY_IDS] + [("RK_TIME_A", p) for p in RK_TIME_OFF_DEFAULT]
+    for fid, params in inputs:
+        spec = make_family(fid, params)
+        cfg, jet = config_from_family(spec)
         count = 0
         for _ in range(30):
-            r = rng.uniform(-0.8, 0.8, k)
-            u, fr = jet_at(spec, r)
+            r = rng.uniform(-0.8, 0.8, spec.n_waves)
+            u, fr = jet_at(jet, r)
             if not u[0] > 0:
                 continue
             count += 1
             scale = 1.0 + float(np.max(np.abs(u)))
             res_i = trace_condition_initial(cfg, u, fr)
-            assert np.max(np.abs(res_i)) <= 1e-10 * scale, fid
-            res_h, labels = trace_condition_higher(cfg, u, fr)
-            assert np.all(np.abs(res_h) <= 1e-10 * scale), fid
-            # every order s = 1..k-1 in one call, a label's length being its order
-            assert sorted({len(label) for label in labels}) == list(range(1, k)), fid
-        assert count >= 10, fid
+            assert np.max(np.abs(res_i)) <= 1e-10 * scale, (fid, params)
+            res_h = trace_condition_higher(cfg, u, fr)
+            assert np.all(np.abs(res_h) <= 1e-10 * scale), (fid, params)
+            # every order s = 1..k-1 in one call, k being the config's covector count
+            k = cfg.waves(u[None])[0].shape[0]
+            assert k == fr.shape[1] and res_h.shape == (higher_rows(k), 4), (fid, params)
+        assert count >= 10, (fid, params)
+
+
+def test_explicit_time_is_a_covector_and_a_profile_column():
+    # RK_TIME_A checks three covectors [e0, lam^1, lam^2] against
+    # [df/dt | df/dr]; the un-augmented df/dr cannot be paired with them
+    spec = make_family("RK_TIME_A", C1=2.0)
+    cfg, jet = config_from_family(spec)
+    u, fr = jet_at(jet, np.array([0.3, -0.2]))
+    assert fr.shape == (4, 3) and cfg.waves(u[None]).shape == (1, 3, 4)
+    assert np.array_equal(cfg.waves(u[None])[0, 0], [1.0, 0.0, 0.0, 0.0])
+    assert not cfg.waves_jac(u[None])[0, 0].any()
+    for check in (trace_condition_initial, trace_condition_higher):
+        with pytest.raises(ValueError):
+            check(cfg, u, fr[:, 1:])
+
+
+def test_time_augmented_initial_order_fails_a_perturbed_profile():
+    # negative control at C1 = 2: a 0.1% change in df/dt or 1e-3 added to
+    # df/dr lifts the initial residual well above the gate; the higher order
+    # stays exactly 0 under both, as it must with no x3 component in any
+    # covector (its one remaining slice is zero), so that order cannot fail
+    spec = make_family("RK_TIME_A", C1=2.0)
+    cfg, jet = config_from_family(spec)
+    rng = np.random.default_rng(19)
+    for _ in range(10):
+        u, fr = jet_at(jet, rng.uniform(-0.8, 0.8, 2))
+        scaled_rate, shifted_fr = fr.copy(), fr.copy()
+        scaled_rate[:, 0] *= 1.001
+        shifted_fr[:, 1:] += 1e-3
+        for bad in (scaled_rate, shifted_fr):
+            assert np.max(np.abs(trace_condition_initial(cfg, u, bad))) > 1e-4
+            assert np.max(np.abs(trace_condition_higher(cfg, u, bad))) == 0.0
 
 
 def test_initial_condition_angle_sensitivity_readings():
@@ -214,7 +259,7 @@ def test_initial_condition_angle_sensitivity_readings():
             return np.column_stack([a1 + a2,
                                     KAPPA * (a1[:, None] * e1 + a2[:, None] * profile_e2)])
 
-        return AnsatzConfig(k=2, waves=waves, waves_jac=waves_jac, gas=GAS), profile, fr
+        return AnsatzConfig(waves, waves_jac, GAS), profile, fr
 
     rng = np.random.default_rng(13)
     mismatched, consistent = 0.0, 0.0
@@ -238,6 +283,6 @@ def test_bilinear_vortex_pair_exact_zero():
     # two-vortex pair (constant spatial parts, phase-only state dependence):
     # the reduction vanishes exactly through the rotational-kernel path
     spec = make_family("R2_S1S2_ADD")
-    cfg = config_from_family(spec)
+    cfg, _ = config_from_family(spec)
     u = spec.profile(np.array([[0.2, -0.3]]), np.zeros(1))[0][0]
     assert np.max(np.abs(bilinear_rank2_condition(cfg, u))) <= 1e-12

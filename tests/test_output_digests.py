@@ -8,7 +8,8 @@ The digests pin the bytes of ``sample`` (CSV), ``conditions --samples 10
 289607014`` (where ``R2_S1S2_MA`` misses and exits 1), and ``conditions
 --pair`` for the README pair and a failing pair off the locked angle, and
 ``sample --grid`` just before the gradient catastrophe of three families
-(where many points end as ``no_convergence``), so a
+(where many points end as ``no_convergence``), and ``conditions --samples 10
+--seed 3`` of ``RK_TIME_A`` at ``C1 = 2``, off its defaults, so a
 change that moves an output byte or an exit code fails here and must say so.  A change that moves bytes
 on purpose updates the digests and records why.
 
@@ -117,6 +118,13 @@ PAIR_DIGESTS = {
     (README_PAIR, "5"): (0, "3e0ed783faf95edc287aa7afb97386d6ecae463a7e2d5380b6f9e85da98b9f29"),
     ("1,0,0;-0.3,0.95,0", "0"):
         (1, "f7f480b7d1a06169298cadc08f38a71c8ad01222a77c1d8eaf47a7dcd10899a6"),
+}
+
+# conditions --samples 10 --seed 3 off the defaults: (family, --set) -> digest.
+# RK_TIME_A at C1 = 2 exits 0 with every residual 0.0; the JSON does not print
+# the parameters, so its bytes are those of the defaults
+SET_CONDITIONS_DIGESTS = {
+    ("RK_TIME_A", "C1=2"): "cb76e1be8ba3a19f7d712a5da54bc41299af80d20abfd73d82198064588cd118",
 }
 
 # sample --grid just before t* = 1, where |r| reaches 1e5-1e6 and one ulp of r
@@ -233,6 +241,13 @@ def test_conditions_pair_digest(pair, seed, tmp_path):
     digest = _output_digest(["conditions", f"--pair={pair}", "--seed", seed], tmp_path,
                             code=code)
     assert digest == expected
+
+
+@pytest.mark.parametrize("fid, setting", sorted(SET_CONDITIONS_DIGESTS))
+def test_conditions_off_default_digest(fid, setting, tmp_path):
+    digest = _output_digest(["conditions", "--family", fid, "--set", setting,
+                             *COMMANDS["conditions"]], tmp_path)
+    assert digest == SET_CONDITIONS_DIGESTS[fid, setting]
 
 
 @pytest.mark.parametrize("fid, grid", sorted(NEAR_CATASTROPHE_DIGESTS))
