@@ -9,7 +9,7 @@ trace conditions, and empirical gradient-catastrophe detection.
 
 from . import catalog, conditions, elliptic, fluid, linalg, solver, verify
 from .catalog import FamilySpec, make_family
-from .fluid import ConstraintError, GasParams, StateVec
+from .fluid import ConstraintError, GasParams
 from .verify import GridSpec, ResidualReport
 
 __version__ = "0.1.0"
@@ -17,7 +17,7 @@ __version__ = "0.1.0"
 __all__ = [
     "catalog", "conditions", "elliptic", "fluid", "linalg", "solver", "verify",
     "ConstraintError", "FamilySpec", "make_family",
-    "GasParams", "StateVec",
+    "GasParams",
     "GridSpec", "ResidualReport",
     "__version__",
 ]

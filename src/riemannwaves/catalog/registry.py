@@ -77,6 +77,12 @@ def _defaults_r2_e1e2(gas):
 
 
 def _defaults_r3_e1e2e3(gas):
+    # three unit vectors with pairwise e_i.e_j = -1/kappa have the Gram
+    # eigenvalue 1 - 2/kappa, so they exist only for kappa >= 2
+    if gas.kappa < 2.0:
+        raise ConstraintError(
+            f"angle constraint unsatisfiable: three unit directions with pairwise e_i.e_j = "
+            f"-1/kappa need kappa >= 2 (gamma <= 2), got gamma = {gas.gamma:.12g}")
     s2 = (2.0 / 3.0) * (1.0 + 1.0 / gas.kappa)
     s, c = np.sqrt(s2), np.sqrt(1.0 - s2)
     ang = 2.0 * np.pi / 3.0

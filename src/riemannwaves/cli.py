@@ -321,6 +321,9 @@ def _max_abs(res) -> float:
 
 
 def cmd_conditions(args) -> int:
+    """Trace conditions at ``--samples`` seeded draws.  A draw whose sound
+    speed is not positive is dropped, so ``samples`` counts the rows kept
+    (``R1_E --samples 10 --seed 3`` keeps 3)."""
     n = args.samples
     if n < 1:
         raise UsageError(f"--samples needs a count >= 1, got {n}")

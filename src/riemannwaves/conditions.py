@@ -34,8 +34,9 @@ For ``RK_TIME_A`` the pivot block is then (t, x1, x2) and the one remaining
 slice, along x3, is zero, since no covector has an x3 component: its
 higher order is identically satisfied.
 
-A sample whose covectors are non-finite, or leave no invertible pivot block
-(or, for a pair, no shared normalization coordinate), raises
+A sample whose covectors or state are non-finite (or whose sound speed is
+not positive), or whose covectors leave no invertible pivot block (or, for
+a pair, no shared normalization coordinate), raises
 ``DegenerateSampleError``; the ``conditions`` command turns it into a
 failing row with its reason.
 """
@@ -50,7 +51,7 @@ from typing import Callable
 import numpy as np
 
 from . import linalg
-from .fluid import GasParams, StateVec, coefficient_matrices, wave_kernel
+from .fluid import GasParams, coefficient_matrices, wave_kernel
 from .solver import bracket_det
 
 __all__ = [
@@ -63,7 +64,7 @@ __all__ = [
 
 
 class DegenerateSampleError(ValueError):
-    """A sample's wave covectors are non-finite or admit no normalization."""
+    """A sample's state or wave covectors are non-finite, or admit no normalization."""
 
 
 @dataclass(frozen=True)
@@ -81,16 +82,19 @@ class AnsatzConfig:
 
 
 def _state_data(cfg: AnsatzConfig, u):
-    u = np.asarray(u, dtype=float).reshape(1, 4)
-    lam = cfg.waves(u)[0]
+    """The sample's state (4,), finite with a > 0, and its finite covectors (k, 4)."""
+    u = np.asarray(u, dtype=float).reshape(4)
+    lam = cfg.waves(u[None])[0]
     if not np.isfinite(lam).all():
         raise DegenerateSampleError("wave covectors are not finite")
-    return u[0], lam, cfg.waves_jac(u)[0]
+    if not (np.isfinite(u).all() and u[0] > 0.0):
+        raise DegenerateSampleError("state is not finite with a positive sound speed")
+    return u, lam
 
 
 def _dispersion_stack(u, lam, gas):
     """Stack of L_A = lam0 I4 + lam_j A^j, one per covector row of lam (k, 4)."""
-    a1, a2, a3 = coefficient_matrices(StateVec.from_array(u), gas)
+    a1, a2, a3 = coefficient_matrices(u, gas)
     eye = np.eye(4)
     return np.stack([lam[A, 0] * eye + lam[A, 1] * a1 + lam[A, 2] * a2 + lam[A, 3] * a3
                      for A in range(lam.shape[0])])
@@ -149,7 +153,7 @@ def trace_condition_initial(cfg: AnsatzConfig, state, fr):
 
     ``fr`` is the (4, k) profile Jacobian at the sample.
     """
-    u, lam, _ = _state_data(cfg, state)
+    u, lam = _state_data(cfg, state)
     return _equation_residual(_dispersion_stack(u, lam, cfg.gas), fr)
 
 
@@ -161,11 +165,11 @@ def trace_condition_higher(cfg: AnsatzConfig, state, fr):
     slices, order by order, all from one normalization at the state.  Empty
     for k = 1, where the conditions hold identically.
     """
-    u, lam, eta = _state_data(cfg, state)
+    u, lam = _state_data(cfg, state)
     k = len(lam)
     if k == 1:
         return np.zeros((0, 4))
-    lam_t, slices, fr_t = _normalize(lam, eta, fr)
+    lam_t, slices, fr_t = _normalize(lam, cfg.waves_jac(u[None])[0], fr)
     lmats = _dispersion_stack(u, lam_t, cfg.gas)
 
     residuals = []
@@ -190,17 +194,17 @@ def bilinear_rank2_condition(cfg: AnsatzConfig, state):
     representative-dependent, so a nonzero report there is inconclusive and
     the trace conditions remain the authoritative admissibility test.
     """
-    u, lam, eta = _state_data(cfg, state)
+    u, lam = _state_data(cfg, state)
     if len(lam) != 2:
         raise ValueError("bilinear reduction applies to wave pairs (k = 2)")
-    sv = StateVec.from_array(u)
+    eta = cfg.waves_jac(u[None])[0]
 
     # kernel frame: one representative kernel vector per wave (for the
     # two-dimensional vortex kernels, project a fixed reference direction)
     gamma = np.empty((4, 2))
     refs = (np.ones(4), np.array([1.0, -2.0, 3.0, -4.0]))
     for A in range(2):
-        basis = wave_kernel(sv, (lam[A, 0], lam[A, 1:]), cfg.gas)
+        basis = wave_kernel(u, lam[A], cfg.gas)
         vec = basis[:, 0]
         if basis.shape[1] > 1:
             for ref in refs:

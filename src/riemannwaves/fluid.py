@@ -13,7 +13,9 @@ the coefficient matrices A^i, the dispersion relation
 and its two root families (potential / acoustic and rotational / vortex wave
 covectors) with their wave-relation kernels.  The covectors themselves are
 built where the families run them (``catalog.base.PotentialWave`` /
-``RotationalWave``); this module takes any covector as a pair (lam0, lam).
+``RotationalWave``).  Every function here takes the state as the array
+(a, u1, u2, u3) and a covector as the row (lam0, lam1, lam2, lam3), one row
+of a family's ``waves(u)``.
 """
 
 from __future__ import annotations
@@ -23,12 +25,9 @@ from numbers import Real
 
 import numpy as np
 
-from . import linalg
-
 __all__ = [
     "ConstraintError",
     "GasParams",
-    "StateVec",
     "NotACharacteristicError",
     "coefficient_matrices",
     "dispersion_matrix",
@@ -62,33 +61,13 @@ class GasParams:
         return 2.0 / (self.gamma - 1.0)
 
 
-@dataclass(frozen=True)
-class StateVec:
-    """Fluid state: sound speed a > 0 and velocity 3-vector."""
-
-    a: float
-    u: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "u", np.asarray(self.u, dtype=float).reshape(3))
-        if not (np.isfinite(self.a) and self.a > 0.0):
-            raise ValueError(f"sound speed must be positive and finite, got {self.a}")
-        if not np.all(np.isfinite(self.u)):
-            raise ValueError("velocity components must be finite")
-
-    @classmethod
-    def from_array(cls, arr) -> "StateVec":
-        arr = np.asarray(arr, dtype=float).reshape(4)
-        return cls(a=float(arr[0]), u=arr[1:].copy())
-
-
-def coefficient_matrices(state: StateVec, gas: GasParams = GasParams()):
+def coefficient_matrices(state, gas: GasParams = GasParams()):
     """The three 4x4 matrices A^i: u^i on the diagonal plus the acoustic coupling.
 
     A^i has a/kappa in row 1, column i+1 and kappa*a in row i+1, column 1
     (1-based), all other off-diagonal entries zero.
     """
-    a, u, kappa = state.a, state.u, gas.kappa
+    a, u, kappa = float(state[0]), state[1:], gas.kappa
     mats = []
     for i in range(3):
         m = np.eye(4) * u[i]
@@ -98,43 +77,36 @@ def coefficient_matrices(state: StateVec, gas: GasParams = GasParams()):
     return tuple(mats)
 
 
-def dispersion_matrix(state: StateVec, wv, gas: GasParams = GasParams()) -> np.ndarray:
-    """lam0*I4 + lam_i A^i for a covector (lam0, lam)."""
-    lam0, lam = _split_wv(wv)
+def dispersion_matrix(state, lam, gas: GasParams = GasParams()) -> np.ndarray:
+    """lam0*I4 + lam_i A^i for a covector row lam."""
     a1, a2, a3 = coefficient_matrices(state, gas)
-    return lam0 * np.eye(4) + lam[0] * a1 + lam[1] * a2 + lam[2] * a3
+    return lam[0] * np.eye(4) + lam[1] * a1 + lam[2] * a2 + lam[3] * a3
 
 
-def _split_wv(wv):
-    lam0, lam = wv
-    return float(lam0), np.asarray(lam, dtype=float).reshape(3)
-
-
-def dispersion_det(state: StateVec, wv) -> float:
+def dispersion_det(state, lam) -> float:
     """Factorized dispersion determinant (lam0+u.lam)^2 [(lam0+u.lam)^2 - a^2 lam^2].
 
     Equals det(lam0*I4 + lam_i A^i) to rounding; the determinant route is
     exercised by the tests as the independent cross-check.
     """
-    lam0, lam = _split_wv(wv)
-    conv = lam0 + float(state.u @ lam)
-    return conv * conv * (conv * conv - state.a**2 * float(lam @ lam))
+    conv = float(lam[0]) + float(state[1:] @ lam[1:])
+    return conv * conv * (conv * conv - float(state[0])**2 * float(lam[1:] @ lam[1:]))
 
 
-def wave_kernel(state: StateVec, wv, gas: GasParams = GasParams()) -> np.ndarray:
+def wave_kernel(state, lam, gas: GasParams = GasParams()) -> np.ndarray:
     """Orthonormal basis (columns) of ker(lam0*I4 + lam_i A^i) at a dispersion root.
 
     Potential roots carry one-dimensional kernels, rotational roots
-    two-dimensional ones.  Raises NotACharacteristicError when the covector
-    misses the dispersion variety.
+    two-dimensional ones: the right singular vectors whose singular values
+    are at most 1e-8 of the largest.  Raises NotACharacteristicError when
+    the covector misses the dispersion variety.
     """
-    mat = dispersion_matrix(state, wv, gas)
-    lam0, lam = _split_wv(wv)
-    scale = 1.0 + max(abs(lam0), float(np.max(np.abs(lam)))) * (1.0 + state.a + float(np.max(np.abs(state.u))))
-    if abs(dispersion_det(state, wv)) > 1e-8 * scale**4:
+    mat = dispersion_matrix(state, lam, gas)
+    scale = 1.0 + float(np.max(np.abs(lam))) * (1.0 + float(state[0]) + float(np.max(np.abs(state[1:]))))
+    if abs(dispersion_det(state, lam)) > 1e-8 * scale**4:
         raise NotACharacteristicError("covector is not a root of the dispersion relation")
-    basis = linalg.null_space(mat)
+    _, sv, vt = np.linalg.svd(mat)
+    basis = vt[sv <= 1e-8 * sv[0]].T.copy()
     if basis.shape[1] == 0:
         raise NotACharacteristicError("dispersion matrix has no numeric kernel at this state")
     return basis
-

@@ -1,11 +1,11 @@
 """Small dense real matrix kernels (n <= 6).
 
 What the wave machinery needs from linear algebra: the inverse by
-partial-pivot elimination (the per-point trace conditions), the
-determinant by the same elimination (the dispersion-relation audit), and
-the null space by numpy's SVD (the wave-relation kernels).  The matrices
-are tiny (4x4 for the fluid system), so the hand-rolled eliminations are
-both adequate and easy to audit; tests cross-check them against numpy.
+partial-pivot elimination (the per-point trace conditions) and the
+determinant by the same elimination (the dispersion-relation audit).  The
+matrices are tiny (4x4 for the fluid system), so the hand-rolled
+eliminations are both adequate and easy to audit; tests cross-check them
+against numpy.
 """
 
 from __future__ import annotations
@@ -16,11 +16,9 @@ __all__ = [
     "as_square",
     "determinant",
     "inverse",
-    "null_space",
 ]
 
 MAX_DIM = 6
-NULL_REL_TOL = 1e-8   # kernel cutoff relative to the largest singular value
 
 
 class DimensionError(ValueError):
@@ -73,13 +71,3 @@ def inverse(m) -> np.ndarray:
                 aug[i] -= aug[i, j] * aug[j]
     return aug[:, n:].copy()
 
-
-def null_space(m) -> np.ndarray:
-    """Orthonormal basis (columns) of the kernel of m, via SVD (cutoff NULL_REL_TOL)."""
-    a = np.asarray(m, dtype=float)
-    if a.ndim != 2:
-        raise DimensionError(f"expected a matrix, got shape {a.shape}")
-    u, sv, vt = np.linalg.svd(a)
-    cutoff = NULL_REL_TOL * (sv[0] if sv.size and sv[0] > 0 else 1.0)
-    mask = np.concatenate([sv <= cutoff, np.ones(a.shape[1] - sv.size, dtype=bool)])
-    return vt[mask].T.copy()

@@ -196,13 +196,23 @@ def _report(spec, method, res, keep, jac, reasons, grid, t0, h=None) -> Residual
 
 
 def residual_exact(spec: FamilySpec, points=None, grid: GridSpec | None = None) -> ResidualReport:
-    """Residuals via the family's exact Jacobi matrices."""
+    """Residuals via the family's exact Jacobi matrices.
+
+    An ``ok`` point whose Jacobi matrix is not finite (an assembly that
+    overflowed) is skipped as ``nonfinite_jac``.
+    """
     t0 = time.perf_counter()
     tv, xv, grid = _sites(spec, points, grid)
     res = spec.evaluate_batch(tv, xv)
     keep = _keep_mask(res.status, res.cond_det)
-    return _report(spec, "exact", res, keep, res.jac[keep],
-                   _skip_counts(res.status, res.cond_det), grid, t0)
+    reasons = _skip_counts(res.status, res.cond_det)
+    jac = res.jac[keep]
+    if not np.isfinite(jac).all():  # the per-row reduction costs more than the check
+        finite = np.isfinite(jac).all(axis=(1, 2))
+        reasons["nonfinite_jac"] = int((~finite).sum())
+        keep[np.flatnonzero(keep)[~finite]] = False
+        jac = jac[finite]
+    return _report(spec, "exact", res, keep, jac, reasons, grid, t0)
 
 
 def residual_fd(spec: FamilySpec, grid: GridSpec | None = None, h: float = DEFAULT_H,

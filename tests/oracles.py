@@ -5,8 +5,9 @@ None of this runs in the package.  It holds:
 * the Faddeev characteristic-polynomial coefficients and the
   Cayley-Hamilton residual built on them (criterion 03);
 * the reference covector forms ``potential_wave`` and ``rotational_wave``,
-  which the catalog's ``PotentialWave`` / ``RotationalWave`` must reproduce
-  (criteria 01 and 02);
+  rows (lam0, lam1, lam2, lam3) at a state array (a, u1, u2, u3), which the
+  catalog's ``PotentialWave`` / ``RotationalWave`` must reproduce (criteria
+  01 and 02);
 * stream-function presets with analytic Hessians and the Monge-Ampere
   residual they satisfy (criterion 11);
 * the descending-Landen loop of ``jacobi_sn_cn_dn`` as first written (its
@@ -21,7 +22,6 @@ from typing import Callable
 
 import numpy as np
 
-from riemannwaves.fluid import StateVec
 from riemannwaves.linalg import as_square
 
 UNIT_TOL = 1e-12
@@ -70,32 +70,6 @@ class DegenerateWavesError(ValueError):
     """Wave vectors fail a linear-independence / nondegeneracy requirement."""
 
 
-@dataclass(frozen=True)
-class WaveVector:
-    """Dispersion-root covector (lam0, lam1, lam2, lam3) with a kind tag.
-
-    kind is "potential" (acoustic, carries epsilon and the unit direction e)
-    or "rotational" (vortex, carries e; its spatial part is -e x m).  It
-    unpacks as (lam0, lam), the covector form ``fluid`` takes.
-    """
-
-    lam0: float
-    lam: np.ndarray
-    kind: str
-    epsilon: int = 0
-    e: np.ndarray | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "lam", np.asarray(self.lam, dtype=float).reshape(3))
-        if self.kind not in ("potential", "rotational"):
-            raise ValueError(f"unknown wave kind {self.kind!r}")
-        if np.allclose(self.lam, 0.0):
-            raise DegenerateWavesError("spatial part of a wave covector must be nonzero")
-
-    def __iter__(self):
-        return iter((self.lam0, self.lam))
-
-
 def _unit(e) -> np.ndarray:
     e = np.asarray(e, dtype=float).reshape(3)
     norm = float(np.linalg.norm(e))
@@ -106,24 +80,24 @@ def _unit(e) -> np.ndarray:
     return e
 
 
-def potential_wave(state: StateVec, e, epsilon: int = 1) -> WaveVector:
-    """Acoustic covector (eps*a + u.e, -e) for a unit direction e and eps = +-1."""
+def potential_wave(state, e, epsilon: int = 1) -> np.ndarray:
+    """Acoustic covector row (eps*a + u.e, -e) for a unit direction e and eps = +-1."""
     if epsilon not in (1, -1):
         raise ValueError(f"epsilon must be 1 or -1, got {epsilon!r}")
     e = _unit(e)
-    lam0 = epsilon * state.a + float(state.u @ e)
-    return WaveVector(lam0=lam0, lam=-e, kind="potential", epsilon=epsilon, e=e)
+    lam0 = epsilon * float(state[0]) + float(state[1:] @ e)
+    return np.concatenate([[lam0], -e])
 
 
-def rotational_wave(state: StateVec, e, m) -> WaveVector:
-    """Vortex covector (det(u,e,m), -e x m) for unit e and m not parallel to e."""
+def rotational_wave(state, e, m) -> np.ndarray:
+    """Vortex covector row (det(u,e,m), -e x m) for unit e and m not parallel to e."""
     e = _unit(e)
     m = np.asarray(m, dtype=float).reshape(3)
     exm = np.cross(e, m)
     if np.linalg.norm(exm) < 1e-12:
         raise DegenerateWavesError("e and m are parallel; rotational direction degenerate")
-    lam0 = float(np.linalg.det(np.vstack([state.u, e, m])))
-    return WaveVector(lam0=lam0, lam=-exm, kind="rotational", e=e)
+    lam0 = float(np.linalg.det(np.vstack([state[1:], e, m])))
+    return np.concatenate([[lam0], -exm])
 
 
 # -- stream functions ---------------------------------------------------------

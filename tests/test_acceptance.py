@@ -19,7 +19,6 @@ from riemannwaves.conditions import (
 from riemannwaves.elliptic import jacobi_sn_cn_dn
 from riemannwaves.fluid import (
     GasParams,
-    StateVec,
     dispersion_det,
     dispersion_matrix,
     wave_kernel,
@@ -49,22 +48,21 @@ def report(num, ok, text):
 
 
 def random_state(rng):
-    return StateVec(a=float(rng.uniform(0.3, 2.5)), u=rng.normal(0.0, 1.0, 3))
+    return np.concatenate([[rng.uniform(0.3, 2.5)], rng.normal(0.0, 1.0, 3)])
 
 
 def catalog_covectors(st, e, epsilon, m):
-    """The covectors (lam0, lam) the families run (catalog.base) for the waves
-    of the reference forms potential_wave(st, e, epsilon) and rotational_wave(st, e, m)."""
-    u = np.concatenate([[st.a], st.u])[None]
-    return tuple((lam[0], lam[1:]) for lam in (PotentialWave(e=e, epsilon=epsilon).lam(u)[0],
-                                               RotationalWave(lsp=-np.cross(e, m)).lam(u)[0]))
+    """The covector rows the families run (catalog.base) for the waves of the
+    reference forms potential_wave(st, e, epsilon) and rotational_wave(st, e, m)."""
+    u = st[None]
+    return (PotentialWave(e=e, epsilon=epsilon).lam(u)[0],
+            RotationalWave(lsp=-np.cross(e, m)).lam(u)[0])
 
 
 def covector_gap(refs, lives):
-    """max |live - reference| relative to 1 + max |reference| over covector pairs."""
-    return max(max(abs(lam0 - ref.lam0), float(np.max(np.abs(lam - ref.lam))))
-               / (1.0 + max(abs(ref.lam0), float(np.max(np.abs(ref.lam)))))
-               for ref, (lam0, lam) in zip(refs, lives))
+    """max |live - reference| relative to 1 + max |reference| over covector rows."""
+    return max(float(np.max(np.abs(live - ref))) / (1.0 + float(np.max(np.abs(ref))))
+               for ref, live in zip(refs, lives))
 
 
 def test_criterion_01_dispersion_consistency():
@@ -87,7 +85,7 @@ def test_criterion_01_dispersion_consistency():
             fact = dispersion_det(st, wv)
             worst_rel = max(worst_rel, abs(fact - det) / (1.0 + abs(fact) + abs(det)))
         # generic (non-root) covector: factorized form against the determinant
-        wv = (float(rng.normal(0, 2)), rng.normal(size=3))
+        wv = np.concatenate([[rng.normal(0, 2)], rng.normal(size=3)])
         fact = dispersion_det(st, wv)
         det = linalg.determinant(dispersion_matrix(st, wv, GAS))
         worst_rel = max(worst_rel, abs(fact - det) / (1.0 + abs(fact) + abs(det)))

@@ -21,6 +21,7 @@ from riemannwaves.catalog.base import (
     stack_waves,
 )
 from riemannwaves.catalog.registry import _REGISTRY
+from riemannwaves.cli import main as cli_main
 from riemannwaves.solver import STATUS_OK
 
 from oracles import Stream, homogeneous_stream, monge_ampere_residual, npower_stream, quadratic_stream
@@ -425,6 +426,25 @@ def test_family_defaults_follow_gamma():
     spec = make_family("R2_E1E2", gamma=1.4)
     assert abs(np.asarray(spec.params["e2"]) @ np.asarray(spec.params["e1"])
                + 1 / spec.gas.kappa) <= 1e-12
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("gamma", [2.5, 3.0])
+def test_three_acoustic_waves_above_gamma_2_name_the_angle_lock(gamma, capsys):
+    # e_i.e_j = -1/kappa for three unit directions needs kappa >= 2
+    with pytest.raises(ConstraintError, match=r"kappa >= 2 \(gamma <= 2\)"):
+        make_family("R3_E1E2E3", gamma=gamma)
+    assert cli_main(["verify", "--family", "R3_E1E2E3", "--set", f"gamma={gamma}"]) == 3
+    assert "angle constraint" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error")
+def test_three_acoustic_waves_build_at_gamma_2():
+    spec = make_family("R3_E1E2E3", gamma=2.0)
+    evecs = [np.asarray(spec.params[f"e{i}"]) for i in (1, 2, 3)]
+    for i in range(3):
+        for j in range(i + 1, 3):
+            assert abs(evecs[i] @ evecs[j] + 0.5) <= 1e-12
 
 
 def test_warm_start_guess_aligns_with_validity_mask():

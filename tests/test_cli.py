@@ -354,6 +354,31 @@ def test_conditions_normalizes_once_per_sample(argv, monkeypatch, capsys):
     assert calls == {"_normalize": doc["samples"], "determinant": 0}
 
 
+@pytest.mark.parametrize("fid, jac_rows", [("R1_E", 0), ("R2_E1E2", 1)])
+def test_conditions_evaluate_waves_jac_only_where_read(fid, jac_rows, monkeypatch, capsys):
+    # the initial order reads no covector derivative and the higher order
+    # reads one only for k > 1; each order takes the state, so each
+    # evaluates the covectors once
+    rows = {"waves": 0, "waves_jac": 0}
+
+    def counted_family(fid, params):
+        spec = make_family(fid, params)
+        for name in rows:
+            fn = getattr(spec, name)
+
+            def wrapper(u, fn=fn, name=name):
+                rows[name] += len(u)
+                return fn(u)
+            setattr(spec, name, wrapper)
+        return spec
+
+    monkeypatch.setattr(cli, "make_family", counted_family)
+    code, out, _ = run(["conditions", "--family", fid, "--samples", "10", "--seed", "3"], capsys)
+    doc = json.loads(out)
+    assert code == 0 and doc["samples"] > 0
+    assert rows == {"waves": 2 * doc["samples"], "waves_jac": jac_rows * doc["samples"]}
+
+
 def test_catastrophe_command(capsys):
     code, out, _ = run(["catastrophe", "--family", "R1_E"], capsys)
     assert code == 0

@@ -10,6 +10,7 @@ from riemannwaves.catalog.base import PotentialWave, stack_waves
 from riemannwaves.cli import config_from_family
 from riemannwaves.conditions import (
     AnsatzConfig,
+    DegenerateSampleError,
     bilinear_rank2_condition,
     trace_condition_higher,
     trace_condition_initial,
@@ -70,6 +71,28 @@ def test_constant_profile_gives_zero_initial():
     zero_cfg = AnsatzConfig(cfg.waves, cfg.waves_jac, GAS)
     u = np.array([1.2, 0.3, -0.4, 0.1])
     assert np.max(np.abs(trace_condition_initial(zero_cfg, u, np.zeros((4, 2))))) == 0.0
+
+
+@pytest.mark.parametrize("u", [[1.2, 0.3, -0.4, np.nan], [1.2, 0.3, -0.4, np.inf],
+                               [-1.0, 0.3, -0.4, 0.1], [0.0, 0.3, -0.4, 0.1]])
+def test_a_state_that_is_not_finite_or_has_no_sound_speed_is_a_degenerate_sample(u):
+    # covectors that never read u3 (the locked pair's, whose directions have
+    # no x3 part) stay finite, so the state check itself rejects the sample,
+    # in every check that takes it
+    e1, e2 = locked_pair()
+    pair = acoustic_pair_config(e1, e2)
+
+    def no_u3(u):
+        return np.column_stack([u[:, :3], np.zeros(len(u))])
+
+    cfg = AnsatzConfig(lambda u: pair.waves(no_u3(u)), lambda u: pair.waves_jac(no_u3(u)), GAS)
+    fr, u = kernel_columns(e1, e2), np.array(u)
+    assert np.isfinite(cfg.waves(u[None])).all()
+    for check in (lambda: trace_condition_initial(cfg, u, fr),
+                  lambda: trace_condition_higher(cfg, u, fr),
+                  lambda: bilinear_rank2_condition(cfg, u)):
+        with pytest.raises(DegenerateSampleError, match="^state is not finite with a positive sound speed$"):
+            check()
 
 
 def test_rank1_family_initial_small_and_higher_empty():

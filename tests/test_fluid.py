@@ -8,7 +8,6 @@ from riemannwaves.fluid import (
     ConstraintError,
     GasParams,
     NotACharacteristicError,
-    StateVec,
     coefficient_matrices,
     dispersion_det,
     dispersion_matrix,
@@ -21,21 +20,21 @@ GAS = GasParams()  # gamma = 5/3, kappa = 3
 
 
 def random_state(rng):
-    return StateVec(a=float(rng.uniform(0.3, 2.5)), u=rng.normal(0.0, 1.0, 3))
+    return np.concatenate([[rng.uniform(0.3, 2.5)], rng.normal(0.0, 1.0, 3)])
 
 
 def build_matrix_elementwise(state, gas, i):
     """Independent element-by-element construction of A^i."""
     m = np.zeros((4, 4))
     for row in range(4):
-        m[row, row] = state.u[i]
-    m[0, i + 1] = state.a / gas.kappa
-    m[i + 1, 0] = gas.kappa * state.a
+        m[row, row] = state[1 + i]
+    m[0, i + 1] = state[0] / gas.kappa
+    m[i + 1, 0] = gas.kappa * state[0]
     return m
 
 
 def test_coefficient_matrices_rest_state():
-    st = StateVec(a=1.0, u=np.zeros(3))
+    st = np.array([1.0, 0.0, 0.0, 0.0])
     gas = GasParams()  # kappa = 3
     a1, _, _ = coefficient_matrices(st, gas)
     assert np.allclose(a1[0], [0.0, 1.0 / 3.0, 0.0, 0.0])
@@ -45,7 +44,7 @@ def test_coefficient_matrices_rest_state():
 
 def test_coefficient_matrices_uniform_velocity_diagonal():
     c = 0.7
-    st = StateVec(a=1.3, u=np.full(3, c))
+    st = np.array([1.3, c, c, c])
     for m in coefficient_matrices(st, GAS):
         assert np.allclose(np.diag(m), c)
 
@@ -60,13 +59,13 @@ def test_coefficient_matrices_elementwise_oracle():
 
 
 def test_dispersion_root_and_generic_value():
-    st = StateVec(a=1.0, u=np.zeros(3))
+    st = np.array([1.0, 0.0, 0.0, 0.0])
     e = np.array([1.0, 0.0, 0.0])
-    assert abs(dispersion_det(st, (1.0, -e))) <= 1e-14
+    assert abs(dispersion_det(st, np.concatenate([[1.0], -e]))) <= 1e-14
     # generic covector: factorized value (2)^2((2)^2 - 1) = 12, determinant agrees
-    val = dispersion_det(st, (2.0, -e))
+    val = dispersion_det(st, np.concatenate([[2.0], -e]))
     assert abs(val - 12.0) <= 1e-12
-    det = linalg.determinant(dispersion_matrix(st, (2.0, -e)))
+    det = linalg.determinant(dispersion_matrix(st, np.concatenate([[2.0], -e])))
     assert abs(det - val) <= 1e-10 * (1.0 + abs(val))
 
 
@@ -74,19 +73,19 @@ def test_factorized_matches_determinant_seeded():
     rng = np.random.default_rng(23)
     for _ in range(100):
         st = random_state(rng)
-        wv = (float(rng.normal()), rng.normal(size=3))
+        wv = np.concatenate([[rng.normal()], rng.normal(size=3)])
         fact = dispersion_det(st, wv)
         det = linalg.determinant(dispersion_matrix(st, wv, GAS))
         assert abs(fact - det) <= 1e-10 * (1.0 + abs(fact) + abs(det))
 
 
 def test_potential_wave_examples():
-    st = StateVec(a=2.0, u=np.array([1.0, 0.0, 0.0]))
+    st = np.array([2.0, 1.0, 0.0, 0.0])
     e = np.array([1.0, 0.0, 0.0])
     wp = potential_wave(st, e, epsilon=1)
-    assert np.allclose([wp.lam0, *wp.lam], [3.0, -1.0, 0.0, 0.0])
+    assert np.allclose(wp, [3.0, -1.0, 0.0, 0.0])
     wm = potential_wave(st, e, epsilon=-1)
-    assert np.allclose([wm.lam0, *wm.lam], [-1.0, -1.0, 0.0, 0.0])
+    assert np.allclose(wm, [-1.0, -1.0, 0.0, 0.0])
     with pytest.raises(ValueError):
         potential_wave(st, np.array([1.0, 1.0, 0.0]))
 
@@ -99,19 +98,19 @@ def test_potential_wave_is_dispersion_root_seeded():
         e /= np.linalg.norm(e)
         for eps in (1, -1):
             wv = potential_wave(st, e, eps)
-            scale = 1.0 + st.a + float(np.max(np.abs(st.u)))
+            scale = 1.0 + st[0] + float(np.max(np.abs(st[1:])))
             assert abs(dispersion_det(st, wv)) <= 1e-12 * scale**4
 
 
 def test_rotational_wave_examples():
-    st = StateVec(a=1.0, u=np.zeros(3))
+    st = np.array([1.0, 0.0, 0.0, 0.0])
     wv = rotational_wave(st, np.array([0.0, 0.0, 1.0]), np.array([0.0, 1.0, 0.0]))
-    assert np.allclose([wv.lam0, *wv.lam], [0.0, 1.0, 0.0, 0.0])
+    assert np.allclose(wv, [0.0, 1.0, 0.0, 0.0])
     # constant-direction pair matching the planar shear covector
-    st2 = StateVec(a=1.0, u=np.array([0.4, -0.7, 0.2]))
+    st2 = np.array([1.0, 0.4, -0.7, 0.2])
     wv2 = rotational_wave(st2, np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.0, 1.0]))
-    assert abs(wv2.lam0 - (-st2.u[1])) <= 1e-14
-    assert np.allclose(wv2.lam, [0.0, 1.0, 0.0])
+    assert abs(wv2[0] - (-st2[2])) <= 1e-14
+    assert np.allclose(wv2[1:], [0.0, 1.0, 0.0])
     with pytest.raises(DegenerateWavesError):
         rotational_wave(st, np.array([1.0, 0.0, 0.0]), np.array([2.0, 0.0, 0.0]))
 
@@ -123,7 +122,7 @@ def test_rotational_triple_product_identity():
         e = rng.normal(size=3)
         e /= np.linalg.norm(e)
         wv = rotational_wave(st, e, rng.normal(size=3))
-        assert abs(wv.lam0 + st.u @ wv.lam) <= 1e-14 * (1 + abs(wv.lam0))
+        assert abs(wv[0] + st[1:] @ wv[1:]) <= 1e-14 * (1 + abs(wv[0]))
 
 
 def test_kernel_multiplicities_and_residuals():
@@ -144,9 +143,9 @@ def test_kernel_multiplicities_and_residuals():
 
 
 def test_wave_kernel_rejects_non_root():
-    st = StateVec(a=1.0, u=np.zeros(3))
+    st = np.array([1.0, 0.0, 0.0, 0.0])
     with pytest.raises(NotACharacteristicError):
-        wave_kernel(st, (2.0, np.array([-1.0, 0.0, 0.0])), GAS)
+        wave_kernel(st, np.array([2.0, -1.0, 0.0, 0.0]), GAS)
 
 
 def test_gas_params():
@@ -158,10 +157,3 @@ def test_gas_params():
     for bad in (1.0, 0.5, float("nan"), float("inf"), "abc", None, 1.5j):
         with pytest.raises(ConstraintError, match="gamma"):
             GasParams(gamma=bad)
-
-
-def test_state_vec_validation():
-    with pytest.raises(ValueError):
-        StateVec(a=-1.0, u=np.zeros(3))
-    with pytest.raises(ValueError):
-        StateVec(a=1.0, u=np.array([np.nan, 0.0, 0.0]))

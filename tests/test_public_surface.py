@@ -16,6 +16,11 @@ field that no package code loads as an attribute (or names in a
 ``getattr`` call) is a setting nothing reads, apart from the KEEP_FIELDS.
 Attributes are matched by name, so a field shares its reads with every
 other attribute of the same name.
+
+The package's top-level ``__all__`` gets the same audit: a class or
+function that ``__init__.py`` re-exports must be loaded by package code
+outside ``__init__.py``, or be a KEEP name, so a re-export cannot outlive
+its last package use.
 """
 
 import ast
@@ -78,6 +83,17 @@ def test_every_export_is_loaded_in_the_package():
               for name in sorted(_exports(tree) & _defined(tree))
               if name not in loaded and name not in KEEP]
     assert unused == [], "exported but used by no package code (only tests?): " + ", ".join(unused)
+
+
+def test_every_package_reexport_is_loaded_outside_the_init():
+    trees = _trees()
+    init = trees.pop("__init__.py")
+    loaded = set().union(*(_loaded(tree) for tree in trees.values()))
+    reexported = {alias.asname or alias.name for node in init.body
+                  if isinstance(node, ast.ImportFrom) and node.module for alias in node.names}
+    assert reexported <= _exports(init), sorted(reexported - _exports(init))
+    unused = sorted(name for name in reexported if name not in loaded and name not in KEEP)
+    assert unused == [], "re-exported but used by no package code: " + ", ".join(unused)
 
 
 def test_every_function_and_method_is_loaded_in_the_package():

@@ -1,12 +1,15 @@
 """Verifier: residual reports, convergence order, catastrophe probe."""
 
+import json
+
 import numpy as np
 import pytest
 
 from riemannwaves import cli, solver
 from riemannwaves.catalog import REGISTRY_IDS, base, make_family
-from riemannwaves.catalog.base import FamilySpec, PotentialWave
-from riemannwaves.fluid import GasParams
+from riemannwaves.catalog.base import STATUS_INVALID, FamilySpec, PotentialWave
+from riemannwaves.catalog.registry import family_defaults
+from riemannwaves.fluid import ConstraintError, GasParams
 from riemannwaves.solver import STATUS_OK, damped_newton
 from riemannwaves.verify import (
     COND_SKIP,
@@ -127,6 +130,50 @@ def test_near_singular_points_are_skipped_with_their_reason():
     assert rep.n_points + rep.n_skipped == len(t)
 
 
+def test_exact_route_skips_an_ok_point_whose_jacobi_matrix_is_not_finite():
+    # lam_0 = -u1 = 1e308 overflows in the assembly: the solve marks the point
+    # ok, and the report leaves it out under its own reason, not as a NaN
+    spec = make_family("R2_S1S2_MA")
+    t, x = np.array([1.0, 1.0]), np.array([[0.1, 1e154, 0.3], [1.0, 0.1, 0.0]])
+    res = spec.evaluate_batch(t, x)
+    assert (res.status == STATUS_OK).all() and _keep_mask(res.status, res.cond_det).all()
+    assert not np.isfinite(res.jac[0]).all() and np.isfinite(res.jac[1]).all()
+    rep = residual_exact(spec, points=(t, x))
+    assert rep.skip_reasons == {"nonfinite_jac": 1}
+    assert rep.n_points == 1 and rep.n_skipped == 1
+    assert rep.max_normalized <= 1e-12
+    json.dumps(rep.as_dict(), allow_nan=False)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("gamma", [1.05, 1.4, 2.0, 2.5, 3.0])
+@pytest.mark.parametrize("fid", ["R1_E", "R2_E1E2", "R2_E1E2S3", "R2_E1S2", "R2_E1S2S3",
+                                 "R2_S1S2S3", "R3_E1E2E3"])
+def test_exact_route_keeps_its_contract_away_from_gamma_5_3(fid, gamma):
+    # with the angles locked for this gamma, a family either has no such
+    # directions (three acoustic waves above gamma = 2), or keeps the
+    # per-point contract and reads rounding on its default grid, or has no
+    # point with a > 0 (at gamma = 3, e2 = -e1 and a = f1 + f2 = 0)
+    try:
+        spec = make_family(fid, family_defaults(fid, gamma))
+    except ConstraintError:
+        assert fid == "R3_E1E2E3" and gamma > 2.0
+        return
+    grid = GridSpec.from_window(spec.default_grid_window())
+    res = spec.evaluate_batch(*grid.points())
+    ok = res.status == STATUS_OK
+    for name in ("r", "state", "cond_det", "jac"):
+        assert np.isfinite(getattr(res, name)[ok]).all(), name
+    try:
+        rep = residual_exact(spec, grid=grid)
+    except EmptyReportError:
+        assert fid in ("R2_E1E2", "R2_E1E2S3") and gamma == 3.0
+        assert (res.status == STATUS_INVALID).all()
+        return
+    assert sum(rep.skip_reasons.values()) == rep.n_skipped
+    assert rep.max_normalized <= 1e-8
+
+
 def test_snoidal_divergence_free_and_constant_speed():
     spec = make_family("R2_S1S2S3")
     rng = np.random.default_rng(3)
@@ -211,14 +258,14 @@ def test_probe_soliton_bounded_fields_unbounded_derivatives():
 
 def test_pde_residual_functional_matches_trace_form():
     # residual functional agrees with tr(A^mu du) assembled from the matrices
-    from riemannwaves.fluid import StateVec, coefficient_matrices
+    from riemannwaves.fluid import coefficient_matrices
     rng = np.random.default_rng(7)
     gas = GasParams()
     for _ in range(10):
         state = np.concatenate([[rng.uniform(0.5, 2)], rng.normal(0, 1, 3)])
         jac = rng.normal(size=(4, 4))
         res = pde_residual(state[None], jac[None], gas.kappa)[0]
-        mats = coefficient_matrices(StateVec.from_array(state), gas)
+        mats = coefficient_matrices(state, gas)
         expect = jac[:, 0].copy()
         for i, m in enumerate(mats):
             expect += m @ jac[:, i + 1]
